@@ -5,7 +5,10 @@ Subcommands:
 * ``table1``  - closed-form smile parameters of the bounded-tanh benchmark
   model on the three benchmark correlations.
 * ``smile``   - asymptotic implied vol per strike, from the quadratic
-  expansion and from the full rate-function solve.
+  expansion and from the full rate-function solve.  For |log-moneyness|
+  below 1e-4 the rate column (here and in ``compare``) repeats the
+  expansion, which is more accurate there than |k| / sqrt(2 J) from a
+  solved J ~ k^2.
 * ``rate``    - rate-function values and minimiser diagnostics per strike.
 * ``mc``      - Monte Carlo implied-vol smile with error bands.
 * ``compare`` - asymptotics and Monte Carlo joined, with z-scores.
@@ -51,6 +54,10 @@ _DEF_PATHS = 100_000
 _DEF_STEPS = 200
 _DEF_SEED = 12345
 _DEF_MATURITY = {"european": 1.0 / 12.0, "vix": 1.0 / 52.0}
+# Below this |log-moneyness| the iv_rate column takes the quadratic expansion:
+# J ~ k^2 is then so small that the solver's absolute error in J dominates
+# |k| / sqrt(2 J), while the expansion is off by O(k^3) only
+_NEAR_MONEY = 1e-4
 
 TABLE1_HEADER = ["rho", "sigma_e_atm", "s_e", "kappa_e", "sigma_vix_atm", "s_vix", "kappa_vix"]
 SMILE_HEADER = ["strike", "log_moneyness", "iv_expansion", "iv_rate"]
@@ -111,8 +118,8 @@ def _rate_point(model: LsvModel, product: str, strike: float):
 
 
 def _iv_rate_column(model: LsvModel, product: str, expansion: SmileExpansion, strike: float, log_m: float) -> float:
-    if abs(log_m) < 1e-12:
-        return expansion.atm
+    if abs(log_m) < _NEAR_MONEY:
+        return expansion.evaluate(log_m)
     return rate_to_impvol(_rate_point(model, product, strike).rate, log_m)
 
 

@@ -103,11 +103,7 @@ class PriceEstimate:
 
 def _eta_vec(spec: LocalVolSpec, log_m: np.ndarray) -> np.ndarray:
     """Vectorised eta as a function of log-moneyness."""
-    if isinstance(spec, ConstantLocalVol):
-        return np.ones_like(log_m)
-    if isinstance(spec, TanhLocalVol):
-        return spec.f0 + spec.f1 * np.tanh(log_m - spec.x0)
-    return spec.eta0 + log_m * (spec.eta1 + log_m * (spec.eta2 + log_m * spec.eta3))
+    return spec.eta(log_m)
 
 
 def _v_step_plan(model: LsvModel) -> tuple[str, float]:
@@ -351,7 +347,12 @@ def default_strike_grid(samples: McSamples, product: str, count: int = 21) -> np
     else:
         raise ValueError("product must be 'european' or 'vix'")
     lo, hi = np.quantile(terminals, [0.01, 0.99])
-    return np.exp(np.linspace(math.log(lo), math.log(hi), count))
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), count))
+    # exp(log(q)) can land an ulp outside [lo, hi], and smile_from_mc skips
+    # strikes outside that range
+    grid[-1:] = hi
+    grid[:1] = lo
+    return grid
 
 
 def smile_from_mc(model: LsvModel, config: McConfig, strikes, product: str,

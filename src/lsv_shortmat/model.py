@@ -6,9 +6,19 @@ two Brownian drivers are correlated with coefficient rho.  The local-volatility
 function eta is parameterised either by a bounded tanh shape, by a truncated
 Taylor polynomial in log-moneyness, or held constant (pure stochastic vol).
 
-All spec objects are frozen dataclasses: they validate on construction and the
-evaluation helpers below are pure functions, so everything here is safe to
-share across threads.
+Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
+
+* ``eta(k)``                 - eta at a float or an ndarray of k;
+* ``inv_eta_integral(L)``    - the integral of 1/eta over k in [0, L];
+* ``eta_sq_log_inverse(w)``  - the k at which eta(k)^2 = w;
+* ``eta_sq_range()``         - the open range of eta^2;
+* ``log_coeffs()``           - the Taylor coefficients of eta up to the cubic.
+
+The module-level helpers (:func:`eta_eval`, :func:`eta_log_coeffs`,
+:func:`eta_sq_range`, :func:`eta_sq_inverse`) delegate to them.
+
+All spec objects are frozen dataclasses: they validate on construction and
+their methods are pure, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,9 +26,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
+import numpy as np
 from scipy.optimize import brentq
+from scipy.special import roots_legendre
 
 __all__ = [
     "TanhLocalVol",
@@ -48,6 +60,31 @@ __all__ = [
 # constant far beyond +-50 for every supported shape.
 _LOG_BRACKET_CAP = 50.0
 
+_GL_NODES, _GL_WEIGHTS = roots_legendre(16)
+
+
+def _gl_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+
+
+def _gl_adaptive(f, a: float, b: float, rel_tol: float = 1e-10, depth: int = 0) -> float:
+    """Adaptive 16-point Gauss-Legendre quadrature; ``f`` takes all nodes of a
+    panel at once."""
+    whole = _gl_panel(f, a, b)
+    mid = 0.5 * (a + b)
+    split = _gl_panel(f, a, mid) + _gl_panel(f, mid, b)
+    if abs(split - whole) <= rel_tol * max(abs(split), 1e-300) or depth >= 40:
+        return split
+    return _gl_adaptive(f, a, mid, rel_tol, depth + 1) + _gl_adaptive(f, mid, b, rel_tol, depth + 1)
+
+
+def _check_eta_sq_target(w: float, w_lo: float, w_hi: float) -> None:
+    if w <= 0.0:
+        raise ValueError("target of eta^2 inversion must be positive")
+    if not (w_lo < w < w_hi):
+        raise ValueError(f"eta^2 target {w} outside attainable range ({w_lo}, {w_hi})")
+
 
 @dataclass(frozen=True)
 class TanhLocalVol:
@@ -64,6 +101,54 @@ class TanhLocalVol:
     def __post_init__(self) -> None:
         if not self.f0 > abs(self.f1):
             raise ValueError(f"tanh local vol requires f0 > |f1|, got f0={self.f0}, f1={self.f1}")
+
+    def eta(self, k):
+        return self.f0 + self.f1 * np.tanh(k - self.x0)
+
+    def inv_eta_integral(self, L: float) -> float:
+        """Closed form of the integral of 1/eta over [0, L].
+
+        With u = k - x0 an antiderivative is
+        [f0 u - f1 log(f0 cosh u + f1 sinh u)] / (f0^2 - f1^2), so the
+        integral is [f0 L - f1 log(cosh L + tau sinh L)] / (f0^2 - f1^2) with
+        tau = (f0 tanh(-x0) + f1) / (f0 + f1 tanh(-x0)), |tau| < 1.  The log
+        is evaluated as log1p(2 sinh^2(L/2) + tau sinh L) for |L| < 1, which
+        keeps full relative precision near the money, and as
+        |L| + log(((1 + tau sgn L) + (1 - tau sgn L) e^{-2|L|}) / 2) beyond,
+        which cannot overflow.
+        """
+        f0, f1 = self.f0, self.f1
+        t = math.tanh(-self.x0)
+        tau = (f0 * t + f1) / (f0 + f1 * t)
+        a = abs(L)
+        if a < 1.0:
+            log_ratio = math.log1p(2.0 * math.sinh(0.5 * L) ** 2 + tau * math.sinh(L))
+        else:
+            ts = tau if L > 0.0 else -tau
+            log_ratio = a + math.log(0.5 * ((1.0 + ts) + (1.0 - ts) * math.exp(-2.0 * a)))
+        return (f0 * L - f1 * log_ratio) / ((f0 - f1) * (f0 + f1))
+
+    def eta_sq_log_inverse(self, w: float) -> float:
+        """Closed form k = x0 + atanh((sqrt(w) - f0) / f1) of eta(k)^2 = w;
+        f1 = 0 leaves an empty range, which the range check rejects."""
+        _check_eta_sq_target(w, *self.eta_sq_range())
+        return self.x0 + math.atanh((math.sqrt(w) - self.f0) / self.f1)
+
+    def eta_sq_range(self) -> tuple[float, float]:
+        lo = self.f0 - abs(self.f1)
+        hi = self.f0 + abs(self.f1)
+        return (lo * lo, hi * hi)
+
+    def log_coeffs(self) -> list[float]:
+        """Derivatives of eta at k = 0 over n!, from those of tanh at -x0."""
+        t = math.tanh(self.x0)
+        sech2 = 1.0 / math.cosh(self.x0) ** 2
+        return [
+            self.f0 - self.f1 * t,
+            self.f1 * sech2,
+            self.f1 * sech2 * t,
+            self.f1 * (-2.0 * sech2 ** 2 + 4.0 * t ** 2 * sech2) / 6.0,
+        ]
 
 
 @dataclass(frozen=True)
@@ -84,6 +169,79 @@ class TaylorLocalVol:
         if not self.eta0 > 0.0:
             raise ValueError(f"taylor local vol requires eta0 > 0, got {self.eta0}")
 
+    def eta(self, k):
+        return self.eta0 + k * (self.eta1 + k * (self.eta2 + k * self.eta3))
+
+    def inv_eta_integral(self, L: float) -> float:
+        """Integral of 1/eta over [0, L] by adaptive 16-point Gauss-Legendre
+        panels, each evaluated in one vectorised Horner pass."""
+
+        def f(t: np.ndarray) -> np.ndarray:
+            vals = self.eta(t)
+            if np.any(vals <= 0.0):
+                raise ValueError("eta vanishes on the integration path")
+            return 1.0 / vals
+
+        return _gl_adaptive(f, 0.0, L)
+
+    def _is_monotone(self) -> bool:
+        # eta'(k) = eta1 + 2 eta2 k + 3 eta3 k^2 must not change sign on the
+        # bracketing window.
+        a, b, c = 3.0 * self.eta3, 2.0 * self.eta2, self.eta1
+        if a == 0.0 and b == 0.0:
+            return c != 0.0
+        if a == 0.0:
+            root = -c / b
+            return abs(root) >= _LOG_BRACKET_CAP
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            return True
+        roots = ((-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a))
+        return all(abs(r) >= _LOG_BRACKET_CAP for r in roots)
+
+    def eta_sq_log_inverse(self, w: float) -> float:
+        """Root of eta(k)^2 = w, bracketed by geometric expansion away from
+        k = 0 (capped at +-50) and solved by Brent iteration to full
+        precision; the polynomial must be monotone on that window."""
+        if not self._is_monotone():
+            raise ValueError("taylor local vol spec is not monotone; inversion unsupported")
+        _check_eta_sq_target(w, *self.eta_sq_range())
+        target = math.sqrt(w)
+
+        def g(k: float) -> float:
+            return self.eta(k) - target
+
+        g0 = g(0.0)
+        if g0 == 0.0:
+            return 0.0
+        # expand geometrically until the sign changes
+        step = 1.0
+        k_prev = 0.0
+        sign0 = math.copysign(1.0, g0)
+        while step <= _LOG_BRACKET_CAP:
+            for k_try in (step, -step):
+                if math.copysign(1.0, g(k_try)) != sign0:
+                    lo, hi = sorted((math.copysign(k_prev, k_try), k_try))
+                    return brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
+            k_prev = step
+            step *= 2.0
+        raise ValueError("failed to bracket eta^2 inversion within the search cap")
+
+    def eta_sq_range(self) -> tuple[float, float]:
+        """Range over the capped log-moneyness window, restricted to the
+        region where eta stays positive (a polynomial may cross zero; the
+        inversion only ever matches eta = +sqrt(w) there)."""
+        a = self.eta(-_LOG_BRACKET_CAP)
+        b = self.eta(_LOG_BRACKET_CAP)
+        lo_eta, hi_eta = min(a, b), max(a, b)
+        if hi_eta <= 0.0:
+            raise ValueError("eta is not positive over the search window")
+        lo_eta = max(lo_eta, 0.0)
+        return (lo_eta * lo_eta, hi_eta * hi_eta)
+
+    def log_coeffs(self) -> list[float]:
+        return [self.eta0, self.eta1, self.eta2, self.eta3]
+
 
 @dataclass(frozen=True)
 class ConstantLocalVol:
@@ -94,6 +252,25 @@ class ConstantLocalVol:
     def __post_init__(self) -> None:
         if self.value != 1.0:
             raise ValueError("constant local vol is normalised to 1; scale V0 instead")
+
+    def eta(self, k):
+        return np.ones_like(k, dtype=float)[()]
+
+    def inv_eta_integral(self, L: float) -> float:
+        return L
+
+    def eta_sq_log_inverse(self, w: float) -> float:
+        """Degenerate: only w = 1 is attainable, and k = 0 is returned by
+        convention."""
+        if abs(w - 1.0) > 1e-12:
+            raise ValueError("constant local vol attains only eta^2 = 1")
+        return 0.0
+
+    def eta_sq_range(self) -> tuple[float, float]:
+        return (1.0, 1.0)
+
+    def log_coeffs(self) -> list[float]:
+        return [1.0, 0.0, 0.0, 0.0]
 
 
 LocalVolSpec = Union[TanhLocalVol, TaylorLocalVol, ConstantLocalVol]
@@ -179,124 +356,31 @@ def eta_eval(spec: LocalVolSpec, s: float, s0: float) -> float:
     """Evaluate the local volatility function at spot s (with reference s0)."""
     if s <= 0.0:
         raise ValueError("spot must be strictly positive")
-    if isinstance(spec, ConstantLocalVol):
-        return 1.0
-    k = math.log(s / s0)
-    if isinstance(spec, TanhLocalVol):
-        return spec.f0 + spec.f1 * math.tanh(k - spec.x0)
-    return spec.eta0 + k * (spec.eta1 + k * (spec.eta2 + k * spec.eta3))
+    return float(spec.eta(math.log(s / s0)))
 
 
 def eta_log_coeffs(spec: LocalVolSpec, order: int = 3) -> list[float]:
-    """Taylor coefficients of eta in powers of log(s/s0), up to the cubic.
-
-    For the tanh shape the coefficients follow from derivatives of tanh at
-    -x0; the cubic one is the cubic Taylor coefficient, consistent with how
-    the lower orders are defined.
-    """
+    """Taylor coefficients of eta in powers of log(s/s0), up to the cubic."""
     if order not in (0, 1, 2, 3):
         raise ValueError("order must be one of 0, 1, 2, 3")
-    if isinstance(spec, ConstantLocalVol):
-        coeffs = [1.0, 0.0, 0.0, 0.0]
-    elif isinstance(spec, TaylorLocalVol):
-        coeffs = [spec.eta0, spec.eta1, spec.eta2, spec.eta3]
-    else:
-        t = math.tanh(spec.x0)
-        sech2 = 1.0 / math.cosh(spec.x0) ** 2
-        coeffs = [
-            spec.f0 - spec.f1 * t,
-            spec.f1 * sech2,
-            spec.f1 * sech2 * t,
-            spec.f1 * (-2.0 * sech2 ** 2 + 4.0 * t ** 2 * sech2) / 6.0,
-        ]
-    return coeffs[: order + 1]
+    return spec.log_coeffs()[: order + 1]
 
 
 def eta_sq_range(spec: LocalVolSpec) -> tuple[float, float]:
     """Open range (w_min, w_max) attained by eta^2 over all positive spots."""
-    if isinstance(spec, ConstantLocalVol):
-        return (1.0, 1.0)
-    if isinstance(spec, TanhLocalVol):
-        lo = spec.f0 - abs(spec.f1)
-        hi = spec.f0 + abs(spec.f1)
-        return (lo * lo, hi * hi)
-    # Taylor shape: range over the capped log-moneyness window, restricted to
-    # the region where eta stays positive (a polynomial may cross zero; the
-    # inversion only ever matches eta = +sqrt(w) there).
-    a = _taylor_eval(spec, -_LOG_BRACKET_CAP)
-    b = _taylor_eval(spec, _LOG_BRACKET_CAP)
-    lo_eta, hi_eta = min(a, b), max(a, b)
-    if hi_eta <= 0.0:
-        raise ValueError("eta is not positive over the search window")
-    lo_eta = max(lo_eta, 0.0)
-    return (lo_eta * lo_eta, hi_eta * hi_eta)
-
-
-def _taylor_eval(spec: TaylorLocalVol, k: float) -> float:
-    return spec.eta0 + k * (spec.eta1 + k * (spec.eta2 + k * spec.eta3))
-
-
-def _taylor_is_monotone(spec: TaylorLocalVol) -> bool:
-    # eta'(k) = eta1 + 2 eta2 k + 3 eta3 k^2 must not change sign on the
-    # bracketing window.
-    a, b, c = 3.0 * spec.eta3, 2.0 * spec.eta2, spec.eta1
-    if a == 0.0 and b == 0.0:
-        return c != 0.0
-    if a == 0.0:
-        root = -c / b
-        return abs(root) >= _LOG_BRACKET_CAP
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return True
-    roots = ((-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a))
-    return all(abs(r) >= _LOG_BRACKET_CAP for r in roots)
+    return spec.eta_sq_range()
 
 
 def eta_sq_inverse(spec: LocalVolSpec, w: float, s0: float) -> float:
     """Solve eta(s)^2 = w for s, for strictly monotone local volatility.
 
-    The root is bracketed by geometric expansion away from s0 (capped at
-    s0 * exp(+-50)) and then solved by Brent iteration to full precision.
-    The constant spec is degenerate: only w = 1 is attainable and s0 is
-    returned by convention.
+    Closed form for the tanh spec: s = s0 exp(x0 + atanh((sqrt(w) - f0)/f1)).
+    The Taylor spec brackets the root by geometric expansion away from s0
+    (capped at s0 * exp(+-50)) and solves it by Brent iteration.  The
+    constant spec is degenerate: only w = 1 is attainable and s0 is returned
+    by convention.
     """
-    if w <= 0.0:
-        raise ValueError("target of eta^2 inversion must be positive")
-    if isinstance(spec, ConstantLocalVol):
-        if abs(w - 1.0) > 1e-12:
-            raise ValueError("constant local vol attains only eta^2 = 1")
-        return s0
-    if isinstance(spec, TanhLocalVol):
-        if spec.f1 == 0.0:
-            raise ValueError("tanh spec with f1 = 0 is not invertible")
-    elif not _taylor_is_monotone(spec):
-        raise ValueError("taylor local vol spec is not monotone; inversion unsupported")
-
-    w_lo, w_hi = eta_sq_range(spec)
-    if not (w_lo < w < w_hi):
-        raise ValueError(f"eta^2 target {w} outside attainable range ({w_lo}, {w_hi})")
-
-    target = math.sqrt(w)
-
-    def g(k: float) -> float:
-        return eta_eval(spec, s0 * math.exp(k), s0) - target
-
-    g0 = g(0.0)
-    if g0 == 0.0:
-        return s0
-    # expand geometrically until the sign changes
-    step = 1.0
-    k_prev = 0.0
-    sign0 = math.copysign(1.0, g0)
-    while step <= _LOG_BRACKET_CAP:
-        for k_try in (step, -step):
-            if math.copysign(1.0, g(k_try)) != sign0:
-                lo, hi = sorted((math.copysign(k_prev, k_try), k_try))
-                root = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
-                return s0 * math.exp(root)
-        k_prev = step
-        step *= 2.0
-    raise ValueError("failed to bracket eta^2 inversion within the search cap")
+    return s0 * math.exp(spec.eta_sq_log_inverse(w))
 
 
 def vix_spot(model: LsvModel) -> float:

@@ -26,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import roots_legendre
 
 from .hartman_watson import h_lognormal
 from .heston_rate import h_heston
@@ -37,7 +36,6 @@ from .model import (
     LsvModel,
     SquareRootVolOfVol,
     VolOfVolSpec,
-    eta_eval,
     eta_log_coeffs,
     eta_sq_inverse,
     eta_sq_range,
@@ -76,46 +74,22 @@ class RatePoint:
 # building blocks
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(16)
-
-
-def _gl_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
-
-
-def _gl_adaptive(f, a: float, b: float, rel_tol: float = 1e-10, depth: int = 0) -> float:
-    whole = _gl_panel(f, a, b)
-    mid = 0.5 * (a + b)
-    split = _gl_panel(f, a, mid) + _gl_panel(f, mid, b)
-    if abs(split - whole) <= rel_tol * max(abs(split), 1e-300) or depth >= 40:
-        return split
-    return _gl_adaptive(f, a, mid, rel_tol, depth + 1) + _gl_adaptive(f, mid, b, rel_tol, depth + 1)
-
 
 def integral_IS(spec: LocalVolSpec, s0: float, z: float) -> float:
     """Spot integral from s0 to s0*z of dx / (x eta(x)).
 
-    Evaluated in log space as the integral of 1/eta(s0 e^t) over t in
-    [0, log z] by adaptive 16-point Gauss-Legendre panels; the sign follows
-    the orientation (negative for z < 1).
+    In log space this is the integral of 1/eta over k in [0, log z], which
+    the spec evaluates; the sign follows the orientation (negative for
+    z < 1).  The tanh spec uses the closed form
+    [f0 L - f1 log(cosh L + tau sinh L)] / (f0^2 - f1^2), L = log z, with
+    tau = (f0 tanh(-x0) + f1)/(f0 + f1 tanh(-x0)); the log is taken through
+    log1p for |L| < 1 (no cancellation near the money) and as
+    |L| + log(...) beyond (no overflow in the wings).  The constant spec
+    gives log z, the Taylor spec adaptive Gauss-Legendre quadrature.
     """
     if z <= 0.0:
         raise ValueError("moneyness ratio must be positive")
-    if z == 1.0:
-        return 0.0
-    if isinstance(spec, ConstantLocalVol):
-        return math.log(z)
-    lz = math.log(z)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        s = s0 * np.exp(t)
-        vals = np.array([eta_eval(spec, si, s0) for si in np.atleast_1d(s)])
-        if np.any(vals <= 0.0):
-            raise ValueError("eta vanishes on the integration path")
-        return 1.0 / vals
-
-    return _gl_adaptive(f, 0.0, lz)
+    return spec.inv_eta_integral(math.log(z))
 
 
 def vol_integral_Q(spec: VolOfVolSpec, v0: float, y: float) -> float:

@@ -7,6 +7,8 @@ import os
 import pytest
 
 from lsv_shortmat.cli import main
+from lsv_shortmat.model import model_from_dict
+from lsv_shortmat.rate_solver import sabr_rate_closed
 
 TABLE_MODEL = {
     "s0": 1.0, "v0": 0.1, "rho": 0.0, "r": 0.0, "q": 0.0,
@@ -93,6 +95,34 @@ class TestSmile:
         _, rows = parse_csv(out)
         assert float(rows[1][2]) == pytest.approx(0.8965, abs=5e-4)
 
+    @pytest.mark.parametrize("k", [1e-6, 4.7e-6, 1e-5, 9e-5])
+    def test_near_money_rate_column_matches_sabr_closed_form(self, k, tmp_path, capsys):
+        # |k| / sqrt(2 J) from a solved J ~ k^2 is off by up to 1e-5 here;
+        # the column switches to the expansion below |k| = 1e-4
+        cfg = dict(TABLE_MODEL, rho=-0.7, local_vol={"kind": "constant"})
+        path = tmp_path / "sabr.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(["smile", "--model", str(path), f"--kmin={-k!r}", f"--kmax={k!r}",
+                                "--kcount", "2"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        model = model_from_dict(cfg)
+        for row in rows:
+            log_m = float(row[1])
+            closed = abs(log_m) / math.sqrt(2.0 * sabr_rate_closed(model, math.exp(log_m)))
+            assert float(row[3]) == pytest.approx(closed, abs=1e-8)
+
+    def test_near_money_vix_rate_column(self, tmp_path, capsys):
+        cfg = dict(TABLE_MODEL, rho=-0.7)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(["smile", "--model", str(path), "--product", "vix",
+                                "--kmin=-1.2e-6", "--kmax=1.2e-6", "--kcount", "2"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        for row in rows:
+            assert float(row[3]) == pytest.approx(float(row[2]), abs=1e-6)
+
     def test_effective_config_echoed(self, model_file, capsys):
         _, _, err = run_cli(["smile", "--model", model_file, "--kcount", "3"], capsys)
         echoed = json.loads(err.strip().split("\n")[0])
@@ -177,6 +207,17 @@ class TestMcAndCompare:
         _, _, err = run_cli(["mc", "--model", model_file] + self.ARGS, capsys)
         echoed = json.loads(err.strip().split("\n")[0])
         assert echoed["effective_config"]["threads"] == 2
+
+    @pytest.mark.parametrize("seed", [4, 5, 8])
+    def test_quantile_grid_keeps_end_strikes(self, seed, tmp_path, capsys):
+        # on these seeds exp(log(q)) lands an ulp outside the quantile range
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(TABLE_MODEL, rho=-0.7)))
+        code, out, _ = run_cli(["mc", "--model", str(path), "--product", "vix",
+                                "--paths", "16384", "--steps", "20", "--seed", str(seed)], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 21
 
     def test_quantile_grid_when_unspecified(self, model_file, capsys):
         code, out, _ = run_cli(["mc", "--model", model_file, "--paths", "5000",

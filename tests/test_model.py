@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from lsv_shortmat.model import (
     ConstantLocalVol,
@@ -55,6 +56,19 @@ class TestEtaEval:
     def test_nonpositive_spot(self):
         with pytest.raises(ValueError):
             eta_eval(TANH, 0.0, 1.0)
+
+    @pytest.mark.parametrize("spec", [
+        TANH,
+        TanhLocalVol(1.2, 0.3, -0.7),
+        TaylorLocalVol(eta0=0.8, eta1=0.2, eta2=-0.1, eta3=0.05),
+        ConstantLocalVol(),
+    ])
+    def test_vectorised_matches_scalar(self, spec):
+        ks = np.linspace(-2.0, 2.0, 9)
+        vals = spec.eta(ks)
+        assert vals.shape == ks.shape
+        for k, v in zip(ks, vals):
+            assert v == pytest.approx(eta_eval(spec, math.exp(k), 1.0), rel=1e-15)
 
 
 class TestEtaLogCoeffs:
@@ -130,6 +144,33 @@ class TestEtaSqInverse:
         spec = TaylorLocalVol(eta0=1.0, eta1=-0.2)
         w = eta_eval(spec, 1.5, 1.0) ** 2
         assert eta_sq_inverse(spec, w, 1.0) == pytest.approx(1.5, rel=1e-10)
+
+    @pytest.mark.parametrize("spec", [
+        TANH,
+        TanhLocalVol(1.0, 0.3, 0.4),
+        TanhLocalVol(1.0, -0.5, 0.4),
+        TanhLocalVol(1.0, 0.3, 0.0),
+    ])
+    def test_closed_form_round_trip(self, spec):
+        # eta(k)^2 must reproduce w, also a hair inside both ends of the range
+        w_lo, w_hi = eta_sq_range(spec)
+        ws = list(np.linspace(w_lo, w_hi, 23)[1:-1]) + [w_lo * (1.0 + 1e-9), w_hi * (1.0 - 1e-9)]
+        for w in ws:
+            k = spec.eta_sq_log_inverse(w)
+            assert float(spec.eta(k)) ** 2 == pytest.approx(w, rel=1e-13)
+            s = eta_sq_inverse(spec, w, 1.3)
+            assert eta_eval(spec, s, 1.3) ** 2 == pytest.approx(w, rel=1e-13)
+
+    def test_closed_form_matches_root_finding(self):
+        # the Brent root of eta(k) = sqrt(w), independent of the atanh form
+        spec = TanhLocalVol(1.1, 0.4, 0.3)
+        for w in (0.6, 1.0, 1.21, 1.9):
+            root = brentq(lambda k: float(spec.eta(k)) - math.sqrt(w), -30.0, 30.0, xtol=1e-15)
+            assert spec.eta_sq_log_inverse(w) == pytest.approx(root, abs=1e-13)
+
+    def test_f1_zero_rejected(self):
+        with pytest.raises(ValueError):
+            eta_sq_inverse(TanhLocalVol(1.0, 0.0), 1.0, 1.0)
 
 
 class TestVixSpot:

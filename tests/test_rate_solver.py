@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from lsv_shortmat import model as model_mod
+from lsv_shortmat import rate_solver
 from lsv_shortmat.model import (
     ConstantLocalVol,
     LognormalVolOfVol,
     LsvModel,
     SquareRootVolOfVol,
     TanhLocalVol,
+    TaylorLocalVol,
     eta_eval,
     vix_spot,
 )
@@ -67,6 +71,46 @@ class TestIntegralIS:
     def test_invalid(self):
         with pytest.raises(ValueError):
             integral_IS(TANH, 1.0, -1.0)
+
+    @pytest.mark.parametrize("x0", [0.0, 0.4])
+    @pytest.mark.parametrize("f1", [-0.5, 0.3])
+    def test_tanh_closed_form_against_mpmath(self, x0, f1):
+        mpmath = pytest.importorskip("mpmath")
+        spec = TanhLocalVol(1.0, f1, x0)
+        with mpmath.workdps(40):
+            def oracle(length):
+                f = lambda t: 1 / (1 + f1 * mpmath.tanh(t - x0))
+                return mpmath.quad(f, sorted([0, x0, length]) if 0 < x0 < length else [0, length])
+            for mag in (1e-8, 1e-3, 0.3, 5.0, 40.0):
+                for length in (mag, -mag):
+                    want = float(oracle(length))
+                    assert spec.inv_eta_integral(length) == pytest.approx(want, rel=1e-13, abs=0.0), length
+
+    @pytest.mark.parametrize("f1", [-0.5, 0.3])
+    def test_tanh_closed_form_finite_far_out(self, f1):
+        spec = TanhLocalVol(1.0, f1, 0.4)
+        for length in (700.0, -700.0, 750.0, -750.0):
+            val = spec.inv_eta_integral(length)
+            assert math.isfinite(val)
+            # 1/eta tends to 1/(f0 +- f1) in the wings
+            slope = 1.0 / (1.0 + f1 * math.copysign(1.0, length))
+            assert val / length == pytest.approx(slope, rel=1e-3)
+
+    def test_tanh_vix_rate_skips_quadrature(self, monkeypatch):
+        calls = []
+        real = model_mod._gl_adaptive
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "_gl_adaptive", counting)
+        integral_IS(TaylorLocalVol(eta0=1.0, eta1=-0.2), 1.0, 1.3)
+        assert calls, "the counter must see the Taylor spec's quadrature"
+        calls.clear()
+        model = table_model(-0.7)
+        vix_rate(model, vix_spot(model) * math.exp(0.1))
+        assert not calls
 
 
 class TestVolIntegralQ:
@@ -283,3 +327,59 @@ class TestRateToImpvol:
             rate_to_impvol(0.0, 0.1)
         with pytest.raises(ValueError):
             rate_to_impvol(0.1, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the numeric path the tanh closed forms replaced, kept here as the oracle
+# ---------------------------------------------------------------------------
+
+_LEG_NODES, _LEG_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _reference_quadrature(f, a, b, depth=0):
+    def panel(lo, hi):
+        return 0.5 * (hi - lo) * float(np.dot(_LEG_WEIGHTS, f(0.5 * (lo + hi) + 0.5 * (hi - lo) * _LEG_NODES)))
+
+    mid = 0.5 * (a + b)
+    whole, split = panel(a, b), panel(a, mid) + panel(mid, b)
+    if abs(split - whole) <= 1e-10 * max(abs(split), 1e-300) or depth >= 40:
+        return split
+    return _reference_quadrature(f, a, mid, depth + 1) + _reference_quadrature(f, mid, b, depth + 1)
+
+
+def _reference_integral_IS(spec, s0, z):
+    return _reference_quadrature(lambda t: 1.0 / spec.eta(t), 0.0, math.log(z))
+
+
+def _reference_eta_sq_inverse(spec, w, s0):
+    def g(k):
+        return float(spec.eta(k)) - math.sqrt(w)
+
+    step, prev = 1.0, 0.0
+    while True:
+        for k in (step, -step):
+            if (g(k) > 0.0) != (g(0.0) > 0.0):
+                lo, hi = sorted((math.copysign(prev, k), k))
+                return s0 * math.exp(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16))
+        prev, step = step, 2.0 * step
+
+
+class TestReplacedPathRegression:
+    MODELS = {
+        "tanh_lognormal_rho_m07": table_model(-0.7),
+        "tanh_lognormal_rho_0": table_model(0.0),
+        "tanh_lognormal_rho_p07": table_model(0.7),
+        "tanh_sqrt_rho_m07": table_model(-0.7, vol_of_vol=SquareRootVolOfVol(1.0)),
+    }
+    LOG_MONEYNESS = (-0.3, -0.15, -0.05, -0.01, 0.01, 0.05, 0.15, 0.3)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_rates_match_numeric_path(self, name, monkeypatch):
+        model = self.MODELS[name]
+        f0 = vix_spot(model)
+        cases = [(european_rate, model.s0), (vix_rate, f0)]
+        fast = [solve(model, ref * math.exp(k)).rate for solve, ref in cases for k in self.LOG_MONEYNESS]
+        monkeypatch.setattr(rate_solver, "integral_IS", _reference_integral_IS)
+        monkeypatch.setattr(rate_solver, "eta_sq_inverse", _reference_eta_sq_inverse)
+        slow = [solve(model, ref * math.exp(k)).rate for solve, ref in cases for k in self.LOG_MONEYNESS]
+        assert np.max(np.abs(np.subtract(fast, slow))) <= 1e-12

@@ -12,10 +12,13 @@ theta < 0.  The joint rate function is its Legendre-Fenchel transform
 
     I_H(x, y) = sup_{theta, phi} [theta x + phi y - Lambda(theta, phi)],
 
-which this module computes numerically (warm-started Newton ascent with a
-Nelder-Mead fallback) and as a quartic expansion in
-(log x, log y).  The variance-path rate function for a factor started at v0
-is the rescaling  H(y, z) = v0 * I_H(z/v0, e^y/v0).
+which this module computes numerically and as a quartic expansion in
+(log x, log y).  Lambda is a Moebius function of phi, so the best phi at
+fixed theta is explicit and the transform reduces to a concave maximisation
+over theta alone, with closed-form slope and curvature; Newton ascent from
+the series warm start solves it, and Nelder-Mead is only a last resort (see
+:func:`legendre_point`).  The variance-path rate function for a factor
+started at v0 is the rescaling  H(y, z) = v0 * I_H(z/v0, e^y/v0).
 """
 
 from __future__ import annotations
@@ -123,114 +126,179 @@ class LegendrePoint:
     converged: bool
 
 
-def _warm_start(eps_x: float, eps_y: float, sigma: float) -> np.ndarray:
-    # expansion of the maximiser around (1, 1)
-    s2 = sigma * sigma
-    theta = (6.0 * (2.0 * eps_x - eps_y) - 4.8 * eps_x**2 + 4.8 * eps_x * eps_y - 2.2 * eps_y**2) / s2
-    phi = (-2.0 * (3.0 * eps_x - 2.0 * eps_y) - 0.6 * eps_x**2 + 1.6 * eps_x * eps_y - 0.4 * eps_y**2) / s2
-    return np.array([theta, phi])
+def _warm_start(eps_x: float, eps_y: float, sigma: float) -> float:
+    # expansion of the maximising theta around (x, y) = (1, 1)
+    return (6.0 * (2.0 * eps_x - eps_y) - 4.8 * eps_x**2 + 4.8 * eps_x * eps_y
+            - 2.2 * eps_y**2) / (sigma * sigma)
 
 
-def _fd_grad_hess(f, p: np.ndarray, fp: float, h: float):
-    """Central finite-difference gradient and Hessian; None if the stencil
-    leaves the domain."""
-    g = np.empty(2)
-    H = np.empty((2, 2))
-    vals = {}
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                vals[(0, 0)] = fp
-                continue
-            v = f(p + h * np.array([di, dj]))
-            if not math.isfinite(v):
-                return None, None
-            vals[(di, dj)] = v
-    g[0] = (vals[(1, 0)] - vals[(-1, 0)]) / (2 * h)
-    g[1] = (vals[(0, 1)] - vals[(0, -1)]) / (2 * h)
-    H[0, 0] = (vals[(1, 0)] - 2 * fp + vals[(-1, 0)]) / (h * h)
-    H[1, 1] = (vals[(0, 1)] - 2 * fp + vals[(0, -1)]) / (h * h)
-    H[0, 1] = H[1, 0] = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (4 * h * h)
-    return g, H
+# Taylor coefficients in v = -u of f(u) = cos(sqrt u), g(u) = sin(sqrt u)/sqrt u
+# and of g', g'' (d/du); 12 terms leave a truncation error below 1e-18 for
+# |u| <= 1, where the closed forms of g' and g'' lose digits to cancellation
+_SERIES_TERMS = 12
+_COS_SERIES = tuple(1.0 / math.factorial(2 * k) for k in range(_SERIES_TERMS))
+_SINC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(_SERIES_TERMS))
+_SINC_D1_SERIES = tuple(-(k + 1) / math.factorial(2 * k + 3) for k in range(_SERIES_TERMS))
+_SINC_D2_SERIES = tuple((k + 2) * (k + 1) / math.factorial(2 * k + 5) for k in range(_SERIES_TERMS))
+_EPS = 2.0**-52
+
+
+def _horner(coeffs: tuple, v: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
+
+
+def _profile_terms(u: float):
+    """k(u) = sqrt(u) cot(sqrt u) and m(u) = sqrt(u) / sin(sqrt u) with their
+    first two derivatives in u, or None for sqrt(u) >= pi.
+
+    Both are quotients of the entire functions f(u) = cos(sqrt u) and
+    g(u) = sin(sqrt u)/sqrt u (cosh(sqrt(-u)) and sinh(sqrt(-u))/sqrt(-u)
+    for u < 0): k = f/g and m = 1/g, with f' = -g/2, g' = (f - g)/(2u) and
+    g'' = -(g/2 + 3 g')/(2u).  Those quotients cancel near u = 0, the
+    theta = 0 seam of the cumulant, so |u| <= 1 takes Taylor series and
+    the closed forms serve beyond.  For u < -1, f and g are divided by
+    cosh(sqrt(-u)), which leaves k unchanged and is multiplied back into m
+    as a sech, so nothing overflows.
+
+    Returns (k, k', k'', m, m', m'').
+    """
+    sech = 1.0
+    if abs(u) <= 1.0:
+        f = _horner(_COS_SERIES, -u)
+        g = _horner(_SINC_SERIES, -u)
+        g1 = _horner(_SINC_D1_SERIES, -u)
+        g2 = _horner(_SINC_D2_SERIES, -u)
+    else:
+        if u > 0.0:
+            c = math.sqrt(u)
+            if c >= math.pi:
+                return None
+            f = math.cos(c)
+            g = math.sin(c) / c
+        else:
+            r = math.sqrt(-u)
+            f = 1.0
+            g = math.tanh(r) / r
+            e = math.exp(-r)
+            sech = 2.0 * e / (1.0 + e * e)
+        g1 = (f - g) / (2.0 * u)
+        g2 = -(0.5 * g + 3.0 * g1) / (2.0 * u)
+    r1 = g1 / g
+    r2 = g2 / g
+    k = f / g
+    m = sech / g
+    return (k, -0.5 - k * r1, 0.5 * r1 - k * r2 + 2.0 * k * r1 * r1,
+            m, -m * r1, m * (2.0 * r1 * r1 - r2))
+
+
+# |gradient| / max(1, x, y) that certifies a stationary point
+_GRAD_TOL = 1e-9
+# Newton stops early once the gradient is this small (relative as above)
+_GRAD_STOP = 1e-13
 
 
 def legendre_point(x: float, y: float, sigma: float) -> LegendrePoint:
     """Maximise theta*x + phi*y - Lambda(theta, phi) over the cumulant domain.
 
-    Newton ascent with finite-difference derivatives from the series warm
-    start, backtracking to stay strictly inside the domain; Nelder-Mead mops
-    up if Newton stalls.  Raises if neither converges.
+    With a = sigma^2/2, u = a theta, f = cos(sqrt u) and
+    g = sin(sqrt u)/sqrt u, the cumulant is the quotient
+
+        Lambda = (phi f + theta g) / D,   D = f - a phi g > 0,
+
+    a Moebius function of phi with Lambda_phi = (f^2 + u g^2)/D^2 = 1/D^2.
+    So the best phi at fixed theta has D = 1/sqrt(y), and the transform is
+    the one-dimensional concave maximisation
+
+        I_H(x, y) = sup_theta G(theta),
+        G(theta) = theta x + ((1 + y) k(u) - 2 sqrt(y) m(u)) / a,
+        phi*(theta) = (k(u) - m(u)/sqrt(y)) / a,
+
+    with k = f/g and m = 1/g (:func:`_profile_terms`).  Newton ascent on G
+    uses its exact slope and curvature, one :func:`_profile_terms`
+    evaluation per step, from the series warm start.  Eliminating phi
+    exactly keeps the iterates clear of the pole D = 0; in (theta, phi) the
+    maximiser lies so close to it for small x and large y that Lambda
+    cannot be evaluated there to useful accuracy.
+
+    A step is halved until it stays inside the domain (sqrt(u) < pi) and
+    does not lower G by more than its rounding error, so the ascent cannot
+    stall at the optimum on a strict comparison.  Newton stops when the
+    slope vanishes to 1e-13 (relative to max(1, x, y)) or after the step
+    that brings the Newton decrement below the rounding error.
+    ``converged`` certifies a stationary point: the gradient of the
+    objective at (theta, phi*) is (G', 0), and its Hessian is negative
+    definite exactly when G'' < 0 (Lambda_phi_phi = 2 a g / D^3 > 0), so
+    converged means |G'| <= 1e-9 max(1, x, y) with G'' < 0.  Nelder-Mead on
+    G is the last resort when Newton does not get there.
     """
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError("transform arguments must be positive")
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise ValueError("transform arguments must be positive and finite")
+    if sigma <= 0.0:
+        raise ValueError("sigma must be positive")
+    a = 0.5 * sigma * sigma
+    sqrt_y = math.sqrt(y)
 
-    def f(p: np.ndarray) -> float:
-        cp = cumulant(p[0], p[1], sigma)
-        if not cp.in_domain:
-            return -math.inf
-        return p[0] * x + p[1] * y - cp.value
+    def evaluate(theta: float):
+        terms = _profile_terms(a * theta)
+        if terms is None:
+            return None
+        k, k1, k2, m, m1, m2 = terms
+        value = theta * x + ((1.0 + y) * k - 2.0 * sqrt_y * m) / a
+        noise = 4.0 * _EPS * (abs(theta * x) + ((1.0 + y) * abs(k) + 2.0 * sqrt_y * abs(m)) / a)
+        slope = x + (1.0 + y) * k1 - 2.0 * sqrt_y * m1
+        curv = a * ((1.0 + y) * k2 - 2.0 * sqrt_y * m2)
+        return value, noise, slope, curv, (k - m / sqrt_y) / a
 
-    def grad_small(p: np.ndarray, fp: float, tol: float) -> bool:
-        g, _ = _fd_grad_hess(f, p, fp, 1e-7 * max(1.0, float(np.max(np.abs(p)))))
-        return g is not None and float(np.max(np.abs(g))) <= tol
+    def stationary(pt) -> bool:
+        _, _, slope, curv, _ = pt
+        return abs(slope) <= _GRAD_TOL * scale and curv < 0.0
 
-    p = _warm_start(math.log(x), math.log(y), sigma)
-    for _ in range(200):
-        if math.isfinite(f(p)):
-            break
-        p *= 0.5
-    fp = f(p)
-    scale = max(1.0, abs(x), abs(y))
+    scale = max(1.0, x, y)
+    theta = _warm_start(math.log(x), math.log(y), sigma)
+    cur = evaluate(theta)
+    while cur is None:
+        theta *= 0.5
+        cur = evaluate(theta)
     iters = 0
-    converged = False
-    newton_ok = True
-    while newton_ok and iters < 60:
+    while iters < 60:
         iters += 1
-        h = 1e-6 * max(1.0, float(np.max(np.abs(p))))
-        g, H = _fd_grad_hess(f, p, fp, h)
-        if g is None:
+        fp, noise, slope, curv, _ = cur
+        if abs(slope) <= _GRAD_STOP * scale:
             break
-        # value error at a smooth maximum is O(|g|^2); 1e-9 leaves the value
-        # accurate to machine precision while staying above FD roundoff noise
-        if float(np.max(np.abs(g))) <= 1e-9 * scale:
-            converged = True
-            break
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            step = g.copy()
-        if not np.all(np.isfinite(step)):
-            step = g.copy()
+        step = -slope / curv if curv < 0.0 else slope
+        # a decrement below the rounding error: this step is the last that helps
+        last = curv < 0.0 and slope * step <= noise
         t = 1.0
-        moved = False
         for _ in range(60):
-            cand = p + t * step
-            fc = f(cand)
-            if math.isfinite(fc) and fc > fp:
-                p, fp = cand, fc
-                moved = True
+            cand = evaluate(theta + t * step)
+            if cand is not None and cand[0] >= fp - noise:
                 break
             t *= 0.5
-        if not moved:
-            newton_ok = False
+        else:
+            break
+        theta, cur = theta + t * step, cand
+        if last:
+            break
+    converged = stationary(cur)
     if not converged:
-        res = minimize(
-            lambda q: -f(np.asarray(q)),
-            p,
-            method="Nelder-Mead",
-            options=dict(xatol=1e-12, fatol=1e-15, maxiter=6000, maxfev=6000),
-        )
+
+        def neg_value(q: np.ndarray) -> float:
+            pt = evaluate(float(q[0]))
+            return math.inf if pt is None else -pt[0]
+
+        res = minimize(neg_value, np.array([theta]), method="Nelder-Mead",
+                       options=dict(xatol=1e-12, fatol=1e-15, maxiter=6000, maxfev=6000))
         iters += res.nit
-        cand = np.asarray(res.x)
-        fc = f(cand)
-        if math.isfinite(fc) and fc >= fp:
-            p, fp = cand, fc
-        converged = grad_small(p, fp, 1e-6 * scale)
-    if not math.isfinite(fp):
-        raise RuntimeError(f"Legendre transform failed at x={x}, y={y}, sigma={sigma}")
+        cand = evaluate(float(res.x[0]))
+        if cand is not None and cand[0] >= cur[0]:
+            theta, cur = float(res.x[0]), cand
+        converged = stationary(cur)
     # the sup includes (0, 0) where the objective vanishes
-    value = max(fp, 0.0)
-    return LegendrePoint(x=x, y=y, sigma=sigma, value=value, theta=float(p[0]), phi=float(p[1]),
+    value = max(cur[0], 0.0)
+    return LegendrePoint(x=x, y=y, sigma=sigma, value=value, theta=float(theta), phi=float(cur[4]),
                          iterations=iters, converged=bool(converged))
 
 

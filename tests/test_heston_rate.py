@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
+from lsv_shortmat import cli, heston_rate
 from lsv_shortmat.heston_rate import (
+    _profile_terms,
     boundary_theta_c,
     cumulant,
     h_heston,
@@ -14,6 +17,11 @@ from lsv_shortmat.heston_rate import (
     rate_IH_numeric,
     rate_IH_series,
 )
+from lsv_shortmat.model import load_model, vix_spot
+from lsv_shortmat.rate_solver import european_rate, vix_rate
+
+MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+GRID_SIGMAS = (0.5, 1.0, 2.0)
 
 
 class TestCumulant:
@@ -123,6 +131,12 @@ class TestLegendreTransform:
         with pytest.raises(ValueError):
             rate_IH_numeric(-1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("x,y,sigma", [(1.0, 0.0, 1.0), (math.inf, 1.0, 1.0),
+                                           (1.0, math.nan, 1.0), (1.0, 1.0, 0.0)])
+    def test_non_finite_or_degenerate_inputs(self, x, y, sigma):
+        with pytest.raises(ValueError):
+            legendre_point(x, y, sigma)
+
 
 class TestSeriesValues:
     def test_series_probe_points(self):
@@ -201,3 +215,261 @@ class TestHHeston:
     def test_invalid(self):
         with pytest.raises(ValueError):
             h_heston(0.0, -1.0, 1.0, 1.0)
+
+
+def _mp_cumulant(mp, theta, phi, sigma):
+    """Closed-form Lambda in mpmath; complex sqrt covers theta < 0."""
+    s = mp.sqrt(mp.mpc(2 * theta))
+    c = sigma * s / 2
+    return mp.re((s / sigma) * (s * mp.sin(c) + sigma * phi * mp.cos(c))
+                 / (s * mp.cos(c) - sigma * phi * mp.sin(c)))
+
+
+def _edge_phi(theta, sigma, rel):
+    """phi at relative distance ``rel`` inside the D = 0 edge at theta."""
+    a = 0.5 * sigma * sigma
+    u = a * theta
+    if u > 0:
+        f, g = math.cos(math.sqrt(u)), math.sin(math.sqrt(u)) / math.sqrt(u)
+    else:
+        f, g = math.cosh(math.sqrt(-u)), math.sinh(math.sqrt(-u)) / math.sqrt(-u)
+    edge = f / (a * g)
+    return edge * (1.0 - rel) if edge > 0 else edge * (1.0 + rel)
+
+
+def _oracle_points():
+    pts = []
+    for sigma in GRID_SIGMAS:
+        a = 0.5 * sigma * sigma
+        pts += [(0.8 / a, 0.3, sigma), (-3.0 / a, 0.4, sigma), (-60.0 / a, -2.0, sigma)]
+        for t in (1e-12, 1e-8, 1e-4):
+            pts += [(t, 0.2, sigma), (-t, -0.3, sigma)]
+        # on 2 theta + sigma^2 phi^2 = 0, where psi' vanishes at time 0
+        for t in (-0.5, -4.0):
+            pts += [(t, math.sqrt(-2.0 * t) / sigma, sigma), (t, -math.sqrt(-2.0 * t) / sigma, sigma)]
+        # within 1e-6 of the D = 0 edge, and of c = pi with phi far below zero
+        pts += [(t / a, _edge_phi(t / a, sigma, 1e-6), sigma) for t in (-2.0, 0.5, 3.0)]
+        pts += [(math.pi**2 / (2.0 * a) * (1.0 - 1e-6), -1e3, sigma)]
+    return pts
+
+
+class TestProfileTermsOracle:
+    """k(u) = sqrt(u) cot(sqrt u), m(u) = sqrt(u)/sin(sqrt u) and their first
+    two derivatives against mpmath differentiation at 50 digits."""
+
+    @pytest.mark.parametrize("u", [
+        1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4,          # the theta = 0 seam
+        0.5, -0.5, 0.999, 1.001, -0.999, -1.001,          # series / closed-form switch
+        3.0, -3.0, 9.0, -40.0, -2500.0,
+        math.pi**2 * (1.0 - 1e-6),                        # c within 1e-6 of pi
+    ])
+    def test_against_mpmath(self, u):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            def k(v):
+                s = mp.sqrt(mp.mpc(v))
+                return mp.re(s * mp.cot(s))
+
+            def m(v):
+                s = mp.sqrt(mp.mpc(v))
+                return mp.re(s / mp.sin(s))
+
+            ref = [k(u), mp.diff(k, u), mp.diff(k, u, 2), m(u), mp.diff(m, u), mp.diff(m, u, 2)]
+            got = _profile_terms(u)
+            for name, g, r in zip(("k", "k'", "k''", "m", "m'", "m''"), got, ref):
+                assert abs(g - r) <= 1e-9 * abs(r), (name, u, g, float(r))
+
+    def test_domain_edge(self):
+        assert _profile_terms(math.pi**2) is None
+        assert _profile_terms(math.pi**2 * (1.0 - 1e-12)) is not None
+
+
+class TestLegendreOracle:
+    """Inverse oracle: at a chosen (theta0, phi0), mpmath differentiates the
+    closed-form Lambda to get (x, y) = grad Lambda; the transform must return
+    theta0, phi0 and theta0 x + phi0 y - Lambda."""
+
+    @pytest.mark.parametrize("theta0,phi0,sigma", _oracle_points())
+    def test_recovers_maximiser(self, theta0, phi0, sigma):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            x = mp.diff(lambda t: _mp_cumulant(mp, t, phi0, sigma), theta0)
+            y = mp.diff(lambda p: _mp_cumulant(mp, theta0, p, sigma), phi0)
+            value = theta0 * x + phi0 * y - _mp_cumulant(mp, theta0, phi0, sigma)
+            pt = legendre_point(float(x), float(y), sigma)
+            assert pt.converged
+            assert abs(pt.theta - theta0) <= 1e-9 * max(1.0, abs(theta0))
+            assert abs(pt.phi - phi0) <= 1e-9 * max(1.0, abs(phi0))
+            assert abs(pt.value - value) <= 1e-9 * abs(value)
+
+
+# ---------------------------------------------------------------------------
+# the finite-difference Newton path the profile solve replaced, kept here as
+# the oracle
+# ---------------------------------------------------------------------------
+
+
+def _replaced_fd_grad_hess(f, p, fp, h):
+    g = np.empty(2)
+    H = np.empty((2, 2))
+    vals = {(0, 0): fp}
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if (di, dj) != (0, 0):
+                v = f(p + h * np.array([di, dj]))
+                if not math.isfinite(v):
+                    return None, None
+                vals[(di, dj)] = v
+    g[0] = (vals[(1, 0)] - vals[(-1, 0)]) / (2 * h)
+    g[1] = (vals[(0, 1)] - vals[(0, -1)]) / (2 * h)
+    H[0, 0] = (vals[(1, 0)] - 2 * fp + vals[(-1, 0)]) / (h * h)
+    H[1, 1] = (vals[(0, 1)] - 2 * fp + vals[(0, -1)]) / (h * h)
+    H[0, 1] = H[1, 0] = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (4 * h * h)
+    return g, H
+
+
+def _replaced_legendre_point(x, y, sigma):
+    """Newton on a 9-point stencil of cumulant values, Nelder-Mead fallback."""
+
+    def f(p):
+        cp = cumulant(p[0], p[1], sigma)
+        return p[0] * x + p[1] * y - cp.value if cp.in_domain else -math.inf
+
+    ex, ey = math.log(x), math.log(y)
+    s2 = sigma * sigma
+    p = np.array([(6.0 * (2.0 * ex - ey) - 4.8 * ex**2 + 4.8 * ex * ey - 2.2 * ey**2) / s2,
+                  (-2.0 * (3.0 * ex - 2.0 * ey) - 0.6 * ex**2 + 1.6 * ex * ey - 0.4 * ey**2) / s2])
+    for _ in range(200):
+        if math.isfinite(f(p)):
+            break
+        p *= 0.5
+    fp = f(p)
+    scale = max(1.0, abs(x), abs(y))
+    iters, converged, newton_ok = 0, False, True
+    while newton_ok and iters < 60:
+        iters += 1
+        g, H = _replaced_fd_grad_hess(f, p, fp, 1e-6 * max(1.0, float(np.max(np.abs(p)))))
+        if g is None:
+            break
+        if float(np.max(np.abs(g))) <= 1e-9 * scale:
+            converged = True
+            break
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            step = g.copy()
+        if not np.all(np.isfinite(step)):
+            step = g.copy()
+        t, moved = 1.0, False
+        for _ in range(60):
+            fc = f(p + t * step)
+            if math.isfinite(fc) and fc > fp:
+                p, fp, moved = p + t * step, fc, True
+                break
+            t *= 0.5
+        newton_ok = moved
+    if not converged:
+        res = minimize(lambda q: -f(np.asarray(q)), p, method="Nelder-Mead",
+                       options=dict(xatol=1e-12, fatol=1e-15, maxiter=6000, maxfev=6000))
+        iters += res.nit
+        fc = f(np.asarray(res.x))
+        if math.isfinite(fc) and fc >= fp:
+            p, fp = np.asarray(res.x), fc
+        g, _ = _replaced_fd_grad_hess(f, p, fp, 1e-7 * max(1.0, float(np.max(np.abs(p)))))
+        converged = g is not None and float(np.max(np.abs(g))) <= 1e-6 * scale
+    return heston_rate.LegendrePoint(x=x, y=y, sigma=sigma, value=max(fp, 0.0), theta=float(p[0]),
+                                     phi=float(p[1]), iterations=iters, converged=bool(converged))
+
+
+class TestReplacedPathRegression:
+    LOG_GRID = np.linspace(-2.0, 2.0, 9)
+
+    def test_rate_IH_numeric_matches(self):
+        # the replaced path does not converge where small x meets large y
+        # (its maximiser sits within rounding of the pole of Lambda), so
+        # only the points it certifies are compared
+        compared = 0
+        for sigma in GRID_SIGMAS:
+            for ex in self.LOG_GRID:
+                for ey in self.LOG_GRID:
+                    x, y = math.exp(ex), math.exp(ey)
+                    old = _replaced_legendre_point(x, y, sigma)
+                    if not old.converged:
+                        continue
+                    compared += 1
+                    new = rate_IH_numeric(x, y, sigma)
+                    assert abs(new - old.value) <= max(1e-12 * abs(old.value), 1e-14), (ex, ey, sigma)
+        assert compared >= 200
+
+    @pytest.mark.parametrize("name", ["tanh_sqrt_rho_m07", "tanh_sqrt_rho_0"])
+    def test_rates_match(self, name, monkeypatch):
+        model = load_model(str(MODELS_DIR / f"{name}.json"))
+        cases = [(european_rate, model.s0), (vix_rate, vix_spot(model))]
+        ks = (-0.3, -0.15, -0.05, -0.01, 0.01, 0.05, 0.15, 0.3)
+        new = [solve(model, ref * math.exp(k)).rate for solve, ref in cases for k in ks]
+        monkeypatch.setattr(heston_rate, "legendre_point", _replaced_legendre_point)
+        old = [solve(model, ref * math.exp(k)).rate for solve, ref in cases for k in ks]
+        assert np.max(np.abs(np.subtract(new, old))) <= 1e-12
+
+
+class TestConvergenceCertificate:
+    def test_grid_sweep_converges(self):
+        for sigma in GRID_SIGMAS:
+            for ex in np.linspace(-2.0, 2.0, 17):
+                for ey in np.linspace(-2.0, 2.0, 17):
+                    x, y = math.exp(ex), math.exp(ey)
+                    pt = legendre_point(x, y, sigma)
+                    assert pt.converged, (ex, ey, sigma, pt)
+                    assert rate_IH_numeric(x, y, sigma) == pt.value
+
+    @pytest.mark.parametrize("name", ["tanh_sqrt_rho_m07", "tanh_sqrt_rho_0"])
+    @pytest.mark.parametrize("product", ["european", "vix"])
+    def test_smile_needs_no_nelder_mead(self, name, product, monkeypatch, tmp_path):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(heston_rate, "minimize", counting)
+        out = tmp_path / "smile.csv"
+        argv = ["smile", "--model", str(MODELS_DIR / f"{name}.json"), "--product", product,
+                "--kmin", "-0.3", "--kmax", "0.3", "--kcount", "25", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert len(out.read_text().splitlines()) == 26
+        assert len(calls) == 0
+
+    def test_fallback_reports_uncertified_point(self, monkeypatch):
+        x, y = math.exp(0.7), math.exp(-0.4)
+        newton = legendre_point(x, y, 1.0)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(heston_rate, "minimize", counting)
+        monkeypatch.setattr(heston_rate, "_GRAD_TOL", 0.0)
+        pt = legendre_point(x, y, 1.0)
+        assert len(calls) == 1 and not pt.converged
+        assert pt.value == pytest.approx(newton.value, rel=1e-12)
+        with pytest.raises(RuntimeError):
+            rate_IH_numeric(x, y, 1.0)
+
+
+class TestDanskin:
+    @pytest.mark.parametrize("ex,ey,sigma", [
+        (0.5, 0.1, 1.0), (-0.6, 0.3, 1.0), (0.3, -0.8, 0.5),
+        (-1.2, -0.4, 2.0), (1.0, 1.5, 1.0), (-0.4, 1.2, 0.5),
+    ])
+    def test_gradient_is_maximiser(self, ex, ey, sigma):
+        # grad I_H(x, y) = (theta*, phi*), the gradient a Newton step on the
+        # outer rate minimisation needs
+        x, y = math.exp(ex), math.exp(ey)
+        assert max(abs(ex), abs(ey)) > 0.25
+        pt = legendre_point(x, y, sigma)
+        hx, hy = 1e-5 * x, 1e-5 * y
+        d_x = (rate_IH_numeric(x + hx, y, sigma) - rate_IH_numeric(x - hx, y, sigma)) / (2 * hx)
+        d_y = (rate_IH_numeric(x, y + hy, sigma) - rate_IH_numeric(x, y - hy, sigma)) / (2 * hy)
+        assert d_x == pytest.approx(pt.theta, rel=1e-6, abs=1e-6)
+        assert d_y == pytest.approx(pt.phi, rel=1e-6, abs=1e-6)

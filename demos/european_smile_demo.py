@@ -54,7 +54,7 @@ def main() -> None:
     sabr = LsvModel(s0=1.0, v0=0.1, rho=-0.5, local_vol=ConstantLocalVol(),
                     vol_of_vol=LognormalVolOfVol(sigma=2.0))
     for k in (-0.3, 0.3):
-        solved = european_rate(sabr, math.exp(k), method="2d").rate
+        solved = european_rate(sabr, math.exp(k)).rate
         closed = sabr_rate_closed(sabr, math.exp(k))
         print(f"  k={k:+.1f}: solved {solved:.10f}  closed {closed:.10f}  diff {solved - closed:+.2e}")
 

@@ -25,6 +25,7 @@ __all__ = [
     "FBranchSolution",
     "solve_f_branch",
     "hw_F",
+    "hw_F_derivatives",
     "hw_F_series",
     "rate_I",
     "h_lognormal",
@@ -145,6 +146,50 @@ def hw_F(rho: float) -> float:
     so the root-solve is used unconditionally.
     """
     return solve_f_branch(rho).f_value
+
+
+# Taylor coefficients of R(t) = (q - 1)/t with q = x coth x, t = x^2 (and
+# q = d cot d, t = -d^2): 4^n B_2n / (2n)! for n >= 1.  Ten terms leave a
+# truncation error below 1e-16 for |t| <= 1/4; beyond, q - 1 loses at most
+# a factor 13 to cancellation in closed form.
+_QM1_SERIES = (1 / 3, -1 / 45, 2 / 945, -1 / 4725, 2 / 93555, -1382 / 638512875,
+               4 / 18243225, -3617 / 162820783125, 87734 / 38979295480125,
+               -349222 / 1531329465290625)
+_QM1_SERIES_CUTOFF = 0.25
+
+
+def hw_F_derivatives(rho: float) -> tuple[float, float, float]:
+    """F(rho) with its first two derivatives, from the branch root.
+
+    By the envelope theorem F'(rho) = -cosh x1 on the cosh branch and
+    cos y1 on the cos branch; implicit differentiation of the branch
+    equations gives F'' = sinh^2 x1 / (rho cosh x1 - 1) and
+    sin^2 y1 / (1 + rho cos y1).  Both quotients are 0/0 at rho = 1, so
+    they are evaluated through q = x1 coth x1 (t = x1^2) on the cosh branch
+    and q = d cot d (t = -d^2, d = pi - y1) on the cos branch, where the
+    branch equation gives rho = x1 / sinh x1 (d / sin d):
+
+        rho F' = -q,   rho^2 F'' = t / (q - 1) = 1 / R(t),
+
+    with R(t) = (q - 1)/t from its Taylor series near t = 0.  At rho = 1,
+    F' = -1 and F'' = 3.
+    """
+    sol = solve_f_branch(rho)
+    if sol.branch == "cosh":
+        t = sol.root * sol.root
+    else:
+        d = math.pi - sol.root
+        t = -d * d
+    if abs(t) <= _QM1_SERIES_CUTOFF:
+        ratio = 0.0
+        for c in reversed(_QM1_SERIES):
+            ratio = ratio * t + c
+    elif t > 0.0:
+        x = sol.root
+        ratio = (x / math.tanh(x) - 1.0) / t
+    else:
+        ratio = (d / math.tan(d) - 1.0) / t
+    return sol.f_value, -(1.0 + t * ratio) / rho, 1.0 / (ratio * rho * rho)
 
 
 def hw_F_series(rho: float) -> float:

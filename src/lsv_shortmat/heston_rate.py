@@ -12,11 +12,12 @@ theta < 0.  The joint rate function is its Legendre-Fenchel transform
 
     I_H(x, y) = sup_{theta, phi} [theta x + phi y - Lambda(theta, phi)],
 
-which this module computes numerically and as a quartic expansion in
-(log x, log y).  Lambda is a Moebius function of phi, so the best phi at
-fixed theta is explicit and the transform reduces to a concave maximisation
-over theta alone, with closed-form slope and curvature; Newton ascent from
-the series warm start solves it, and Nelder-Mead is only a last resort (see
+which this module computes numerically, with its gradient and Hessian,
+and as a quartic expansion in (log x, log y) that serves as a cross-check.
+Lambda is a Moebius function of phi, so the best phi at fixed theta is
+explicit and the transform reduces to a concave maximisation over theta
+alone, with closed-form slope and curvature; Newton ascent from the series
+warm start solves it, and Nelder-Mead is only a last resort (see
 :func:`legendre_point`).  The variance-path rate function for a factor
 started at v0 is the rescaling  H(y, z) = v0 * I_H(z/v0, e^y/v0).
 """
@@ -36,6 +37,7 @@ __all__ = [
     "LegendrePoint",
     "legendre_point",
     "rate_IH_numeric",
+    "rate_IH_derivatives",
     "rate_IH_series",
     "h_heston",
     "marginal_J1",
@@ -313,6 +315,38 @@ def rate_IH_numeric(x: float, y: float, sigma: float) -> float:
     return pt.value
 
 
+def rate_IH_derivatives(x: float, y: float, sigma: float):
+    """I_H(x, y) with its gradient, Hessian and rounding error, or None when
+    the transform does not certify its maximiser.
+
+    By Danskin's theorem the gradient is the maximiser (theta*, phi*).  The
+    Hessian is its Jacobian, by implicit differentiation of the profile
+    stationarity G'(theta*; x, y) = x + (1 + y) k' - 2 sqrt(y) m' = 0 and of
+    phi* = (k - m/sqrt(y)) / a (see :func:`legendre_point`):
+
+        dtheta/dx = -1/G'',   dtheta/dy = dphi/dx = -c/G'',
+        dphi/dy = c dtheta/dy + m / (2 a y^{3/2}),   c = k' - m'/sqrt(y),
+
+    with k, m and their u-derivatives at u = a theta*.  The rounding error
+    is 4 eps times the magnitudes of the terms of G, whose sum cancels to
+    I_H near (1, 1).
+
+    Returns (value, rounding error, (I_x, I_y), (I_xx, I_xy, I_yy)).
+    """
+    pt = legendre_point(x, y, sigma)
+    if not pt.converged:
+        return None
+    a = 0.5 * sigma * sigma
+    sqrt_y = math.sqrt(y)
+    k, k1, k2, m, m1, m2 = _profile_terms(a * pt.theta)
+    curv = a * ((1.0 + y) * k2 - 2.0 * sqrt_y * m2)
+    c = k1 - m1 / sqrt_y
+    theta_y = -c / curv
+    phi_y = c * theta_y + m / (2.0 * a * y * sqrt_y)
+    noise = 4.0 * _EPS * (abs(pt.theta * x) + ((1.0 + y) * abs(k) + 2.0 * sqrt_y * abs(m)) / a)
+    return pt.value, noise, (pt.theta, pt.phi), (-1.0 / curv, theta_y, phi_y)
+
+
 def rate_IH_series(eps_x: float, eps_y: float, sigma: float) -> float:
     """Quartic expansion of I_H in (eps_x, eps_y) = (log x, log y)."""
     ex, ey = eps_x, eps_y
@@ -324,24 +358,15 @@ def rate_IH_series(eps_x: float, eps_y: float, sigma: float) -> float:
     return (quad + cub + quart) / (sigma * sigma)
 
 
-_SERIES_CUTOFF = 0.25
-
-
 def h_heston(y: float, z: float, v0: float, sigma: float) -> float:
     """Variance-path rate function for square-root vol-of-vol.
 
-    H(y, z) = v0 * I_H(z/v0, e^y/v0); the series is accurate and much cheaper
-    near the centre, so it handles |log arguments| <= 0.25 and the numeric
-    transform covers the rest.
+    H(y, z) = v0 * I_H(z/v0, e^y/v0) by the numeric transform everywhere;
+    the quartic series :func:`rate_IH_series` is a cross-check only.
     """
     if z <= 0.0 or v0 <= 0.0:
         raise ValueError("h_heston requires positive z and v0")
-    x_arg = z / v0
-    y_arg = math.exp(y) / v0
-    ex, ey = math.log(x_arg), math.log(y_arg)
-    if abs(ex) <= _SERIES_CUTOFF and abs(ey) <= _SERIES_CUTOFF:
-        return v0 * rate_IH_series(ex, ey, sigma)
-    return v0 * rate_IH_numeric(x_arg, y_arg, sigma)
+    return v0 * rate_IH_numeric(z / v0, math.exp(y) / v0, sigma)
 
 
 def marginal_J1(eps_x: float, sigma: float) -> float:

@@ -9,6 +9,7 @@ Taylor polynomial in log-moneyness, or held constant (pure stochastic vol).
 Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
 
 * ``eta(k)``                 - eta at a float or an ndarray of k;
+* ``eta_derivatives(k)``     - eta, eta' and eta'' at a float k;
 * ``inv_eta_integral(L)``    - the integral of 1/eta over k in [0, L];
 * ``eta_sq_log_inverse(w)``  - the k at which eta(k)^2 = w;
 * ``eta_sq_range()``         - the open range of eta^2;
@@ -16,6 +17,14 @@ Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
 
 The module-level helpers (:func:`eta_eval`, :func:`eta_log_coeffs`,
 :func:`eta_sq_range`, :func:`eta_sq_inverse`) delegate to them.
+
+Each vol-of-vol spec class owns the two pieces of the rate objective, in
+terminal log-variance y, w = y - log v0 and log u = log(z / v0):
+
+* ``variance_leg(y, v0)``    - the variance-leg integral Q(y) and its first
+  two y-derivatives;
+* ``path_rate(log_u, w, v0)`` - the variance-path rate function H with its
+  gradient, Hessian and rounding error in (log u, w).
 
 All spec objects are frozen dataclasses: they validate on construction and
 their methods are pure, so everything here is safe to share across threads.
@@ -31,6 +40,9 @@ from typing import Callable, Union
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
+
+from .hartman_watson import hw_F_derivatives
+from .heston_rate import rate_IH_derivatives
 
 __all__ = [
     "TanhLocalVol",
@@ -105,6 +117,11 @@ class TanhLocalVol:
     def eta(self, k):
         return self.f0 + self.f1 * np.tanh(k - self.x0)
 
+    def eta_derivatives(self, k: float) -> tuple[float, float, float]:
+        t = math.tanh(k - self.x0)
+        slope = self.f1 * (1.0 - t * t)
+        return self.f0 + self.f1 * t, slope, -2.0 * t * slope
+
     def inv_eta_integral(self, L: float) -> float:
         """Closed form of the integral of 1/eta over [0, L].
 
@@ -171,6 +188,10 @@ class TaylorLocalVol:
 
     def eta(self, k):
         return self.eta0 + k * (self.eta1 + k * (self.eta2 + k * self.eta3))
+
+    def eta_derivatives(self, k: float) -> tuple[float, float, float]:
+        return (self.eta(k), self.eta1 + k * (2.0 * self.eta2 + 3.0 * k * self.eta3),
+                2.0 * self.eta2 + 6.0 * k * self.eta3)
 
     def inv_eta_integral(self, L: float) -> float:
         """Integral of 1/eta over [0, L] by adaptive 16-point Gauss-Legendre
@@ -256,6 +277,9 @@ class ConstantLocalVol:
     def eta(self, k):
         return np.ones_like(k, dtype=float)[()]
 
+    def eta_derivatives(self, k: float) -> tuple[float, float, float]:
+        return 1.0, 0.0, 0.0
+
     def inv_eta_integral(self, L: float) -> float:
         return L
 
@@ -303,6 +327,9 @@ class MeanRevertingDrift:
 DriftSpec = Union[ZeroDrift, ConstantDrift, MeanRevertingDrift]
 
 
+_EPS = 2.0**-52
+
+
 @dataclass(frozen=True)
 class LognormalVolOfVol:
     """Variance diffusion dV/V = sigma dZ + drift: lognormal (SABR-type) factor."""
@@ -313,6 +340,33 @@ class LognormalVolOfVol:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("vol-of-vol sigma must be positive")
+
+    def variance_leg(self, y: float, v0: float) -> tuple[float, float, float]:
+        """Q = 2 (e^{y/2} - sqrt(v0)) / sigma and its y-derivatives."""
+        e = math.exp(0.5 * y) / self.sigma
+        return 2.0 * e - 2.0 * math.sqrt(v0) / self.sigma, e, 0.5 * e
+
+    def path_rate(self, log_u: float, w: float, v0: float):
+        """H = I(u, v) / (2 sigma^2) at u = e^{log u}, v = e^{w/2}, with
+        I = 8 F(r) + 4 (e^{-log u} + e^{w - log u}) - 4 pi^2 and r = v/u.
+
+        F enters through L = log r = w/2 - log u, with dF/dL = r F' and
+        d^2F/dL^2 = r F' + r^2 F'' (:func:`hw_F_derivatives`).  Returns
+        (H, rounding error, (H_log_u, H_w), (H_log_u_log_u, H_log_u_w, H_ww)).
+        """
+        r = math.exp(0.5 * w - log_u)
+        f, f1, f2 = hw_F_derivatives(r)
+        f_l = r * f1
+        f_ll = f_l + r * r * f2
+        e1 = math.exp(-log_u)
+        e2 = math.exp(w - log_u)
+        scale = 0.5 / (self.sigma * self.sigma)
+        value = scale * (8.0 * f + 4.0 * (e1 + e2) - 4.0 * math.pi**2)
+        noise = 4.0 * _EPS * scale * (8.0 * abs(f) + 4.0 * (e1 + e2) + 4.0 * math.pi**2)
+        grad = (scale * (-8.0 * f_l - 4.0 * (e1 + e2)), scale * (4.0 * f_l + 4.0 * e2))
+        hess = (scale * (8.0 * f_ll + 4.0 * (e1 + e2)), scale * (-4.0 * f_ll - 4.0 * e2),
+                scale * (2.0 * f_ll + 4.0 * e2))
+        return value, noise, grad, hess
 
 
 @dataclass(frozen=True)
@@ -325,6 +379,24 @@ class SquareRootVolOfVol:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("vol-of-vol sigma must be positive")
+
+    def variance_leg(self, y: float, v0: float) -> tuple[float, float, float]:
+        """Q = (e^y - v0) / sigma and its y-derivatives."""
+        e = math.exp(y) / self.sigma
+        return e - v0 / self.sigma, e, e
+
+    def path_rate(self, log_u: float, w: float, v0: float):
+        """H = v0 I_H(x, y) at x = e^{log u}, y = e^w, in the layout of
+        :meth:`LognormalVolOfVol.path_rate`, or None when the Legendre
+        transform does not certify its maximiser (:func:`rate_IH_derivatives`)."""
+        x = math.exp(log_u)
+        y = math.exp(w)
+        res = rate_IH_derivatives(x, y, self.sigma)
+        if res is None:
+            return None
+        value, noise, (i_x, i_y), (i_xx, i_xy, i_yy) = res
+        return (v0 * value, v0 * noise, (v0 * x * i_x, v0 * y * i_y),
+                (v0 * x * (i_x + x * i_xx), v0 * x * y * i_xy, v0 * y * (i_y + y * i_yy)))
 
 
 VolOfVolSpec = Union[LognormalVolOfVol, SquareRootVolOfVol]

@@ -13,6 +13,14 @@ factor).  For European options the spot integral runs to the strike; for VIX
 options it runs to the level where eta^2 equals K^2 e^{-y}, which ties the
 two legs together.
 
+One solver finds the minimum for both products and both factors: a 2x2
+trust-region Newton method on (log u, w), u = z/v0, w = y - log v0, with the
+exact gradient and Hessian of the objective.  The local-vol spec supplies
+eta' and eta'' for the VIX spot leg, and the vol-of-vol spec supplies Q and
+H with their derivatives (see :mod:`model`).  ``converged`` certifies a
+positive-definite Hessian with a Newton decrement below the objective's
+rounding error (see :func:`_minimize`).
+
 Closed forms cover the special cases: lognormal stochastic vol (where the
 two-variable problem collapses to an explicit expression) and pure
 stochastic-vol VIX options under an affine VIX^2 mapping.
@@ -22,13 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+# Not used here: the benchmark tracer (perfbench/tracing.py) rebinds these
+# names on this module, so they stay importable from it.
+from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
-from .hartman_watson import h_lognormal
-from .heston_rate import h_heston
+from .hartman_watson import h_lognormal  # noqa: F401
+from .heston_rate import h_heston  # noqa: F401
 from .model import (
     ConstantLocalVol,
     LocalVolSpec,
@@ -55,11 +63,16 @@ __all__ = [
 
 # search box for (log u, y - log v0) in the two-variable minimisation
 _BOX = 10.0
+# a step covers at most this share of the distance to the search region's edge
+_EDGE_FRACTION = 0.9
+_MAX_EVALS = 60
+_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
 class RatePoint:
-    """Rate-function value at one strike with minimiser and diagnostics."""
+    """Rate-function value at one strike with minimiser and diagnostics;
+    ``iterations`` counts objective evaluations."""
 
     strike: float
     rate: float
@@ -100,19 +113,7 @@ def vol_integral_Q(spec: VolOfVolSpec, v0: float, y: float) -> float:
     """
     if v0 <= 0.0:
         raise ValueError("v0 must be positive")
-    if isinstance(spec, LognormalVolOfVol):
-        return 2.0 * (math.exp(0.5 * y) - math.sqrt(v0)) / spec.sigma
-    if isinstance(spec, SquareRootVolOfVol):
-        return (math.exp(y) - v0) / spec.sigma
-    raise ValueError(f"unsupported vol-of-vol spec {spec!r}")
-
-
-def _h_func(spec: VolOfVolSpec, v0: float) -> Callable[[float, float], float]:
-    if isinstance(spec, LognormalVolOfVol):
-        return lambda y, z: h_lognormal(y, z, v0, spec.sigma)
-    if isinstance(spec, SquareRootVolOfVol):
-        return lambda y, z: h_heston(y, z, v0, spec.sigma)
-    raise ValueError(f"no variance-path rate function for {spec!r}")
+    return spec.variance_leg(y, v0)[0]
 
 
 def rate_to_impvol(rate: float, log_moneyness: float) -> float:
@@ -129,78 +130,152 @@ def rate_to_impvol(rate: float, log_moneyness: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _minimize_2d(objective, starts, y_bounds=None):
-    """Nelder-Mead from each start, then a guarded Newton polish.
+def _rate_objective(model: LsvModel, spot_leg):
+    """The rate objective in p = (log u, w), u = z/v0, w = y - log v0.
 
-    Variables are p = (log u, w) with u = z/v0 and w = y - log v0.  Returns
-    (p, value, iterations, converged, boundary_hit).
+    ``spot_leg(y)`` returns I_S and its first two y-derivatives.  With
+    N = I_S - rho Q(y) and T = N^2 e^{-log u} / (2 (1 - rho^2) v0), the
+    objective is T + H; T's derivatives follow from those of N, H's come
+    from the vol-of-vol spec.  The returned function gives
+    (value, rounding error, gradient, Hessian as (h_uu, h_uw, h_ww)), or
+    None when H cannot be certified.
     """
+    vol = model.vol_of_vol
+    v0, rho = model.v0, model.rho
+    log_v0 = math.log(v0)
+    c = 0.5 / ((1.0 - rho * rho) * v0)
 
-    def boxed(p):
-        return max(abs(p[0]), abs(p[1])) <= _BOX
+    def evaluate(log_u: float, w: float):
+        h = vol.path_rate(log_u, w, v0)
+        if h is None:
+            return None
+        h_val, h_noise, (h_u, h_w), (h_uu, h_uw, h_ww) = h
+        y = log_v0 + w
+        i_s, i_s1, i_s2 = spot_leg(y)
+        q, q1, q2 = vol.variance_leg(y, v0)
+        n, n1, n2 = i_s - rho * q, i_s1 - rho * q1, i_s2 - rho * q2
+        e = c * math.exp(-log_u)
+        t = e * n * n
+        t_w = 2.0 * e * n * n1
+        noise = 4.0 * _EPS * e * (abs(i_s) + abs(rho * q)) ** 2 + h_noise
+        return (t + h_val, noise, (h_u - t, h_w + t_w),
+                (h_uu + t, h_uw - t_w, h_ww + 2.0 * e * (n1 * n1 + n * n2)))
 
-    def obj(p):
-        if not boxed(p):
-            return math.inf
-        if y_bounds is not None and not (y_bounds[0] < p[1] < y_bounds[1]):
-            return math.inf
-        return objective(p[0], p[1])
+    return evaluate
 
-    best_p, best_v, iters = None, math.inf, 0
-    for p0 in starts:
-        p0 = np.asarray(p0, dtype=float)
-        if not math.isfinite(obj(p0)):
-            continue
-        res = minimize(obj, p0, method="Nelder-Mead",
-                       options=dict(xatol=1e-11, fatol=1e-15, maxiter=4000, maxfev=4000))
-        iters += res.nit
-        if res.fun < best_v:
-            best_v, best_p = float(res.fun), np.asarray(res.x)
-    if best_p is None:
-        raise RuntimeError("no feasible starting point for the rate minimisation")
 
-    # coordinate Newton polish with shrinking finite-difference steps
-    p, v = best_p, best_v
-    h = 1e-5
-    for _ in range(25):
-        g = np.zeros(2)
-        hess = np.zeros(2)
-        usable = True
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            vp, vm = obj(p + e), obj(p - e)
-            if not (math.isfinite(vp) and math.isfinite(vm)):
-                usable = False
+def _trust_step(g, h, radius: float):
+    """Exact minimiser of the model g.s + s.H.s/2 over |s| <= radius.
+
+    H = (h00, h01, h11) is symmetric, possibly indefinite.  In its
+    eigenbasis the step for a shift lambda >= max(0, -lambda_min) has
+    coordinates -a_i / (lambda_i + lambda), a being the gradient in that
+    basis.  The Newton step (lambda = 0) is taken when H is positive
+    definite and the step fits; otherwise Newton iteration on
+    1/|s(lambda)| - 1/radius, concave and increasing in lambda, reaches the
+    boundary solution from the left (More and Sorensen).  In the hard case,
+    where the gradient has no component along the lowest eigenvector, the
+    step is filled up to the radius along that vector.
+
+    Returns (step, predicted decrease).
+    """
+    h00, h01, h11 = h
+    mean = 0.5 * (h00 + h11)
+    dev = math.hypot(0.5 * (h00 - h11), h01)
+    lam = (mean + dev, mean - dev)
+    angle = 0.5 * math.atan2(2.0 * h01, h00 - h11)
+    co, si = math.cos(angle), math.sin(angle)
+    a = (co * g[0] + si * g[1], co * g[1] - si * g[0])
+
+    def coords(shift: float):
+        # a coordinate whose shifted eigenvalue is not positive has no
+        # gradient to resolve: the hard case
+        return [-ai / (li + shift) if li + shift > 0.0 else 0.0 for ai, li in zip(a, lam)]
+
+    b = coords(0.0)
+    if lam[1] <= 0.0 or math.hypot(*b) > radius:
+        # the lower coordinate alone reaches the radius at this shift, so
+        # the boundary solution lies at or to the right of it
+        shift = max(0.0, -lam[1] + abs(a[1]) / radius)
+        b = coords(shift)
+        norm = math.hypot(*b)
+        if norm < radius and lam[1] + shift <= 0.0:
+            b[1] = math.copysign(math.sqrt(radius * radius - norm * norm), -a[1])
+        else:
+            for _ in range(50):
+                if abs(norm - radius) <= 1e-12 * radius:
+                    break
+                slope = sum(bi * bi / (li + shift) for bi, li in zip(b, lam) if bi) / norm**3
+                shift += (norm - radius) / (radius * norm * slope)
+                b = coords(shift)
+                norm = math.hypot(*b)
+    pred = -sum(ai * bi + 0.5 * li * bi * bi for ai, bi, li in zip(a, b, lam))
+    return (co * b[0] - si * b[1], si * b[0] + co * b[1]), pred
+
+
+def _minimize(evaluate, start, w_bounds):
+    """Trust-region Newton minimisation of ``evaluate`` over p = (log u, w).
+
+    |log u| <= _BOX and w in ``w_bounds``; the step radius is capped at 0.9
+    times the distance to that region, so no trial point leaves it.  A step
+    is accepted when the objective falls by at least a tenth of the model's
+    prediction, allowing for rounding; the radius shrinks to a quarter of
+    a poor step and doubles after a good step that reached it.  The solve
+    stops, converged, at the first point with a positive-definite Hessian
+    whose Newton decrement g' H^-1 g (the gradient scaled by the inverse
+    curvature: twice the decrease a Newton step predicts) is below the
+    objective's rounding error.  It also stops, not converged, after
+    _MAX_EVALS evaluations or where the vol-of-vol rate cannot be certified.
+
+    Returns (p, value, evaluations, converged, boundary_hit).
+    """
+    w_lo, w_hi = w_bounds
+
+    def margin(p) -> float:
+        return min(_BOX - abs(p[0]), p[1] - w_lo, w_hi - p[1])
+
+    p = start
+    cur = evaluate(*p)
+    evals = 1
+    if cur is None:
+        return p, math.nan, evals, False, False
+    radius = 1.0
+    converged = False
+    while True:
+        value, noise, g, h = cur
+        det = h[0] * h[2] - h[1] * h[1]
+        if h[0] > 0.0 and det > 0.0:
+            decrement = (h[2] * g[0] * g[0] - 2.0 * h[1] * g[0] * g[1] + h[0] * g[1] * g[1]) / det
+            if decrement <= noise:
+                converged = True
                 break
-            g[i] = (vp - vm) / (2 * h)
-            hess[i] = (vp - 2 * v + vm) / (h * h)
-        if not usable:
+        if evals >= _MAX_EVALS:
             break
-        moved = False
-        for i in range(2):
-            if hess[i] > 0.0:
-                step = -g[i] / hess[i]
-                cand = p.copy()
-                cand[i] += step
-                vc = obj(cand)
-                if vc < v:
-                    p, v = cand, vc
-                    moved = True
-        if not moved:
-            h *= 0.1
-            if h < 1e-9:
-                break
-    boundary_hit = bool(max(abs(p[0]), abs(p[1])) > _BOX - 1e-6)
-    converged = math.isfinite(v)
-    return p, v, iters, converged, boundary_hit
+        reach = min(radius, _EDGE_FRACTION * margin(p))
+        step, pred = _trust_step(g, h, reach)
+        if not pred > 0.0:
+            break
+        cand = (p[0] + step[0], p[1] + step[1])
+        trial = evaluate(*cand)
+        evals += 1
+        if trial is None:
+            break
+        ratio = (value - trial[0] + noise + trial[1]) / pred
+        length = math.hypot(*step)
+        if ratio < 0.25:
+            radius = 0.25 * length
+        elif ratio > 0.75 and length >= 0.99 * reach:
+            radius = max(radius, 2.0 * length)
+        if ratio >= 0.1:
+            p, cur = cand, trial
+    return p, cur[0], evals, converged, margin(p) < 1e-6
 
 
-def _lognormal_warm_starts(model: LsvModel, k: float, vix_flavour: bool) -> list:
-    """Minimiser expansions in log-moneyness used as warm starts."""
-    starts = [np.zeros(2)]
+def _warm_start(model: LsvModel, k: float, vix_flavour: bool) -> tuple[float, float]:
+    """Minimiser expansion in log-moneyness for the lognormal family, the
+    flat path (0, 0) for the square-root family."""
     if not isinstance(model.vol_of_vol, LognormalVolOfVol):
-        return starts
+        return (0.0, 0.0)
     sigma = model.vol_of_vol.sigma
     sv0 = math.sqrt(model.v0)
     coeffs = eta_log_coeffs(model.local_vol, 1)
@@ -212,19 +287,17 @@ def _lognormal_warm_starts(model: LsvModel, k: float, vix_flavour: bool) -> list
     else:
         a1 = model.rho * sigma / (2.0 * eta0 * sv0)
     # log u* = a1 k; log v* = a1 k with w = y - log v0 = 2 log v*
-    starts.insert(0, np.array([a1 * k, 2.0 * a1 * k]))
-    return starts
+    return (a1 * k, 2.0 * a1 * k)
 
 
-def european_rate(model: LsvModel, strike: float, method: str = "auto") -> RatePoint:
-    """Rate function of an out-of-the-money European option.
+def _rate_point(model: LsvModel, strike: float, solved) -> RatePoint:
+    p, value, evals, converged, boundary_hit = solved
+    return RatePoint(strike, value, math.log(model.v0) + p[1], model.v0 * math.exp(p[0]), evals,
+                     converged, boundary_hit)
 
-    method:
-      * ``"auto"``  - dedicated one-dimensional reduction when rho = 0,
-        two-dimensional minimisation otherwise;
-      * ``"2d"``    - force the two-dimensional solver;
-      * ``"split"`` - force the rho = 0 reduction (requires rho = 0).
-    """
+
+def european_rate(model: LsvModel, strike: float) -> RatePoint:
+    """Rate function of an out-of-the-money European option."""
     if strike <= 0.0:
         raise ValueError("strike must be positive")
     if abs(model.rho) >= 1.0:
@@ -233,62 +306,22 @@ def european_rate(model: LsvModel, strike: float, method: str = "auto") -> RateP
     if k == 0.0:
         return RatePoint(strike, 0.0, math.log(model.v0), model.v0, 0, True)
     i_s = integral_IS(model.local_vol, model.s0, strike / model.s0)
-    h = _h_func(model.vol_of_vol, model.v0)
-    rho = model.rho
-    log_v0 = math.log(model.v0)
-
-    if method not in ("auto", "2d", "split"):
-        raise ValueError("method must be 'auto', '2d' or 'split'")
-    if method == "split" and rho != 0.0:
-        raise ValueError("the split method applies only to rho = 0")
-
-    if rho == 0.0 and method in ("auto", "split"):
-        return _european_rate_uncorrelated(model, strike, i_s, h, log_v0)
-
-    one_m = 1.0 - rho * rho
-
-    def objective(log_u: float, w: float) -> float:
-        z = model.v0 * math.exp(log_u)
-        y = log_v0 + w
-        q = vol_integral_Q(model.vol_of_vol, model.v0, y)
-        num = i_s - rho * q
-        return num * num / (2.0 * one_m * z) + h(y, z)
-
-    starts = _lognormal_warm_starts(model, k, vix_flavour=False)
-    p, v, iters, conv, bhit = _minimize_2d(objective, starts)
-    return RatePoint(strike, v, log_v0 + p[1], model.v0 * math.exp(p[0]), iters, conv, bhit)
+    evaluate = _rate_objective(model, lambda y: (i_s, 0.0, 0.0))
+    solved = _minimize(evaluate, _warm_start(model, k, vix_flavour=False), (-_BOX, _BOX))
+    return _rate_point(model, strike, solved)
 
 
-def _expanding_scalar_min(f, half_width: float = 1.5, xatol: float = 1e-10):
-    """Bounded scalar minimisation on [-w, w], doubling w while the minimiser
-    presses against an edge (capped at the global search box)."""
-    w = half_width
-    while True:
-        res = minimize_scalar(f, bounds=(-w, w), method="bounded",
-                              options=dict(xatol=xatol))
-        x = float(res.x)
-        at_edge = w - abs(x) < 0.02 * w
-        if not at_edge or w >= _BOX:
-            return float(res.fun), x, int(res.nfev), bool(at_edge and w >= _BOX)
-        w = min(2.0 * w, _BOX)
+def _vix_spot_leg(spec: LocalVolSpec, s0: float, strike: float):
+    """I_S(y) up to the spot level k* with eta(k*)^2 = K^2 e^{-y}, and its
+    y-derivatives -1 / (2 eta'(k*)) and -eta eta'' / (4 eta'^3) at k*."""
+    k2 = strike * strike
 
+    def spot_leg(y: float):
+        s_star = eta_sq_inverse(spec, k2 * math.exp(-y), s0)
+        eta, eta1, eta2 = spec.eta_derivatives(math.log(s_star / s0))
+        return integral_IS(spec, s0, s_star / s0), -0.5 / eta1, -eta * eta2 / (4.0 * eta1**3)
 
-def _european_rate_uncorrelated(model, strike, i_s, h, log_v0) -> RatePoint:
-    """rho = 0: inner 1D minimisation over y nested in an outer one over z."""
-
-    def h_min_y(log_u: float) -> tuple[float, float, bool]:
-        z = model.v0 * math.exp(log_u)
-        fun, w, _, edge = _expanding_scalar_min(lambda w_: h(log_v0 + w_, z))
-        return fun, w, edge
-
-    def outer(log_u: float) -> float:
-        z = model.v0 * math.exp(log_u)
-        return i_s * i_s / (2.0 * z) + h_min_y(log_u)[0]
-
-    fun, log_u, nfev, outer_edge = _expanding_scalar_min(outer, xatol=1e-11)
-    _, w_star, inner_edge = h_min_y(log_u)
-    return RatePoint(strike, fun, log_v0 + w_star,
-                     model.v0 * math.exp(log_u), nfev, True, outer_edge or inner_edge)
+    return spot_leg
 
 
 def vix_rate(model: LsvModel, strike: float) -> RatePoint:
@@ -297,8 +330,8 @@ def vix_rate(model: LsvModel, strike: float) -> RatePoint:
     For a constant local-vol spec (pure stochastic volatility) the problem
     collapses to the explicit stochastic-vol rate with the identity VIX^2
     mapping.  Otherwise eta must be strictly monotone so that the spot level
-    implied by the strike-variance constraint is well defined; the search in
-    y is restricted to keep K^2 e^{-y} inside the range of eta^2.
+    k*(y) with eta(k*)^2 = K^2 e^{-y} is well defined; the search in y is
+    restricted to keep K^2 e^{-y} inside the range of eta^2.
     """
     if strike <= 0.0:
         raise ValueError("strike must be positive")
@@ -312,39 +345,23 @@ def vix_rate(model: LsvModel, strike: float) -> RatePoint:
         rate = stochvol_vix_rate(model.vol_of_vol, model.v0, strike)
         return RatePoint(strike, rate, 2.0 * math.log(strike), model.v0, 0, True)
 
-    h = _h_func(model.vol_of_vol, model.v0)
-    rho = model.rho
-    one_m = 1.0 - rho * rho
+    spec, s0 = model.local_vol, model.s0
     log_v0 = math.log(model.v0)
-    w_lo, w_hi = eta_sq_range(model.local_vol)
+    w_lo, w_hi = eta_sq_range(spec)
     k2 = strike * strike
     # eta^2(s0 zeta) = K^2 e^{-y} solvable iff y in (log(K^2/w_hi), log(K^2/w_lo))
     pad = 1e-12
-    y_lo = math.log(k2 / w_hi) + pad
-    y_hi = math.log(k2 / w_lo) - pad
-    if y_lo >= y_hi:
+    lo = max(math.log(k2 / w_hi) + pad - log_v0, -_BOX)
+    hi = min(math.log(k2 / w_lo) - pad - log_v0, _BOX)
+    if lo >= hi:
         raise ValueError("strike-variance constraint has empty feasible range")
 
-    def objective(log_u: float, w: float) -> float:
-        z = model.v0 * math.exp(log_u)
-        y = log_v0 + w
-        s_star = eta_sq_inverse(model.local_vol, k2 * math.exp(-y), model.s0)
-        i_s = integral_IS(model.local_vol, model.s0, s_star / model.s0)
-        q = vol_integral_Q(model.vol_of_vol, model.v0, y)
-        num = i_s - rho * q
-        return num * num / (2.0 * one_m * z) + h(y, z)
-
-    starts = _lognormal_warm_starts(model, x, vix_flavour=True)
-    # keep warm starts feasible
-    feasible = []
-    for p0 in starts:
-        w = min(max(p0[1], y_lo - log_v0 + 1e-9), y_hi - log_v0 - 1e-9)
-        feasible.append(np.array([p0[0], w]))
-    p, v, iters, conv, bhit = _minimize_2d(objective, feasible,
-                                           y_bounds=(y_lo - log_v0, y_hi - log_v0))
-    near_constraint = p[1] < y_lo - log_v0 + 1e-6 or p[1] > y_hi - log_v0 - 1e-6
-    return RatePoint(strike, v, log_v0 + p[1], model.v0 * math.exp(p[0]), iters,
-                     conv, bhit or bool(near_constraint))
+    log_u, w = _warm_start(model, x, vix_flavour=True)
+    # start well inside the band
+    edge = 0.1 * (hi - lo)
+    start = (log_u, min(max(w, lo + edge), hi - edge))
+    solved = _minimize(_rate_objective(model, _vix_spot_leg(spec, s0, strike)), start, (lo, hi))
+    return _rate_point(model, strike, solved)
 
 
 def stochvol_vix_rate(spec: VolOfVolSpec, v0: float, strike: float, mapping=None) -> float:

@@ -167,7 +167,7 @@ def test_criterion_3_sabr_closed_form_equivalence():
                          vol_of_vol=LognormalVolOfVol(2.0))
         for k in (-0.3, -0.1, 0.1, 0.3):
             strike = math.exp(k)
-            got = european_rate(model, strike, method="2d").rate
+            got = european_rate(model, strike).rate
             want = sabr_rate_closed(model, strike)
             if abs(got - want) > 1e-6:
                 failures.append(f"rho={rho} k={k}: |{got:.9f} - {want:.9f}| > 1e-6")

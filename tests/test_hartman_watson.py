@@ -6,6 +6,7 @@ import pytest
 from lsv_shortmat.hartman_watson import (
     h_lognormal,
     hw_F,
+    hw_F_derivatives,
     hw_F_series,
     rate_I,
     solve_f_branch,
@@ -138,3 +139,35 @@ class TestHLognormal:
     def test_invalid(self):
         with pytest.raises(ValueError):
             h_lognormal(0.0, -1.0, 1.0, 1.0)
+
+
+def _mp_hw_F(mp, rho):
+    """F(rho) from the branch equations solved by mpmath at working precision."""
+    rho = mp.mpf(rho)
+    if rho < 1:
+        x = mp.findroot(lambda t: rho * mp.sinh(t) - t, mp.sqrt(6 * (1 - rho) / rho))
+        return x**2 / 2 - rho * mp.cosh(x) + mp.pi**2 / 2
+    d = mp.findroot(lambda t: rho * mp.sin(t) - t, min(mp.sqrt(6 * (rho - 1) / rho), 3))
+    y = mp.pi - d
+    return -(y**2) / 2 + rho * mp.cos(y) + mp.pi * y
+
+
+class TestFDerivatives:
+    @pytest.mark.parametrize("log_rho", [s * m for m in (1e-8, 1e-5, 1e-3, 0.3, 2.0) for s in (1, -1)])
+    def test_against_mpmath(self, log_rho):
+        # negative log rho is the cosh branch, positive the cos branch;
+        # mpmath differentiates F itself, not the envelope formulas
+        mp = pytest.importorskip("mpmath")
+        rho = math.exp(log_rho)
+        with mp.workdps(50):
+            ref = (_mp_hw_F(mp, rho), mp.diff(lambda r: _mp_hw_F(mp, r), rho),
+                   mp.diff(lambda r: _mp_hw_F(mp, r), rho, 2))
+            got = hw_F_derivatives(rho)
+            for name, g, r in zip(("F", "F'", "F''"), got, ref):
+                assert abs(g - r) <= 1e-13 * abs(r), (name, log_rho, g, float(r))
+
+    def test_at_one(self):
+        f, f1, f2 = hw_F_derivatives(1.0)
+        assert f == hw_F(1.0)
+        assert f1 == -1.0
+        assert f2 == pytest.approx(3.0, rel=1e-15)

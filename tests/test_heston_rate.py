@@ -14,6 +14,7 @@ from lsv_shortmat.heston_rate import (
     legendre_point,
     marginal_J1,
     marginal_J2,
+    rate_IH_derivatives,
     rate_IH_numeric,
     rate_IH_series,
 )
@@ -206,11 +207,14 @@ class TestHHeston:
         assert a == pytest.approx(c * h_heston(y, z, v0, sigma), rel=1e-10)
 
     def test_series_numeric_seam(self):
-        # values on both sides of the dispatch cutoff should be close
-        v0, sigma = 1.0, 1.0
-        below = h_heston(0.249, math.exp(0.249), v0, sigma)
-        above = h_heston(0.251, math.exp(0.251), v0, sigma)
-        assert abs(above - below) < 5e-3
+        # H is continuous across |log| = 0.25, where a switch to the quartic
+        # series used to make it jump by up to a relative 1.1e-3: the step
+        # over a 2e-9 gap is its slope times the gap
+        v0, delta = 1.0, 1e-9
+        for sign_x, sign_y, sigma in [(1, 1, 1.0), (1, -1, 0.5), (-1, 1, 1.0), (-1, -1, 2.0)]:
+            values = [h_heston(sign_y * e, math.exp(sign_x * e), v0, sigma)
+                      for e in (0.25 - delta, 0.25 + delta)]
+            assert abs(values[1] - values[0]) <= 1e-7 * values[0], (sign_x, sign_y, sigma)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -473,3 +477,29 @@ class TestDanskin:
         d_y = (rate_IH_numeric(x, y + hy, sigma) - rate_IH_numeric(x, y - hy, sigma)) / (2 * hy)
         assert d_x == pytest.approx(pt.theta, rel=1e-6, abs=1e-6)
         assert d_y == pytest.approx(pt.phi, rel=1e-6, abs=1e-6)
+
+
+    @pytest.mark.parametrize("ex,ey,sigma", [
+        (0.5, 0.1, 1.0), (-0.6, 0.3, 1.0), (0.3, -0.8, 0.5),
+        (-1.2, -0.4, 2.0), (1.0, 1.5, 1.0), (-0.4, 1.2, 0.5), (0.05, -0.02, 1.0),
+    ])
+    def test_hessian_is_maximiser_jacobian(self, ex, ey, sigma):
+        # grad^2 I_H from implicit differentiation of the profile against
+        # central differences of the Danskin gradient (theta*, phi*)
+        x, y = math.exp(ex), math.exp(ey)
+        value, _, grad, (i_xx, i_xy, i_yy) = rate_IH_derivatives(x, y, sigma)
+        pt = legendre_point(x, y, sigma)
+        assert (value, grad) == (pt.value, (pt.theta, pt.phi))
+        hx, hy = 1e-5 * x, 1e-5 * y
+        up_x, dn_x = legendre_point(x + hx, y, sigma), legendre_point(x - hx, y, sigma)
+        up_y, dn_y = legendre_point(x, y + hy, sigma), legendre_point(x, y - hy, sigma)
+        scale = max(abs(i_xx), abs(i_xy), abs(i_yy))
+        for fd, exact in [((up_x.theta - dn_x.theta) / (2 * hx), i_xx),
+                          ((up_x.phi - dn_x.phi) / (2 * hx), i_xy),
+                          ((up_y.theta - dn_y.theta) / (2 * hy), i_xy),
+                          ((up_y.phi - dn_y.phi) / (2 * hy), i_yy)]:
+            assert abs(fd - exact) <= 1e-6 * scale, (fd, exact)
+
+    def test_uncertified_transform_gives_none(self, monkeypatch):
+        monkeypatch.setattr(heston_rate, "_GRAD_TOL", 0.0)
+        assert rate_IH_derivatives(math.exp(0.7), math.exp(-0.4), 1.0) is None

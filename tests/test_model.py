@@ -107,6 +107,32 @@ class TestEtaLogCoeffs:
         assert coeffs[3] == pytest.approx(d3 / 6.0, abs=1e-6)
 
 
+class TestEtaDerivatives:
+    @pytest.mark.parametrize("spec", [
+        TANH,
+        TanhLocalVol(f0=1.2, f1=0.3, x0=-0.7),
+        TaylorLocalVol(eta0=0.8, eta1=0.2, eta2=-0.1, eta3=0.05),
+        ConstantLocalVol(),
+    ])
+    @pytest.mark.parametrize("k", [-3.0, -0.4, 0.0, 1e-6, 0.25, 2.0])
+    def test_against_mpmath(self, spec, k):
+        mp = pytest.importorskip("mpmath")
+        if isinstance(spec, TanhLocalVol):
+            def eta(t):
+                return spec.f0 + spec.f1 * mp.tanh(t - spec.x0)
+        elif isinstance(spec, TaylorLocalVol):
+            def eta(t):
+                return spec.eta0 + spec.eta1 * t + spec.eta2 * t**2 + spec.eta3 * t**3
+        else:
+            def eta(t):
+                return mp.mpf(1)
+        with mp.workdps(40):
+            ref = (eta(mp.mpf(k)), mp.diff(eta, k), mp.diff(eta, k, 2))
+            got = spec.eta_derivatives(k)
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= 1e-14 * max(1.0, abs(r)), (k, got, ref)
+
+
 class TestEtaSqInverse:
     def test_unit_target(self):
         assert eta_sq_inverse(TANH, 1.0, 1.0) == pytest.approx(1.0, rel=1e-12)

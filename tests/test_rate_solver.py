@@ -1,12 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize, minimize_scalar
 
+from lsv_shortmat import heston_rate, rate_solver
 from lsv_shortmat import model as model_mod
-from lsv_shortmat import rate_solver
+from lsv_shortmat.hartman_watson import h_lognormal
+from lsv_shortmat.heston_rate import h_heston
 from lsv_shortmat.model import (
     ConstantLocalVol,
     LognormalVolOfVol,
@@ -15,6 +18,8 @@ from lsv_shortmat.model import (
     TanhLocalVol,
     TaylorLocalVol,
     eta_eval,
+    eta_sq_range,
+    load_model,
     vix_spot,
 )
 from lsv_shortmat.rate_solver import (
@@ -144,7 +149,7 @@ class TestEuropeanRate:
     def test_sabr_closed_form_equivalence(self, rho, k):
         model = sabr_model(rho)
         strike = math.exp(k)
-        pt = european_rate(model, strike, method="2d")
+        pt = european_rate(model, strike)
         assert pt.converged
         assert abs(pt.rate - sabr_rate_closed(model, strike)) <= 1e-6
 
@@ -159,11 +164,26 @@ class TestEuropeanRate:
 
     @pytest.mark.parametrize("k", [-0.15, 0.08, 0.2])
     def test_uncorrelated_split_equals_2d(self, k):
-        model = table_model(0.0)
+        # oracle: at rho = 0 the spot leg decouples, and
+        # J = min_z [I_S^2 / (2 z) + min_y H(y, z)] by nested scalar searches
         strike = math.exp(k)
-        split = european_rate(model, strike, method="split")
-        full = european_rate(model, strike, method="2d")
-        assert abs(split.rate - full.rate) <= 1e-8
+        for vol_of_vol, h in ((LognormalVolOfVol(2.0), h_lognormal), (SquareRootVolOfVol(1.0), h_heston)):
+            model = table_model(0.0, vol_of_vol=vol_of_vol)
+            i_s = integral_IS(model.local_vol, model.s0, strike)
+            v0, log_v0 = model.v0, math.log(model.v0)
+
+            def inner(log_u):
+                res = minimize_scalar(lambda w: h(log_v0 + w, v0 * math.exp(log_u), v0, vol_of_vol.sigma),
+                                      bounds=(-1.5, 1.5), method="bounded", options=dict(xatol=1e-10))
+                assert abs(res.x) < 1.4
+                return res.fun
+
+            outer = minimize_scalar(lambda lu: i_s * i_s / (2.0 * v0 * math.exp(lu)) + inner(lu),
+                                    bounds=(-1.5, 1.5), method="bounded", options=dict(xatol=1e-11))
+            assert abs(outer.x) < 1.4
+            full = european_rate(model, strike)
+            assert full.converged
+            assert abs(outer.fun - full.rate) <= 1e-8
 
     def test_wings_monotone(self):
         model = table_model(-0.7)
@@ -383,3 +403,248 @@ class TestReplacedPathRegression:
         monkeypatch.setattr(rate_solver, "eta_sq_inverse", _reference_eta_sq_inverse)
         slow = [solve(model, ref * math.exp(k)).rate for solve, ref in cases for k in self.LOG_MONEYNESS]
         assert np.max(np.abs(np.subtract(fast, slow))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the trust-region Newton solver
+# ---------------------------------------------------------------------------
+
+MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+MODEL_FILES = sorted(MODELS_DIR.glob("*.json"))
+
+
+def _objective(model, product, log_moneyness):
+    """The solver's objective for one strike, as european_rate / vix_rate
+    build it."""
+    if product == "european":
+        i_s = integral_IS(model.local_vol, model.s0, math.exp(log_moneyness))
+        return rate_solver._rate_objective(model, lambda y: (i_s, 0.0, 0.0))
+    strike = vix_spot(model) * math.exp(log_moneyness)
+    return rate_solver._rate_objective(model, rate_solver._vix_spot_leg(model.local_vol, model.s0, strike))
+
+
+def _solve(model, product, log_moneyness):
+    if product == "european":
+        return european_rate(model, model.s0 * math.exp(log_moneyness))
+    return vix_rate(model, vix_spot(model) * math.exp(log_moneyness))
+
+
+def _vix_w_band(model, log_moneyness):
+    """Open range of w = y - log v0 where K^2 e^{-y} lies inside eta^2's range."""
+    w_lo, w_hi = eta_sq_range(model.local_vol)
+    k2 = (vix_spot(model) * math.exp(log_moneyness)) ** 2
+    return math.log(k2 / w_hi) - math.log(model.v0), math.log(k2 / w_lo) - math.log(model.v0)
+
+
+class TestObjectiveDerivatives:
+    @pytest.mark.parametrize("vol_of_vol", [LognormalVolOfVol(1.5), SquareRootVolOfVol(0.8)])
+    @pytest.mark.parametrize("product", ["european", "vix"])
+    @pytest.mark.parametrize("p", [(0.15, -0.2), (-0.1, 0.3)])
+    def test_against_central_differences(self, vol_of_vol, product, p):
+        model = table_model(-0.6, vol_of_vol=vol_of_vol)
+        evaluate = _objective(model, product, 0.2)
+        value, noise, grad, (h_uu, h_uw, h_ww) = evaluate(*p)
+        assert 0.0 < noise <= 1e-13 * max(1.0, value)
+        h = 1e-5
+        shifted = {}
+        for d in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
+            shifted[d] = evaluate(p[0] + d[0], p[1] + d[1])
+        fd_grad = ((shifted[(h, 0.0)][0] - shifted[(-h, 0.0)][0]) / (2 * h),
+                   (shifted[(0.0, h)][0] - shifted[(0.0, -h)][0]) / (2 * h))
+        for fd, exact in zip(fd_grad, grad):
+            assert abs(fd - exact) <= 1e-7 * max(1.0, abs(exact)), (fd_grad, grad)
+        # Hessian columns from differences of the analytic gradient
+        col_u = [(a - b) / (2 * h) for a, b in zip(shifted[(h, 0.0)][2], shifted[(-h, 0.0)][2])]
+        col_w = [(a - b) / (2 * h) for a, b in zip(shifted[(0.0, h)][2], shifted[(0.0, -h)][2])]
+        scale = max(abs(h_uu), abs(h_uw), abs(h_ww))
+        for fd, exact in zip((col_u[0], col_u[1], col_w[0], col_w[1]), (h_uu, h_uw, h_uw, h_ww)):
+            assert abs(fd - exact) <= 1e-6 * scale, (col_u, col_w, (h_uu, h_uw, h_ww))
+
+
+# the Nelder-Mead + coordinate-polish minimisation the trust-region solver
+# replaced, kept here as the oracle
+
+
+def _replaced_minimize_2d(objective, starts, y_bounds=None):
+    box = rate_solver._BOX
+
+    def obj(p):
+        if max(abs(p[0]), abs(p[1])) > box:
+            return math.inf
+        if y_bounds is not None and not (y_bounds[0] < p[1] < y_bounds[1]):
+            return math.inf
+        return objective(p[0], p[1])
+
+    best_p, best_v = None, math.inf
+    for p0 in starts:
+        p0 = np.asarray(p0, dtype=float)
+        if not math.isfinite(obj(p0)):
+            continue
+        res = minimize(obj, p0, method="Nelder-Mead",
+                       options=dict(xatol=1e-11, fatol=1e-15, maxiter=4000, maxfev=4000))
+        if res.fun < best_v:
+            best_v, best_p = float(res.fun), np.asarray(res.x)
+    p, v, h = best_p, best_v, 1e-5
+    for _ in range(25):
+        g, hess = np.zeros(2), np.zeros(2)
+        for i in range(2):
+            e = np.zeros(2)
+            e[i] = h
+            vp, vm = obj(p + e), obj(p - e)
+            if not (math.isfinite(vp) and math.isfinite(vm)):
+                return v
+            g[i] = (vp - vm) / (2 * h)
+            hess[i] = (vp - 2 * v + vm) / (h * h)
+        moved = False
+        for i in range(2):
+            if hess[i] > 0.0:
+                cand = p.copy()
+                cand[i] -= g[i] / hess[i]
+                vc = obj(cand)
+                if vc < v:
+                    p, v, moved = cand, vc, True
+        if not moved:
+            h *= 0.1
+            if h < 1e-9:
+                break
+    return v
+
+
+def _replaced_rate(model, product, log_moneyness):
+    """J by the replaced path: value-only objective through h_lognormal /
+    h_heston (exact H), Nelder-Mead from the warm starts, then the polish."""
+    vol = model.vol_of_vol
+    h_fn = h_lognormal if isinstance(vol, LognormalVolOfVol) else h_heston
+    v0, rho, log_v0 = model.v0, model.rho, math.log(model.v0)
+    lognormal = isinstance(vol, LognormalVolOfVol)
+    warm = np.array(rate_solver._warm_start(model, log_moneyness, product == "vix"))
+    starts = [warm, np.zeros(2)] if lognormal else [np.zeros(2)]
+    y_bounds = None
+    if product == "european":
+        i_s = integral_IS(model.local_vol, model.s0, math.exp(log_moneyness))
+        spot = lambda y: i_s  # noqa: E731
+    else:
+        k2 = (vix_spot(model) * math.exp(log_moneyness)) ** 2
+        lo, hi = _vix_w_band(model, log_moneyness)
+        y_bounds = (lo + 1e-12, hi - 1e-12)
+        starts = [np.array([p[0], min(max(p[1], y_bounds[0] + 1e-9), y_bounds[1] - 1e-9)]) for p in starts]
+
+        def spot(y):
+            s_star = rate_solver.eta_sq_inverse(model.local_vol, k2 * math.exp(-y), model.s0)
+            return integral_IS(model.local_vol, model.s0, s_star / model.s0)
+
+    def objective(log_u, w):
+        z, y = v0 * math.exp(log_u), log_v0 + w
+        num = spot(y) - rho * vol_integral_Q(vol, v0, y)
+        return num * num / (2.0 * (1.0 - rho * rho) * z) + h_fn(y, z, v0, vol.sigma)
+
+    return _replaced_minimize_2d(objective, starts, y_bounds)
+
+
+# the constant local-vol VIX rate is a closed form on both paths
+REGRESSION_CASES = [(path, product) for path in MODEL_FILES for product in ("european", "vix")
+                    if product == "european" or not isinstance(load_model(str(path)).local_vol, ConstantLocalVol)]
+
+
+class TestReplacedSolverRegression:
+    @pytest.mark.parametrize("path,product", REGRESSION_CASES, ids=lambda c: getattr(c, "stem", c))
+    def test_rates_match_nelder_mead(self, path, product):
+        model = load_model(str(path))
+        worst = 0.0
+        for k in np.linspace(-0.3, 0.3, 25):
+            if abs(k) < 1e-12:
+                continue
+            pt = _solve(model, product, k)
+            assert pt.converged and not pt.boundary_hit, k
+            old = _replaced_rate(model, product, k)
+            worst = max(worst, abs(pt.rate - old) / old)
+        assert worst <= 1e-10
+
+
+class TestTrustRegionSweep:
+    """240 solves over rho in {0, +-0.5, +-0.9}, k in {+-0.1, +-0.3, +-0.5},
+    two vol-of-vols per family and both products, each held to a brute-force
+    41 x 41 grid minimum of its objective."""
+
+    FAMILIES = [LognormalVolOfVol(1.0), LognormalVolOfVol(2.0), SquareRootVolOfVol(0.5), SquareRootVolOfVol(1.0)]
+    RHOS = (0.0, 0.5, -0.5, 0.9, -0.9)
+    KS = (0.1, -0.1, 0.3, -0.3, 0.5, -0.5)
+
+    @pytest.mark.parametrize("vol_of_vol", FAMILIES, ids=lambda v: f"{type(v).__name__}-{v.sigma}")
+    def test_converged_and_below_grid_minimum(self, vol_of_vol):
+        solves = 0
+        for rho in self.RHOS:
+            model = table_model(rho, vol_of_vol=vol_of_vol)
+            for k in self.KS:
+                for product in ("european", "vix"):
+                    pt = _solve(model, product, k)
+                    solves += 1
+                    assert pt.converged and not pt.boundary_hit, (rho, k, product, pt)
+                    w_lo, w_hi = -3.0, 3.0
+                    if product == "vix":
+                        lo, hi = _vix_w_band(model, k)
+                        w_lo, w_hi = max(w_lo, lo + 1e-6), min(w_hi, hi - 1e-6)
+                    evaluate = _objective(model, product, k)
+                    grid_min = min(evaluate(log_u, w)[0] for log_u in np.linspace(-2.0, 2.0, 41)
+                                   for w in np.linspace(w_lo, w_hi, 41))
+                    assert pt.rate <= grid_min * (1.0 + 1e-12), (rho, k, product, pt.rate, grid_min)
+        assert solves == 60
+
+    @pytest.mark.parametrize("k", [-0.3, -0.5])
+    def test_indefinite_start(self, k):
+        # square-root European at sigma = 1, rho = -0.9: the Hessian at the
+        # start (0, 0) is indefinite, where a line-search Newton runs away
+        model = table_model(-0.9, vol_of_vol=SquareRootVolOfVol(1.0))
+        _, _, _, (h_uu, h_uw, h_ww) = _objective(model, "european", k)(0.0, 0.0)
+        assert h_uu * h_ww - h_uw * h_uw < 0.0
+        pt = european_rate(model, math.exp(k))
+        assert pt.converged and pt.iterations <= 12
+
+
+class TestSingleSolver:
+    @pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: p.stem)
+    def test_no_scipy_minimiser_runs(self, path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the rate solver must not fall back to a scipy minimiser")
+
+        monkeypatch.setattr(rate_solver, "minimize", forbidden)
+        monkeypatch.setattr(rate_solver, "minimize_scalar", forbidden)
+        model = load_model(str(path))
+        # the CLI's default smile/rate grid
+        for k in np.linspace(-0.3, 0.3, 21):
+            if abs(k) < 1e-12:
+                continue
+            for product in ("european", "vix"):
+                pt = _solve(model, product, k)
+                assert pt.converged, (path.stem, product, k)
+
+    def test_uncertified_inner_transform_is_reported(self, monkeypatch):
+        # a square-root transform that cannot certify its maximiser makes the
+        # solve report converged=False instead of raising mid-objective
+        model = table_model(-0.7, vol_of_vol=SquareRootVolOfVol(1.0))
+        monkeypatch.setattr(heston_rate, "_GRAD_TOL", 0.0)
+        for pt in (european_rate(model, math.exp(0.2)), vix_rate(model, vix_spot(model) * math.exp(0.2))):
+            assert not pt.converged
+
+
+class TestTrustStep:
+    @pytest.mark.parametrize("g,h,radius", [
+        ((1.0, -2.0), (3.0, 0.5, 2.0), 10.0),       # positive definite, Newton step fits
+        ((1.0, -2.0), (3.0, 0.5, 2.0), 0.2),        # positive definite, on the boundary
+        ((0.3, 0.1), (1.0, 2.0, -1.0), 0.5),        # indefinite
+        ((0.0, 0.0), (1.0, 0.0, -2.0), 0.7),        # saddle point: negative curvature only
+        ((1.0, 0.0), (1.0, 0.0, -2.0), 0.7),        # hard case: gradient orthogonal to it
+        ((1e-30, 1.0), (-1.0, 0.0, -1.0), 0.3),     # negative definite
+    ])
+    def test_against_polar_grid(self, g, h, radius):
+        # brute-force minimum of the quadratic model over the closed disk
+        step, pred = rate_solver._trust_step(g, h, radius)
+
+        def model_value(s):
+            return g[0] * s[0] + g[1] * s[1] + 0.5 * (h[0] * s[0] ** 2 + 2 * h[1] * s[0] * s[1] + h[2] * s[1] ** 2)
+
+        assert math.hypot(*step) <= radius * (1 + 1e-9)
+        assert pred == pytest.approx(-model_value(step), rel=1e-12, abs=1e-15)
+        grid = min(model_value((r * math.cos(t), r * math.sin(t)))
+                   for r in np.linspace(0.0, radius, 101) for t in np.linspace(0.0, 2 * math.pi, 361))
+        assert model_value(step) <= grid + 1e-12

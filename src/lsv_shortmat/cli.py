@@ -8,7 +8,8 @@ Subcommands:
   expansion and from the full rate-function solve.  For |log-moneyness|
   below 1e-4 the rate column (here and in ``compare``) repeats the
   expansion, which is more accurate there than |k| / sqrt(2 J) from a
-  solved J ~ k^2.
+  solved J ~ k^2.  A strike whose rate solve is not certified
+  (``converged`` false) prints nan there.
 * ``rate``    - rate-function values and minimiser diagnostics per strike.
 * ``mc``      - Monte Carlo implied-vol smile with error bands.
 * ``compare`` - asymptotics and Monte Carlo joined, with z-scores.
@@ -118,9 +119,11 @@ def _rate_point(model: LsvModel, product: str, strike: float):
 
 
 def _iv_rate_column(model: LsvModel, product: str, expansion: SmileExpansion, strike: float, log_m: float) -> float:
+    """The rate-solver vol, or nan where the solve is not certified."""
     if abs(log_m) < _NEAR_MONEY:
         return expansion.evaluate(log_m)
-    return rate_to_impvol(_rate_point(model, product, strike).rate, log_m)
+    pt = _rate_point(model, product, strike)
+    return rate_to_impvol(pt.rate, log_m) if pt.converged else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -186,32 +189,28 @@ def _mc_config(args) -> McConfig:
     return McConfig(n_paths=args.paths, n_steps=args.steps, maturity=maturity, seed=args.seed)
 
 
+def _mc_smile(args, model: LsvModel):
+    """The MC smile on the --kmin/--kmax grid, else on the sample-quantile grid."""
+    config = _mc_config(args)
+    samples = simulate_paths(model, config, threads=args.threads)
+    if args.kmin is not None and args.kmax is not None:
+        strikes = _strike_grid(args, _reference_level(model, args.product))
+    else:
+        strikes = default_strike_grid(samples, args.product, args.kcount)
+    return smile_from_mc(model, config, strikes, args.product, samples=samples)
+
+
 def _cmd_mc(args) -> int:
     model = load_model(args.model)
     _echo_config(args, model)
-    config = _mc_config(args)
-    samples = simulate_paths(model, config, threads=args.threads)
-    reference = _reference_level(model, args.product)
-    if args.kmin is not None and args.kmax is not None:
-        strikes = _strike_grid(args, reference)
-    else:
-        strikes = default_strike_grid(samples, args.product, args.kcount)
-    rows = smile_from_mc(model, config, strikes, args.product, samples=samples)
-    _write_text(smile_rows_to_csv(rows), args.out)
+    _write_text(smile_rows_to_csv(_mc_smile(args, model)), args.out)
     return 0
 
 
 def _cmd_compare(args) -> int:
     model = load_model(args.model)
     _echo_config(args, model)
-    config = _mc_config(args)
-    samples = simulate_paths(model, config, threads=args.threads)
-    reference = _reference_level(model, args.product)
-    if args.kmin is not None and args.kmax is not None:
-        strikes = _strike_grid(args, reference)
-    else:
-        strikes = default_strike_grid(samples, args.product, args.kcount)
-    mc_rows = smile_from_mc(model, config, strikes, args.product, samples=samples)
+    mc_rows = _mc_smile(args, model)
     expansion = _expansion_for(model, args.product)
     rows = []
     for point in mc_rows:

@@ -1,10 +1,10 @@
 """Monte Carlo simulation of the LSV model and option pricing.
 
-The variance factor is stepped exactly as a geometric Brownian motion when
-the vol-of-vol is lognormal with zero or constant drift; other combinations
-fall back to full-truncation Euler and are flagged as approximate in the
-sample metadata.  The asset is stepped by log-Euler with the correlated
-driver.
+The vol-of-vol spec steps the variance factor (``variance_step``) and names
+its scheme (``mc_scheme``): exactly as a geometric Brownian motion when the
+vol-of-vol is lognormal with zero or constant drift, by full-truncation
+Euler otherwise, which the sample metadata flags as approximate.  The asset
+is stepped by log-Euler with the correlated driver.
 
 Randomness is organised in fixed-size path blocks, each drawn from its own
 counter-based Philox stream keyed by (seed, block index).  Path i therefore
@@ -23,18 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .black_scholes import OptionQuote, black_vega, implied_vol
-from .model import (
-    ConstantDrift,
-    ConstantLocalVol,
-    LocalVolSpec,
-    LognormalVolOfVol,
-    LsvModel,
-    MeanRevertingDrift,
-    SquareRootVolOfVol,
-    TanhLocalVol,
-    ZeroDrift,
-    vix_spot,
-)
+from .model import LocalVolSpec, LsvModel, vix_spot
 
 __all__ = [
     "McConfig",
@@ -101,26 +90,7 @@ class PriceEstimate:
     n: int
 
 
-def _eta_vec(spec: LocalVolSpec, log_m: np.ndarray) -> np.ndarray:
-    """Vectorised eta as a function of log-moneyness."""
-    return spec.eta(log_m)
-
-
-def _v_step_plan(model: LsvModel) -> tuple[str, float]:
-    """Choose the variance stepping scheme; returns (scheme, mu) where mu is
-    the constant lognormal drift when applicable."""
-    vv = model.vol_of_vol
-    if isinstance(vv, LognormalVolOfVol):
-        if isinstance(vv.drift, ZeroDrift):
-            return "exact-gbm", 0.0
-        if isinstance(vv.drift, ConstantDrift):
-            return "exact-gbm", vv.drift.mu
-        return "euler-full-truncation", 0.0
-    return "euler-full-truncation", 0.0
-
-
-def _simulate_block(model: LsvModel, config: McConfig, block_index: int,
-                    scheme: str, mu_const: float, aux_const_vol: float | None):
+def _simulate_block(model: LsvModel, config: McConfig, block_index: int, aux_const_vol: float | None):
     """Simulate one fixed-width block of paths; always draws the full block
     so the content of path i is independent of n_paths."""
     key = (int(config.seed) % (1 << 64)) * (1 << 64) + block_index
@@ -131,7 +101,6 @@ def _simulate_block(model: LsvModel, config: McConfig, block_index: int,
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     vv = model.vol_of_vol
-    sigma = vv.sigma
     carry = (model.r - model.q) * dt
 
     def run(sign: float):
@@ -139,29 +108,23 @@ def _simulate_block(model: LsvModel, config: McConfig, block_index: int,
         # antithetic partner uses exactly the mirrored increments
         rng = np.random.Generator(np.random.Philox(key=key))
         log_m = np.zeros(_BLOCK)
-        v = np.full(_BLOCK, model.v0)
+        # v_pos is the variance the coefficients see: max(v, 0) under full
+        # truncation, v itself under an exact step
+        v = v_pos = np.full(_BLOCK, model.v0)
         log_aux = np.zeros(_BLOCK) if aux_const_vol is not None else None
         for step in range(n_steps):
             zb = rng.standard_normal((2, _BLOCK))
             z = sign * zb[0]
             b = sign * zb[1]
             dw = sq_dt * (rho * z + rho_perp * b)
-            # full truncation: the clipped variance feeds every coefficient
-            v_pos = v if scheme == "exact-gbm" else np.maximum(v, 0.0)
-            eta = _eta_vec(model.local_vol, log_m)
+            eta = model.local_vol.eta(log_m)
             loc_var = eta * eta * v_pos
             log_m += carry - 0.5 * loc_var * dt + eta * np.sqrt(v_pos) * dw
             if log_aux is not None:
                 log_aux += carry - 0.5 * aux_const_vol**2 * dt + aux_const_vol * dw
-            if scheme == "exact-gbm":
-                v = v * np.exp((mu_const - 0.5 * sigma * sigma) * dt + sigma * sq_dt * z)
-            elif isinstance(vv, SquareRootVolOfVol):
-                v = v + _sqrt_drift(vv.drift, v_pos) * dt + sigma * np.sqrt(v_pos) * sq_dt * z
-            else:
-                # lognormal diffusion with mean-reverting drift
-                dr = vv.drift
-                v = v + (dr.a * (dr.b - v_pos)) * dt + sigma * v_pos * sq_dt * z
-        v_out = np.maximum(v, 1e-300) if scheme != "exact-gbm" else v
+            v, v_pos = vv.variance_step(v, v_pos, z, dt)
+        # a path truncated at 0 ends at 1e-300; exact steps stay positive
+        v_out = np.maximum(v_pos, 1e-300)
         s_out = model.s0 * np.exp(log_m)
         aux_out = model.s0 * np.exp(log_aux) if log_aux is not None else None
         return s_out, v_out, aux_out
@@ -170,16 +133,6 @@ def _simulate_block(model: LsvModel, config: McConfig, block_index: int,
     if config.antithetic:
         out.append(run(-1.0))
     return out
-
-
-def _sqrt_drift(drift, v_pos: np.ndarray) -> np.ndarray:
-    if isinstance(drift, ZeroDrift):
-        return np.zeros_like(v_pos)
-    if isinstance(drift, ConstantDrift):
-        return drift.mu * v_pos
-    if isinstance(drift, MeanRevertingDrift):
-        return drift.a * (drift.b - v_pos)
-    raise ValueError(f"unsupported drift {drift!r}")
 
 
 def simulate_paths(model: LsvModel, config: McConfig, threads: int = 1,
@@ -193,35 +146,27 @@ def simulate_paths(model: LsvModel, config: McConfig, threads: int = 1,
     """
     if abs(model.rho) > 1.0:
         raise ValueError("|rho| must not exceed 1")
-    scheme, mu_const = _v_step_plan(model)
     n_blocks = (config.n_paths + _BLOCK - 1) // _BLOCK
 
-    results: list = [None] * n_blocks
-
     def work(bi: int):
-        results[bi] = _simulate_block(model, config, bi, scheme, mu_const, aux_const_vol)
+        return _simulate_block(model, config, bi, aux_const_vol)
 
     if threads > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(n_blocks)))
+            results = list(pool.map(work, range(n_blocks)))
     else:
-        for bi in range(n_blocks):
-            work(bi)
+        results = [work(bi) for bi in range(n_blocks)]
 
-    def gather(part: int, col: int):
-        arr = np.concatenate([results[bi][part][col] for bi in range(n_blocks)])
-        return arr[: config.n_paths]
+    def gather(col: int):
+        # the plain paths of every block, then their antithetic partners
+        return np.concatenate([np.concatenate([r[p][col] for r in results])[: config.n_paths]
+                               for p in range(len(results[0]))])
 
-    s = gather(0, 0)
-    v = gather(0, 1)
-    aux = gather(0, 2) if aux_const_vol is not None else None
-    if config.antithetic:
-        s = np.concatenate([s, gather(1, 0)])
-        v = np.concatenate([v, gather(1, 1)])
-        if aux is not None:
-            aux = np.concatenate([aux, gather(1, 2)])
+    s, v = gather(0), gather(1)
+    aux = gather(2) if aux_const_vol is not None else None
     return McSamples(terminal_s=s, terminal_v=v, config=config, model=model,
-                     v_scheme=scheme, terminal_s_aux=aux, aux_const_vol=aux_const_vol)
+                     v_scheme=model.vol_of_vol.mc_scheme(), terminal_s_aux=aux,
+                     aux_const_vol=aux_const_vol)
 
 
 def _estimate(payoff: np.ndarray, discount: float, antithetic: bool) -> PriceEstimate:
@@ -238,29 +183,29 @@ def _estimate(payoff: np.ndarray, discount: float, antithetic: bool) -> PriceEst
     return PriceEstimate(value=discount * mean, std_error=discount * se, n=n)
 
 
-def price_european(samples: McSamples, strike: float, is_call: bool, r: float, maturity: float) -> PriceEstimate:
-    """Discounted European option price from terminal spot samples."""
+def _price(samples: McSamples, values: np.ndarray, strike: float, is_call: bool, r: float,
+           maturity: float) -> PriceEstimate:
     if strike < 0.0:
         raise ValueError("strike must be nonnegative")
-    s = samples.terminal_s
-    payoff = np.maximum(s - strike, 0.0) if is_call else np.maximum(strike - s, 0.0)
+    payoff = np.maximum(values - strike, 0.0) if is_call else np.maximum(strike - values, 0.0)
     return _estimate(payoff, math.exp(-r * maturity), samples.config.antithetic)
+
+
+def price_european(samples: McSamples, strike: float, is_call: bool, r: float, maturity: float) -> PriceEstimate:
+    """Discounted European option price from terminal spot samples."""
+    return _price(samples, samples.terminal_s, strike, is_call, r, maturity)
 
 
 def vix_proxy_values(samples: McSamples, local_vol_spec: LocalVolSpec) -> np.ndarray:
     """Short-horizon VIX proxy eta(S_T) sqrt(V_T) per path."""
     log_m = np.log(samples.terminal_s / samples.model.s0)
-    return _eta_vec(local_vol_spec, log_m) * np.sqrt(samples.terminal_v)
+    return local_vol_spec.eta(log_m) * np.sqrt(samples.terminal_v)
 
 
 def price_vix_proxy(samples: McSamples, local_vol_spec: LocalVolSpec, strike: float,
                     is_call: bool, r: float, maturity: float) -> PriceEstimate:
     """Discounted VIX option price on the proxy eta(S_T) sqrt(V_T)."""
-    if strike < 0.0:
-        raise ValueError("strike must be nonnegative")
-    proxy = vix_proxy_values(samples, local_vol_spec)
-    payoff = np.maximum(proxy - strike, 0.0) if is_call else np.maximum(strike - proxy, 0.0)
-    return _estimate(payoff, math.exp(-r * maturity), samples.config.antithetic)
+    return _price(samples, vix_proxy_values(samples, local_vol_spec), strike, is_call, r, maturity)
 
 
 def vix_exact_meanrev(samples: McSamples, mapping) -> np.ndarray:
@@ -269,50 +214,18 @@ def vix_exact_meanrev(samples: McSamples, mapping) -> np.ndarray:
     return np.sqrt(mapping.alpha * samples.terminal_v + mapping.beta)
 
 
-def _sup_eta2_log_curvature(spec: TanhLocalVol) -> float:
-    """sup over s of |(eta^2)''(s) s^2|, evaluated through the log-moneyness
-    parameterisation where it equals |g''(x) - g'(x)| for g = eta^2."""
-    x = np.linspace(-30.0, 30.0, 200001)
-    t = np.tanh(x - spec.x0)
-    sech2 = 1.0 - t * t
-    eta = spec.f0 + spec.f1 * t
-    g1 = 2.0 * eta * spec.f1 * sech2
-    g2 = 2.0 * spec.f1**2 * sech2**2 + 2.0 * eta * spec.f1 * (-2.0 * sech2 * t)
-    return float(np.max(np.abs(g2 - g1)))
-
-
 def proxy_error_bounds(model: LsvModel, tau: float) -> tuple[float, float]:
     """Constants (C1, C2) bounding the VIX-proxy replacement error.
 
     C1 = 2 L M_eta |r - q| e^{|r-q| tau} tau is O(tau); C2 collects the
     variance-drift and vol-of-vol contributions and is O(sqrt(tau)).  Bounds
-    exist only for specs with bounded eta, drift and vol-of-vol.
+    exist only for specs with bounded eta, drift and vol-of-vol; each spec
+    supplies its constants (``proxy_bounds``) or raises ValueError.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    lv = model.local_vol
-    if isinstance(lv, TanhLocalVol):
-        lip = abs(lv.f1)
-        m_eta = lv.f0 + abs(lv.f1)
-        m_eta2 = _sup_eta2_log_curvature(lv)
-    elif isinstance(lv, ConstantLocalVol):
-        lip = 0.0
-        m_eta = 1.0
-        m_eta2 = 0.0
-    else:
-        raise ValueError("taylor local vol is unbounded; no finite proxy bounds")
-    vv = model.vol_of_vol
-    if not isinstance(vv, LognormalVolOfVol):
-        raise ValueError("square-root vol-of-vol is unbounded near 0; no finite proxy bounds")
-    m_sigma = vv.sigma
-    drift = vv.drift
-    if isinstance(drift, ZeroDrift):
-        m_mu = 0.0
-    elif isinstance(drift, ConstantDrift):
-        m_mu = abs(drift.mu)
-    else:
-        raise ValueError("mean-reverting drift mu(v) = a(b-v)/v is unbounded; no finite proxy bounds")
-
+    lip, m_eta, m_eta2 = model.local_vol.proxy_bounds()
+    m_sigma, m_mu = model.vol_of_vol.proxy_bounds()
     carry = abs(model.r - model.q)
     c1 = 2.0 * lip * m_eta * carry * math.exp(carry * tau) * tau
     inner = math.exp(2.0 * tau * m_mu) * math.exp(4.0 * tau * m_sigma**2) \
@@ -392,28 +305,21 @@ def smile_from_mc(model: LsvModel, config: McConfig, strikes, product: str,
         est = _estimate(payoff, 1.0, samples.config.antithetic)  # undiscounted
         log_m = math.log(k / reference)
         price, se = est.value, est.std_error
-        reason = None
-        if not (lo_q <= k <= hi_q):
-            reason = "strike outside the [1%, 99%] sample quantile range"
-        quote = None
+        vol = band = math.nan
+        reason = None if lo_q <= k <= hi_q else "strike outside the [1%, 99%] sample quantile range"
         if reason is None:
             try:
-                quote = OptionQuote(forward=forward, strike=float(k), maturity=t,
-                                    is_call=is_call, price=price)
-                vol = implied_vol(quote)
+                vol = implied_vol(OptionQuote(forward=forward, strike=float(k), maturity=t,
+                                              is_call=is_call, price=price))
             except ValueError as exc:
                 reason = str(exc)
         if reason is None:
             vega = black_vega(forward, float(k), vol, t)
             band = se / vega if vega > 0.0 else math.nan
-            out.append(SmilePoint(strike=float(k), log_moneyness=log_m,
-                                  price=price / undiscount, std_error=se / undiscount,
-                                  implied_vol=vol, iv_low=vol - band, iv_high=vol + band))
-        else:
-            out.append(SmilePoint(strike=float(k), log_moneyness=log_m,
-                                  price=price / undiscount, std_error=se / undiscount,
-                                  implied_vol=math.nan, iv_low=math.nan, iv_high=math.nan,
-                                  skip_reason=reason))
+        out.append(SmilePoint(strike=float(k), log_moneyness=log_m,
+                              price=price / undiscount, std_error=se / undiscount,
+                              implied_vol=vol, iv_low=vol - band, iv_high=vol + band,
+                              skip_reason=reason))
     return out
 
 

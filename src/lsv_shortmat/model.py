@@ -13,18 +13,30 @@ Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
 * ``inv_eta_integral(L)``    - the integral of 1/eta over k in [0, L];
 * ``eta_sq_log_inverse(w)``  - the k at which eta(k)^2 = w;
 * ``eta_sq_range()``         - the open range of eta^2;
-* ``log_coeffs()``           - the Taylor coefficients of eta up to the cubic.
+* ``log_coeffs()``           - the Taylor coefficients of eta up to the cubic;
+* ``constant_eta()``         - the value of a constant eta, else None.
 
 The module-level helpers (:func:`eta_eval`, :func:`eta_log_coeffs`,
-:func:`eta_sq_range`, :func:`eta_sq_inverse`) delegate to them.
+:func:`eta_sq_range`, :func:`eta_sq_inverse`) delegate to them.  Each drift
+spec class gives its dV drift ``dv_drift(v)`` (0, mu v or a (b - v)) and
+``constant_mu()``, the mu of dV/V if it is constant, else None.
 
-Each vol-of-vol spec class owns the two pieces of the rate objective, in
-terminal log-variance y, w = y - log v0 and log u = log(z / v0):
+Each vol-of-vol spec class owns the rest of the factor's maths, in terminal
+log-variance y, w = y - log v0 and log u = log(z / v0):
 
 * ``variance_leg(y, v0)``    - the variance-leg integral Q(y) and its first
   two y-derivatives;
 * ``path_rate(log_u, w, v0)`` - the variance-path rate function H with its
-  gradient, Hessian and rounding error in (log u, w).
+  gradient, Hessian and rounding error in (log u, w);
+* ``warm_start(model, k, vix)`` - the rate solver's start in (log u, w);
+* ``variance_rate(v, v0)``   - the stochastic-vol rate of reaching variance v;
+* ``sigma_at(v0)``           - the vol of vol sigma(V0) of dV/V at V0;
+* ``variance_step(v, v_pos, z, dt)`` - one Monte Carlo step of V, by the
+  scheme ``mc_scheme()`` names.
+
+Every spec class also gives its JSON layout (``to_dict()``) and its
+constants of the VIX-proxy error bound (``proxy_bounds()``, for a drift
+``proxy_bound()``), raising ValueError where the spec is unbounded.
 
 All spec objects are frozen dataclasses: they validate on construction and
 their methods are pure, so everything here is safe to share across threads.
@@ -38,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
@@ -167,6 +180,28 @@ class TanhLocalVol:
             self.f1 * (-2.0 * sech2 ** 2 + 4.0 * t ** 2 * sech2) / 6.0,
         ]
 
+    def constant_eta(self) -> float | None:
+        return self.f0 if self.f1 == 0.0 else None
+
+    def proxy_bounds(self) -> tuple[float, float, float]:
+        """(|f1|, f0 + |f1|, sup over s of |(eta^2)''(s) s^2|).
+
+        The last term is |g'' - g'| in log-moneyness, g = eta^2, which with
+        t = tanh(k - x0) is |P(t)| for the quartic
+        P(t) = 2 f1 (1 - t^2) ((f1 - f0) - (2 f0 + f1) t - 3 f1 t^2).  P
+        vanishes at t = +-1, so |P| peaks at a real root of P' in (-1, 1).
+        |P| is taken at the real part of every root, clipped to [-1, 1]; a
+        complex root only adds a point below the peak.
+        """
+        f0, f1 = self.f0, self.f1
+        poly = Polynomial([1.0, 0.0, -1.0]) * Polynomial(
+            [2.0 * f1 * (f1 - f0), -2.0 * f1 * (2.0 * f0 + f1), -6.0 * f1 * f1])
+        ts = np.clip(poly.deriv().roots().real, -1.0, 1.0)
+        return abs(f1), f0 + abs(f1), float(np.max(np.abs(poly(ts)), initial=0.0))
+
+    def to_dict(self) -> dict:
+        return {"kind": "tanh", "f0": self.f0, "f1": self.f1, "x0": self.x0}
+
 
 @dataclass(frozen=True)
 class TaylorLocalVol:
@@ -263,6 +298,15 @@ class TaylorLocalVol:
     def log_coeffs(self) -> list[float]:
         return [self.eta0, self.eta1, self.eta2, self.eta3]
 
+    def constant_eta(self) -> float | None:
+        return self.eta0 if self.eta1 == self.eta2 == self.eta3 == 0.0 else None
+
+    def proxy_bounds(self) -> tuple[float, float, float]:
+        raise ValueError("taylor local vol is unbounded; no finite proxy bounds")
+
+    def to_dict(self) -> dict:
+        return {"kind": "taylor_log", "eta0": self.eta0, "eta1": self.eta1, "eta2": self.eta2, "eta3": self.eta3}
+
 
 @dataclass(frozen=True)
 class ConstantLocalVol:
@@ -296,6 +340,15 @@ class ConstantLocalVol:
     def log_coeffs(self) -> list[float]:
         return [1.0, 0.0, 0.0, 0.0]
 
+    def constant_eta(self) -> float | None:
+        return self.value
+
+    def proxy_bounds(self) -> tuple[float, float, float]:
+        return 0.0, 1.0, 0.0
+
+    def to_dict(self) -> dict:
+        return {"kind": "constant"}
+
 
 LocalVolSpec = Union[TanhLocalVol, TaylorLocalVol, ConstantLocalVol]
 
@@ -304,12 +357,36 @@ LocalVolSpec = Union[TanhLocalVol, TaylorLocalVol, ConstantLocalVol]
 class ZeroDrift:
     """Driftless variance factor."""
 
+    def dv_drift(self, v):
+        return 0.0
+
+    def constant_mu(self) -> float | None:
+        return 0.0
+
+    def proxy_bound(self) -> float:
+        return 0.0
+
+    def to_dict(self) -> dict:
+        return {"kind": "zero"}
+
 
 @dataclass(frozen=True)
 class ConstantDrift:
     """dV/V drift equal to a constant mu (per year)."""
 
     mu: float
+
+    def dv_drift(self, v):
+        return self.mu * v
+
+    def constant_mu(self) -> float | None:
+        return self.mu
+
+    def proxy_bound(self) -> float:
+        return abs(self.mu)
+
+    def to_dict(self) -> dict:
+        return {"kind": "constant", "mu": self.mu}
 
 
 @dataclass(frozen=True)
@@ -322,6 +399,18 @@ class MeanRevertingDrift:
     def __post_init__(self) -> None:
         if self.a <= 0.0 or self.b <= 0.0:
             raise ValueError("mean-reverting drift requires a > 0 and b > 0")
+
+    def dv_drift(self, v):
+        return self.a * (self.b - v)
+
+    def constant_mu(self) -> float | None:
+        return None
+
+    def proxy_bound(self) -> float:
+        raise ValueError("mean-reverting drift mu(v) = a(b-v)/v is unbounded; no finite proxy bounds")
+
+    def to_dict(self) -> dict:
+        return {"kind": "mean_reverting", "a": self.a, "b": self.b}
 
 
 DriftSpec = Union[ZeroDrift, ConstantDrift, MeanRevertingDrift]
@@ -368,6 +457,47 @@ class LognormalVolOfVol:
                 scale * (2.0 * f_ll + 4.0 * e2))
         return value, noise, grad, hess
 
+    def warm_start(self, model: LsvModel, k: float, vix_flavour: bool) -> tuple[float, float]:
+        """The minimiser's expansion in log-moneyness k: log u* = a1 k and
+        log v* = a1 k, so w = y - log v0 = 2 a1 k."""
+        sv0 = math.sqrt(model.v0)
+        eta0, eta1 = model.local_vol.log_coeffs()[:2]
+        if vix_flavour:
+            d = self.sigma + 2.0 * model.rho * eta1 * sv0
+            a1 = self.sigma * d / (d * d + 2.0 * (1.0 - model.rho**2) * eta1**2 * model.v0)
+        else:
+            a1 = model.rho * self.sigma / (2.0 * eta0 * sv0)
+        return (a1 * k, 2.0 * a1 * k)
+
+    def variance_rate(self, v: float, v0: float) -> float:
+        """J = (1/2) (integral of dx / (x sigma(x)) from v0 to v)^2
+        = log^2(v / v0) / (2 sigma^2)."""
+        return math.log(v / v0) ** 2 / (2.0 * self.sigma * self.sigma)
+
+    def sigma_at(self, v0: float) -> float:
+        return self.sigma
+
+    def mc_scheme(self) -> str:
+        return "euler-full-truncation" if self.drift.constant_mu() is None else "exact-gbm"
+
+    def variance_step(self, v, v_pos, z, dt: float):
+        """One step of V from the standard normals z, returning (V, V+): an
+        exact geometric Brownian step for a constant mu, full-truncation
+        Euler (V+ = max(V, 0) feeds every coefficient) otherwise."""
+        mu = self.drift.constant_mu()
+        sq_dt = math.sqrt(dt)
+        if mu is None:
+            v = v + self.drift.dv_drift(v_pos) * dt + self.sigma * v_pos * sq_dt * z
+            return v, np.maximum(v, 0.0)
+        v = v * np.exp((mu - 0.5 * self.sigma * self.sigma) * dt + self.sigma * sq_dt * z)
+        return v, v
+
+    def proxy_bounds(self) -> tuple[float, float]:
+        return self.sigma, self.drift.proxy_bound()
+
+    def to_dict(self) -> dict:
+        return {"kind": "lognormal", "sigma": self.sigma, "drift": self.drift.to_dict()}
+
 
 @dataclass(frozen=True)
 class SquareRootVolOfVol:
@@ -397,6 +527,31 @@ class SquareRootVolOfVol:
         value, noise, (i_x, i_y), (i_xx, i_xy, i_yy) = res
         return (v0 * value, v0 * noise, (v0 * x * i_x, v0 * y * i_y),
                 (v0 * x * (i_x + x * i_xx), v0 * x * y * i_xy, v0 * y * (i_y + y * i_yy)))
+
+    def warm_start(self, model: LsvModel, k: float, vix_flavour: bool) -> tuple[float, float]:
+        """The flat path (0, 0)."""
+        return (0.0, 0.0)
+
+    def variance_rate(self, v: float, v0: float) -> float:
+        """J = 2 (sqrt(v) - sqrt(v0))^2 / sigma^2, as for the lognormal factor."""
+        return 2.0 * (math.sqrt(v) - math.sqrt(v0)) ** 2 / (self.sigma * self.sigma)
+
+    def sigma_at(self, v0: float) -> float:
+        return self.sigma / math.sqrt(v0)
+
+    def mc_scheme(self) -> str:
+        return "euler-full-truncation"
+
+    def variance_step(self, v, v_pos, z, dt: float):
+        """One full-truncation Euler step, as in :meth:`LognormalVolOfVol.variance_step`."""
+        v = v + self.drift.dv_drift(v_pos) * dt + self.sigma * np.sqrt(v_pos) * math.sqrt(dt) * z
+        return v, np.maximum(v, 0.0)
+
+    def proxy_bounds(self) -> tuple[float, float]:
+        raise ValueError("square-root vol-of-vol is unbounded near 0; no finite proxy bounds")
+
+    def to_dict(self) -> dict:
+        return {"kind": "square_root", "sigma": self.sigma, "drift": self.drift.to_dict()}
 
 
 VolOfVolSpec = Union[LognormalVolOfVol, SquareRootVolOfVol]
@@ -444,14 +599,8 @@ def eta_sq_range(spec: LocalVolSpec) -> tuple[float, float]:
 
 
 def eta_sq_inverse(spec: LocalVolSpec, w: float, s0: float) -> float:
-    """Solve eta(s)^2 = w for s, for strictly monotone local volatility.
-
-    Closed form for the tanh spec: s = s0 exp(x0 + atanh((sqrt(w) - f0)/f1)).
-    The Taylor spec brackets the root by geometric expansion away from s0
-    (capped at s0 * exp(+-50)) and solves it by Brent iteration.  The
-    constant spec is degenerate: only w = 1 is attainable and s0 is returned
-    by convention.
-    """
+    """Solve eta(s)^2 = w for s, for strictly monotone local volatility
+    (``eta_sq_log_inverse`` on the spec)."""
     return s0 * math.exp(spec.eta_sq_log_inverse(w))
 
 
@@ -473,7 +622,7 @@ def check_moment_condition(rho: float, p: float) -> bool:
 # ---------------------------------------------------------------------------
 
 _LOCAL_VOL_KINDS = {"tanh", "taylor_log", "constant"}
-_VOL_OF_VOL_KINDS = {"lognormal", "square_root"}
+_VOL_OF_VOL_KINDS = {"lognormal": LognormalVolOfVol, "square_root": SquareRootVolOfVol}
 _DRIFT_KINDS = {"zero", "constant", "mean_reverting"}
 
 
@@ -509,11 +658,9 @@ def _drift_from_dict(d: dict | None) -> DriftSpec:
 def _vol_of_vol_from_dict(d: dict) -> VolOfVolSpec:
     kind = d.get("kind")
     drift = _drift_from_dict(d.get("drift"))
-    if kind == "lognormal":
-        return LognormalVolOfVol(sigma=float(d["sigma"]), drift=drift)
-    if kind == "square_root":
-        return SquareRootVolOfVol(sigma=float(d["sigma"]), drift=drift)
-    raise ValueError(f"unknown vol_of_vol kind {kind!r}; expected one of {sorted(_VOL_OF_VOL_KINDS)}")
+    if kind not in _VOL_OF_VOL_KINDS:
+        raise ValueError(f"unknown vol_of_vol kind {kind!r}; expected one of {sorted(_VOL_OF_VOL_KINDS)}")
+    return _VOL_OF_VOL_KINDS[kind](sigma=float(d["sigma"]), drift=drift)
 
 
 def model_from_dict(cfg: dict) -> LsvModel:
@@ -531,29 +678,14 @@ def model_from_dict(cfg: dict) -> LsvModel:
 
 def model_to_dict(model: LsvModel) -> dict:
     """Inverse of :func:`model_from_dict`."""
-    lv = model.local_vol
-    if isinstance(lv, TanhLocalVol):
-        lv_d = {"kind": "tanh", "f0": lv.f0, "f1": lv.f1, "x0": lv.x0}
-    elif isinstance(lv, TaylorLocalVol):
-        lv_d = {"kind": "taylor_log", "eta0": lv.eta0, "eta1": lv.eta1, "eta2": lv.eta2, "eta3": lv.eta3}
-    else:
-        lv_d = {"kind": "constant"}
-    drift = model.vol_of_vol.drift
-    if isinstance(drift, ZeroDrift):
-        dr_d = {"kind": "zero"}
-    elif isinstance(drift, ConstantDrift):
-        dr_d = {"kind": "constant", "mu": drift.mu}
-    else:
-        dr_d = {"kind": "mean_reverting", "a": drift.a, "b": drift.b}
-    vv_kind = "lognormal" if isinstance(model.vol_of_vol, LognormalVolOfVol) else "square_root"
     return {
         "s0": model.s0,
         "v0": model.v0,
         "rho": model.rho,
         "r": model.r,
         "q": model.q,
-        "local_vol": lv_d,
-        "vol_of_vol": {"kind": vv_kind, "sigma": model.vol_of_vol.sigma, "drift": dr_d},
+        "local_vol": model.local_vol.to_dict(),
+        "vol_of_vol": model.vol_of_vol.to_dict(),
     }
 
 

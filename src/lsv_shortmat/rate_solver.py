@@ -17,13 +17,14 @@ One solver finds the minimum for both products and both factors: a 2x2
 trust-region Newton method on (log u, w), u = z/v0, w = y - log v0, with the
 exact gradient and Hessian of the objective.  The local-vol spec supplies
 eta' and eta'' for the VIX spot leg, and the vol-of-vol spec supplies Q and
-H with their derivatives (see :mod:`model`).  ``converged`` certifies a
-positive-definite Hessian with a Newton decrement below the objective's
-rounding error (see :func:`_minimize`).
+H with their derivatives, and the start point (see :mod:`model`).
+``converged`` certifies a positive-definite Hessian with a Newton decrement
+below the objective's rounding error (see :func:`_minimize`).
 
 Closed forms cover the special cases: lognormal stochastic vol (where the
-two-variable problem collapses to an explicit expression) and pure
-stochastic-vol VIX options under an affine VIX^2 mapping.
+two-variable problem collapses to an explicit expression) and VIX options
+under a constant eta or an affine VIX^2 mapping, where the vol-of-vol spec
+gives the rate (``variance_rate``).
 """
 
 from __future__ import annotations
@@ -42,9 +43,7 @@ from .model import (
     LocalVolSpec,
     LognormalVolOfVol,
     LsvModel,
-    SquareRootVolOfVol,
     VolOfVolSpec,
-    eta_log_coeffs,
     eta_sq_inverse,
     eta_sq_range,
     vix_spot,
@@ -92,13 +91,8 @@ def integral_IS(spec: LocalVolSpec, s0: float, z: float) -> float:
     """Spot integral from s0 to s0*z of dx / (x eta(x)).
 
     In log space this is the integral of 1/eta over k in [0, log z], which
-    the spec evaluates; the sign follows the orientation (negative for
-    z < 1).  The tanh spec uses the closed form
-    [f0 L - f1 log(cosh L + tau sinh L)] / (f0^2 - f1^2), L = log z, with
-    tau = (f0 tanh(-x0) + f1)/(f0 + f1 tanh(-x0)); the log is taken through
-    log1p for |L| < 1 (no cancellation near the money) and as
-    |L| + log(...) beyond (no overflow in the wings).  The constant spec
-    gives log z, the Taylor spec adaptive Gauss-Legendre quadrature.
+    the spec evaluates (``inv_eta_integral``); the sign follows the
+    orientation (negative for z < 1).
     """
     if z <= 0.0:
         raise ValueError("moneyness ratio must be positive")
@@ -106,11 +100,8 @@ def integral_IS(spec: LocalVolSpec, s0: float, z: float) -> float:
 
 
 def vol_integral_Q(spec: VolOfVolSpec, v0: float, y: float) -> float:
-    """Variance-leg integral from v0 to e^y of dx / (sqrt(x) sigma(x)).
-
-    Closed form for both supported factors: 2 (e^{y/2} - sqrt(v0)) / sigma
-    for the lognormal factor and (e^y - v0) / sigma for the square-root one.
-    """
+    """Variance-leg integral from v0 to e^y of dx / (sqrt(x) sigma(x)), in
+    the spec's closed form (``variance_leg``)."""
     if v0 <= 0.0:
         raise ValueError("v0 must be positive")
     return spec.variance_leg(y, v0)[0]
@@ -271,25 +262,6 @@ def _minimize(evaluate, start, w_bounds):
     return p, cur[0], evals, converged, margin(p) < 1e-6
 
 
-def _warm_start(model: LsvModel, k: float, vix_flavour: bool) -> tuple[float, float]:
-    """Minimiser expansion in log-moneyness for the lognormal family, the
-    flat path (0, 0) for the square-root family."""
-    if not isinstance(model.vol_of_vol, LognormalVolOfVol):
-        return (0.0, 0.0)
-    sigma = model.vol_of_vol.sigma
-    sv0 = math.sqrt(model.v0)
-    coeffs = eta_log_coeffs(model.local_vol, 1)
-    eta0 = coeffs[0]
-    eta1 = coeffs[1] if len(coeffs) > 1 else 0.0
-    if vix_flavour:
-        d = sigma + 2.0 * model.rho * eta1 * sv0
-        a1 = sigma * d / (d * d + 2.0 * (1.0 - model.rho**2) * eta1**2 * model.v0)
-    else:
-        a1 = model.rho * sigma / (2.0 * eta0 * sv0)
-    # log u* = a1 k; log v* = a1 k with w = y - log v0 = 2 log v*
-    return (a1 * k, 2.0 * a1 * k)
-
-
 def _rate_point(model: LsvModel, strike: float, solved) -> RatePoint:
     p, value, evals, converged, boundary_hit = solved
     return RatePoint(strike, value, math.log(model.v0) + p[1], model.v0 * math.exp(p[0]), evals,
@@ -307,7 +279,7 @@ def european_rate(model: LsvModel, strike: float) -> RatePoint:
         return RatePoint(strike, 0.0, math.log(model.v0), model.v0, 0, True)
     i_s = integral_IS(model.local_vol, model.s0, strike / model.s0)
     evaluate = _rate_objective(model, lambda y: (i_s, 0.0, 0.0))
-    solved = _minimize(evaluate, _warm_start(model, k, vix_flavour=False), (-_BOX, _BOX))
+    solved = _minimize(evaluate, model.vol_of_vol.warm_start(model, k, False), (-_BOX, _BOX))
     return _rate_point(model, strike, solved)
 
 
@@ -327,36 +299,38 @@ def _vix_spot_leg(spec: LocalVolSpec, s0: float, strike: float):
 def vix_rate(model: LsvModel, strike: float) -> RatePoint:
     """Rate function of an out-of-the-money VIX option.
 
-    For a constant local-vol spec (pure stochastic volatility) the problem
-    collapses to the explicit stochastic-vol rate with the identity VIX^2
-    mapping.  Otherwise eta must be strictly monotone so that the spot level
-    k*(y) with eta(k*)^2 = K^2 e^{-y} is well defined; the search in y is
-    restricted to keep K^2 e^{-y} inside the range of eta^2.
+    For a constant eta = c (pure stochastic volatility when c = 1) the VIX
+    c sqrt(V_T) pins the terminal variance at K^2/c^2 and leaves the spot
+    free, so the rate is the vol-of-vol spec's ``variance_rate``.
+    Otherwise eta must be strictly monotone so that the spot level k*(y)
+    with eta(k*)^2 = K^2 e^{-y} is well defined; the search in y is
+    restricted to keep K^2 e^{-y} inside the range of eta^2, whose lower
+    end is open when it is 0 (eta reaches zero).
     """
     if strike <= 0.0:
         raise ValueError("strike must be positive")
     if abs(model.rho) >= 1.0:
         raise ValueError("|rho| = 1 is degenerate here; use the closed forms")
-    f0 = vix_spot(model)
-    x = math.log(strike / f0)
+    x = math.log(strike / vix_spot(model))
     if x == 0.0:
         return RatePoint(strike, 0.0, math.log(model.v0), model.v0, 0, True)
-    if isinstance(model.local_vol, ConstantLocalVol):
-        rate = stochvol_vix_rate(model.vol_of_vol, model.v0, strike)
-        return RatePoint(strike, rate, 2.0 * math.log(strike), model.v0, 0, True)
-
     spec, s0 = model.local_vol, model.s0
+    k2 = strike * strike
+    c = spec.constant_eta()
+    if c is not None:
+        rate = model.vol_of_vol.variance_rate(k2 / (c * c), model.v0)
+        return RatePoint(strike, rate, 2.0 * math.log(strike / c), model.v0, 0, True)
+
     log_v0 = math.log(model.v0)
     w_lo, w_hi = eta_sq_range(spec)
-    k2 = strike * strike
     # eta^2(s0 zeta) = K^2 e^{-y} solvable iff y in (log(K^2/w_hi), log(K^2/w_lo))
     pad = 1e-12
     lo = max(math.log(k2 / w_hi) + pad - log_v0, -_BOX)
-    hi = min(math.log(k2 / w_lo) - pad - log_v0, _BOX)
+    hi = min(math.log(k2 / w_lo) - pad - log_v0, _BOX) if w_lo > 0.0 else _BOX
     if lo >= hi:
         raise ValueError("strike-variance constraint has empty feasible range")
 
-    log_u, w = _warm_start(model, x, vix_flavour=True)
+    log_u, w = model.vol_of_vol.warm_start(model, x, True)
     # start well inside the band
     edge = 0.1 * (hi - lo)
     start = (log_u, min(max(w, lo + edge), hi - edge))
@@ -369,9 +343,8 @@ def stochvol_vix_rate(spec: VolOfVolSpec, v0: float, strike: float, mapping=None
 
     ``mapping`` is any object with ``alpha``/``beta`` attributes (see
     :class:`lsv_shortmat.smile.VixMapping`); None means the identity mapping.
-    J = (1/2) (integral_{v0}^{F^{-1}(K^2)} dx / (x sigma(x)))^2 evaluated in
-    closed form: lognormal gives log^2(F^{-1}(K^2)/v0) / (2 sigma^2) and
-    square-root gives 2 (sqrt(F^{-1}(K^2)) - sqrt(v0))^2 / sigma^2.
+    J is the spec's ``variance_rate`` at the variance F^{-1}(K^2) that the
+    strike pins.
     """
     alpha, beta = (1.0, 0.0) if mapping is None else (mapping.alpha, mapping.beta)
     if strike <= 0.0 or v0 <= 0.0:
@@ -381,13 +354,7 @@ def stochvol_vix_rate(spec: VolOfVolSpec, v0: float, strike: float, mapping=None
     k2 = strike * strike
     if k2 <= beta:
         raise ValueError(f"strike^2 = {k2} not above the mapping floor beta = {beta}")
-    v_target = (k2 - beta) / alpha
-    sigma = spec.sigma
-    if isinstance(spec, LognormalVolOfVol):
-        return math.log(v_target / v0) ** 2 / (2.0 * sigma * sigma)
-    if isinstance(spec, SquareRootVolOfVol):
-        return 2.0 * (math.sqrt(v_target) - math.sqrt(v0)) ** 2 / (sigma * sigma)
-    raise ValueError(f"unsupported vol-of-vol spec {spec!r}")
+    return spec.variance_rate((k2 - beta) / alpha, v0)
 
 
 def sabr_rate_closed(model: LsvModel, strike: float) -> float:

@@ -292,19 +292,14 @@ def atm_price_limit_european(model: LsvModel) -> float:
 def atm_price_limit_vix(model: LsvModel) -> float:
     """Limit of the ATM VIX option price over sqrt(T) as T -> 0.
 
-    sigma(V0) is the level of the variance diffusion coefficient: the
-    lognormal family contributes sigma, the square-root family
-    sigma/sqrt(V0).
+    sigma(V0) is the vol of vol of dV/V at V0 (``sigma_at`` on the
+    vol-of-vol spec): sigma for the lognormal family, sigma/sqrt(V0) for
+    the square-root family.
     """
     eta0, eta1 = eta_log_coeffs(model.local_vol, 1)
     v0 = model.v0
     rho = model.rho
-    if isinstance(model.vol_of_vol, LognormalVolOfVol):
-        sig_v0 = model.vol_of_vol.sigma
-    elif isinstance(model.vol_of_vol, SquareRootVolOfVol):
-        sig_v0 = model.vol_of_vol.sigma / math.sqrt(v0)
-    else:
-        raise ValueError(f"unsupported vol-of-vol spec {model.vol_of_vol!r}")
+    sig_v0 = model.vol_of_vol.sigma_at(v0)
     # eta'(S0) S0 = eta1, so the local-vol leg is eta1 * eta0 * V0
     first = eta0 * 0.5 * sig_v0 * math.sqrt(v0) + eta1 * eta0 * v0 * rho
     second = eta1 * eta0 * v0 * math.sqrt(max(0.0, 1.0 - rho * rho))

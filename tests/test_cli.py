@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from lsv_shortmat import heston_rate, rate_solver
 from lsv_shortmat.cli import main
 from lsv_shortmat.model import model_from_dict
 from lsv_shortmat.rate_solver import sabr_rate_closed
@@ -155,6 +156,32 @@ class TestRate:
         assert rates[2] == pytest.approx(0.0, abs=1e-9)  # ATM
         assert rates[0] > 0 and rates[-1] > 0
         assert all(r[6] == "true" for r in rows)
+
+
+class TestUncertifiedSolves:
+    """iv_rate prints nan where the rate solve does not certify a minimum."""
+
+    def test_smile_square_root(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "sqrt.json"
+        path.write_text(json.dumps(dict(TABLE_MODEL, vol_of_vol={"kind": "square_root", "sigma": 1.0})))
+        # no Legendre transform is then certified, so no rate solve is
+        monkeypatch.setattr(heston_rate, "_GRAD_TOL", 0.0)
+        _, out, _ = run_cli(["smile", "--model", str(path), "--kcount", "5"], capsys)
+        _, rows = parse_csv(out)
+        assert [r[3] for r in rows] == ["nan", "nan", rows[2][2], "nan", "nan"]  # ATM: the expansion
+
+    def test_compare_stopped_solves(self, model_file, capsys, monkeypatch):
+        # stopped after one evaluation, a solve leaves a finite, plausible rate
+        monkeypatch.setattr(rate_solver, "_MAX_EVALS", 1)
+        _, out, _ = run_cli(["rate", "--model", model_file, "--kcount", "3"], capsys)
+        _, rows = parse_csv(out)
+        assert [r[6] for r in rows] == ["false", "true", "false"]
+        assert all(math.isfinite(float(r[2])) for r in rows)
+        _, out, _ = run_cli(["compare", "--model", model_file, "--paths", "4096", "--steps", "5",
+                             "--kmin", "-0.1", "--kmax", "0.1", "--kcount", "2"], capsys)
+        _, rows = parse_csv(out)
+        assert [r[3] for r in rows] == ["nan", "nan"]
+        assert all(math.isfinite(float(r[4])) for r in rows)
 
 
 class TestMcAndCompare:

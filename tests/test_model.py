@@ -1,11 +1,13 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from lsv_shortmat.model import (
+    ConstantDrift,
     ConstantLocalVol,
     LognormalVolOfVol,
     LsvModel,
@@ -264,6 +266,13 @@ class TestJsonConfig:
         path.write_text(json.dumps(d))
         assert load_model(str(path)) == model
 
+    @pytest.mark.parametrize("local_vol", [TANH, TaylorLocalVol(1.0, -0.2, 0.1, 0.05), ConstantLocalVol()])
+    @pytest.mark.parametrize("drift", [ZeroDrift(), ConstantDrift(0.3), MeanRevertingDrift(2.0, 0.04)])
+    @pytest.mark.parametrize("family", [LognormalVolOfVol, SquareRootVolOfVol])
+    def test_round_trip_every_spec(self, local_vol, drift, family):
+        model = table_model(local_vol=local_vol, vol_of_vol=family(0.5, drift=drift))
+        assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
+
     def test_defaults(self):
         cfg = {
             "s0": 1.0, "v0": 0.1, "rho": 0.0,
@@ -282,3 +291,33 @@ class TestJsonConfig:
         }
         with pytest.raises(ValueError):
             model_from_dict(cfg)
+
+
+def _curvature_sup_oracle(f0, f1, x0):
+    """sup over x of |g''(x) - g'(x)|, g = (f0 + f1 tanh(x - x0))^2, from
+    mpmath derivatives of g: each local maximum of |g'' - g'| on a grid is
+    refined as a root of g''' - g'' at 40 digits."""
+    mp.mp.dps = 40
+
+    def g(x):
+        return (f0 + f1 * mp.tanh(x - x0)) ** 2
+
+    def h(x):
+        return mp.diff(g, x, 2) - mp.diff(g, x, 1)
+
+    xs = np.linspace(-12.0, 12.0, 1201)
+    hs = np.abs([float(h(x)) for x in xs])
+    peaks = [xs[i] for i in range(1, len(xs) - 1) if hs[i] >= hs[i - 1] and hs[i] >= hs[i + 1]]
+    best = max(abs(h(mp.findroot(lambda x: mp.diff(g, x, 3) - mp.diff(g, x, 2), mp.mpf(x)))) for x in peaks)
+    return float(best)
+
+
+class TestTanhProxyCurvature:
+    @pytest.mark.parametrize("x0", [0.0, 0.4])
+    @pytest.mark.parametrize("f1", [-0.5, 0.3])
+    def test_against_mpmath(self, x0, f1):
+        _, _, sup = TanhLocalVol(1.0, f1, x0).proxy_bounds()
+        assert sup == pytest.approx(_curvature_sup_oracle(1.0, f1, x0), rel=1e-12)
+
+    def test_flat_eta_has_no_curvature(self):
+        assert TanhLocalVol(1.0, 0.0).proxy_bounds() == (0.0, 1.0, 0.0)

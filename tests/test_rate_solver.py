@@ -323,6 +323,83 @@ class TestSabrClosedForm:
             sabr_rate_closed(table_model(0.0), 1.1)
 
 
+def heston_rate_oracle(rho, sigma, v0, x):
+    """sup_p [p x - Lambda(p)] with the Heston short-time cumulant
+    Lambda(p) = v0 p / (sigma (rhobar cot(sigma rhobar p / 2) - rho)),
+    rhobar = sqrt(1 - rho^2) (Forde & Jacquier 2009), written independently
+    of the package: the maximiser solves Lambda'(p) = x by Brent iteration
+    between p = 0 and the pole on the side of x."""
+    rb = math.sqrt(1.0 - rho * rho)
+
+    def lam(p):
+        return v0 * p / (sigma * (rb / math.tan(0.5 * sigma * rb * p) - rho))
+
+    def dlam(p):
+        th = 0.5 * sigma * rb * p
+        d = rb / math.tan(th) - rho
+        d1 = -0.5 * sigma * rb * rb / math.sin(th) ** 2
+        return v0 * (d - p * d1) / (sigma * d * d)
+
+    top = 2.0 * math.atan2(rb, rho) / (sigma * rb)
+    pole = top if x > 0.0 else top - 2.0 * math.pi / (sigma * rb)
+    p = brentq(lambda q: dlam(q) - x, pole * 1e-9, pole * (1.0 - 1e-12), xtol=1e-300, rtol=8.9e-16)
+    return p * x - lam(p)
+
+
+class TestLiteratureReductions:
+    """The reductions the paper says its asymptotics reproduce."""
+
+    @pytest.mark.parametrize("rho", [-0.7, -0.3, 0.0, 0.5])
+    @pytest.mark.parametrize("k", [-0.3, -0.1, 0.1, 0.3])
+    def test_heston(self, rho, k):
+        # constant local vol with a square-root factor is the Heston model
+        model = LsvModel(s0=1.0, v0=0.04, rho=rho, local_vol=ConstantLocalVol(),
+                         vol_of_vol=SquareRootVolOfVol(1.0))
+        pt = european_rate(model, math.exp(k))
+        assert pt.converged
+        assert pt.rate == pytest.approx(heston_rate_oracle(rho, 1.0, 0.04, k), rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["lognormal", "square_root"])
+    @pytest.mark.parametrize("k", [-0.3, -0.1, 0.1, 0.3])
+    def test_uncorrelated_lsv(self, family, k):
+        # at rho = 0, J_LSV(e^k) = J_SV(e^L) with L the integral of 1/eta
+        # over [0, k] (Forde & Jacquier 2011)
+        vol = LognormalVolOfVol(1.0) if family == "lognormal" else SquareRootVolOfVol(1.0)
+        lsv = LsvModel(s0=1.0, v0=0.04, rho=0.0, local_vol=TanhLocalVol(1.0, -0.5, 0.2), vol_of_vol=vol)
+        sv = LsvModel(s0=1.0, v0=0.04, rho=0.0, local_vol=ConstantLocalVol(), vol_of_vol=vol)
+        big_l = lsv.local_vol.inv_eta_integral(k)
+        if family == "lognormal":
+            expected = sabr_rate_closed(sv, math.exp(big_l))
+        else:
+            expected = heston_rate_oracle(0.0, 1.0, 0.04, big_l)
+        pt = european_rate(lsv, math.exp(k))
+        assert pt.converged
+        assert pt.rate == pytest.approx(expected, rel=1e-12)
+
+
+class TestVixBandEdges:
+    @pytest.mark.parametrize("eta1", [-0.3, 0.3])
+    @pytest.mark.parametrize("k", [-0.2, 0.2])
+    @pytest.mark.parametrize("vol", [LognormalVolOfVol(1.0), SquareRootVolOfVol(1.0)], ids=["lognormal", "square_root"])
+    def test_eta_reaching_zero_leaves_band_open(self, eta1, k, vol):
+        # eta = 1 + eta1 k vanishes inside the +-50 window, so the range of
+        # eta^2 starts at 0 and the band of y has no upper edge from it
+        model = LsvModel(s0=1.0, v0=0.04, rho=-0.5, local_vol=TaylorLocalVol(eta0=1.0, eta1=eta1),
+                         vol_of_vol=vol)
+        assert eta_sq_range(model.local_vol)[0] == 0.0
+        pt = vix_rate(model, vix_spot(model) * math.exp(k))
+        assert not pt.converged or (math.isfinite(pt.rate) and pt.rate > 0.0)
+
+    @pytest.mark.parametrize("spec", [TanhLocalVol(1.3, 0.0), TaylorLocalVol(1.3)])
+    def test_constant_eta_pins_the_variance(self, spec):
+        # VIX = 1.3 sqrt(V_T): the strike fixes V_T = K^2 / 1.3^2
+        model = LsvModel(s0=1.0, v0=0.04, rho=-0.5, local_vol=spec, vol_of_vol=LognormalVolOfVol(1.0))
+        strike = 0.3
+        pt = vix_rate(model, strike)
+        assert pt.converged
+        assert pt.rate == pytest.approx(math.log(strike**2 / 1.69 / 0.04) ** 2 / 2.0, rel=1e-14)
+
+
 class TestRateToImpvol:
     def test_inversion_identity(self):
         sigma0, k = 0.25, 0.1
@@ -517,7 +594,7 @@ def _replaced_rate(model, product, log_moneyness):
     h_fn = h_lognormal if isinstance(vol, LognormalVolOfVol) else h_heston
     v0, rho, log_v0 = model.v0, model.rho, math.log(model.v0)
     lognormal = isinstance(vol, LognormalVolOfVol)
-    warm = np.array(rate_solver._warm_start(model, log_moneyness, product == "vix"))
+    warm = np.array(vol.warm_start(model, log_moneyness, product == "vix"))
     starts = [warm, np.zeros(2)] if lognormal else [np.zeros(2)]
     y_bounds = None
     if product == "european":

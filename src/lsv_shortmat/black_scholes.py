@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._roots import newton_bracketed
+
 __all__ = ["OptionQuote", "black_price", "black_vega", "implied_vol"]
 
 _SQRT2 = math.sqrt(2.0)
@@ -72,9 +74,14 @@ def implied_vol(quote: OptionQuote) -> float:
     """Invert Black for the volatility.
 
     The price must sit strictly inside the arbitrage band
-    (intrinsic, upper bound).  Bisection establishes a tight bracket and a
-    few Newton steps polish to |price error| <= 1e-12 * forward; monotonicity
-    of Black in vol makes the root unique.
+    (intrinsic, upper bound), and the vol inside (1e-12, 20].  Black is
+    increasing in vol, so the root is unique; safeguarded Newton iteration
+    with the analytic vega resolves it to machine precision.  It starts at
+    the inflection point sqrt(2 |log(F/K)| / T) of the price in vol, from
+    which plain Newton converges monotonically; the safeguard bisects where
+    that convergence is slow, as for deep out-of-the-money quotes.  No price
+    tolerance is used: those quotes span many orders of magnitude below any
+    absolute one.
     """
     lo_band = quote.intrinsic()
     hi_band = quote.upper_bound()
@@ -84,15 +91,11 @@ def implied_vol(quote: OptionQuote) -> float:
             f"for F={quote.forward}, K={quote.strike}, call={quote.is_call}"
         )
     f, k, t, call, target = quote.forward, quote.strike, quote.maturity, quote.is_call, quote.price
-    tol = 1e-12 * f
 
     def err(v: float) -> float:
         return black_price(f, k, v, t, call) - target
 
-    lo, hi = 1e-6, 5.0
-    while err(hi) < 0.0 and hi < 20.0:
-        hi *= 2.0
-    hi = min(hi, 20.0)
+    lo, hi = 1e-6, 20.0
     if err(hi) < 0.0:
         raise ValueError("implied vol above the search cap of 20")
     if err(lo) > 0.0:
@@ -100,32 +103,5 @@ def implied_vol(quote: OptionQuote) -> float:
         lo = 1e-12
         if err(lo) > 0.0:
             raise ValueError("price below attainable Black values at the vol floor")
-    # Bisection drives the bracket all the way to machine width: stopping on
-    # a price tolerance instead would accept far-off vols for deep
-    # out-of-the-money quotes, whose prices vary by many orders of magnitude
-    # below any absolute tolerance.  Newton then polishes the last bits.
-    while hi - lo > math.ulp(hi):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        e = err(mid)
-        if e == 0.0:
-            return mid
-        if e < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    v = 0.5 * (lo + hi)
-    e = err(v)
-    for _ in range(5):
-        vega = black_vega(f, k, v, t)
-        if e == 0.0 or vega <= 0.0:
-            break
-        v_new = v - e / vega
-        if v_new <= 0.0 or not math.isfinite(v_new):
-            break
-        e_new = err(v_new)
-        if abs(e_new) >= abs(e):
-            break
-        v, e = v_new, e_new
-    return v
+    start = math.sqrt(2.0 * abs(math.log(f / k)) / t)
+    return newton_bracketed(err, lambda v: black_vega(f, k, v, t), start, lo, hi)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._roots import newton_bracketed
+
 __all__ = [
     "FBranchSolution",
     "solve_f_branch",
@@ -50,46 +52,6 @@ class FBranchSolution:
     f_value: float
 
 
-def _newton_bracketed(f, fprime, x0: float, lo: float, hi: float) -> float:
-    """Newton iteration safeguarded by a maintained bracket [lo, hi].
-
-    Falls back to bisection whenever the Newton step leaves the bracket and
-    iterates to a float fixpoint (or a two-cycle of adjacent floats), so the
-    root is resolved to machine precision.  f(lo) and f(hi) must have
-    opposite signs; signs are compared directly, never via products, which
-    can underflow to -0.0.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    neg_lo = flo < 0.0
-    if neg_lo == (fhi < 0.0):
-        raise ValueError("root not bracketed")
-    x = min(max(x0, lo), hi)
-    x_prev = math.nan
-    for _ in range(200):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == neg_lo:
-            lo = x
-        else:
-            hi = x
-        dfx = fprime(x)
-        step_ok = dfx != 0.0
-        if step_ok:
-            x_new = x - fx / dfx
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if x_new == x or x_new == x_prev or hi - lo <= 4.0 * math.ulp(hi):
-            return x_new
-        x_prev, x = x, x_new
-    return x
-
-
 def solve_f_branch(rho: float) -> FBranchSolution:
     """Solve the defining equation of F on the branch selected by rho."""
     if rho <= 0.0:
@@ -116,7 +78,7 @@ def solve_f_branch(rho: float) -> FBranchSolution:
         # epsilon only when 1 - rho does, so 1e-12 stays below it whenever
         # the branch is numerically distinguishable from rho = 1.
         lo = min(1e-12, 0.5 * guess)
-        x1 = _newton_bracketed(g, gp, guess, lo, hi)
+        x1 = newton_bracketed(g, gp, guess, lo, hi)
         value = 0.5 * x1 * x1 - rho * math.cosh(x1) + _PI2_HALF
         return FBranchSolution(rho=rho, branch="cosh", root=x1, f_value=value)
 
@@ -132,7 +94,7 @@ def solve_f_branch(rho: float) -> FBranchSolution:
 
     guess = math.sqrt(min(6.0 * (rho - 1.0) / rho, math.pi**2 * 0.9))
     lo = min(1e-12, 0.5 * guess) if guess > 0.0 else 1e-12
-    d1 = _newton_bracketed(g, gp, guess, lo, math.pi)
+    d1 = newton_bracketed(g, gp, guess, lo, math.pi)
     y1 = math.pi - d1
     value = -0.5 * y1 * y1 + rho * math.cos(y1) + math.pi * y1
     return FBranchSolution(rho=rho, branch="cos", root=y1, f_value=value)

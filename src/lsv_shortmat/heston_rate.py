@@ -17,7 +17,7 @@ and as a quartic expansion in (log x, log y) that serves as a cross-check.
 Lambda is a Moebius function of phi, so the best phi at fixed theta is
 explicit and the transform reduces to a concave maximisation over theta
 alone, with closed-form slope and curvature; Newton ascent from the series
-warm start solves it, and Nelder-Mead is only a last resort (see
+warm start solves it and certifies the maximiser it finds (see
 :func:`legendre_point`).  The variance-path rate function for a factor
 started at v0 is the rescaling  H(y, z) = v0 * I_H(z/v0, e^y/v0).
 """
@@ -27,8 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import brentq, minimize
+# Not used here: the benchmark tracer (perfbench/tracing.py) rebinds this
+# name on this module, so it stays importable from it.
+from scipy.optimize import minimize  # noqa: F401
+
+from ._roots import newton_bracketed
 
 __all__ = [
     "CumulantPoint",
@@ -107,10 +110,14 @@ def boundary_theta_c(phi: float, sigma: float) -> float:
     def g(c: float) -> float:
         return (2.0 * c / sigma) * math.cos(c) - sigma * phi * math.sin(c)
 
+    def gp(c: float) -> float:
+        return (2.0 / sigma) * (math.cos(c) - c * math.sin(c)) - sigma * phi * math.cos(c)
+
     lo, hi = 1e-12, math.pi * (1.0 - 1e-14)
     if g(lo) <= 0.0 or g(hi) >= 0.0:
         return math.inf
-    c_star = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    # g(pi/2) = -sigma phi: the root lies below pi/2 for phi > 0, above for phi < 0
+    c_star = newton_bracketed(g, gp, 0.5 * math.pi, lo, hi)
     return 2.0 * c_star * c_star / (sigma * sigma)
 
 
@@ -233,8 +240,10 @@ def legendre_point(x: float, y: float, sigma: float) -> LegendrePoint:
     ``converged`` certifies a stationary point: the gradient of the
     objective at (theta, phi*) is (G', 0), and its Hessian is negative
     definite exactly when G'' < 0 (Lambda_phi_phi = 2 a g / D^3 > 0), so
-    converged means |G'| <= 1e-9 max(1, x, y) with G'' < 0.  Nelder-Mead on
-    G is the last resort when Newton does not get there.
+    converged means |G'| <= 1e-9 max(1, x, y) with G'' < 0.  There is no
+    fallback: an uncertified point is returned with ``converged`` False,
+    which :func:`rate_IH_numeric` raises on and :func:`rate_IH_derivatives`
+    reports as None.
     """
     if not (0.0 < x < math.inf and 0.0 < y < math.inf):
         raise ValueError("transform arguments must be positive and finite")
@@ -253,10 +262,6 @@ def legendre_point(x: float, y: float, sigma: float) -> LegendrePoint:
         slope = x + (1.0 + y) * k1 - 2.0 * sqrt_y * m1
         curv = a * ((1.0 + y) * k2 - 2.0 * sqrt_y * m2)
         return value, noise, slope, curv, (k - m / sqrt_y) / a
-
-    def stationary(pt) -> bool:
-        _, _, slope, curv, _ = pt
-        return abs(slope) <= _GRAD_TOL * scale and curv < 0.0
 
     scale = max(1.0, x, y)
     theta = _warm_start(math.log(x), math.log(y), sigma)
@@ -284,24 +289,10 @@ def legendre_point(x: float, y: float, sigma: float) -> LegendrePoint:
         theta, cur = theta + t * step, cand
         if last:
             break
-    converged = stationary(cur)
-    if not converged:
-
-        def neg_value(q: np.ndarray) -> float:
-            pt = evaluate(float(q[0]))
-            return math.inf if pt is None else -pt[0]
-
-        res = minimize(neg_value, np.array([theta]), method="Nelder-Mead",
-                       options=dict(xatol=1e-12, fatol=1e-15, maxiter=6000, maxfev=6000))
-        iters += res.nit
-        cand = evaluate(float(res.x[0]))
-        if cand is not None and cand[0] >= cur[0]:
-            theta, cur = float(res.x[0]), cand
-        converged = stationary(cur)
+    value, _, slope, curv, phi = cur
     # the sup includes (0, 0) where the objective vanishes
-    value = max(cur[0], 0.0)
-    return LegendrePoint(x=x, y=y, sigma=sigma, value=value, theta=float(theta), phi=float(cur[4]),
-                         iterations=iters, converged=bool(converged))
+    return LegendrePoint(x=x, y=y, sigma=sigma, value=max(value, 0.0), theta=theta, phi=phi,
+                         iterations=iters, converged=abs(slope) <= _GRAD_TOL * scale and curv < 0.0)
 
 
 def rate_IH_numeric(x: float, y: float, sigma: float) -> float:

@@ -51,9 +51,9 @@ from typing import Callable, Union
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
+from ._roots import newton_bracketed
 from .hartman_watson import hw_F_derivatives
 from .heston_rate import rate_IH_derivatives
 
@@ -256,32 +256,16 @@ class TaylorLocalVol:
         return all(abs(r) >= _LOG_BRACKET_CAP for r in roots)
 
     def eta_sq_log_inverse(self, w: float) -> float:
-        """Root of eta(k)^2 = w, bracketed by geometric expansion away from
-        k = 0 (capped at +-50) and solved by Brent iteration to full
-        precision; the polynomial must be monotone on that window."""
+        """Root of eta(k)^2 = w on the capped window [-50, 50], by safeguarded
+        Newton iteration to full precision; the polynomial must be monotone
+        on that window, so the window brackets every target in
+        :meth:`eta_sq_range` and eta(k) = sqrt(w) has one root there."""
         if not self._is_monotone():
             raise ValueError("taylor local vol spec is not monotone; inversion unsupported")
         _check_eta_sq_target(w, *self.eta_sq_range())
         target = math.sqrt(w)
-
-        def g(k: float) -> float:
-            return self.eta(k) - target
-
-        g0 = g(0.0)
-        if g0 == 0.0:
-            return 0.0
-        # expand geometrically until the sign changes
-        step = 1.0
-        k_prev = 0.0
-        sign0 = math.copysign(1.0, g0)
-        while step <= _LOG_BRACKET_CAP:
-            for k_try in (step, -step):
-                if math.copysign(1.0, g(k_try)) != sign0:
-                    lo, hi = sorted((math.copysign(k_prev, k_try), k_try))
-                    return brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
-            k_prev = step
-            step *= 2.0
-        raise ValueError("failed to bracket eta^2 inversion within the search cap")
+        return newton_bracketed(lambda k: self.eta(k) - target, lambda k: self.eta_derivatives(k)[1],
+                                0.0, -_LOG_BRACKET_CAP, _LOG_BRACKET_CAP)
 
     def eta_sq_range(self) -> tuple[float, float]:
         """Range over the capped log-moneyness window, restricted to the

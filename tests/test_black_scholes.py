@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lsv_shortmat.black_scholes import OptionQuote, black_price, black_vega, implied_vol
 
@@ -58,6 +60,16 @@ class TestImpliedVol:
                     continue  # underflowed beyond float support; uninvertible
                 quote = OptionQuote(forward=f, strike=k, maturity=t, is_call=is_call, price=price)
                 assert implied_vol(quote) == pytest.approx(vol, abs=1e-10)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(t=st.floats(1.0 / 52.0, 1.0), vol=st.floats(0.02, 3.0), z=st.floats(-6.0, 6.0))
+    def test_round_trip_property(self, t, vol, z):
+        # out-of-the-money quotes up to six standard deviations from the money
+        k = math.exp(z * vol * math.sqrt(t))
+        is_call = k >= 1.0
+        price = black_price(1.0, k, vol, t, is_call)
+        assume(price > 1e-300)
+        assert implied_vol(OptionQuote(1.0, k, t, is_call, price)) == pytest.approx(vol, rel=1e-11)
 
     def test_atm_example(self):
         f = 1.0

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize, minimize_scalar
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 from lsv_shortmat import cli, heston_rate
 from lsv_shortmat.heston_rate import (
@@ -86,6 +88,26 @@ class TestBoundary:
 
     def test_saturated_phi(self):
         assert boundary_theta_c(2.0, 1.0) == 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(phi=st.floats(-50.0, 10.0), sigma=st.sampled_from((0.2, 0.5, 1.0, 2.0, 5.0)))
+    def test_against_brentq(self, phi, sigma):
+        theta_c = boundary_theta_c(phi, sigma)
+        if sigma * sigma * phi >= 2.0:
+            assert theta_c == 0.0
+            return
+
+        def g(c):
+            return (2.0 * c / sigma) * math.cos(c) - sigma * phi * math.sin(c)
+
+        c = brentq(g, 1e-12, math.pi * (1.0 - 1e-14), xtol=1e-300, rtol=8.9e-16)
+        # the rounding error of g over its slope bounds how far the root of
+        # the float equation can move; it exceeds 1e-14 relative only as
+        # sigma^2 phi -> 2, where the root tends to 0
+        slope = (2.0 / sigma) * (math.cos(c) - c * math.sin(c)) - sigma * phi * math.cos(c)
+        noise = 4.0 * np.finfo(float).eps * (abs(2.0 * c / sigma * math.cos(c)) + abs(sigma * phi * math.sin(c)))
+        rel = 1e-14 + 2.0 * noise / (abs(slope) * c)
+        assert theta_c == pytest.approx(2.0 * c * c / (sigma * sigma), rel=rel)
 
 
 class TestLegendreTransform:
@@ -443,19 +465,14 @@ class TestConvergenceCertificate:
         assert len(out.read_text().splitlines()) == 26
         assert len(calls) == 0
 
-    def test_fallback_reports_uncertified_point(self, monkeypatch):
+    def test_forced_non_certification_reports_unconverged(self, monkeypatch):
+        # there is no fallback: an uncertified maximiser is returned as Newton
+        # left it, flagged, and every caller that needs a certificate refuses it
         x, y = math.exp(0.7), math.exp(-0.4)
         newton = legendre_point(x, y, 1.0)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return minimize(*args, **kwargs)
-
-        monkeypatch.setattr(heston_rate, "minimize", counting)
         monkeypatch.setattr(heston_rate, "_GRAD_TOL", 0.0)
         pt = legendre_point(x, y, 1.0)
-        assert len(calls) == 1 and not pt.converged
+        assert newton.converged and not pt.converged
         assert pt.value == pytest.approx(newton.value, rel=1e-12)
         with pytest.raises(RuntimeError):
             rate_IH_numeric(x, y, 1.0)

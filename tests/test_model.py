@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from lsv_shortmat.model import (
@@ -172,6 +174,30 @@ class TestEtaSqInverse:
         spec = TaylorLocalVol(eta0=1.0, eta1=-0.2)
         w = eta_eval(spec, 1.5, 1.0) ** 2
         assert eta_sq_inverse(spec, w, 1.0) == pytest.approx(1.5, rel=1e-10)
+
+    def test_taylor_root_beyond_32(self):
+        # the whole +-50 window brackets the root; a root at |k| > 32 is found
+        spec = TaylorLocalVol(0.5754, -0.00637)
+        assert spec.eta_sq_log_inverse(float(spec.eta(40.0)) ** 2) == pytest.approx(40.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(eta0=st.floats(0.05, 2.0), eta1=st.floats(-1.0, 1.0), eta2=st.floats(-1e-2, 1e-2),
+           eta3=st.floats(-1e-4, 1e-4), q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_taylor_inverse_on_whole_range(self, eta0, eta1, eta2, eta3, q):
+        # every target in the reported range inverts, to the residual the
+        # float polynomial allows: 8 ulp of sqrt(w), plus eta' times the float
+        # spacing of k, plus the rounding of its Horner terms
+        spec = TaylorLocalVol(eta0, eta1, eta2, eta3)
+        assume(spec._is_monotone())
+        w_lo, w_hi = spec.eta_sq_range()
+        w = w_lo + q * (w_hi - w_lo)
+        assume(w_lo < w < w_hi)
+        k = spec.eta_sq_log_inverse(w)
+        target = math.sqrt(w)
+        terms = sum(abs(c) * abs(k) ** i for i, c in enumerate(spec.log_coeffs()))
+        bound = (8.0 * math.ulp(target) + abs(spec.eta_derivatives(k)[1]) * math.ulp(k)
+                 + 4.0 * np.finfo(float).eps * terms)
+        assert abs(float(spec.eta(k)) - target) <= bound
 
     @pytest.mark.parametrize("spec", [
         TANH,

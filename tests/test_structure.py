@@ -3,7 +3,9 @@
 Each spec class owns its formulas, so callers dispatch on the class rather
 than test its type.  The number of ``isinstance`` calls may only fall, and
 every spec class exposes the same methods as the others of its kind, so a
-new spec cannot quietly need a type ladder in a caller.
+new spec cannot quietly need a type ladder in a caller.  Every scalar root
+goes through the one safeguarded solver in ``_roots``, so no module brings
+in another.
 """
 
 import ast
@@ -20,6 +22,12 @@ PACKAGE = Path(model.__file__).resolve().parent
 # guards of rate_solver.sabr_rate_closed
 MAX_ISINSTANCE = 6
 
+# scipy root finders the package solver replaces
+FOREIGN_ROOT_FINDERS = {"brentq", "bisect", "newton", "root_scalar"}
+# scipy.optimize names that stay imported only because the benchmark tracer
+# (perfbench/tracing.py) rebinds them on the package's modules
+TRACED_OPTIMIZE_NAMES = {"minimize", "minimize_scalar"}
+
 SPEC_KINDS = {
     "LocalVol": model.LocalVolSpec,
     "Drift": model.DriftSpec,
@@ -35,6 +43,24 @@ def test_isinstance_sites():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
     ]
     assert len(sites) <= MAX_ISINSTANCE, sites
+
+
+def test_one_root_solver():
+    foreign, optimize_names, definitions = [], set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                foreign += [f"{path.name}:{node.lineno}:{n}" for n in sorted(names & FOREIGN_ROOT_FINDERS)]
+                if node.module == "scipy.optimize":
+                    optimize_names |= names
+            elif isinstance(node, ast.Attribute) and node.attr in FOREIGN_ROOT_FINDERS:
+                foreign.append(f"{path.name}:{node.lineno}:{node.attr}")
+            elif isinstance(node, ast.FunctionDef) and node.name == "newton_bracketed":
+                definitions.append(path.name)
+    assert not foreign, foreign
+    assert optimize_names <= TRACED_OPTIMIZE_NAMES, optimize_names
+    assert definitions == ["_roots.py"]
 
 
 def _public_methods(cls) -> set[str]:

@@ -23,8 +23,7 @@ from lsv_shortmat import (
     atm_price_limit_european,
     atm_price_limit_vix,
     european_expansion_sabr_type,
-    price_european,
-    price_vix_proxy,
+    price,
     simulate_paths,
     smile_from_mc,
     vix_expansion_sabr_type,
@@ -46,7 +45,7 @@ def main() -> None:
     exp = european_expansion_sabr_type(model)
     strikes = np.exp(np.linspace(-0.25, 0.2, 10))
     print(f"{'log-moneyness':>14} {'asymptotic':>11} {'mc iv':>8} {'band':>8}")
-    for row in smile_from_mc(model, config, strikes, "european"):
+    for row in smile_from_mc(simulate_paths(model, config), strikes, "european"):
         if row.skip_reason:
             continue
         quad = exp.evaluate(row.log_moneyness)
@@ -60,7 +59,7 @@ def main() -> None:
     f0 = vix_spot(model)
     strikes_v = f0 * np.exp(np.linspace(-0.3, 0.5, 9))
     print(f"{'log-moneyness':>14} {'asymptotic':>11} {'mc iv':>8} {'band':>8}")
-    for row in smile_from_mc(model, config_v, strikes_v, "vix"):
+    for row in smile_from_mc(simulate_paths(model, config_v), strikes_v, "vix"):
         if row.skip_reason:
             continue
         quad = exp_v.evaluate(row.log_moneyness)
@@ -78,8 +77,8 @@ def main() -> None:
     for t in (1 / 50, 1 / 200):
         cfg = McConfig(n_paths=N_PATHS, n_steps=100, maturity=t, seed=SEED)
         samples = simulate_paths(model0, cfg)
-        ce = price_european(samples, 1.0, True, 0.0, t).value / math.sqrt(t)
-        cv = price_vix_proxy(samples, model0.local_vol, f0, True, 0.0, t).value / math.sqrt(t)
+        ce = price(samples, "european", 1.0, True).value / math.sqrt(t)
+        cv = price(samples, "vix", f0, True).value / math.sqrt(t)
         print(f"{t:>8.4f} {ce:>12.5f} {lim_e:>8.5f} {cv:>12.5f} {lim_v:>8.5f}")
 
 

@@ -25,11 +25,11 @@ from .mc_engine import (
     PriceEstimate,
     SmilePoint,
     default_strike_grid,
-    price_european,
-    price_vix_proxy,
+    price,
     proxy_error_bounds,
     simulate_paths,
     smile_from_mc,
+    terminal_values,
     vix_exact_meanrev,
 )
 from .model import (

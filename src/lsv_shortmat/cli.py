@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .mc_engine import McConfig, default_strike_grid, simulate_paths, smile_from_mc, smile_rows_to_csv
+from .mc_engine import McConfig, default_strike_grid, simulate_paths, smile_from_mc
 from .model import (
     LognormalVolOfVol,
     LsvModel,
@@ -62,6 +62,7 @@ _NEAR_MONEY = 1e-4
 
 TABLE1_HEADER = ["rho", "sigma_e_atm", "s_e", "kappa_e", "sigma_vix_atm", "s_vix", "kappa_vix"]
 SMILE_HEADER = ["strike", "log_moneyness", "iv_expansion", "iv_rate"]
+MC_HEADER = ["strike", "log_moneyness", "price", "std_error", "implied_vol", "iv_low", "iv_high"]
 RATE_HEADER = ["strike", "log_moneyness", "rate", "minimizer_y", "minimizer_z", "iterations", "converged"]
 COMPARE_HEADER = ["strike", "log_moneyness", "iv_expansion", "iv_rate",
                   "mc_implied_vol", "mc_iv_std_error", "diff", "z_score"]
@@ -83,10 +84,7 @@ def _strike_grid(args, reference: float) -> np.ndarray:
         raise SystemExit("--kcount must be at least 1")
     if args.kmin >= args.kmax:
         raise SystemExit("--kmin must be below --kmax")
-    if args.kspace == "log":
-        ks = np.linspace(args.kmin, args.kmax, args.kcount)
-        return reference * np.exp(ks)
-    return np.linspace(reference * math.exp(args.kmin), reference * math.exp(args.kmax), args.kcount)
+    return reference * np.exp(np.linspace(args.kmin, args.kmax, args.kcount))
 
 
 def _write_csv(header, rows, out_path: str | None) -> None:
@@ -94,15 +92,11 @@ def _write_csv(header, rows, out_path: str | None) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_text(buf.getvalue(), out_path)
-
-
-def _write_text(text: str, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(buf.getvalue())
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write(buf.getvalue())
 
 
 def _echo_config(args, model: LsvModel | None) -> None:
@@ -184,26 +178,27 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-def _mc_config(args) -> McConfig:
-    maturity = args.maturity if args.maturity is not None else _DEF_MATURITY[args.product]
-    return McConfig(n_paths=args.paths, n_steps=args.steps, maturity=maturity, seed=args.seed)
-
-
 def _mc_smile(args, model: LsvModel):
     """The MC smile on the --kmin/--kmax grid, else on the sample-quantile grid."""
-    config = _mc_config(args)
+    maturity = args.maturity if args.maturity is not None else _DEF_MATURITY[args.product]
+    config = McConfig(n_paths=args.paths, n_steps=args.steps, maturity=maturity, seed=args.seed)
     samples = simulate_paths(model, config, threads=args.threads)
     if args.kmin is not None and args.kmax is not None:
         strikes = _strike_grid(args, _reference_level(model, args.product))
     else:
         strikes = default_strike_grid(samples, args.product, args.kcount)
-    return smile_from_mc(model, config, strikes, args.product, samples=samples)
+    return smile_from_mc(samples, strikes, args.product)
 
 
 def _cmd_mc(args) -> int:
     model = load_model(args.model)
     _echo_config(args, model)
-    _write_text(smile_rows_to_csv(_mc_smile(args, model)), args.out)
+    rows = [
+        [f"{p.strike:.10g}", f"{p.log_moneyness:.10g}", f"{p.price:.10g}", f"{p.std_error:.10g}",
+         f"{p.implied_vol:.10g}", f"{p.iv_low:.10g}", f"{p.iv_high:.10g}"]
+        for p in _mc_smile(args, model) if p.skip_reason is None
+    ]
+    _write_csv(MC_HEADER, rows, args.out)
     return 0
 
 
@@ -253,7 +248,6 @@ def _add_common(parser, need_model: bool, need_grid: bool, need_mc: bool) -> Non
         parser.add_argument("--kmin", type=float, default=None, help="lowest log-moneyness")
         parser.add_argument("--kmax", type=float, default=None, help="highest log-moneyness")
         parser.add_argument("--kcount", type=int, default=21, help="number of strikes")
-        parser.add_argument("--kspace", choices=("log", "linear"), default="log")
     if need_mc:
         parser.add_argument("--paths", type=int, default=_DEF_PATHS)
         parser.add_argument("--steps", type=int, default=_DEF_STEPS)

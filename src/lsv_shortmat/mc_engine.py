@@ -14,8 +14,6 @@ may be generated on any number of workers with bit-identical results.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .black_scholes import OptionQuote, black_vega, implied_vol
-from .model import LocalVolSpec, LsvModel, vix_spot
+from .model import LsvModel, vix_spot
 
 __all__ = [
     "McConfig",
@@ -31,18 +29,15 @@ __all__ = [
     "PriceEstimate",
     "SmilePoint",
     "simulate_paths",
-    "price_european",
-    "price_vix_proxy",
+    "terminal_values",
+    "price",
     "vix_exact_meanrev",
     "proxy_error_bounds",
     "smile_from_mc",
     "default_strike_grid",
-    "smile_rows_to_csv",
 ]
 
 _BLOCK = 16384
-
-SMILE_CSV_HEADER = ["strike", "log_moneyness", "price", "std_error", "implied_vol", "iv_low", "iv_high"]
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,6 @@ class McSamples:
     model: LsvModel
     v_scheme: str
     terminal_s_aux: np.ndarray | None = None
-    aux_const_vol: float | None = None
 
 
 @dataclass(frozen=True)
@@ -165,47 +159,55 @@ def simulate_paths(model: LsvModel, config: McConfig, threads: int = 1,
     s, v = gather(0), gather(1)
     aux = gather(2) if aux_const_vol is not None else None
     return McSamples(terminal_s=s, terminal_v=v, config=config, model=model,
-                     v_scheme=model.vol_of_vol.mc_scheme(), terminal_s_aux=aux,
-                     aux_const_vol=aux_const_vol)
+                     v_scheme=model.vol_of_vol.mc_scheme(), terminal_s_aux=aux)
 
 
-def _estimate(payoff: np.ndarray, discount: float, antithetic: bool) -> PriceEstimate:
-    """Discounted mean with standard error; antithetic samples are reduced to
-    per-pair averages so the error bar reflects the paired estimator."""
-    if payoff.size == 0:
-        raise ValueError("empty sample array")
+def _underlying(samples: McSamples, product: str) -> tuple[np.ndarray, float, float]:
+    """(per-path terminal values, forward, reference level) of the product.
+
+    European options are written on S_T and quote off the exact carry
+    forward S0 e^{(r-q)T}, which is also their reference level.  VIX options
+    are written on the short-horizon proxy eta(S_T) sqrt(V_T); it has no
+    closed-form forward, so they quote off its sample mean, with the VIX spot
+    as reference level.  This is the one place that tells the products apart.
+    """
+    model = samples.model
+    if product == "european":
+        forward = model.s0 * math.exp((model.r - model.q) * samples.config.maturity)
+        return samples.terminal_s, forward, forward
+    if product == "vix":
+        log_m = np.log(samples.terminal_s / model.s0)
+        values = model.local_vol.eta(log_m) * np.sqrt(samples.terminal_v)
+        return values, float(values.mean()), vix_spot(model)
+    raise ValueError("product must be 'european' or 'vix'")
+
+
+def terminal_values(samples: McSamples, product: str) -> np.ndarray:
+    """Per-path value at maturity of the product's underlying: S_T for
+    European options, the VIX proxy eta(S_T) sqrt(V_T) for VIX options."""
+    return _underlying(samples, product)[0]
+
+
+def _payoff_estimate(values: np.ndarray, strike: float, is_call: bool, antithetic: bool) -> PriceEstimate:
+    """Undiscounted mean payoff with its standard error; antithetic samples
+    are reduced to per-pair averages so the error bar reflects the paired
+    estimator."""
+    payoff = np.maximum(values - strike, 0.0) if is_call else np.maximum(strike - values, 0.0)
     if antithetic:
         half = payoff.size // 2
         payoff = 0.5 * (payoff[:half] + payoff[half:])
     n = payoff.size
-    mean = float(payoff.mean())
-    se = float(payoff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return PriceEstimate(value=discount * mean, std_error=discount * se, n=n)
+    return PriceEstimate(float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(n)), n)
 
 
-def _price(samples: McSamples, values: np.ndarray, strike: float, is_call: bool, r: float,
-           maturity: float) -> PriceEstimate:
+def price(samples: McSamples, product: str, strike: float, is_call: bool) -> PriceEstimate:
+    """European or VIX-proxy option price from the samples, discounted at
+    the model rate over the simulated maturity."""
     if strike < 0.0:
         raise ValueError("strike must be nonnegative")
-    payoff = np.maximum(values - strike, 0.0) if is_call else np.maximum(strike - values, 0.0)
-    return _estimate(payoff, math.exp(-r * maturity), samples.config.antithetic)
-
-
-def price_european(samples: McSamples, strike: float, is_call: bool, r: float, maturity: float) -> PriceEstimate:
-    """Discounted European option price from terminal spot samples."""
-    return _price(samples, samples.terminal_s, strike, is_call, r, maturity)
-
-
-def vix_proxy_values(samples: McSamples, local_vol_spec: LocalVolSpec) -> np.ndarray:
-    """Short-horizon VIX proxy eta(S_T) sqrt(V_T) per path."""
-    log_m = np.log(samples.terminal_s / samples.model.s0)
-    return local_vol_spec.eta(log_m) * np.sqrt(samples.terminal_v)
-
-
-def price_vix_proxy(samples: McSamples, local_vol_spec: LocalVolSpec, strike: float,
-                    is_call: bool, r: float, maturity: float) -> PriceEstimate:
-    """Discounted VIX option price on the proxy eta(S_T) sqrt(V_T)."""
-    return _price(samples, vix_proxy_values(samples, local_vol_spec), strike, is_call, r, maturity)
+    est = _payoff_estimate(terminal_values(samples, product), strike, is_call, samples.config.antithetic)
+    discount = math.exp(-samples.model.r * samples.config.maturity)
+    return PriceEstimate(discount * est.value, discount * est.std_error, est.n)
 
 
 def vix_exact_meanrev(samples: McSamples, mapping) -> np.ndarray:
@@ -253,13 +255,7 @@ class SmilePoint:
 def default_strike_grid(samples: McSamples, product: str, count: int = 21) -> np.ndarray:
     """Log-spaced strikes covering the [1%, 99%] quantile range of the
     simulated terminals for the requested product."""
-    if product == "european":
-        terminals = samples.terminal_s
-    elif product == "vix":
-        terminals = vix_proxy_values(samples, samples.model.local_vol)
-    else:
-        raise ValueError("product must be 'european' or 'vix'")
-    lo, hi = np.quantile(terminals, [0.01, 0.99])
+    lo, hi = np.quantile(terminal_values(samples, product), [0.01, 0.99])
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), count))
     # exp(log(q)) can land an ulp outside [lo, hi], and smile_from_mc skips
     # strikes outside that range
@@ -268,13 +264,11 @@ def default_strike_grid(samples: McSamples, product: str, count: int = 21) -> np
     return grid
 
 
-def smile_from_mc(model: LsvModel, config: McConfig, strikes, product: str,
-                  threads: int = 1, samples: McSamples | None = None) -> list[SmilePoint]:
+def smile_from_mc(samples: McSamples, strikes, product: str) -> list[SmilePoint]:
     """Implied-vol smile from one common set of simulated paths.
 
-    European options invert against the carry forward S0 e^{(r-q)T}; VIX
-    options quote off the VIX forward, estimated as the sample mean of the
-    proxy.  OTM sides are priced (call above the forward, put below) and the
+    Each product inverts against its forward (see :func:`_underlying`).
+    OTM sides are priced (call above the forward, put below) and the
     standard error is pushed through to vol space via the Black vega.
     Strikes whose price falls outside the arbitrage band are returned with a
     skip reason instead of a vol.
@@ -282,61 +276,29 @@ def smile_from_mc(model: LsvModel, config: McConfig, strikes, product: str,
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
     if strikes.size == 0:
         return []
-    if product not in ("european", "vix"):
-        raise ValueError("product must be 'european' or 'vix'")
-    if samples is None:
-        samples = simulate_paths(model, config, threads=threads)
-    t = config.maturity
-    if product == "european":
-        forward = model.s0 * math.exp((model.r - model.q) * t)
-        reference = forward
-        values = samples.terminal_s
-    else:
-        values = vix_proxy_values(samples, model.local_vol)
-        forward = float(values.mean())
-        reference = vix_spot(model)
+    values, forward, reference = _underlying(samples, product)
+    t = samples.config.maturity
     lo_q, hi_q = np.quantile(values, [0.01, 0.99])
-    undiscount = math.exp(model.r * t)
+    undiscount = math.exp(samples.model.r * t)
 
     out: list[SmilePoint] = []
     for k in strikes:
         is_call = bool(k >= forward)
-        payoff = np.maximum(values - k, 0.0) if is_call else np.maximum(k - values, 0.0)
-        est = _estimate(payoff, 1.0, samples.config.antithetic)  # undiscounted
+        est = _payoff_estimate(values, k, is_call, samples.config.antithetic)
         log_m = math.log(k / reference)
-        price, se = est.value, est.std_error
         vol = band = math.nan
         reason = None if lo_q <= k <= hi_q else "strike outside the [1%, 99%] sample quantile range"
         if reason is None:
             try:
                 vol = implied_vol(OptionQuote(forward=forward, strike=float(k), maturity=t,
-                                              is_call=is_call, price=price))
+                                              is_call=is_call, price=est.value))
             except ValueError as exc:
                 reason = str(exc)
         if reason is None:
             vega = black_vega(forward, float(k), vol, t)
-            band = se / vega if vega > 0.0 else math.nan
+            band = est.std_error / vega if vega > 0.0 else math.nan
         out.append(SmilePoint(strike=float(k), log_moneyness=log_m,
-                              price=price / undiscount, std_error=se / undiscount,
+                              price=est.value / undiscount, std_error=est.std_error / undiscount,
                               implied_vol=vol, iv_low=vol - band, iv_high=vol + band,
                               skip_reason=reason))
     return out
-
-
-def smile_rows_to_csv(rows: list[SmilePoint], fh: io.TextIOBase | None = None) -> str:
-    """RFC-4180 CSV of the valid smile points (skipped strikes are omitted)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SMILE_CSV_HEADER)
-    for row in rows:
-        if row.skip_reason is not None:
-            continue
-        writer.writerow([
-            f"{row.strike:.10g}", f"{row.log_moneyness:.10g}", f"{row.price:.10g}",
-            f"{row.std_error:.10g}", f"{row.implied_vol:.10g}", f"{row.iv_low:.10g}",
-            f"{row.iv_high:.10g}",
-        ])
-    text = buf.getvalue()
-    if fh is not None:
-        fh.write(text)
-    return text

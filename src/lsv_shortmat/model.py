@@ -13,8 +13,7 @@ Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
 * ``inv_eta_integral(L)``    - the integral of 1/eta over k in [0, L];
 * ``eta_sq_log_inverse(w)``  - the k at which eta(k)^2 = w;
 * ``eta_sq_range()``         - the open range of eta^2;
-* ``log_coeffs()``           - the Taylor coefficients of eta up to the cubic;
-* ``constant_eta()``         - the value of a constant eta, else None.
+* ``log_coeffs()``           - the Taylor coefficients of eta up to the cubic.
 
 The module-level helpers (:func:`eta_eval`, :func:`eta_log_coeffs`,
 :func:`eta_sq_range`, :func:`eta_sq_inverse`) delegate to them.  Each drift
@@ -180,9 +179,6 @@ class TanhLocalVol:
             self.f1 * (-2.0 * sech2 ** 2 + 4.0 * t ** 2 * sech2) / 6.0,
         ]
 
-    def constant_eta(self) -> float | None:
-        return self.f0 if self.f1 == 0.0 else None
-
     def proxy_bounds(self) -> tuple[float, float, float]:
         """(|f1|, f0 + |f1|, sup over s of |(eta^2)''(s) s^2|).
 
@@ -282,9 +278,6 @@ class TaylorLocalVol:
     def log_coeffs(self) -> list[float]:
         return [self.eta0, self.eta1, self.eta2, self.eta3]
 
-    def constant_eta(self) -> float | None:
-        return self.eta0 if self.eta1 == self.eta2 == self.eta3 == 0.0 else None
-
     def proxy_bounds(self) -> tuple[float, float, float]:
         raise ValueError("taylor local vol is unbounded; no finite proxy bounds")
 
@@ -323,9 +316,6 @@ class ConstantLocalVol:
 
     def log_coeffs(self) -> list[float]:
         return [1.0, 0.0, 0.0, 0.0]
-
-    def constant_eta(self) -> float | None:
-        return self.value
 
     def proxy_bounds(self) -> tuple[float, float, float]:
         return 0.0, 1.0, 0.0

@@ -207,8 +207,10 @@ def _trust_step(g, h, radius: float):
 def _minimize(evaluate, start, w_bounds):
     """Trust-region Newton minimisation of ``evaluate`` over p = (log u, w).
 
-    |log u| <= _BOX and w in ``w_bounds``; the step radius is capped at 0.9
-    times the distance to that region, so no trial point leaves it.  A step
+    |log u| <= _BOX and w in ``w_bounds``; the search starts from ``start``
+    moved into the inner 80% of each coordinate's range, and the step
+    radius is capped at 0.9 times the distance to that region, so no trial
+    point leaves it.  A step
     is accepted when the objective falls by at least a tenth of the model's
     prediction, allowing for rounding; the radius shrinks to a quarter of
     a poor step and doubles after a good step that reached it.  The solve
@@ -216,7 +218,9 @@ def _minimize(evaluate, start, w_bounds):
     whose Newton decrement g' H^-1 g (the gradient scaled by the inverse
     curvature: twice the decrease a Newton step predicts) is below the
     objective's rounding error.  It also stops, not converged, after
-    _MAX_EVALS evaluations or where the vol-of-vol rate cannot be certified.
+    _MAX_EVALS evaluations, where the vol-of-vol rate cannot be certified
+    or where the trust region has shrunk to nothing (a band of w too thin
+    to resolve).
 
     Returns (p, value, evaluations, converged, boundary_hit).
     """
@@ -225,7 +229,11 @@ def _minimize(evaluate, start, w_bounds):
     def margin(p) -> float:
         return min(_BOX - abs(p[0]), p[1] - w_lo, w_hi - p[1])
 
-    p = start
+    def inner(x: float, lo: float, hi: float) -> float:
+        edge = 0.1 * (hi - lo)
+        return min(max(x, lo + edge), hi - edge)
+
+    p = (inner(start[0], -_BOX, _BOX), inner(start[1], w_lo, w_hi))
     cur = evaluate(*p)
     evals = 1
     if cur is None:
@@ -243,6 +251,8 @@ def _minimize(evaluate, start, w_bounds):
         if evals >= _MAX_EVALS:
             break
         reach = min(radius, _EDGE_FRACTION * margin(p))
+        if not reach > 0.0:
+            break
         step, pred = _trust_step(g, h, reach)
         if not pred > 0.0:
             break
@@ -299,13 +309,14 @@ def _vix_spot_leg(spec: LocalVolSpec, s0: float, strike: float):
 def vix_rate(model: LsvModel, strike: float) -> RatePoint:
     """Rate function of an out-of-the-money VIX option.
 
-    For a constant eta = c (pure stochastic volatility when c = 1) the VIX
-    c sqrt(V_T) pins the terminal variance at K^2/c^2 and leaves the spot
-    free, so the rate is the vol-of-vol spec's ``variance_rate``.
-    Otherwise eta must be strictly monotone so that the spot level k*(y)
-    with eta(k*)^2 = K^2 e^{-y} is well defined; the search in y is
-    restricted to keep K^2 e^{-y} inside the range of eta^2, whose lower
-    end is open when it is 0 (eta reaches zero).
+    Eta must be strictly monotone so that the spot level k*(y) with
+    eta(k*)^2 = K^2 e^{-y} is well defined; the search in y is restricted
+    to keep K^2 e^{-y} inside the range of eta^2, whose lower end is open
+    when it is 0 (eta reaches zero).  Where that range leaves no room, eta
+    is constant to rounding (pure stochastic volatility when it is 1): the
+    VIX eta sqrt(V_T) then pins the terminal variance at K^2/eta^2 and
+    leaves the spot free, so the rate is the vol-of-vol spec's
+    ``variance_rate``.
     """
     if strike <= 0.0:
         raise ValueError("strike must be positive")
@@ -316,24 +327,21 @@ def vix_rate(model: LsvModel, strike: float) -> RatePoint:
         return RatePoint(strike, 0.0, math.log(model.v0), model.v0, 0, True)
     spec, s0 = model.local_vol, model.s0
     k2 = strike * strike
-    c = spec.constant_eta()
-    if c is not None:
-        rate = model.vol_of_vol.variance_rate(k2 / (c * c), model.v0)
-        return RatePoint(strike, rate, 2.0 * math.log(strike / c), model.v0, 0, True)
+    w_lo, w_hi = eta_sq_range(spec)
+    # eta^2(s0 zeta) = K^2 e^{-y} solvable iff y in (log(K^2/w_hi), log(K^2/w_lo)),
+    # searched with a pad off both ends
+    pad = 1e-12
+    if w_hi <= w_lo * math.exp(2.0 * pad):
+        rate = model.vol_of_vol.variance_rate(k2 / w_hi, model.v0)
+        return RatePoint(strike, rate, 2.0 * math.log(strike / math.sqrt(w_hi)), model.v0, 0, True)
 
     log_v0 = math.log(model.v0)
-    w_lo, w_hi = eta_sq_range(spec)
-    # eta^2(s0 zeta) = K^2 e^{-y} solvable iff y in (log(K^2/w_hi), log(K^2/w_lo))
-    pad = 1e-12
     lo = max(math.log(k2 / w_hi) + pad - log_v0, -_BOX)
     hi = min(math.log(k2 / w_lo) - pad - log_v0, _BOX) if w_lo > 0.0 else _BOX
     if lo >= hi:
         raise ValueError("strike-variance constraint has empty feasible range")
 
-    log_u, w = model.vol_of_vol.warm_start(model, x, True)
-    # start well inside the band
-    edge = 0.1 * (hi - lo)
-    start = (log_u, min(max(w, lo + edge), hi - edge))
+    start = model.vol_of_vol.warm_start(model, x, True)
     solved = _minimize(_rate_objective(model, _vix_spot_leg(spec, s0, strike)), start, (lo, hi))
     return _rate_point(model, strike, solved)
 

@@ -27,14 +27,7 @@ from lsv_shortmat.black_scholes import OptionQuote, black_price, implied_vol
 from lsv_shortmat.cli import main as cli_main
 from lsv_shortmat.hartman_watson import hw_F, hw_F_series, rate_I, solve_f_branch
 from lsv_shortmat.heston_rate import marginal_J1, rate_IH_numeric, rate_IH_series
-from lsv_shortmat.mc_engine import (
-    McConfig,
-    price_european,
-    price_vix_proxy,
-    simulate_paths,
-    smile_from_mc,
-    vix_proxy_values,
-)
+from lsv_shortmat.mc_engine import McConfig, price, simulate_paths, smile_from_mc, terminal_values
 from lsv_shortmat.model import (
     ConstantLocalVol,
     LognormalVolOfVol,
@@ -255,7 +248,7 @@ def test_criterion_6_mc_vs_asymptotics():
     for rho in (-0.7, 0.0, 0.7):
         model = table_model(rho)
         strikes = np.exp(slope_grid)
-        rows = smile_from_mc(model, config_e, strikes, "european")
+        rows = smile_from_mc(simulate_paths(model, config_e), strikes, "european")
         ivs = {round(r.log_moneyness, 6): r.implied_vol for r in rows if r.skip_reason is None}
         atm_iv = ivs.get(0.0)
         if atm_iv is None:
@@ -275,7 +268,7 @@ def test_criterion_6_mc_vs_asymptotics():
     config_v = McConfig(n_paths=100_000, n_steps=200, maturity=1 / 52, seed=SEED)
     for rho, table_atm in ((-0.7, 1.116), (0.0, 1.012), (0.7, 0.896)):
         model = table_model(rho)
-        rows = smile_from_mc(model, config_v, [vix_spot(model)], "vix")
+        rows = smile_from_mc(simulate_paths(model, config_v), [vix_spot(model)], "vix")
         iv = rows[0].implied_vol
         if not (rows[0].skip_reason is None and abs(iv - table_atm) <= 0.04):
             failures.append(
@@ -307,7 +300,7 @@ def test_criterion_7_atm_sqrt_t_limits():
         cv_mean = black_price(1.0, 1.0, aux_vol, maturity, True)
         beta = float(np.cov(pay, cv)[0, 1] / np.var(cv))
         est_e = float(pay.mean() - beta * (cv.mean() - cv_mean))
-        pay_v = np.maximum(vix_proxy_values(samples, TANH) - f0, 0.0)
+        pay_v = np.maximum(terminal_values(samples, "vix") - f0, 0.0)
         est_v = float(pay_v.mean())
         rt = math.sqrt(maturity)
         gaps_e.append(abs(est_e / rt - limit_e) / limit_e)
@@ -345,8 +338,8 @@ def test_criterion_8_property_suite():
     # implied-vol round trip
     for vol in (0.1, 0.5, 1.5):
         for k in (0.8, 1.0, 1.25):
-            price = black_price(1.0, k, vol, 0.25, k >= 1.0)
-            got = implied_vol(OptionQuote(1.0, k, 0.25, k >= 1.0, price))
+            premium = black_price(1.0, k, vol, 0.25, k >= 1.0)
+            got = implied_vol(OptionQuote(1.0, k, 0.25, k >= 1.0, premium))
             if abs(got - vol) > 1e-10:
                 failures.append(f"round trip error {abs(got - vol):.2e} at vol={vol}, K={k}")
     # determinism
@@ -362,9 +355,9 @@ def test_criterion_8_property_suite():
             f"martingale check: |{a.terminal_s.mean():.6f} - 1| > 4 SE ({4 * se:.6f})")
     # put-call parity identity on shared samples
     k = 0.99 * f0
-    call = price_vix_proxy(a, TANH, k, True, 0.0, 1 / 12)
-    put = price_vix_proxy(a, TANH, k, False, 0.0, 1 / 12)
-    proxy_mean = float(vix_proxy_values(a, TANH).mean())
+    call = price(a, "vix", k, True)
+    put = price(a, "vix", k, False)
+    proxy_mean = float(terminal_values(a, "vix").mean())
     if abs((call.value - put.value) - (proxy_mean - k)) > 1e-12:
         failures.append("put-call parity identity violated beyond 1e-12")
     report("criterion 8: property suite (positivity, round trip, determinism, parity)", failures)

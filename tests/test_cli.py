@@ -197,6 +197,16 @@ class TestMcAndCompare:
         ivs = [float(r[4]) for r in rows]
         assert all(0.2 < iv < 0.5 for iv in ivs)
 
+    def test_mc_omits_skipped_strikes(self, model_file, capsys):
+        # e^1.6 lies beyond the 99% sample quantile: compare keeps its row
+        # with nan MC columns, mc leaves it out
+        args = ["--model", model_file, "--paths", "20000", "--steps", "40", "--seed", "7",
+                "--kmin", "-0.05", "--kmax", "1.6", "--kcount", "2"]
+        _, mc_rows = parse_csv(run_cli(["mc"] + args, capsys)[1])
+        _, compared = parse_csv(run_cli(["compare"] + args, capsys)[1])
+        assert [r[0] for r in mc_rows] == [compared[0][0]]
+        assert compared[1][4] == "nan"
+
     def test_seed_changes_mc_only(self, model_file, capsys):
         args = ["compare", "--model", model_file, "--product", "european",
                 "--paths", "5000", "--steps", "20",

@@ -6,14 +6,12 @@ import pytest
 from lsv_shortmat.mc_engine import (
     McConfig,
     default_strike_grid,
-    price_european,
-    price_vix_proxy,
+    price,
     proxy_error_bounds,
     simulate_paths,
     smile_from_mc,
-    smile_rows_to_csv,
+    terminal_values,
     vix_exact_meanrev,
-    vix_proxy_values,
 )
 from lsv_shortmat.model import (
     ConstantDrift,
@@ -140,46 +138,64 @@ def samples():
 class TestPricing:
 
     def test_zero_strike_call(self, samples):
-        est = price_european(samples, 0.0, True, 0.0, 1 / 12)
+        est = price(samples, "european", 0.0, True)
         assert est.value == pytest.approx(samples.terminal_s.mean(), rel=1e-12)
 
-    def test_discounting(self, samples):
-        und = price_european(samples, 1.0, True, 0.0, 1 / 12)
-        disc = price_european(samples, 1.0, True, 0.05, 1 / 12)
+    def test_discounting(self):
+        # zero carry at r = q, so both models simulate the same paths
+        config = McConfig(20_000, 20, 1 / 12, 42)
+        und = price(simulate_paths(table_model(0.0), config), "european", 1.0, True)
+        disc = price(simulate_paths(table_model(0.0, r=0.05, q=0.05), config), "european", 1.0, True)
         assert disc.value == pytest.approx(und.value * math.exp(-0.05 / 12), rel=1e-12)
+        assert disc.std_error == pytest.approx(und.std_error * math.exp(-0.05 / 12), rel=1e-12)
 
     def test_deep_otm_negligible(self, samples):
-        est = price_european(samples, 100.0, True, 0.0, 1 / 12)
+        est = price(samples, "european", 100.0, True)
         assert est.value < 1e-6
 
     def test_put_call_parity_identity(self, samples):
         k = 0.97
-        call = price_vix_proxy(samples, TANH, k, True, 0.0, 1 / 12)
-        put = price_vix_proxy(samples, TANH, k, False, 0.0, 1 / 12)
-        proxy_mean = vix_proxy_values(samples, TANH).mean()
+        call = price(samples, "vix", k, True)
+        put = price(samples, "vix", k, False)
+        proxy_mean = terminal_values(samples, "vix").mean()
         assert call.value - put.value == pytest.approx(proxy_mean - k, abs=1e-12)
 
     def test_vix_proxy_zero_strike(self, samples):
-        est = price_vix_proxy(samples, TANH, 0.0, True, 0.0, 1 / 12)
-        assert est.value == pytest.approx(vix_proxy_values(samples, TANH).mean(), rel=1e-12)
+        est = price(samples, "vix", 0.0, True)
+        assert est.value == pytest.approx(terminal_values(samples, "vix").mean(), rel=1e-12)
+
+    def test_terminal_values(self, samples):
+        assert terminal_values(samples, "european") is samples.terminal_s
+        np.testing.assert_array_equal(terminal_values(samples, "vix"),
+                                      TANH.eta(np.log(samples.terminal_s)) * np.sqrt(samples.terminal_v))
+
+    def test_invalid_inputs_rejected(self, samples):
+        with pytest.raises(ValueError, match="strike must be nonnegative"):
+            price(samples, "european", -1.0, True)
+        with pytest.raises(ValueError, match="product must be"):
+            terminal_values(samples, "asian")
+        with pytest.raises(ValueError, match="product must be"):
+            price(samples, "asian", 1.0, True)
 
     def test_antithetic_variance_reduction(self):
         model = table_model(0.0)
         t = 1 / 12
         plain = simulate_paths(model, McConfig(100_000, 50, t, 314))
         anti = simulate_paths(model, McConfig(50_000, 50, t, 314, antithetic=True))
-        se_plain = price_european(plain, 1.0, True, 0.0, t).std_error
-        se_anti = price_european(anti, 1.0, True, 0.0, t).std_error
+        se_plain = price(plain, "european", 1.0, True).std_error
+        est_anti = price(anti, "european", 1.0, True)
+        # pairs are averaged: one estimate per pair
+        assert est_anti.n == 50_000
         # same total path budget; pairing must cut the variance measurably
-        assert se_plain**2 / se_anti**2 >= 1.2
+        assert se_plain**2 / est_anti.std_error**2 >= 1.2
 
     def test_step_halving_stability(self):
         model = table_model(-0.7)
         t = 1 / 12
         coarse = simulate_paths(model, McConfig(100_000, 100, t, 2718))
         fine = simulate_paths(model, McConfig(100_000, 200, t, 2719))
-        pc = price_european(coarse, 1.0, True, 0.0, t)
-        pf = price_european(fine, 1.0, True, 0.0, t)
+        pc = price(coarse, "european", 1.0, True)
+        pf = price(fine, "european", 1.0, True)
         assert abs(pc.value - pf.value) <= 2.0 * math.hypot(pc.std_error, pf.std_error) + 1e-5
 
 
@@ -233,31 +249,39 @@ class TestProxyErrorBounds:
 
 class TestSmileFromMc:
     def test_empty_strikes(self):
-        model = table_model(0.0)
-        out = smile_from_mc(model, McConfig(1000, 5, 0.1, 1), [], "european")
-        assert out == []
+        samples = simulate_paths(table_model(0.0), McConfig(1000, 5, 0.1, 1))
+        assert smile_from_mc(samples, [], "european") == []
 
     def test_european_atm_level(self):
-        model = table_model(0.0)
-        config = McConfig(50_000, 100, 1 / 12, 123)
-        out = smile_from_mc(model, config, [1.0], "european")
+        samples = simulate_paths(table_model(0.0), McConfig(50_000, 100, 1 / 12, 123))
+        out = smile_from_mc(samples, [1.0], "european")
         assert len(out) == 1 and out[0].skip_reason is None
         assert out[0].implied_vol == pytest.approx(0.3162, abs=0.012)
         assert out[0].iv_low < out[0].implied_vol < out[0].iv_high
 
     def test_vix_atm_level(self):
-        model = table_model(-0.7)
-        config = McConfig(50_000, 100, 1 / 52, 123)
-        out = smile_from_mc(model, config, [math.sqrt(0.1)], "vix")
+        samples = simulate_paths(table_model(-0.7), McConfig(50_000, 100, 1 / 52, 123))
+        out = smile_from_mc(samples, [math.sqrt(0.1)], "vix")
         assert out[0].skip_reason is None
         assert out[0].implied_vol == pytest.approx(1.116, abs=0.05)
 
     def test_far_strike_skipped_with_reason(self):
-        model = table_model(0.0)
-        config = McConfig(20_000, 50, 1 / 12, 7)
-        out = smile_from_mc(model, config, [5.0], "european")
+        samples = simulate_paths(table_model(0.0), McConfig(20_000, 50, 1 / 12, 7))
+        out = smile_from_mc(samples, [5.0], "european")
         assert out[0].skip_reason is not None
         assert math.isnan(out[0].implied_vol)
+
+    def test_prices_match_price(self):
+        # the smile prices OTM sides with the same estimator as price(),
+        # reported undiscounted-then-discounted at the model rate
+        model = table_model(0.0, r=0.03, q=0.03)
+        samples = simulate_paths(model, McConfig(20_000, 20, 1 / 12, 7))
+        for product, strikes in (("european", [0.95, 1.05]), ("vix", [0.3, 0.33])):
+            forward = 1.0 if product == "european" else terminal_values(samples, "vix").mean()
+            for row in smile_from_mc(samples, strikes, product):
+                est = price(samples, product, row.strike, row.strike >= forward)
+                assert row.price == pytest.approx(est.value, rel=1e-12)
+                assert row.std_error == pytest.approx(est.std_error, rel=1e-12)
 
     def test_quantile_grid(self):
         model = table_model(0.0)
@@ -268,12 +292,3 @@ class TestSmileFromMc:
         lo, hi = np.quantile(samples.terminal_s, [0.01, 0.99])
         assert grid[0] == pytest.approx(lo, rel=1e-10)
         assert grid[-1] == pytest.approx(hi, rel=1e-10)
-
-    def test_csv_output(self):
-        model = table_model(0.0)
-        config = McConfig(20_000, 50, 1 / 12, 7)
-        rows = smile_from_mc(model, config, [0.95, 1.0, 1.05, 5.0], "european")
-        text = smile_rows_to_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "strike,log_moneyness,price,std_error,implied_vol,iv_low,iv_high"
-        assert len(lines) == 4  # header + 3 valid rows (5.0 skipped)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize, minimize_scalar
 
@@ -11,12 +13,15 @@ from lsv_shortmat import model as model_mod
 from lsv_shortmat.hartman_watson import h_lognormal
 from lsv_shortmat.heston_rate import h_heston
 from lsv_shortmat.model import (
+    ConstantDrift,
     ConstantLocalVol,
     LognormalVolOfVol,
+    MeanRevertingDrift,
     LsvModel,
     SquareRootVolOfVol,
     TanhLocalVol,
     TaylorLocalVol,
+    ZeroDrift,
     eta_eval,
     eta_sq_range,
     load_model,
@@ -390,7 +395,8 @@ class TestVixBandEdges:
         pt = vix_rate(model, vix_spot(model) * math.exp(k))
         assert not pt.converged or (math.isfinite(pt.rate) and pt.rate > 0.0)
 
-    @pytest.mark.parametrize("spec", [TanhLocalVol(1.3, 0.0), TaylorLocalVol(1.3)])
+    # f1 = 1e-16 is below rounding: eta is constant, though f1 is not 0
+    @pytest.mark.parametrize("spec", [TanhLocalVol(1.3, 0.0), TaylorLocalVol(1.3), TanhLocalVol(1.3, 1e-16)])
     def test_constant_eta_pins_the_variance(self, spec):
         # VIX = 1.3 sqrt(V_T): the strike fixes V_T = K^2 / 1.3^2
         model = LsvModel(s0=1.0, v0=0.04, rho=-0.5, local_vol=spec, vol_of_vol=LognormalVolOfVol(1.0))
@@ -725,3 +731,69 @@ class TestTrustStep:
         grid = min(model_value((r * math.cos(t), r * math.sin(t)))
                    for r in np.linspace(0.0, radius, 101) for t in np.linspace(0.0, 2 * math.pi, 361))
         assert model_value(step) <= grid + 1e-12
+
+
+# the lognormal warm start of this model, (7.50, 15.01), lies beyond |w| <= 10
+WARM_START_OUTSIDE_BOX = LsvModel(
+    1.0, 0.05368691434674289, -0.7433499673795161,
+    TanhLocalVol(0.20159463379008488, 0.12785022642174282, 0.08935012304448542),
+    LognormalVolOfVol(2.8448851194129823))
+
+
+class TestSupportedDomain:
+    """No input in the supported domain raises from inside a solve: each
+    returns a finite converged point or reports converged=False."""
+
+    def test_warm_start_outside_the_search_box(self):
+        # the start is moved inside the box; it used to leave a negative step
+        # radius and a division by zero in the trust-region step
+        pt = european_rate(WARM_START_OUTSIDE_BOX, math.exp(-0.3127577116185075))
+        assert pt.converged and not pt.boundary_hit
+        assert pt.rate == pytest.approx(1.7018169433037211, rel=1e-9)
+
+    @staticmethod
+    @st.composite
+    def local_vols(draw):
+        kind = draw(st.sampled_from(("tanh", "constant", "taylor")))
+        if kind == "tanh":
+            f0 = draw(st.floats(0.2, 2.0))
+            f1 = 0.95 * f0 * draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+            return TanhLocalVol(f0, f1, draw(st.floats(-0.5, 0.5)))
+        if kind == "constant":
+            return ConstantLocalVol()
+        # eta' = eta1 + 2 eta2 k + 3 eta3 k^2 has no real root, so eta is
+        # monotone on the whole [-50, 50] window, when eta1 eta3 >= 0 and
+        # eta2^2 < 3 eta1 eta3
+        eta1 = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.05, 1.0))
+        eta3 = math.copysign(draw(st.floats(0.0, 1e-3)), eta1)
+        eta2 = draw(st.floats(-0.99, 0.99)) * math.sqrt(3.0 * eta1 * eta3)
+        return TaylorLocalVol(draw(st.floats(0.2, 2.0)), eta1, eta2, eta3)
+
+    @staticmethod
+    @st.composite
+    def models(draw):
+        drift = draw(st.one_of(
+            st.just(ZeroDrift()),
+            st.builds(ConstantDrift, st.floats(-1.0, 1.0)),
+            st.builds(MeanRevertingDrift, st.floats(0.1, 5.0), st.floats(0.01, 0.5))))
+        family = draw(st.sampled_from((LognormalVolOfVol, SquareRootVolOfVol)))
+        return LsvModel(s0=1.0, v0=draw(st.floats(0.005, 0.5)), rho=draw(st.floats(-0.95, 0.95)),
+                        local_vol=draw(TestSupportedDomain.local_vols()),
+                        vol_of_vol=family(draw(st.floats(0.1, 3.0)), drift=drift))
+
+    @settings(max_examples=3000, deadline=None, derandomize=True)
+    @given(model=models(), k=st.floats(-0.5, 0.5))
+    @example(model=WARM_START_OUTSIDE_BOX, k=-0.3127577116185075)
+    # eta reaches zero inside the window: the band of y is open at one end
+    @example(model=LsvModel(1.0, 0.04, -0.5, TaylorLocalVol(1.0, -0.3), LognormalVolOfVol(1.0)), k=0.2)
+    # a band of y about 1e-12 wide: the trust region shrinks to nothing
+    @example(model=LsvModel(1.0, 0.5, 0.5, TanhLocalVol(1.5, 1.425e-12), LognormalVolOfVol(1.0)), k=0.5)
+    def test_solves_never_raise(self, model, k):
+        points = [vix_rate(model, vix_spot(model) * math.exp(k))]
+        # a European strike beyond the zero of eta lies outside the domain
+        if model.local_vol.eta(k) > 0.0:
+            points.append(european_rate(model, model.s0 * math.exp(k)))
+        for pt in points:
+            if pt.converged:
+                assert all(map(math.isfinite, (pt.rate, pt.minimizer_y, pt.minimizer_z))), pt
+                assert pt.rate >= 0.0, pt

@@ -5,7 +5,9 @@ than test its type.  The number of ``isinstance`` calls may only fall, and
 every spec class exposes the same methods as the others of its kind, so a
 new spec cannot quietly need a type ladder in a caller.  Every scalar root
 goes through the one safeguarded solver in ``_roots``, so no module brings
-in another.
+in another.  Monte Carlo pricing reads everything it needs from the
+samples, tells the products apart in one place and leaves output formats
+to the CLI.
 """
 
 import ast
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from lsv_shortmat import model
+from lsv_shortmat import mc_engine, model
 
 PACKAGE = Path(model.__file__).resolve().parent
 # the remaining sites: cli._expansion_for, smile._require and the two input
@@ -77,3 +79,46 @@ def test_spec_classes_share_one_method_set(suffix):
     first = methods[classes[0].__name__]
     assert first, "spec classes carry their formulas as methods"
     assert all(m == first for m in methods.values()), methods
+
+
+# what McSamples already carries, by parameter name
+SAMPLES_RESTATED = {"model", "config", "maturity", "r", "threads"}
+
+
+def test_mc_pricing_takes_only_samples():
+    offenders = []
+    for name in mc_engine.__all__:
+        obj = getattr(mc_engine, name)
+        if not inspect.isfunction(obj):
+            continue
+        params = inspect.signature(obj).parameters
+        if "samples" not in params:
+            continue
+        restated = {p for p, spec in params.items()
+                    if p in SAMPLES_RESTATED or spec.annotation in ("LocalVolSpec", model.LocalVolSpec)}
+        offenders += [f"{name}({p})" for p in sorted(restated)]
+    assert not offenders, offenders
+
+
+def _mc_engine_tree():
+    return ast.parse(Path(mc_engine.__file__).read_text(encoding="utf-8"))
+
+
+def test_mc_engine_leaves_csv_to_the_cli():
+    imported = set()
+    for node in ast.walk(_mc_engine_tree()):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert not imported & {"csv", "io"}, imported
+
+
+def test_mc_engine_has_one_product_switch():
+    switches = [
+        fn.name
+        for fn in ast.walk(_mc_engine_tree()) if isinstance(fn, ast.FunctionDef)
+        if any(isinstance(node, ast.Compare) and isinstance(node.left, ast.Name) and node.left.id == "product"
+               for node in ast.walk(fn))
+    ]
+    assert switches == ["_underlying"], switches

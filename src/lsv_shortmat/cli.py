@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -125,8 +126,7 @@ def _iv_rate_column(model: LsvModel, product: str, expansion: SmileExpansion, st
 # ---------------------------------------------------------------------------
 
 
-def _cmd_table1(args) -> int:
-    _echo_config(args, None)
+def _cmd_table1(args, _) -> int:
     model_base = dict(
         s0=1.0, v0=0.1,
         local_vol=TanhLocalVol(f0=1.0, f1=-0.5, x0=0.0),
@@ -146,9 +146,7 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _cmd_smile(args) -> int:
-    model = load_model(args.model)
-    _echo_config(args, model)
+def _cmd_smile(args, model: LsvModel) -> int:
     expansion = _expansion_for(model, args.product)
     reference = _reference_level(model, args.product)
     rows = []
@@ -161,9 +159,7 @@ def _cmd_smile(args) -> int:
     return 0
 
 
-def _cmd_rate(args) -> int:
-    model = load_model(args.model)
-    _echo_config(args, model)
+def _cmd_rate(args, model: LsvModel) -> int:
     reference = _reference_level(model, args.product)
     rows = []
     for strike in _strike_grid(args, reference):
@@ -183,16 +179,14 @@ def _mc_smile(args, model: LsvModel):
     maturity = args.maturity if args.maturity is not None else _DEF_MATURITY[args.product]
     config = McConfig(n_paths=args.paths, n_steps=args.steps, maturity=maturity, seed=args.seed)
     samples = simulate_paths(model, config, threads=args.threads)
-    if args.kmin is not None and args.kmax is not None:
+    if args.kmin is not None:
         strikes = _strike_grid(args, _reference_level(model, args.product))
     else:
         strikes = default_strike_grid(samples, args.product, args.kcount)
     return smile_from_mc(samples, strikes, args.product)
 
 
-def _cmd_mc(args) -> int:
-    model = load_model(args.model)
-    _echo_config(args, model)
+def _cmd_mc(args, model: LsvModel) -> int:
     rows = [
         [f"{p.strike:.10g}", f"{p.log_moneyness:.10g}", f"{p.price:.10g}", f"{p.std_error:.10g}",
          f"{p.implied_vol:.10g}", f"{p.iv_low:.10g}", f"{p.iv_high:.10g}"]
@@ -202,9 +196,7 @@ def _cmd_mc(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    model = load_model(args.model)
-    _echo_config(args, model)
+def _cmd_compare(args, model: LsvModel) -> int:
     mc_rows = _mc_smile(args, model)
     expansion = _expansion_for(model, args.product)
     rows = []
@@ -240,61 +232,65 @@ def _default_threads() -> int:
         return 1
 
 
-def _add_common(parser, need_model: bool, need_grid: bool, need_mc: bool) -> None:
-    if need_model:
-        parser.add_argument("--model", required=True, help="model JSON file")
-        parser.add_argument("--product", choices=("european", "vix"), default="european")
-    if need_grid:
-        parser.add_argument("--kmin", type=float, default=None, help="lowest log-moneyness")
-        parser.add_argument("--kmax", type=float, default=None, help="highest log-moneyness")
-        parser.add_argument("--kcount", type=int, default=21, help="number of strikes")
-    if need_mc:
-        parser.add_argument("--paths", type=int, default=_DEF_PATHS)
-        parser.add_argument("--steps", type=int, default=_DEF_STEPS)
-        parser.add_argument("--seed", type=int, default=_DEF_SEED)
-        parser.add_argument("--maturity", type=float, default=None,
-                            help="years; defaults to 1/12 (european) or 1/52 (vix)")
-        parser.add_argument("--threads", type=int, default=_default_threads())
-    parser.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  Its subcommands share their options
+    through parent parsers, and argparse shares a parent's actions, defaults
+    included, among every parser built from it: so no subparser sets a
+    default of an option it has from a parent."""
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+
+    # every command that prices strikes of a model file
+    model = argparse.ArgumentParser(add_help=False, parents=[out])
+    model.add_argument("--model", required=True, help="model JSON file")
+    model.add_argument("--product", choices=("european", "vix"), default="european")
+    model.add_argument("--kcount", type=int, default=21, help="number of strikes")
+
+    # smile/rate need concrete default bounds; mc/compare derive theirs from
+    # sample quantiles when none are given
+    fixed_range = argparse.ArgumentParser(add_help=False, parents=[model])
+    quantile_range = argparse.ArgumentParser(add_help=False, parents=[model])
+    for parent, kmin, kmax in ((fixed_range, -0.3, 0.3), (quantile_range, None, None)):
+        parent.add_argument("--kmin", type=float, default=kmin, help="lowest log-moneyness")
+        parent.add_argument("--kmax", type=float, default=kmax, help="highest log-moneyness")
+
+    mc = argparse.ArgumentParser(add_help=False, parents=[quantile_range])
+    mc.add_argument("--paths", type=int, default=_DEF_PATHS)
+    mc.add_argument("--steps", type=int, default=_DEF_STEPS)
+    mc.add_argument("--seed", type=int, default=_DEF_SEED)
+    mc.add_argument("--maturity", type=float, default=None,
+                    help="years; defaults to 1/12 (european) or 1/52 (vix)")
+    mc.add_argument("--threads", type=int, default=None,
+                    help="path-block threads; defaults to $LSV_SHORTMAT_THREADS, else 1")
+
     parser = argparse.ArgumentParser(
         prog="lsv-shortmat",
         description="Short-maturity European/VIX smile asymptotics and Monte Carlo validation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table1", help="benchmark-model smile parameters (closed forms)")
-    _add_common(p, need_model=False, need_grid=False, need_mc=False)
-    p.set_defaults(func=_cmd_table1)
-
-    # smile/rate need concrete default bounds; mc/compare derive theirs from
-    # sample quantiles when none are given
-    p = sub.add_parser("smile", help="asymptotic smile: expansion and rate-solver columns")
-    _add_common(p, need_model=True, need_grid=True, need_mc=False)
-    p.set_defaults(func=_cmd_smile, kmin=-0.3, kmax=0.3)
-
-    p = sub.add_parser("rate", help="rate-function values per strike")
-    _add_common(p, need_model=True, need_grid=True, need_mc=False)
-    p.set_defaults(func=_cmd_rate, kmin=-0.3, kmax=0.3)
-
-    p = sub.add_parser("mc", help="Monte Carlo implied-vol smile")
-    _add_common(p, need_model=True, need_grid=True, need_mc=True)
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("compare", help="asymptotics vs Monte Carlo")
-    _add_common(p, need_model=True, need_grid=True, need_mc=True)
-    p.set_defaults(func=_cmd_compare)
-
+    for name, func, parent, help_text in (
+        ("table1", _cmd_table1, out, "benchmark-model smile parameters (closed forms)"),
+        ("smile", _cmd_smile, fixed_range, "asymptotic smile: expansion and rate-solver columns"),
+        ("rate", _cmd_rate, fixed_range, "rate-function values per strike"),
+        ("mc", _cmd_mc, mc, "Monte Carlo implied-vol smile"),
+        ("compare", _cmd_compare, mc, "asymptotics vs Monte Carlo"),
+    ):
+        sub.add_parser(name, parents=[parent], help=help_text).set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "kmin" in args and (args.kmin is None) != (args.kmax is None):
+        parser.error("--kmin and --kmax must be given together")
+    if "threads" in args and args.threads is None:
+        args.threads = _default_threads()
     try:
-        return args.func(args)
+        model = load_model(args.model) if "model" in args else None
+        _echo_config(args, model)
+        return args.func(args, model)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

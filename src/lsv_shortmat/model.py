@@ -33,9 +33,11 @@ log-variance y, w = y - log v0 and log u = log(z / v0):
 * ``variance_step(v, v_pos, z, dt)`` - one Monte Carlo step of V, by the
   scheme ``mc_scheme()`` names.
 
-Every spec class also gives its JSON layout (``to_dict()``) and its
-constants of the VIX-proxy error bound (``proxy_bounds()``, for a drift
-``proxy_bound()``), raising ValueError where the spec is unbounded.
+Every spec class also gives the constants of the VIX-proxy error bound
+(``proxy_bounds()``, for a drift ``proxy_bound()``), raising ValueError where
+the spec is unbounded.  The JSON layout of a model is read and written from
+the dataclass fields alone, with one ``{kind: class}`` table per spec kind
+(:data:`_KINDS`).
 
 All spec objects are frozen dataclasses: they validate on construction and
 their methods are pure, so everything here is safe to share across threads.
@@ -45,12 +47,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from ._roots import newton_bracketed
 from .hartman_watson import hw_F_derivatives
@@ -84,7 +87,7 @@ __all__ = [
 # constant far beyond +-50 for every supported shape.
 _LOG_BRACKET_CAP = 50.0
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(16)
+_GL_NODES, _GL_WEIGHTS = leggauss(16)
 
 
 def _gl_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
@@ -195,9 +198,6 @@ class TanhLocalVol:
         ts = np.clip(poly.deriv().roots().real, -1.0, 1.0)
         return abs(f1), f0 + abs(f1), float(np.max(np.abs(poly(ts)), initial=0.0))
 
-    def to_dict(self) -> dict:
-        return {"kind": "tanh", "f0": self.f0, "f1": self.f1, "x0": self.x0}
-
 
 @dataclass(frozen=True)
 class TaylorLocalVol:
@@ -281,19 +281,11 @@ class TaylorLocalVol:
     def proxy_bounds(self) -> tuple[float, float, float]:
         raise ValueError("taylor local vol is unbounded; no finite proxy bounds")
 
-    def to_dict(self) -> dict:
-        return {"kind": "taylor_log", "eta0": self.eta0, "eta1": self.eta1, "eta2": self.eta2, "eta3": self.eta3}
-
 
 @dataclass(frozen=True)
 class ConstantLocalVol:
-    """eta(s) = 1: pure stochastic volatility dynamics."""
-
-    value: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.value != 1.0:
-            raise ValueError("constant local vol is normalised to 1; scale V0 instead")
+    """eta(s) = 1: pure stochastic volatility dynamics (scale V0 for
+    another level)."""
 
     def eta(self, k):
         return np.ones_like(k, dtype=float)[()]
@@ -320,9 +312,6 @@ class ConstantLocalVol:
     def proxy_bounds(self) -> tuple[float, float, float]:
         return 0.0, 1.0, 0.0
 
-    def to_dict(self) -> dict:
-        return {"kind": "constant"}
-
 
 LocalVolSpec = Union[TanhLocalVol, TaylorLocalVol, ConstantLocalVol]
 
@@ -340,9 +329,6 @@ class ZeroDrift:
     def proxy_bound(self) -> float:
         return 0.0
 
-    def to_dict(self) -> dict:
-        return {"kind": "zero"}
-
 
 @dataclass(frozen=True)
 class ConstantDrift:
@@ -358,9 +344,6 @@ class ConstantDrift:
 
     def proxy_bound(self) -> float:
         return abs(self.mu)
-
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "mu": self.mu}
 
 
 @dataclass(frozen=True)
@@ -382,9 +365,6 @@ class MeanRevertingDrift:
 
     def proxy_bound(self) -> float:
         raise ValueError("mean-reverting drift mu(v) = a(b-v)/v is unbounded; no finite proxy bounds")
-
-    def to_dict(self) -> dict:
-        return {"kind": "mean_reverting", "a": self.a, "b": self.b}
 
 
 DriftSpec = Union[ZeroDrift, ConstantDrift, MeanRevertingDrift]
@@ -469,9 +449,6 @@ class LognormalVolOfVol:
     def proxy_bounds(self) -> tuple[float, float]:
         return self.sigma, self.drift.proxy_bound()
 
-    def to_dict(self) -> dict:
-        return {"kind": "lognormal", "sigma": self.sigma, "drift": self.drift.to_dict()}
-
 
 @dataclass(frozen=True)
 class SquareRootVolOfVol:
@@ -523,9 +500,6 @@ class SquareRootVolOfVol:
 
     def proxy_bounds(self) -> tuple[float, float]:
         raise ValueError("square-root vol-of-vol is unbounded near 0; no finite proxy bounds")
-
-    def to_dict(self) -> dict:
-        return {"kind": "square_root", "sigma": self.sigma, "drift": self.drift.to_dict()}
 
 
 VolOfVolSpec = Union[LognormalVolOfVol, SquareRootVolOfVol]
@@ -595,72 +569,71 @@ def check_moment_condition(rho: float, p: float) -> bool:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-_LOCAL_VOL_KINDS = {"tanh", "taylor_log", "constant"}
-_VOL_OF_VOL_KINDS = {"lognormal": LognormalVolOfVol, "square_root": SquareRootVolOfVol}
-_DRIFT_KINDS = {"zero", "constant", "mean_reverting"}
+_KINDS = {
+    "local_vol": {"tanh": TanhLocalVol, "taylor_log": TaylorLocalVol, "constant": ConstantLocalVol},
+    "drift": {"zero": ZeroDrift, "constant": ConstantDrift, "mean_reverting": MeanRevertingDrift},
+    "vol_of_vol": {"lognormal": LognormalVolOfVol, "square_root": SquareRootVolOfVol},
+}
+_KIND_OF = {cls: kind for table in _KINDS.values() for kind, cls in table.items()}
 
 
-def _local_vol_from_dict(d: dict) -> LocalVolSpec:
-    kind = d.get("kind")
-    if kind == "tanh":
-        return TanhLocalVol(f0=float(d["f0"]), f1=float(d["f1"]), x0=float(d.get("x0", 0.0)))
-    if kind == "taylor_log":
-        return TaylorLocalVol(
-            eta0=float(d["eta0"]),
-            eta1=float(d.get("eta1", 0.0)),
-            eta2=float(d.get("eta2", 0.0)),
-            eta3=float(d.get("eta3", 0.0)),
-        )
-    if kind == "constant":
-        return ConstantLocalVol()
-    raise ValueError(f"unknown local_vol kind {kind!r}; expected one of {sorted(_LOCAL_VOL_KINDS)}")
+def _object(d, where: str) -> dict:
+    """A copy of the JSON object ``d``; ValueError for any other value."""
+    try:
+        return dict(d.items())
+    except AttributeError:
+        raise ValueError(f"{where} must be a JSON object, got {reprlib.repr(d)}") from None
 
 
-def _drift_from_dict(d: dict | None) -> DriftSpec:
-    if d is None:
-        return ZeroDrift()
-    kind = d.get("kind", "zero")
-    if kind == "zero":
-        return ZeroDrift()
-    if kind == "constant":
-        return ConstantDrift(mu=float(d["mu"]))
-    if kind == "mean_reverting":
-        return MeanRevertingDrift(a=float(d["a"]), b=float(d["b"]))
-    raise ValueError(f"unknown drift kind {kind!r}; expected one of {sorted(_DRIFT_KINDS)}")
+def _read(cls, d: dict, path: str):
+    """``cls`` from the JSON object ``d`` whose keys sit under ``path``: each
+    dataclass field from the key of its name, a spec field (a key of
+    :data:`_KINDS`) by its ``kind`` and any other field as a float.  Only a
+    field with a default may be left out; any other malformed input raises
+    ValueError naming its key."""
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(d.keys() - set(names))
+    if unknown:
+        raise ValueError(f"unknown key {path}{unknown[0]}; {cls.__name__} takes {names}")
+    kwargs = {}
+    for f in fields(cls):
+        key, value = path + f.name, d.get(f.name)
+        if f.name not in d:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"missing key {key}")
+        elif f.name in _KINDS:
+            spec, table = _object(value, key), _KINDS[f.name]
+            kind = spec.pop("kind", None)
+            try:
+                kind_cls = table[kind]
+            except (KeyError, TypeError):
+                raise ValueError(f"{key}.kind must be one of {sorted(table)}, got {reprlib.repr(kind)}") from None
+            kwargs[f.name] = _read(kind_cls, spec, key + ".")
+        else:
+            try:
+                kwargs[f.name] = float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"{key} must be a number, got {reprlib.repr(value)}") from None
+    return cls(**kwargs)
 
 
-def _vol_of_vol_from_dict(d: dict) -> VolOfVolSpec:
-    kind = d.get("kind")
-    drift = _drift_from_dict(d.get("drift"))
-    if kind not in _VOL_OF_VOL_KINDS:
-        raise ValueError(f"unknown vol_of_vol kind {kind!r}; expected one of {sorted(_VOL_OF_VOL_KINDS)}")
-    return _VOL_OF_VOL_KINDS[kind](sigma=float(d["sigma"]), drift=drift)
+def _write(obj) -> dict:
+    """The JSON object :func:`_read` reads back to ``obj``."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = {"kind": _KIND_OF[type(value)], **_write(value)} if f.name in _KINDS else value
+    return out
 
 
 def model_from_dict(cfg: dict) -> LsvModel:
     """Build a model from the JSON configuration layout."""
-    return LsvModel(
-        s0=float(cfg["s0"]),
-        v0=float(cfg["v0"]),
-        rho=float(cfg["rho"]),
-        r=float(cfg.get("r", 0.0)),
-        q=float(cfg.get("q", 0.0)),
-        local_vol=_local_vol_from_dict(cfg["local_vol"]),
-        vol_of_vol=_vol_of_vol_from_dict(cfg["vol_of_vol"]),
-    )
+    return _read(LsvModel, _object(cfg, "model"), "")
 
 
 def model_to_dict(model: LsvModel) -> dict:
     """Inverse of :func:`model_from_dict`."""
-    return {
-        "s0": model.s0,
-        "v0": model.v0,
-        "rho": model.rho,
-        "r": model.r,
-        "q": model.q,
-        "local_vol": model.local_vol.to_dict(),
-        "vol_of_vol": model.vol_of_vol.to_dict(),
-    }
+    return _write(model)
 
 
 def load_model(path: str) -> LsvModel:

@@ -143,6 +143,24 @@ class TestSmile:
         assert "error" in err
 
 
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("body, key", [
+        ({k: v for k, v in TABLE_MODEL.items() if k != "s0"}, "missing key s0"),
+        ([TABLE_MODEL], "model must be a JSON object"),
+        (dict(TABLE_MODEL, local_vol={"kind": "tanh", "f1": -0.5}), "missing key local_vol.f0"),
+        (dict(TABLE_MODEL, local_vol=dict(TABLE_MODEL["local_vol"], x_0=0.3)), "unknown key local_vol.x_0"),
+        (dict(TABLE_MODEL, vol_of_vol={"kind": "lognormal", "sigma": 2.0, "drift": {"mu": 0.5}}),
+         "vol_of_vol.drift.kind must be one of"),
+    ])
+    def test_one_error_line(self, body, key, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        code, out, err = run_cli(["smile", "--model", str(path), "--kcount", "3"], capsys)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0], err
+
+
 class TestRate:
     def test_rate_columns(self, model_file, capsys):
         code, out, _ = run_cli(
@@ -244,6 +262,38 @@ class TestMcAndCompare:
         _, _, err = run_cli(["mc", "--model", model_file] + self.ARGS, capsys)
         echoed = json.loads(err.strip().split("\n")[0])
         assert echoed["effective_config"]["threads"] == 2
+
+    def test_threads_env_read_per_call(self, model_file, capsys, monkeypatch):
+        # the parser is built once per process; the default is not
+        for env, threads in (("3", 3), ("1", 1), (None, 1), ("2", 2)):
+            if env is None:
+                monkeypatch.delenv("LSV_SHORTMAT_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("LSV_SHORTMAT_THREADS", env)
+            _, _, err = run_cli(["mc", "--model", model_file] + self.ARGS, capsys)
+            assert json.loads(err.splitlines()[0])["effective_config"]["threads"] == threads
+
+    @pytest.mark.parametrize("command", ["mc", "compare"])
+    @pytest.mark.parametrize("half", [["--kmin", "-0.05"], ["--kmax=-0.05"]])
+    def test_half_given_range_is_a_usage_error(self, command, half, model_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", model_file, "--kcount", "3"] + half)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--kmin and --kmax must be given together" in err and "effective_config" not in err
+
+    def test_fixed_range_default_does_not_leak(self, model_file, capsys):
+        # smile and rate default to |k| <= 0.3; mc and compare, built from
+        # the same parents, must still default to the quantile grid
+        run_cli(["smile", "--model", model_file, "--kcount", "3"], capsys)
+        for command in ("mc", "compare"):
+            _, _, err = run_cli([command, "--model", model_file, "--paths", "2000", "--steps", "5",
+                                 "--kcount", "3"], capsys)
+            echoed = json.loads(err.splitlines()[0])["effective_config"]
+            assert echoed["kmin"] is None and echoed["kmax"] is None
+        _, _, err = run_cli(["rate", "--model", model_file, "--kcount", "3"], capsys)
+        echoed = json.loads(err.splitlines()[0])["effective_config"]
+        assert (echoed["kmin"], echoed["kmax"]) == (-0.3, 0.3)
 
     @pytest.mark.parametrize("seed", [4, 5, 8])
     def test_quantile_grid_keeps_end_strikes(self, seed, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import typing
 
 import mpmath as mp
 import numpy as np
@@ -7,16 +9,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import roots_legendre
 
+from lsv_shortmat import model as model_module
 from lsv_shortmat.model import (
     ConstantDrift,
     ConstantLocalVol,
+    DriftSpec,
+    LocalVolSpec,
     LognormalVolOfVol,
     LsvModel,
     MeanRevertingDrift,
     SquareRootVolOfVol,
     TanhLocalVol,
     TaylorLocalVol,
+    VolOfVolSpec,
     ZeroDrift,
     check_moment_condition,
     eta_eval,
@@ -279,6 +286,29 @@ class TestValidation:
             MeanRevertingDrift(a=0.0, b=1.0)
 
 
+FINITE = st.floats(-10.0, 10.0)
+POSITIVE = st.floats(1e-3, 10.0)
+SPEC_STRATEGIES = {
+    TanhLocalVol: st.builds(lambda f0, ratio, x0: TanhLocalVol(f0, ratio * f0, x0),
+                            POSITIVE, st.floats(-0.99, 0.99), FINITE),
+    TaylorLocalVol: st.builds(TaylorLocalVol, POSITIVE, FINITE, FINITE, FINITE),
+    ConstantLocalVol: st.builds(ConstantLocalVol),
+    ZeroDrift: st.builds(ZeroDrift),
+    ConstantDrift: st.builds(ConstantDrift, FINITE),
+    MeanRevertingDrift: st.builds(MeanRevertingDrift, POSITIVE, POSITIVE),
+}
+
+
+def _of_kind(union):
+    """Any spec of the kind ``union``; a class without a strategy is a KeyError."""
+    return st.one_of(*(SPEC_STRATEGIES[cls] for cls in typing.get_args(union)))
+
+
+SPEC_STRATEGIES.update({
+    cls: st.builds(cls, POSITIVE, _of_kind(DriftSpec)) for cls in typing.get_args(VolOfVolSpec)
+})
+
+
 class TestJsonConfig:
     def test_round_trip(self, tmp_path):
         model = LsvModel(
@@ -318,6 +348,37 @@ class TestJsonConfig:
         with pytest.raises(ValueError):
             model_from_dict(cfg)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.pop("s0"), "missing key s0"),
+        (lambda c: c["local_vol"].pop("f0"), "missing key local_vol.f0"),
+        (lambda c: c["local_vol"].update(x_0=0.3), "unknown key local_vol.x_0"),
+        (lambda c: c.update(local_vol={"kind": "constant", "value": 1.0}), "unknown key local_vol.value"),
+        (lambda c: c["local_vol"].pop("kind"), "local_vol.kind must be one of"),
+        (lambda c: c["vol_of_vol"].update(drift={"mu": 0.5}), "vol_of_vol.drift.kind must be one of"),
+        (lambda c: c["vol_of_vol"].update(drift={"kind": ["zero"]}), "vol_of_vol.drift.kind must be one of"),
+        (lambda c: c["vol_of_vol"].update(drift=None), "vol_of_vol.drift must be a JSON object"),
+        (lambda c: c.update(rho="-0.7x"), "rho must be a number"),
+        (lambda c: c.update(v0=10**400), "v0 must be a number"),
+        (lambda c: c["local_vol"].update(f1=[0.5]), "local_vol.f1 must be a number"),
+    ])
+    def test_malformed_input_names_its_key(self, edit, message):
+        cfg = json.loads(json.dumps(model_to_dict(table_model())))
+        edit(cfg)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model_from_dict(cfg)
+
+    @pytest.mark.parametrize("body", [[1.0, 2.0], "model", 3.0, None])
+    def test_body_must_be_an_object(self, body):
+        with pytest.raises(ValueError, match="model must be a JSON object"):
+            model_from_dict(body)
+
+    @given(model=st.builds(
+        LsvModel, s0=POSITIVE, v0=POSITIVE, rho=st.floats(-1.0, 1.0), r=FINITE, q=FINITE,
+        local_vol=_of_kind(LocalVolSpec), vol_of_vol=_of_kind(VolOfVolSpec)))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_round_trip_property(self, model):
+        assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
+
 
 def _curvature_sup_oracle(f0, f1, x0):
     """sup over x of |g''(x) - g'(x)|, g = (f0 + f1 tanh(x - x0))^2, from
@@ -336,6 +397,13 @@ def _curvature_sup_oracle(f0, f1, x0):
     peaks = [xs[i] for i in range(1, len(xs) - 1) if hs[i] >= hs[i - 1] and hs[i] >= hs[i + 1]]
     best = max(abs(h(mp.findroot(lambda x: mp.diff(g, x, 3) - mp.diff(g, x, 2), mp.mpf(x)))) for x in peaks)
     return float(best)
+
+
+class TestGaussLegendre:
+    def test_nodes_match_scipy(self):
+        nodes, weights = roots_legendre(16)
+        assert np.max(np.abs(model_module._GL_NODES - nodes)) <= 1e-16
+        assert np.max(np.abs(model_module._GL_WEIGHTS - weights)) <= 5e-15
 
 
 class TestTanhProxyCurvature:

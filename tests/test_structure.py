@@ -7,7 +7,8 @@ new spec cannot quietly need a type ladder in a caller.  Every scalar root
 goes through the one safeguarded solver in ``_roots``, so no module brings
 in another.  Monte Carlo pricing reads everything it needs from the
 samples, tells the products apart in one place and leaves output formats
-to the CLI.
+to the CLI.  A model file is read and written through one ``{kind: class}``
+table per spec kind, never by per-class JSON code.
 """
 
 import ast
@@ -79,6 +80,21 @@ def test_spec_classes_share_one_method_set(suffix):
     first = methods[classes[0].__name__]
     assert first, "spec classes carry their formulas as methods"
     assert all(m == first for m in methods.values()), methods
+
+
+def test_kind_tables_list_every_spec_class_once():
+    listed = [cls for table in model._KINDS.values() for cls in table.values()]
+    spec_classes = [cls for union in SPEC_KINDS.values() for cls in typing.get_args(union)]
+    assert sorted(c.__name__ for c in listed) == sorted(c.__name__ for c in spec_classes)
+    for field_name, union in (("local_vol", model.LocalVolSpec), ("drift", model.DriftSpec),
+                              ("vol_of_vol", model.VolOfVolSpec)):
+        assert set(model._KINDS[field_name].values()) == set(typing.get_args(union)), field_name
+
+
+def test_no_per_class_json_code():
+    spec_classes = [cls for union in SPEC_KINDS.values() for cls in typing.get_args(union)]
+    assert not [cls.__name__ for cls in spec_classes + [model.LsvModel] if "to_dict" in vars(cls)]
+    assert not [name for name in vars(model) if name.endswith("_from_dict") and name != "model_from_dict"]
 
 
 # what McSamples already carries, by parameter name

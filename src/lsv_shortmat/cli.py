@@ -27,7 +27,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -81,10 +80,6 @@ def _reference_level(model: LsvModel, product: str) -> float:
 
 
 def _strike_grid(args, reference: float) -> np.ndarray:
-    if args.kcount < 1:
-        raise SystemExit("--kcount must be at least 1")
-    if args.kmin >= args.kmax:
-        raise SystemExit("--kmin must be below --kmax")
     return reference * np.exp(np.linspace(args.kmin, args.kmax, args.kcount))
 
 
@@ -178,7 +173,7 @@ def _mc_smile(args, model: LsvModel):
     """The MC smile on the --kmin/--kmax grid, else on the sample-quantile grid."""
     maturity = args.maturity if args.maturity is not None else _DEF_MATURITY[args.product]
     config = McConfig(n_paths=args.paths, n_steps=args.steps, maturity=maturity, seed=args.seed)
-    samples = simulate_paths(model, config, threads=args.threads)
+    samples = simulate_paths(model, config)
     if args.kmin is not None:
         strikes = _strike_grid(args, _reference_level(model, args.product))
     else:
@@ -224,14 +219,6 @@ def _cmd_compare(args, model: LsvModel) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_threads() -> int:
-    env = os.environ.get("LSV_SHORTMAT_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process.  Its subcommands share their options
@@ -261,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--seed", type=int, default=_DEF_SEED)
     mc.add_argument("--maturity", type=float, default=None,
                     help="years; defaults to 1/12 (european) or 1/52 (vix)")
-    mc.add_argument("--threads", type=int, default=None,
-                    help="path-block threads; defaults to $LSV_SHORTMAT_THREADS, else 1")
 
     parser = argparse.ArgumentParser(
         prog="lsv-shortmat",
@@ -283,10 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "kmin" in args and (args.kmin is None) != (args.kmax is None):
-        parser.error("--kmin and --kmax must be given together")
-    if "threads" in args and args.threads is None:
-        args.threads = _default_threads()
+    # the strike range is checked before a model is read or a path simulated
+    if "kcount" in args:
+        if args.kcount < 1:
+            parser.error("--kcount must be at least 1")
+        if (args.kmin is None) != (args.kmax is None):
+            parser.error("--kmin and --kmax must be given together")
+        if args.kmin is not None and args.kmin >= args.kmax:
+            parser.error("--kmin must be below --kmax")
     try:
         model = load_model(args.model) if "model" in args else None
         _echo_config(args, model)

@@ -15,6 +15,7 @@ may be generated on any number of workers with bit-identical results.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -84,20 +85,25 @@ class PriceEstimate:
     n: int
 
 
-def _simulate_block(model: LsvModel, config: McConfig, block_index: int, aux_const_vol: float | None):
-    """Simulate one fixed-width block of paths; always draws the full block
-    so the content of path i is independent of n_paths."""
+def _simulate_block(model: LsvModel, config: McConfig, block_index: int, aux_const_vol: float | None,
+                    s_out: np.ndarray, v_out: np.ndarray, aux_out: np.ndarray | None) -> None:
+    """Simulate one fixed-width block of paths into its columns of the
+    (passes, n_paths) outputs.  The full block is always drawn, so the
+    content of path i is independent of n_paths; the last block is trimmed."""
     key = (int(config.seed) % (1 << 64)) * (1 << 64) + block_index
     n_steps = config.n_steps
     dt = config.maturity / n_steps
     sq_dt = math.sqrt(dt)
+    lo = block_index * _BLOCK
+    width = min(_BLOCK, config.n_paths - lo)
+    cols = slice(lo, lo + width)
 
     rho = model.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
     vv = model.vol_of_vol
     carry = (model.r - model.q) * dt
 
-    def run(sign: float):
+    for row, sign in enumerate((1.0, -1.0) if config.antithetic else (1.0,)):
         # a fresh generator per pass replays the identical stream, so the
         # antithetic partner uses exactly the mirrored increments
         rng = np.random.Generator(np.random.Philox(key=key))
@@ -105,7 +111,7 @@ def _simulate_block(model: LsvModel, config: McConfig, block_index: int, aux_con
         # v_pos is the variance the coefficients see: max(v, 0) under full
         # truncation, v itself under an exact step
         v = v_pos = np.full(_BLOCK, model.v0)
-        log_aux = np.zeros(_BLOCK) if aux_const_vol is not None else None
+        log_aux = np.zeros(_BLOCK) if aux_out is not None else None
         for step in range(n_steps):
             zb = rng.standard_normal((2, _BLOCK))
             z = sign * zb[0]
@@ -117,49 +123,47 @@ def _simulate_block(model: LsvModel, config: McConfig, block_index: int, aux_con
             if log_aux is not None:
                 log_aux += carry - 0.5 * aux_const_vol**2 * dt + aux_const_vol * dw
             v, v_pos = vv.variance_step(v, v_pos, z, dt)
-        # a path truncated at 0 ends at 1e-300; exact steps stay positive
-        v_out = np.maximum(v_pos, 1e-300)
-        s_out = model.s0 * np.exp(log_m)
-        aux_out = model.s0 * np.exp(log_aux) if log_aux is not None else None
-        return s_out, v_out, aux_out
-
-    out = [run(1.0)]
-    if config.antithetic:
-        out.append(run(-1.0))
-    return out
+        # a path truncated at 0 ends at 1e-300; exact steps stay positive.
+        # Mapped whole, then trimmed, so no value depends on the block's width
+        v_out[row, cols] = np.maximum(v_pos, 1e-300)[:width]
+        s_out[row, cols] = (model.s0 * np.exp(log_m))[:width]
+        if aux_out is not None:
+            aux_out[row, cols] = (model.s0 * np.exp(log_aux))[:width]
 
 
-def simulate_paths(model: LsvModel, config: McConfig, threads: int = 1,
-                   aux_const_vol: float | None = None) -> McSamples:
+def _worker_count() -> int:
+    """Every CPU this process may run on: its affinity mask where the OS
+    has one (so taskset or a cpuset narrows it), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | None = None) -> McSamples:
     """Simulate terminal (S_T, V_T) samples.
 
-    ``threads`` only controls how blocks are dispatched; output is
-    bit-identical for any worker count.  ``aux_const_vol`` additionally
+    Blocks run on a thread pool with one worker per usable CPU; the output
+    is bit-identical for any worker count.  ``aux_const_vol`` additionally
     evolves a constant-vol GBM from the same Brownian increments (a control
     variate with known Black price).
     """
     if abs(model.rho) > 1.0:
         raise ValueError("|rho| must not exceed 1")
     n_blocks = (config.n_paths + _BLOCK - 1) // _BLOCK
+    # the plain paths first, their antithetic partners second
+    shape = (2 if config.antithetic else 1, config.n_paths)
+    s, v = np.empty(shape), np.empty(shape)
+    aux = np.empty(shape) if aux_const_vol is not None else None
 
-    def work(bi: int):
-        return _simulate_block(model, config, bi, aux_const_vol)
+    def work(bi: int) -> None:
+        _simulate_block(model, config, bi, aux_const_vol, s, v, aux)
 
-    if threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(n_blocks)))
-    else:
-        results = [work(bi) for bi in range(n_blocks)]
-
-    def gather(col: int):
-        # the plain paths of every block, then their antithetic partners
-        return np.concatenate([np.concatenate([r[p][col] for r in results])[: config.n_paths]
-                               for p in range(len(results[0]))])
-
-    s, v = gather(0), gather(1)
-    aux = gather(2) if aux_const_vol is not None else None
-    return McSamples(terminal_s=s, terminal_v=v, config=config, model=model,
-                     v_scheme=model.vol_of_vol.mc_scheme(), terminal_s_aux=aux)
+    with ThreadPoolExecutor(max_workers=min(_worker_count(), n_blocks)) as pool:
+        # reading every result re-raises an error of any block here
+        list(pool.map(work, range(n_blocks)))
+    return McSamples(terminal_s=s.reshape(-1), terminal_v=v.reshape(-1), config=config, model=model,
+                     v_scheme=model.vol_of_vol.mc_scheme(),
+                     terminal_s_aux=aux.reshape(-1) if aux is not None else None)
 
 
 def _underlying(samples: McSamples, product: str) -> tuple[np.ndarray, float, float]:

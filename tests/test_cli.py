@@ -2,11 +2,10 @@ import csv
 import io
 import json
 import math
-import os
 
 import pytest
 
-from lsv_shortmat import heston_rate, rate_solver
+from lsv_shortmat import cli, heston_rate, rate_solver
 from lsv_shortmat.cli import main
 from lsv_shortmat.model import model_from_dict
 from lsv_shortmat.rate_solver import sabr_rate_closed
@@ -251,28 +250,6 @@ class TestMcAndCompare:
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
 
-    def test_threads_do_not_change_output(self, model_file, capsys):
-        args = ["mc", "--model", model_file] + self.ARGS
-        _, out1, _ = run_cli(args + ["--threads", "1"], capsys)
-        _, out2, _ = run_cli(args + ["--threads", "3"], capsys)
-        assert out1 == out2
-
-    def test_threads_env_default(self, model_file, capsys, monkeypatch):
-        monkeypatch.setenv("LSV_SHORTMAT_THREADS", "2")
-        _, _, err = run_cli(["mc", "--model", model_file] + self.ARGS, capsys)
-        echoed = json.loads(err.strip().split("\n")[0])
-        assert echoed["effective_config"]["threads"] == 2
-
-    def test_threads_env_read_per_call(self, model_file, capsys, monkeypatch):
-        # the parser is built once per process; the default is not
-        for env, threads in (("3", 3), ("1", 1), (None, 1), ("2", 2)):
-            if env is None:
-                monkeypatch.delenv("LSV_SHORTMAT_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("LSV_SHORTMAT_THREADS", env)
-            _, _, err = run_cli(["mc", "--model", model_file] + self.ARGS, capsys)
-            assert json.loads(err.splitlines()[0])["effective_config"]["threads"] == threads
-
     @pytest.mark.parametrize("command", ["mc", "compare"])
     @pytest.mark.parametrize("half", [["--kmin", "-0.05"], ["--kmax=-0.05"]])
     def test_half_given_range_is_a_usage_error(self, command, half, model_file, capsys):
@@ -281,6 +258,25 @@ class TestMcAndCompare:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--kmin and --kmax must be given together" in err and "effective_config" not in err
+
+    @pytest.mark.parametrize("command", ["smile", "rate", "mc", "compare"])
+    @pytest.mark.parametrize("bad, message", [
+        (["--kcount", "0"], "--kcount must be at least 1"),
+        (["--kmin", "0.3", "--kmax=-0.3"], "--kmin must be below --kmax"),
+        (["--kmin", "0.1", "--kmax", "0.1"], "--kmin must be below --kmax"),
+    ])
+    def test_bad_strike_grid_is_a_usage_error(self, command, bad, message, model_file, capsys, monkeypatch):
+        # rejected before the model is read, the config echoed or a path simulated
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the strike grid was checked")
+
+        monkeypatch.setattr(cli, "simulate_paths", must_not_run)
+        monkeypatch.setattr(cli, "load_model", must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", model_file] + bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "effective_config" not in err
 
     def test_fixed_range_default_does_not_leak(self, model_file, capsys):
         # smile and rate default to |k| <= 0.3; mc and compare, built from

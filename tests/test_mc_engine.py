@@ -1,8 +1,12 @@
+import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from lsv_shortmat import mc_engine
 from lsv_shortmat.mc_engine import (
     McConfig,
     default_strike_grid,
@@ -50,12 +54,59 @@ class TestSimulatePaths:
         np.testing.assert_array_equal(small.terminal_s, large.terminal_s[:1_000])
         np.testing.assert_array_equal(small.terminal_v, large.terminal_v[:1_000])
 
-    def test_thread_count_invariance(self):
+    @staticmethod
+    def _sample_bytes(samples):
+        return [a.tobytes() for a in (samples.terminal_s, samples.terminal_v, samples.terminal_s_aux)]
+
+    def test_worker_count_invariance(self, monkeypatch):
+        # 40_001 paths leave a ragged last block; every output array is compared
         model = table_model(0.3)
-        config = McConfig(n_paths=40_000, n_steps=25, maturity=0.1, seed=11)
-        a = simulate_paths(model, config, threads=1)
-        b = simulate_paths(model, config, threads=4)
-        assert a.terminal_s.tobytes() == b.terminal_s.tobytes()
+        config = McConfig(n_paths=40_001, n_steps=25, maturity=0.1, seed=11, antithetic=True)
+        pools, runs = [], []
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(mc_engine, "ThreadPoolExecutor", pool)
+        for cpus in (1, 4):
+            monkeypatch.setattr(mc_engine.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            runs.append(self._sample_bytes(simulate_paths(model, config, aux_const_vol=0.3)))
+        assert pools == [1, 3]  # one worker per usable CPU, never more than the 3 blocks
+        assert runs[0] == runs[1]
+
+    def test_worker_count_without_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(mc_engine.os, "sched_getaffinity", raising=False)
+        for reported, workers in ((6, 6), (None, 1)):
+            monkeypatch.setattr(mc_engine.os, "cpu_count", lambda r=reported: r)
+            assert mc_engine._worker_count() == workers
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        # 9 blocks on 9 workers with frequent thread switches: each block must
+        # still land in its own columns
+        model = table_model(-0.7)
+        config = McConfig(n_paths=8 * 16384 + 1, n_steps=2, maturity=0.1, seed=3, antithetic=True)
+        monkeypatch.setattr(mc_engine.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = self._sample_bytes(simulate_paths(model, config, aux_const_vol=0.2))
+        monkeypatch.setattr(mc_engine.os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = self._sample_bytes(simulate_paths(model, config, aux_const_vol=0.2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
+
+    def test_sample_digest_pinned(self):
+        # sha256 of a small ragged antithetic run with a control variate, as
+        # the block-list gather produced it before blocks wrote in place
+        model = table_model(0.3)
+        config = McConfig(n_paths=20_001, n_steps=5, maturity=0.1, seed=11, antithetic=True)
+        digest = hashlib.sha256()
+        for chunk in self._sample_bytes(simulate_paths(model, config, aux_const_vol=0.3)):
+            digest.update(chunk)
+        assert digest.hexdigest() == "a9cb0722313b7135bf981a5da4f57f5fb615fb1164f487e1530b8c28d7924f83"
 
     def test_antithetic_layout(self):
         model = table_model(0.0)

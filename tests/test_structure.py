@@ -8,7 +8,9 @@ goes through the one safeguarded solver in ``_roots``, so no module brings
 in another.  Monte Carlo pricing reads everything it needs from the
 samples, tells the products apart in one place and leaves output formats
 to the CLI.  A model file is read and written through one ``{kind: class}``
-table per spec kind, never by per-class JSON code.
+table per spec kind, never by per-class JSON code.  The package reads no
+environment variables, and the Monte Carlo engine works out its own worker
+count, so no caller passes one.
 """
 
 import ast
@@ -138,3 +140,24 @@ def test_mc_engine_has_one_product_switch():
                for node in ast.walk(fn))
     ]
     assert switches == ["_underlying"], switches
+
+
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_environment_reads():
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ENV_READERS)
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and {a.name for a in node.names} & ENV_READERS)
+    ]
+    assert not reads, reads
+
+
+def test_simulate_paths_takes_no_worker_count():
+    # the engine sizes its pool from the CPUs it may use; a new parameter
+    # must be added here deliberately
+    assert list(inspect.signature(mc_engine.simulate_paths).parameters) == ["model", "config", "aux_const_vol"]

@@ -274,8 +274,12 @@ def main(argv=None) -> int:
             parser.error("--kcount must be at least 1")
         if (args.kmin is None) != (args.kmax is None):
             parser.error("--kmin and --kmax must be given together")
-        if args.kmin is not None and args.kmin >= args.kmax:
-            parser.error("--kmin must be below --kmax")
+        if args.kmin is not None:
+            # a nan end would pass the order check below
+            if not (math.isfinite(args.kmin) and math.isfinite(args.kmax)):
+                parser.error("--kmin and --kmax must be finite")
+            if args.kmin >= args.kmax:
+                parser.error("--kmin must be below --kmax")
     try:
         model = load_model(args.model) if "model" in args else None
         _echo_config(args, model)

@@ -27,10 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Not used here: the benchmark tracer (perfbench/tracing.py) rebinds this
-# name on this module, so it stays importable from it.
-from scipy.optimize import minimize  # noqa: F401
-
 from ._roots import newton_bracketed
 
 __all__ = [
@@ -46,6 +42,17 @@ __all__ = [
     "marginal_J1",
     "marginal_J2",
 ]
+
+
+def __getattr__(name):
+    # No code here calls scipy.  The benchmark tracer (perfbench/tracing.py)
+    # still reads and rebinds ``minimize`` on this module to count calls, so
+    # it resolves on first access, and only then is scipy imported.
+    if name == "minimize":
+        import scipy.optimize
+
+        return scipy.optimize.minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,8 @@ class McConfig:
             raise ValueError("n_paths must be at least 2")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        if self.maturity <= 0.0:
-            raise ValueError("maturity must be positive")
+        if not 0.0 < self.maturity < math.inf:
+            raise ValueError("maturity must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Not used here: the benchmark tracer (perfbench/tracing.py) rebinds these
-# names on this module, so they stay importable from it.
-from scipy.optimize import minimize, minimize_scalar  # noqa: F401
-
 from .hartman_watson import h_lognormal  # noqa: F401
 from .heston_rate import h_heston  # noqa: F401
 from .model import (
@@ -59,6 +55,19 @@ __all__ = [
     "sabr_rate_closed",
     "rate_to_impvol",
 ]
+
+
+def __getattr__(name):
+    # The solver calls no scipy minimiser.  The benchmark tracer
+    # (perfbench/tracing.py) still reads and rebinds these two names on this
+    # module to count calls, so they resolve on first access, and only then
+    # is scipy imported: a CLI run never loads it.
+    if name in ("minimize", "minimize_scalar"):
+        import scipy.optimize
+
+        return getattr(scipy.optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # search box for (log u, y - log v0) in the two-variable minimisation
 _BOX = 10.0

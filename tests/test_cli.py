@@ -264,6 +264,12 @@ class TestMcAndCompare:
         (["--kcount", "0"], "--kcount must be at least 1"),
         (["--kmin", "0.3", "--kmax=-0.3"], "--kmin must be below --kmax"),
         (["--kmin", "0.1", "--kmax", "0.1"], "--kmin must be below --kmax"),
+        # a nan end passes every order comparison, and an infinite end
+        # puts an infinite or nan strike on the grid
+        *[(["--kmin=" + end, "--kmax", "0.3"], "--kmin and --kmax must be finite")
+          for end in ("nan", "inf", "-inf")],
+        *[(["--kmin", "-0.3", "--kmax=" + end], "--kmin and --kmax must be finite")
+          for end in ("nan", "inf", "-inf")],
     ])
     def test_bad_strike_grid_is_a_usage_error(self, command, bad, message, model_file, capsys, monkeypatch):
         # rejected before the model is read, the config echoed or a path simulated
@@ -277,6 +283,14 @@ class TestMcAndCompare:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "effective_config" not in err
+
+    @pytest.mark.parametrize("command", ["mc", "compare"])
+    @pytest.mark.parametrize("maturity", ["nan", "inf", "0"])
+    def test_bad_maturity_fails_loudly(self, command, maturity, model_file, capsys):
+        code, out, err = run_cli([command, "--model", model_file, "--paths", "2000", "--steps", "5",
+                                  "--kcount", "3", "--maturity=" + maturity], capsys)
+        assert code == 1 and out == ""
+        assert "error: maturity must be positive and finite" in err
 
     def test_fixed_range_default_does_not_leak(self, model_file, capsys):
         # smile and rate default to |k| <= 0.3; mc and compare, built from

@@ -38,6 +38,13 @@ def table_model(rho, **kw):
     return LsvModel(**base)
 
 
+class TestMcConfig:
+    @pytest.mark.parametrize("maturity", [math.nan, math.inf, 0.0, -0.1])
+    def test_maturity_must_be_positive_and_finite(self, maturity):
+        with pytest.raises(ValueError, match="maturity must be positive and finite"):
+            McConfig(n_paths=1_000, n_steps=5, maturity=maturity, seed=1)
+
+
 class TestSimulatePaths:
     def test_deterministic_bytes(self):
         model = table_model(-0.7)

@@ -10,17 +10,23 @@ samples, tells the products apart in one place and leaves output formats
 to the CLI.  A model file is read and written through one ``{kind: class}``
 table per spec kind, never by per-class JSON code.  The package reads no
 environment variables, and the Monte Carlo engine works out its own worker
-count, so no caller passes one.
+count, so no caller passes one.  The package runs on numpy alone: scipy is
+imported only by the module ``__getattr__`` hooks that hand the benchmark
+tracer the scipy minimisers it counts, so no CLI run loads it.
 """
 
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
 import pytest
 
-from lsv_shortmat import mc_engine, model
+from lsv_shortmat import heston_rate, mc_engine, model, rate_solver
 
 PACKAGE = Path(model.__file__).resolve().parent
 # the remaining sites: cli._expansion_for, smile._require and the two input
@@ -29,9 +35,6 @@ MAX_ISINSTANCE = 6
 
 # scipy root finders the package solver replaces
 FOREIGN_ROOT_FINDERS = {"brentq", "bisect", "newton", "root_scalar"}
-# scipy.optimize names that stay imported only because the benchmark tracer
-# (perfbench/tracing.py) rebinds them on the package's modules
-TRACED_OPTIMIZE_NAMES = {"minimize", "minimize_scalar"}
 
 SPEC_KINDS = {
     "LocalVol": model.LocalVolSpec,
@@ -50,22 +53,86 @@ def test_isinstance_sites():
     assert len(sites) <= MAX_ISINSTANCE, sites
 
 
+def _imported_modules(node) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module]
+    return []
+
+
 def test_one_root_solver():
-    foreign, optimize_names, definitions = [], set(), []
+    foreign, scipy_imports, definitions = [], [], []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the one place scipy may be imported: `import scipy.optimize` in a
+        # module-level __getattr__, which runs only when a tracer asks for it
+        hooked = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "__getattr__"
+                  for node in ast.walk(fn) if _imported_modules(node) == ["scipy.optimize"]}
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
                 foreign += [f"{path.name}:{node.lineno}:{n}" for n in sorted(names & FOREIGN_ROOT_FINDERS)]
-                if node.module == "scipy.optimize":
-                    optimize_names |= names
             elif isinstance(node, ast.Attribute) and node.attr in FOREIGN_ROOT_FINDERS:
                 foreign.append(f"{path.name}:{node.lineno}:{node.attr}")
             elif isinstance(node, ast.FunctionDef) and node.name == "newton_bracketed":
                 definitions.append(path.name)
+            if id(node) not in hooked and any(m.split(".")[0] == "scipy" for m in _imported_modules(node)):
+                scipy_imports.append(f"{path.name}:{node.lineno}")
     assert not foreign, foreign
-    assert optimize_names <= TRACED_OPTIMIZE_NAMES, optimize_names
+    assert not scipy_imports, scipy_imports
     assert definitions == ["_roots.py"]
+
+
+# every subcommand once, in one fresh interpreter, on a tanh lognormal and
+# a tanh square-root model; prints the scipy modules loaded at the end
+CLI_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+import lsv_shortmat.cli as cli
+
+models = sys.argv[1:]
+runs = [["table1"]]
+for path in models:
+    for product in ("european", "vix"):
+        runs.append(["smile", "--model", path, "--product", product, "--kcount", "3"])
+    runs.append(["rate", "--model", path, "--kcount", "3"])
+    for command in ("mc", "compare"):
+        runs.append([command, "--model", path, "--paths", "4096", "--steps", "10", "--kcount", "3"])
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"{argv}: exit {code}")
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    paths = []
+    for name, vol_of_vol in (("lognormal", {"kind": "lognormal", "sigma": 2.0, "drift": {"kind": "zero"}}),
+                             ("square_root", {"kind": "square_root", "sigma": 1.0, "drift": {"kind": "zero"}})):
+        path = tmp_path / f"tanh_{name}.json"
+        path.write_text(json.dumps({
+            "s0": 1.0, "v0": 0.1, "rho": -0.7, "r": 0.0, "q": 0.0,
+            "local_vol": {"kind": "tanh", "f0": 1.0, "f1": -0.5, "x0": 0.0},
+            "vol_of_vol": vol_of_vol,
+        }))
+        paths.append(str(path))
+    proc = subprocess.run([sys.executable, "-c", CLI_WITHOUT_SCIPY, *paths], capture_output=True, text=True,
+                          timeout=300, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_traced_names_resolve_on_access():
+    import scipy.optimize
+
+    assert rate_solver.minimize is scipy.optimize.minimize
+    assert rate_solver.minimize_scalar is scipy.optimize.minimize_scalar
+    assert heston_rate.minimize is scipy.optimize.minimize
+    for module in (rate_solver, heston_rate):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
 
 
 def _public_methods(cls) -> set[str]:

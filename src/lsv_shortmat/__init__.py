@@ -4,7 +4,13 @@ The package computes the leading short-maturity behaviour of European and
 VIX option implied volatilities when instantaneous volatility is a local
 function of spot times a stochastic factor, and validates the closed forms
 against an internal Monte Carlo pricer.
+
+The Monte Carlo names are exported lazily: :mod:`.mc_engine`, and numpy and
+the thread pool with it, is imported when one of them is first asked for,
+so the analytic layers load neither.
 """
+
+import importlib
 
 from .black_scholes import OptionQuote, black_price, black_vega, implied_vol
 from .hartman_watson import FBranchSolution, h_lognormal, hw_F, hw_F_series, rate_I, solve_f_branch
@@ -18,19 +24,6 @@ from .heston_rate import (
     marginal_J2,
     rate_IH_numeric,
     rate_IH_series,
-)
-from .mc_engine import (
-    McConfig,
-    McSamples,
-    PriceEstimate,
-    SmilePoint,
-    default_strike_grid,
-    price,
-    proxy_error_bounds,
-    simulate_paths,
-    smile_from_mc,
-    terminal_values,
-    vix_exact_meanrev,
 )
 from .model import (
     ConstantDrift,
@@ -78,3 +71,19 @@ from .smile import (
 )
 
 __version__ = "0.1.0"
+
+_MC_ENGINE_EXPORTS = ("McConfig", "McSamples", "PriceEstimate", "SmilePoint", "default_strike_grid", "price",
+                      "proxy_error_bounds", "simulate_paths", "smile_from_mc", "terminal_values",
+                      "vix_exact_meanrev")
+
+
+def __getattr__(name: str):
+    if name == "mc_engine" or name in _MC_ENGINE_EXPORTS:
+        # not ``from . import``, which would ask this hook for "mc_engine"
+        mc_engine = importlib.import_module(".mc_engine", __name__)
+        return mc_engine if name == "mc_engine" else getattr(mc_engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "mc_engine", *_MC_ENGINE_EXPORTS})

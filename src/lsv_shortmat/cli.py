@@ -29,9 +29,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .mc_engine import McConfig, default_strike_grid, simulate_paths, smile_from_mc
 from .model import (
     LognormalVolOfVol,
     LsvModel,
@@ -59,6 +56,15 @@ _DEF_MATURITY = {"european": 1.0 / 12.0, "vix": 1.0 / 52.0}
 # J ~ k^2 is then so small that the solver's absolute error in J dominates
 # |k| / sqrt(2 J), while the expansion is off by O(k^3) only
 _NEAR_MONEY = 1e-4
+# the |log-moneyness| from which exp(k) or exp(-k) overflows; below it
+# exp(k) is a finite positive float
+_MAX_ABS_K = math.log(sys.float_info.max)
+
+# The Monte Carlo names, imported (and numpy and the thread pool with them)
+# only when a Monte Carlo command runs or a caller asks this module for one.
+# They stay module attributes, called through the module globals, so that a
+# caller may rebind them (a tracer's wrapper, say) and the commands see it.
+_MC_NAMES = ("McConfig", "default_strike_grid", "simulate_paths", "smile_from_mc")
 
 TABLE1_HEADER = ["rho", "sigma_e_atm", "s_e", "kappa_e", "sigma_vix_atm", "s_vix", "kappa_vix"]
 SMILE_HEADER = ["strike", "log_moneyness", "iv_expansion", "iv_rate"]
@@ -79,8 +85,44 @@ def _reference_level(model: LsvModel, product: str) -> float:
     return model.s0 if product == "european" else vix_spot(model)
 
 
-def _strike_grid(args, reference: float) -> np.ndarray:
-    return reference * np.exp(np.linspace(args.kmin, args.kmax, args.kcount))
+def _bind_mc_engine() -> None:
+    """Bind the names of :data:`_MC_NAMES` as module globals, keeping any
+    that is already bound."""
+    from . import mc_engine
+
+    for name in _MC_NAMES:
+        globals().setdefault(name, getattr(mc_engine, name))
+
+
+def __getattr__(name: str):
+    if name in _MC_NAMES:
+        _bind_mc_engine()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _log_moneyness_grid(kmin: float, kmax: float, count: int) -> list[float]:
+    """``count`` points from kmin to kmax, bit for bit those of
+    ``numpy.linspace``: kmin + i * step with the last point set to kmax."""
+    div = max(count - 1, 1)
+    delta = kmax - kmin
+    step = delta / div
+    if step == 0.0:
+        # the step underflowed; numpy then scales i / div by delta
+        grid = [kmin + i / div * delta for i in range(count)]
+    else:
+        grid = [kmin + i * step for i in range(count)]
+    if count > 1:
+        grid[-1] = kmax
+    return grid
+
+
+def _strike_grid(args, reference: float) -> list[float]:
+    strikes = [reference * math.exp(k) for k in _log_moneyness_grid(args.kmin, args.kmax, args.kcount)]
+    if not all(0.0 < strike < math.inf for strike in strikes):
+        raise ValueError(f"the strike range {reference!r} * exp([{args.kmin!r}, {args.kmax!r}]) "
+                         "leaves the finite positive floats")
+    return strikes
 
 
 def _write_csv(header, rows, out_path: str | None) -> None:
@@ -171,6 +213,7 @@ def _cmd_rate(args, model: LsvModel) -> int:
 
 def _mc_smile(args, model: LsvModel):
     """The MC smile on the --kmin/--kmax grid, else on the sample-quantile grid."""
+    _bind_mc_engine()
     maturity = args.maturity if args.maturity is not None else _DEF_MATURITY[args.product]
     config = McConfig(n_paths=args.paths, n_steps=args.steps, maturity=maturity, seed=args.seed)
     samples = simulate_paths(model, config)
@@ -278,6 +321,9 @@ def main(argv=None) -> int:
             # a nan end would pass the order check below
             if not (math.isfinite(args.kmin) and math.isfinite(args.kmax)):
                 parser.error("--kmin and --kmax must be finite")
+            if max(abs(args.kmin), abs(args.kmax)) >= _MAX_ABS_K:
+                parser.error(f"--kmin and --kmax must lie within +-{_MAX_ABS_K:.2f}, "
+                             "beyond which exp(k) is no finite positive float")
             if args.kmin >= args.kmax:
                 parser.error("--kmin must be below --kmax")
     try:

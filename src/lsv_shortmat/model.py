@@ -8,8 +8,9 @@ Taylor polynomial in log-moneyness, or held constant (pure stochastic vol).
 
 Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
 
-* ``eta(k)``                 - eta at a float or an ndarray of k;
-* ``eta_derivatives(k)``     - eta, eta' and eta'' at a float k;
+* ``eta(k)``                 - eta at an ndarray (or a float) of k, by numpy;
+* ``eta_derivatives(k)``     - eta, eta' and eta'' at a float k, in plain
+  ``math`` (the scalar eta of :func:`eta_eval` and :func:`vix_spot`);
 * ``inv_eta_integral(L)``    - the integral of 1/eta over k in [0, L];
 * ``eta_sq_log_inverse(w)``  - the k at which eta(k)^2 = w;
 * ``eta_sq_range()``         - the open range of eta^2;
@@ -41,19 +42,19 @@ the dataclass fields alone, with one ``{kind: class}`` table per spec kind
 
 All spec objects are frozen dataclasses: they validate on construction and
 their methods are pure, so everything here is safe to share across threads.
+numpy is imported by the array methods alone (``eta``, the Taylor-spec
+quadrature, the tanh ``proxy_bounds`` and ``variance_step``), so reading a
+model and the scalar formulas leave it unloaded.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import reprlib
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Union
-
-import numpy as np
-from numpy.polynomial import Polynomial
-from numpy.polynomial.legendre import leggauss
 
 from ._roots import newton_bracketed
 from .hartman_watson import hw_F_derivatives
@@ -87,12 +88,22 @@ __all__ = [
 # constant far beyond +-50 for every supported shape.
 _LOG_BRACKET_CAP = 50.0
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
+
+@functools.cache
+def _gl_rule():
+    """The nodes and weights of 16-point Gauss-Legendre quadrature on
+    [-1, 1], as ndarrays."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(16)
 
 
-def _gl_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+def _gl_panel(f: Callable, a: float, b: float) -> float:
+    import numpy as np
+
+    nodes, weights = _gl_rule()
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+    return half * float(np.dot(weights, f(mid + half * nodes)))
 
 
 def _gl_adaptive(f, a: float, b: float, rel_tol: float = 1e-10, depth: int = 0) -> float:
@@ -130,6 +141,8 @@ class TanhLocalVol:
             raise ValueError(f"tanh local vol requires f0 > |f1|, got f0={self.f0}, f1={self.f1}")
 
     def eta(self, k):
+        import numpy as np
+
         return self.f0 + self.f1 * np.tanh(k - self.x0)
 
     def eta_derivatives(self, k: float) -> tuple[float, float, float]:
@@ -192,6 +205,9 @@ class TanhLocalVol:
         |P| is taken at the real part of every root, clipped to [-1, 1]; a
         complex root only adds a point below the peak.
         """
+        import numpy as np
+        from numpy.polynomial import Polynomial
+
         f0, f1 = self.f0, self.f1
         poly = Polynomial([1.0, 0.0, -1.0]) * Polynomial(
             [2.0 * f1 * (f1 - f0), -2.0 * f1 * (2.0 * f0 + f1), -6.0 * f1 * f1])
@@ -228,9 +244,9 @@ class TaylorLocalVol:
         """Integral of 1/eta over [0, L] by adaptive 16-point Gauss-Legendre
         panels, each evaluated in one vectorised Horner pass."""
 
-        def f(t: np.ndarray) -> np.ndarray:
+        def f(t):
             vals = self.eta(t)
-            if np.any(vals <= 0.0):
+            if (vals <= 0.0).any():
                 raise ValueError("eta vanishes on the integration path")
             return 1.0 / vals
 
@@ -288,6 +304,8 @@ class ConstantLocalVol:
     another level)."""
 
     def eta(self, k):
+        import numpy as np
+
         return np.ones_like(k, dtype=float)[()]
 
     def eta_derivatives(self, k: float) -> tuple[float, float, float]:
@@ -438,6 +456,8 @@ class LognormalVolOfVol:
         """One step of V from the standard normals z, returning (V, V+): an
         exact geometric Brownian step for a constant mu, full-truncation
         Euler (V+ = max(V, 0) feeds every coefficient) otherwise."""
+        import numpy as np
+
         mu = self.drift.constant_mu()
         sq_dt = math.sqrt(dt)
         if mu is None:
@@ -495,6 +515,8 @@ class SquareRootVolOfVol:
 
     def variance_step(self, v, v_pos, z, dt: float):
         """One full-truncation Euler step, as in :meth:`LognormalVolOfVol.variance_step`."""
+        import numpy as np
+
         v = v + self.drift.dv_drift(v_pos) * dt + self.sigma * np.sqrt(v_pos) * math.sqrt(dt) * z
         return v, np.maximum(v, 0.0)
 
@@ -531,7 +553,7 @@ def eta_eval(spec: LocalVolSpec, s: float, s0: float) -> float:
     """Evaluate the local volatility function at spot s (with reference s0)."""
     if s <= 0.0:
         raise ValueError("spot must be strictly positive")
-    return float(spec.eta(math.log(s / s0)))
+    return spec.eta_derivatives(math.log(s / s0))[0]
 
 
 def eta_log_coeffs(spec: LocalVolSpec, order: int = 3) -> list[float]:

@@ -270,6 +270,10 @@ class TestMcAndCompare:
           for end in ("nan", "inf", "-inf")],
         *[(["--kmin", "-0.3", "--kmax=" + end], "--kmin and --kmax must be finite")
           for end in ("nan", "inf", "-inf")],
+        # exp(k) overflows beyond +-709.78: such a range printed an inf
+        # strike row or failed inside the solver
+        (["--kmin", "700", "--kmax", "710"], "--kmin and --kmax must lie within +-709.78"),
+        (["--kmin=-800", "--kmax=-700"], "--kmin and --kmax must lie within +-709.78"),
     ])
     def test_bad_strike_grid_is_a_usage_error(self, command, bad, message, model_file, capsys, monkeypatch):
         # rejected before the model is read, the config echoed or a path simulated
@@ -283,6 +287,17 @@ class TestMcAndCompare:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "effective_config" not in err
+
+    @pytest.mark.parametrize("command", ["smile", "rate", "mc"])
+    def test_strike_past_the_floats_fails_loudly(self, command, tmp_path, capsys):
+        # each |k| is in range, but s0 e^k overflows
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(TABLE_MODEL, s0=1e300)))
+        size = ["--paths", "2000", "--steps", "5"] if command == "mc" else []
+        code, out, err = run_cli([command, "--model", str(path), "--kmin", "600", "--kmax", "700",
+                                  "--kcount", "2"] + size, capsys)
+        assert code == 1 and out == ""
+        assert "leaves the finite positive floats" in err
 
     @pytest.mark.parametrize("command", ["mc", "compare"])
     @pytest.mark.parametrize("maturity", ["nan", "inf", "0"])
@@ -322,3 +337,18 @@ class TestMcAndCompare:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 7
+
+
+def test_log_moneyness_grid_is_numpy_linspace():
+    # the CLI spaces strikes without numpy; its grid must be linspace's, bit for bit
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(7)
+    cases = [(-0.3, 0.3, 21), (-0.3, 0.3, 1), (-0.3, 0.3, 2), (-0.0, 0.3, 1), (0.0, 5e-324, 3),
+             (-5e-324, 5e-324, 7), (1.0, 1.0 + 2.0**-52, 9), (-709.0, 709.0, 40)]
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-320.0, 2.8)
+        lo, hi = sorted(rng.uniform(-scale, scale, 2))
+        cases.append((float(lo), float(hi) if hi > lo else float(np.nextafter(lo, np.inf)), int(rng.integers(1, 60))))
+    for kmin, kmax, count in cases:
+        grid = cli._log_moneyness_grid(kmin, kmax, count)
+        assert np.array(grid).tobytes() == np.linspace(kmin, kmax, count).tobytes(), (kmin, kmax, count)

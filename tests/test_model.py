@@ -82,6 +82,26 @@ class TestEtaEval:
             assert v == pytest.approx(eta_eval(spec, math.exp(k), 1.0), rel=1e-15)
 
 
+class TestScalarEta:
+    """The scalar eta of eta_eval and vix_spot (``eta_derivatives``, plain
+    math) against the ndarray ``eta`` (numpy), to 2 ulp."""
+
+    KS = [0.0, 1e-8, -1e-8, 0.3, -0.3, 5.0, -5.0, 40.0, -40.0]
+
+    @pytest.mark.parametrize("spec", [
+        *[TanhLocalVol(1.0, f1, x0) for x0 in (0.0, 0.4) for f1 in (-0.5, 0.3)],
+        TaylorLocalVol(eta0=0.8, eta1=0.2, eta2=-0.1, eta3=0.05),
+        ConstantLocalVol(),
+    ])
+    def test_matches_ndarray_eta(self, spec):
+        arrayed = spec.eta(np.array(self.KS))
+        for k, want in zip(self.KS, arrayed.tolist()):
+            got = spec.eta_derivatives(k)[0]
+            assert type(got) is float
+            assert abs(got - want) <= 2.0 * math.ulp(want), (k, got, want)
+            assert eta_eval(spec, math.exp(k), 1.0) == spec.eta_derivatives(math.log(math.exp(k)))[0]
+
+
 class TestEtaLogCoeffs:
     def test_tanh_centered(self):
         eta0, eta1, eta2, eta3 = eta_log_coeffs(TANH, 3)
@@ -402,8 +422,9 @@ def _curvature_sup_oracle(f0, f1, x0):
 class TestGaussLegendre:
     def test_nodes_match_scipy(self):
         nodes, weights = roots_legendre(16)
-        assert np.max(np.abs(model_module._GL_NODES - nodes)) <= 1e-16
-        assert np.max(np.abs(model_module._GL_WEIGHTS - weights)) <= 5e-15
+        gl_nodes, gl_weights = model_module._gl_rule()
+        assert np.max(np.abs(gl_nodes - nodes)) <= 1e-16
+        assert np.max(np.abs(gl_weights - weights)) <= 5e-15
 
 
 class TestTanhProxyCurvature:

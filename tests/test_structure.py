@@ -10,9 +10,12 @@ samples, tells the products apart in one place and leaves output formats
 to the CLI.  A model file is read and written through one ``{kind: class}``
 table per spec kind, never by per-class JSON code.  The package reads no
 environment variables, and the Monte Carlo engine works out its own worker
-count, so no caller passes one.  The package runs on numpy alone: scipy is
-imported only by the module ``__getattr__`` hooks that hand the benchmark
-tracer the scipy minimisers it counts, so no CLI run loads it.
+count, so no caller passes one.  numpy is the one runtime dependency, and
+only the Monte Carlo engine imports it at module level: the package, its
+model files and the analytic commands load neither numpy nor the thread
+pool, and the package still exports every name it did.  scipy is imported
+only by the module ``__getattr__`` hooks that hand the benchmark tracer the
+scipy minimisers it counts, so no CLI run loads it.
 """
 
 import ast
@@ -26,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+import lsv_shortmat
 from lsv_shortmat import heston_rate, mc_engine, model, rate_solver
 
 PACKAGE = Path(model.__file__).resolve().parent
@@ -84,6 +88,97 @@ def test_one_root_solver():
     assert definitions == ["_roots.py"]
 
 
+def _module_level_imports(tree):
+    """The import statements that run when the module is imported: those
+    outside every function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_mc_engine_imports_numpy_on_import():
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(m.split(".")[0] == "numpy"
+               for node in _module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+               for m in _imported_modules(node))
+    ]
+    assert importers == ["mc_engine.py"]
+
+
+# every name the package exported when it imported mc_engine eagerly
+PACKAGE_EXPORTS = [
+    "ConstantDrift", "ConstantLocalVol", "CumulantPoint", "FBranchSolution", "LognormalVolOfVol",
+    "LsvModel", "McConfig", "McSamples", "MeanRevertingDrift", "OptionQuote", "PriceEstimate",
+    "RatePoint", "SmileExpansion", "SmilePoint", "SquareRootVolOfVol", "TanhLocalVol",
+    "TaylorLocalVol", "VixMapping", "ZeroDrift", "atm_price_limit_european", "atm_price_limit_vix",
+    "black_price", "black_vega", "boundary_theta_c", "check_moment_condition", "constant_drift_factor",
+    "cumulant", "default_strike_grid", "eta_eval", "eta_log_coeffs", "eta_sq_inverse",
+    "european_expansion_heston_type", "european_expansion_sabr_type", "european_rate", "h_heston",
+    "h_lognormal", "heston_vix_smile", "hw_F", "hw_F_series", "implied_vol", "integral_IS",
+    "legendre_point", "load_model", "marginal_J1", "marginal_J2", "meanrev_lognormal_vix_smile",
+    "model_from_dict", "model_to_dict", "price", "proxy_error_bounds", "rate_I", "rate_IH_numeric",
+    "rate_IH_series", "rate_to_impvol", "sabr_rate_closed", "simulate_paths", "smile_from_mc",
+    "solve_f_branch", "stochvol_vix_rate", "terminal_values", "vix_atm_bounds", "vix_exact_meanrev",
+    "vix_expansion_heston_type", "vix_expansion_sabr_type", "vix_mapping", "vix_rate", "vix_spot",
+    "vol_integral_Q",
+]
+
+
+def test_package_keeps_its_exports():
+    namespace = {}
+    exec(f"from lsv_shortmat import {', '.join(PACKAGE_EXPORTS)}", namespace)
+    assert all(namespace[name] is getattr(lsv_shortmat, name) for name in PACKAGE_EXPORTS)
+    assert not set(PACKAGE_EXPORTS) - set(dir(lsv_shortmat))
+
+
+def test_mc_exports_resolve_to_the_engine():
+    assert lsv_shortmat.mc_engine is mc_engine
+    for name in mc_engine.__all__:
+        assert getattr(lsv_shortmat, name) is getattr(mc_engine, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lsv_shortmat.no_such_name
+
+
+def _fresh_interpreter(code: str, *args: str, cwd) -> str:
+    """The last stdout line of ``code`` run in a new interpreter that
+    imports the package from this source tree."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=300, cwd=cwd, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_bare_import_leaves_numpy_out(tmp_path):
+    code = "import sys, lsv_shortmat; print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))"
+    assert _fresh_interpreter(code, cwd=tmp_path) == "[]"
+
+
+TANH_LOCAL_VOL = {"kind": "tanh", "f0": 1.0, "f1": -0.5, "x0": 0.0}
+MODELS = {
+    "tanh_lognormal": (TANH_LOCAL_VOL, {"kind": "lognormal", "sigma": 2.0, "drift": {"kind": "zero"}}),
+    "tanh_square_root": (TANH_LOCAL_VOL, {"kind": "square_root", "sigma": 1.0, "drift": {"kind": "zero"}}),
+    "constant_lognormal": ({"kind": "constant"}, {"kind": "lognormal", "sigma": 2.0, "drift": {"kind": "zero"}}),
+}
+
+
+def _model_files(tmp_path, *names) -> list[str]:
+    paths = []
+    for name in names:
+        local_vol, vol_of_vol = MODELS[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"s0": 1.0, "v0": 0.1, "rho": -0.7, "r": 0.0, "q": 0.0,
+                                    "local_vol": local_vol, "vol_of_vol": vol_of_vol}))
+        paths.append(str(path))
+    return paths
+
+
 # every subcommand once, in one fresh interpreter, on a tanh lognormal and
 # a tanh square-root model; prints the scipy modules loaded at the end
 CLI_WITHOUT_SCIPY = """
@@ -108,20 +203,43 @@ print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "s
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    paths = []
-    for name, vol_of_vol in (("lognormal", {"kind": "lognormal", "sigma": 2.0, "drift": {"kind": "zero"}}),
-                             ("square_root", {"kind": "square_root", "sigma": 1.0, "drift": {"kind": "zero"}})):
-        path = tmp_path / f"tanh_{name}.json"
-        path.write_text(json.dumps({
-            "s0": 1.0, "v0": 0.1, "rho": -0.7, "r": 0.0, "q": 0.0,
-            "local_vol": {"kind": "tanh", "f0": 1.0, "f1": -0.5, "x0": 0.0},
-            "vol_of_vol": vol_of_vol,
-        }))
-        paths.append(str(path))
-    proc = subprocess.run([sys.executable, "-c", CLI_WITHOUT_SCIPY, *paths], capture_output=True, text=True,
-                          timeout=300, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    paths = _model_files(tmp_path, "tanh_lognormal", "tanh_square_root")
+    assert json.loads(_fresh_interpreter(CLI_WITHOUT_SCIPY, *paths, cwd=tmp_path)) == []
+
+
+# in one fresh interpreter: table1, then smile per product and rate on each
+# model, then one mc run; prints the heavy modules loaded after the analytic
+# commands and after the mc run
+ANALYTIC_CLI_IMPORTS = """
+import contextlib, io, json, sys
+import lsv_shortmat.cli as cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"{argv}: exit {code}")
+
+def loaded():
+    return [name for name in ("numpy", "concurrent.futures") if name in sys.modules]
+
+models = sys.argv[1:]
+run(["table1"])
+for path in models:
+    for product in ("european", "vix"):
+        run(["smile", "--model", path, "--product", product, "--kcount", "3"])
+    run(["rate", "--model", path, "--kcount", "3"])
+analytic = loaded()
+run(["mc", "--model", models[0], "--paths", "4096", "--steps", "10", "--kcount", "3"])
+print(json.dumps([analytic, loaded()]))
+"""
+
+
+def test_analytic_commands_load_no_numpy(tmp_path):
+    paths = _model_files(tmp_path, "tanh_lognormal", "tanh_square_root", "constant_lognormal")
+    analytic, after_mc = json.loads(_fresh_interpreter(ANALYTIC_CLI_IMPORTS, *paths, cwd=tmp_path))
+    assert analytic == []
+    assert after_mc == ["numpy", "concurrent.futures"]
 
 
 def test_traced_names_resolve_on_access():

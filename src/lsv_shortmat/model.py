@@ -17,7 +17,7 @@ Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
 * ``log_coeffs()``           - the Taylor coefficients of eta up to the cubic.
 
 The module-level helpers (:func:`eta_eval`, :func:`eta_log_coeffs`,
-:func:`eta_sq_range`, :func:`eta_sq_inverse`) delegate to them.  Each drift
+:func:`eta_sq_inverse`) delegate to them.  Each drift
 spec class gives its dV drift ``dv_drift(v)`` (0, mu v or a (b - v)) and
 ``constant_mu()``, the mu of dV/V if it is constant, else None.
 
@@ -28,7 +28,8 @@ log-variance y, w = y - log v0 and log u = log(z / v0):
   two y-derivatives;
 * ``path_rate(log_u, w, v0)`` - the variance-path rate function H with its
   gradient, Hessian and rounding error in (log u, w);
-* ``warm_start(model, k, vix)`` - the rate solver's start in (log u, w);
+* ``warm_start(model, k, vix)`` - the rate solver's start: (log u, w) for a
+  European strike, (log u, spot log-moneyness) for a VIX strike;
 * ``variance_rate(v, v0)``   - the stochastic-vol rate of reaching variance v;
 * ``sigma_at(v0)``           - the vol of vol sigma(V0) of dV/V at V0;
 * ``variance_step(v, v_pos, z, dt)`` - one Monte Carlo step of V, by the
@@ -76,7 +77,6 @@ __all__ = [
     "eta_eval",
     "eta_log_coeffs",
     "eta_sq_inverse",
-    "eta_sq_range",
     "vix_spot",
     "check_moment_condition",
     "model_from_dict",
@@ -430,15 +430,20 @@ class LognormalVolOfVol:
         return value, noise, grad, hess
 
     def warm_start(self, model: LsvModel, k: float, vix_flavour: bool) -> tuple[float, float]:
-        """The minimiser's expansion in log-moneyness k: log u* = a1 k and
-        log v* = a1 k, so w = y - log v0 = 2 a1 k."""
+        """The minimiser's expansion in the log-moneyness k of the strike:
+        log u* = a1 k and log v* = a1 k.  A European solve starts at
+        w = y - log v0 = 2 a1 k.  A VIX solve starts at the spot level
+        b1 k where eta meets the constraint, b1 = (1 - a1) eta0 / eta1 to
+        first order, written without the division so that it stays finite
+        as eta1 -> 0."""
         sv0 = math.sqrt(model.v0)
         eta0, eta1 = model.local_vol.log_coeffs()[:2]
         if vix_flavour:
             d = self.sigma + 2.0 * model.rho * eta1 * sv0
-            a1 = self.sigma * d / (d * d + 2.0 * (1.0 - model.rho**2) * eta1**2 * model.v0)
-        else:
-            a1 = model.rho * self.sigma / (2.0 * eta0 * sv0)
+            den = d * d + 2.0 * (1.0 - model.rho**2) * eta1**2 * model.v0
+            b1 = 2.0 * eta0 * (model.rho * d * sv0 + (1.0 - model.rho**2) * eta1 * model.v0) / den
+            return (self.sigma * d / den * k, b1 * k)
+        a1 = model.rho * self.sigma / (2.0 * eta0 * sv0)
         return (a1 * k, 2.0 * a1 * k)
 
     def variance_rate(self, v: float, v0: float) -> float:
@@ -500,7 +505,7 @@ class SquareRootVolOfVol:
                 (v0 * x * (i_x + x * i_xx), v0 * x * y * i_xy, v0 * y * (i_y + y * i_yy)))
 
     def warm_start(self, model: LsvModel, k: float, vix_flavour: bool) -> tuple[float, float]:
-        """The flat path (0, 0)."""
+        """The flat path at the spot: (0, 0) for either product."""
         return (0.0, 0.0)
 
     def variance_rate(self, v: float, v0: float) -> float:
@@ -561,11 +566,6 @@ def eta_log_coeffs(spec: LocalVolSpec, order: int = 3) -> list[float]:
     if order not in (0, 1, 2, 3):
         raise ValueError("order must be one of 0, 1, 2, 3")
     return spec.log_coeffs()[: order + 1]
-
-
-def eta_sq_range(spec: LocalVolSpec) -> tuple[float, float]:
-    """Open range (w_min, w_max) attained by eta^2 over all positive spots."""
-    return spec.eta_sq_range()
 
 
 def eta_sq_inverse(spec: LocalVolSpec, w: float, s0: float) -> float:

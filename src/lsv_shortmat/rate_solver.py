@@ -9,15 +9,18 @@ log-variance y and time-averaged variance z, minimise
 where I_S is a spot integral of 1/(x eta(x)), Q(y) the variance leg of the
 correlation coupling, and H the variance-path rate function from
 :mod:`hartman_watson` (lognormal factor) or :mod:`heston_rate` (square-root
-factor).  For European options the spot integral runs to the strike; for VIX
-options it runs to the level where eta^2 equals K^2 e^{-y}, which ties the
-two legs together.
+factor).  For European options the spot integral runs to the strike and y
+is free.  For VIX options the terminal spot and variance lie on the curve
+eta(S_T)^2 V_T = K^2; the spot log-moneyness k parametrises it for every
+positive eta, monotone or not, with y = log(K^2 / eta(k)^2) and I_S the
+integral up to k.
 
 One solver finds the minimum for both products and both factors: a 2x2
-trust-region Newton method on (log u, w), u = z/v0, w = y - log v0, with the
-exact gradient and Hessian of the objective.  The local-vol spec supplies
-eta' and eta'' for the VIX spot leg, and the vol-of-vol spec supplies Q and
-H with their derivatives, and the start point (see :mod:`model`).
+trust-region Newton method on (log u, s), u = z/v0, with the exact gradient
+and Hessian of the objective; s is w = y - log v0 for European options and
+k for VIX options.  The local-vol spec supplies eta, eta' and eta'' for the
+VIX curve, and the vol-of-vol spec supplies Q and H with their derivatives,
+and the start point (see :mod:`model`).
 ``converged`` certifies a positive-definite Hessian with a Newton decrement
 below the objective's rounding error (see :func:`_minimize`).
 
@@ -32,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# h_lognormal, h_heston and eta_sq_inverse are bound here only for the
+# benchmark tracer (perfbench/tracing.py), which rebinds them by name
 from .hartman_watson import h_lognormal  # noqa: F401
 from .heston_rate import h_heston  # noqa: F401
 from .model import (
@@ -40,8 +45,7 @@ from .model import (
     LognormalVolOfVol,
     LsvModel,
     VolOfVolSpec,
-    eta_sq_inverse,
-    eta_sq_range,
+    eta_sq_inverse,  # noqa: F401
     vix_spot,
 )
 
@@ -69,7 +73,8 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# search box for (log u, y - log v0) in the two-variable minimisation
+# search box for (log u, s) and for w = y - log v0 in the two-variable
+# minimisation
 _BOX = 10.0
 # a step covers at most this share of the distance to the search region's edge
 _EDGE_FRACTION = 0.9
@@ -130,36 +135,41 @@ def rate_to_impvol(rate: float, log_moneyness: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rate_objective(model: LsvModel, spot_leg):
-    """The rate objective in p = (log u, w), u = z/v0, w = y - log v0.
+def _rate_objective(model: LsvModel, leg):
+    """The rate objective in p = (log u, s), u = z/v0.
 
-    ``spot_leg(y)`` returns I_S and its first two y-derivatives.  With
-    N = I_S - rho Q(y) and T = N^2 e^{-log u} / (2 (1 - rho^2) v0), the
-    objective is T + H; T's derivatives follow from those of N, H's come
-    from the vol-of-vol spec.  The returned function gives
-    (value, rounding error, gradient, Hessian as (h_uu, h_uw, h_ww)), or
-    None when H cannot be certified.
+    ``leg(s)`` returns (w, w', w'', I_S, I_S', I_S''): w = y - log v0 and
+    the spot integral with their first two s-derivatives, or None where s
+    is outside the leg's domain.  With N = I_S - rho Q(y) and
+    T = N^2 e^{-log u} / (2 (1 - rho^2) v0), the objective is T + H; the
+    chain rule through w(s) gives its derivatives from those of N, and H's
+    come from the vol-of-vol spec.  The returned function gives
+    (value, rounding error, gradient, Hessian as (h_uu, h_us, h_ss)), or
+    None when s is outside the leg's domain, w outside the search box or H
+    cannot be certified.
     """
     vol = model.vol_of_vol
     v0, rho = model.v0, model.rho
     log_v0 = math.log(v0)
     c = 0.5 / ((1.0 - rho * rho) * v0)
 
-    def evaluate(log_u: float, w: float):
+    def evaluate(log_u: float, s: float):
+        spot = leg(s)
+        if spot is None or not abs(spot[0]) <= _BOX:
+            return None
+        w, w1, w2, i_s, i_s1, i_s2 = spot
         h = vol.path_rate(log_u, w, v0)
         if h is None:
             return None
         h_val, h_noise, (h_u, h_w), (h_uu, h_uw, h_ww) = h
-        y = log_v0 + w
-        i_s, i_s1, i_s2 = spot_leg(y)
-        q, q1, q2 = vol.variance_leg(y, v0)
-        n, n1, n2 = i_s - rho * q, i_s1 - rho * q1, i_s2 - rho * q2
+        q, q1, q2 = vol.variance_leg(log_v0 + w, v0)
+        n, n1, n2 = i_s - rho * q, i_s1 - rho * (q1 * w1), i_s2 - rho * (q2 * w1 * w1 + q1 * w2)
         e = c * math.exp(-log_u)
         t = e * n * n
-        t_w = 2.0 * e * n * n1
+        t_s = 2.0 * e * n * n1
         noise = 4.0 * _EPS * e * (abs(i_s) + abs(rho * q)) ** 2 + h_noise
-        return (t + h_val, noise, (h_u - t, h_w + t_w),
-                (h_uu + t, h_uw - t_w, h_ww + 2.0 * e * (n1 * n1 + n * n2)))
+        return (t + h_val, noise, (h_u - t, h_w * w1 + t_s),
+                (h_uu + t, h_uw * w1 - t_s, h_ww * w1 * w1 + h_w * w2 + 2.0 * e * (n1 * n1 + n * n2)))
 
     return evaluate
 
@@ -213,36 +223,30 @@ def _trust_step(g, h, radius: float):
     return (co * b[0] - si * b[1], si * b[0] + co * b[1]), pred
 
 
-def _minimize(evaluate, start, w_bounds):
-    """Trust-region Newton minimisation of ``evaluate`` over p = (log u, w).
+def _minimize(evaluate, start):
+    """Trust-region Newton minimisation of ``evaluate`` over p = (log u, s).
 
-    |log u| <= _BOX and w in ``w_bounds``; the search starts from ``start``
-    moved into the inner 80% of each coordinate's range, and the step
-    radius is capped at 0.9 times the distance to that region, so no trial
-    point leaves it.  A step
-    is accepted when the objective falls by at least a tenth of the model's
+    |log u|, |s| <= _BOX; the search starts from ``start`` moved into the
+    inner 80% of that box, and the step radius is capped at 0.9 times the
+    distance to the box's edge, so no trial point leaves it.  A step is
+    accepted when the objective falls by at least a tenth of the model's
     prediction, allowing for rounding; the radius shrinks to a quarter of
-    a poor step and doubles after a good step that reached it.  The solve
-    stops, converged, at the first point with a positive-definite Hessian
-    whose Newton decrement g' H^-1 g (the gradient scaled by the inverse
+    a poor step, or of a step to a point where the objective is undefined,
+    and doubles after a good step that reached it.  The solve stops,
+    converged, at the first point with a positive-definite Hessian whose
+    Newton decrement g' H^-1 g (the gradient scaled by the inverse
     curvature: twice the decrease a Newton step predicts) is below the
     objective's rounding error.  It also stops, not converged, after
-    _MAX_EVALS evaluations, where the vol-of-vol rate cannot be certified
-    or where the trust region has shrunk to nothing (a band of w too thin
-    to resolve).
+    _MAX_EVALS evaluations or where the start is undefined.
 
     Returns (p, value, evaluations, converged, boundary_hit).
     """
-    w_lo, w_hi = w_bounds
 
     def margin(p) -> float:
-        return min(_BOX - abs(p[0]), p[1] - w_lo, w_hi - p[1])
+        return _BOX - max(abs(p[0]), abs(p[1]))
 
-    def inner(x: float, lo: float, hi: float) -> float:
-        edge = 0.1 * (hi - lo)
-        return min(max(x, lo + edge), hi - edge)
-
-    p = (inner(start[0], -_BOX, _BOX), inner(start[1], w_lo, w_hi))
+    inner = 0.8 * _BOX
+    p = tuple(min(max(x, -inner), inner) for x in start)
     cur = evaluate(*p)
     evals = 1
     if cur is None:
@@ -268,9 +272,7 @@ def _minimize(evaluate, start, w_bounds):
         cand = (p[0] + step[0], p[1] + step[1])
         trial = evaluate(*cand)
         evals += 1
-        if trial is None:
-            break
-        ratio = (value - trial[0] + noise + trial[1]) / pred
+        ratio = -math.inf if trial is None else (value - trial[0] + noise + trial[1]) / pred
         length = math.hypot(*step)
         if ratio < 0.25:
             radius = 0.25 * length
@@ -281,10 +283,11 @@ def _minimize(evaluate, start, w_bounds):
     return p, cur[0], evals, converged, margin(p) < 1e-6
 
 
-def _rate_point(model: LsvModel, strike: float, solved) -> RatePoint:
+def _rate_point(model: LsvModel, strike: float, leg, solved) -> RatePoint:
     p, value, evals, converged, boundary_hit = solved
-    return RatePoint(strike, value, math.log(model.v0) + p[1], model.v0 * math.exp(p[0]), evals,
-                     converged, boundary_hit)
+    spot = leg(p[1])
+    y = math.log(model.v0) + spot[0] if spot else math.nan
+    return RatePoint(strike, value, y, model.v0 * math.exp(p[0]), evals, converged, boundary_hit)
 
 
 def european_rate(model: LsvModel, strike: float) -> RatePoint:
@@ -297,33 +300,41 @@ def european_rate(model: LsvModel, strike: float) -> RatePoint:
     if k == 0.0:
         return RatePoint(strike, 0.0, math.log(model.v0), model.v0, 0, True)
     i_s = integral_IS(model.local_vol, model.s0, strike / model.s0)
-    evaluate = _rate_objective(model, lambda y: (i_s, 0.0, 0.0))
-    solved = _minimize(evaluate, model.vol_of_vol.warm_start(model, k, False), (-_BOX, _BOX))
-    return _rate_point(model, strike, solved)
+
+    def leg(w: float):
+        return w, 1.0, 0.0, i_s, 0.0, 0.0
+
+    solved = _minimize(_rate_objective(model, leg), model.vol_of_vol.warm_start(model, k, False))
+    return _rate_point(model, strike, leg, solved)
 
 
-def _vix_spot_leg(spec: LocalVolSpec, s0: float, strike: float):
-    """I_S(y) up to the spot level k* with eta(k*)^2 = K^2 e^{-y}, and its
-    y-derivatives -1 / (2 eta'(k*)) and -eta eta'' / (4 eta'^3) at k*."""
-    k2 = strike * strike
+def _vix_leg(model: LsvModel, strike: float):
+    """The VIX constraint curve eta(k)^2 V_T = K^2 over the spot level k:
+    w = log(K^2 / (v0 eta^2)), w' = -2 eta'/eta and
+    w'' = 2 (eta'/eta)^2 - 2 eta''/eta; I_S is the integral of 1/eta up to k,
+    with I_S' = 1/eta and I_S'' = -eta'/eta^2.  None where eta(k) <= 0."""
+    spec = model.local_vol
+    log_k2_v0 = math.log(strike * strike / model.v0)
 
-    def spot_leg(y: float):
-        s_star = eta_sq_inverse(spec, k2 * math.exp(-y), s0)
-        eta, eta1, eta2 = spec.eta_derivatives(math.log(s_star / s0))
-        return integral_IS(spec, s0, s_star / s0), -0.5 / eta1, -eta * eta2 / (4.0 * eta1**3)
+    def leg(k: float):
+        eta, eta1, eta2 = spec.eta_derivatives(k)
+        if not eta > 0.0:
+            return None
+        r1 = eta1 / eta
+        return (log_k2_v0 - 2.0 * math.log(eta), -2.0 * r1, 2.0 * (r1 * r1 - eta2 / eta),
+                spec.inv_eta_integral(k), 1.0 / eta, -r1 / eta)
 
-    return spot_leg
+    return leg
 
 
 def vix_rate(model: LsvModel, strike: float) -> RatePoint:
     """Rate function of an out-of-the-money VIX option.
 
-    Eta must be strictly monotone so that the spot level k*(y) with
-    eta(k*)^2 = K^2 e^{-y} is well defined; the search in y is restricted
-    to keep K^2 e^{-y} inside the range of eta^2, whose lower end is open
-    when it is 0 (eta reaches zero).  Where that range leaves no room, eta
-    is constant to rounding (pure stochastic volatility when it is 1): the
-    VIX eta sqrt(V_T) then pins the terminal variance at K^2/eta^2 and
+    The search runs over the spot level k on the constraint curve
+    eta(k)^2 V_T = K^2, so eta need only be positive there, not monotone;
+    where eta(k) <= 0 the objective is undefined and the solver steps back.
+    Where eta^2 is exactly constant (pure stochastic volatility when it is
+    1), the VIX eta sqrt(V_T) pins the terminal variance at K^2/eta^2 and
     leaves the spot free, so the rate is the vol-of-vol spec's
     ``variance_rate``.
     """
@@ -334,25 +345,13 @@ def vix_rate(model: LsvModel, strike: float) -> RatePoint:
     x = math.log(strike / vix_spot(model))
     if x == 0.0:
         return RatePoint(strike, 0.0, math.log(model.v0), model.v0, 0, True)
-    spec, s0 = model.local_vol, model.s0
-    k2 = strike * strike
-    w_lo, w_hi = eta_sq_range(spec)
-    # eta^2(s0 zeta) = K^2 e^{-y} solvable iff y in (log(K^2/w_hi), log(K^2/w_lo)),
-    # searched with a pad off both ends
-    pad = 1e-12
-    if w_hi <= w_lo * math.exp(2.0 * pad):
-        rate = model.vol_of_vol.variance_rate(k2 / w_hi, model.v0)
+    w_lo, w_hi = model.local_vol.eta_sq_range()
+    if w_lo == w_hi:
+        rate = model.vol_of_vol.variance_rate(strike * strike / w_hi, model.v0)
         return RatePoint(strike, rate, 2.0 * math.log(strike / math.sqrt(w_hi)), model.v0, 0, True)
-
-    log_v0 = math.log(model.v0)
-    lo = max(math.log(k2 / w_hi) + pad - log_v0, -_BOX)
-    hi = min(math.log(k2 / w_lo) - pad - log_v0, _BOX) if w_lo > 0.0 else _BOX
-    if lo >= hi:
-        raise ValueError("strike-variance constraint has empty feasible range")
-
-    start = model.vol_of_vol.warm_start(model, x, True)
-    solved = _minimize(_rate_objective(model, _vix_spot_leg(spec, s0, strike)), start, (lo, hi))
-    return _rate_point(model, strike, solved)
+    leg = _vix_leg(model, strike)
+    solved = _minimize(_rate_objective(model, leg), model.vol_of_vol.warm_start(model, x, True))
+    return _rate_point(model, strike, leg, solved)
 
 
 def stochvol_vix_rate(spec: VolOfVolSpec, v0: float, strike: float, mapping=None) -> float:

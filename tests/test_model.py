@@ -29,7 +29,6 @@ from lsv_shortmat.model import (
     eta_eval,
     eta_log_coeffs,
     eta_sq_inverse,
-    eta_sq_range,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -186,7 +185,7 @@ class TestEtaSqInverse:
             assert eta_sq_inverse(spec, w, s0) == pytest.approx(s, rel=1e-10)
 
     def test_out_of_range(self):
-        lo, hi = eta_sq_range(TANH)
+        lo, hi = TANH.eta_sq_range()
         with pytest.raises(ValueError):
             eta_sq_inverse(TANH, hi * 1.01, 1.0)
         with pytest.raises(ValueError):
@@ -234,7 +233,7 @@ class TestEtaSqInverse:
     ])
     def test_closed_form_round_trip(self, spec):
         # eta(k)^2 must reproduce w, also a hair inside both ends of the range
-        w_lo, w_hi = eta_sq_range(spec)
+        w_lo, w_hi = spec.eta_sq_range()
         ws = list(np.linspace(w_lo, w_hi, 23)[1:-1]) + [w_lo * (1.0 + 1e-9), w_hi * (1.0 - 1e-9)]
         for w in ws:
             k = spec.eta_sq_log_inverse(w)

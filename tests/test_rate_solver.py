@@ -23,7 +23,7 @@ from lsv_shortmat.model import (
     TaylorLocalVol,
     ZeroDrift,
     eta_eval,
-    eta_sq_range,
+    eta_sq_inverse,
     load_model,
     vix_spot,
 )
@@ -269,8 +269,7 @@ class TestVixRate:
         assert np.all(np.diff(down) > 0)
 
     def test_strike_outside_eta_band_flagged(self):
-        # K so large that K^2 e^{-y} can only fit with y pushed far: feasible
-        # range shrinks and the solver reports the constraint
+        # K far above the VIX spot: the terminal variance has to move far
         model = table_model(0.0)
         f0 = vix_spot(model)
         pt = vix_rate(model, f0 * math.exp(1.5))
@@ -388,12 +387,13 @@ class TestVixBandEdges:
     @pytest.mark.parametrize("vol", [LognormalVolOfVol(1.0), SquareRootVolOfVol(1.0)], ids=["lognormal", "square_root"])
     def test_eta_reaching_zero_leaves_band_open(self, eta1, k, vol):
         # eta = 1 + eta1 k vanishes inside the +-50 window, so the range of
-        # eta^2 starts at 0 and the band of y has no upper edge from it
+        # eta^2 starts at 0; beyond the zero the objective is undefined and
+        # the solver steps back
         model = LsvModel(s0=1.0, v0=0.04, rho=-0.5, local_vol=TaylorLocalVol(eta0=1.0, eta1=eta1),
                          vol_of_vol=vol)
-        assert eta_sq_range(model.local_vol)[0] == 0.0
+        assert model.local_vol.eta_sq_range()[0] == 0.0
         pt = vix_rate(model, vix_spot(model) * math.exp(k))
-        assert not pt.converged or (math.isfinite(pt.rate) and pt.rate > 0.0)
+        assert pt.converged and math.isfinite(pt.rate) and pt.rate > 0.0
 
     # f1 = 1e-16 is below rounding: eta is constant, though f1 is not 0
     @pytest.mark.parametrize("spec", [TanhLocalVol(1.3, 0.0), TaylorLocalVol(1.3), TanhLocalVol(1.3, 1e-16)])
@@ -404,6 +404,60 @@ class TestVixBandEdges:
         pt = vix_rate(model, strike)
         assert pt.converged
         assert pt.rate == pytest.approx(math.log(strike**2 / 1.69 / 0.04) ** 2 / 2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("vol", [LognormalVolOfVol(1.832), SquareRootVolOfVol(1.832)],
+                             ids=["lognormal", "square_root"])
+    @pytest.mark.parametrize("f1", [-1e-10, -2e-5, 3e-4])
+    def test_nearly_flat_eta_tends_to_the_pinned_variance(self, vol, f1):
+        # eta = f0 + f1 tanh(k - x0): the band of y spans 4|f1|/f0, where a
+        # search in y stopped uncertified.  Oracle: as f1 -> 0 the VIX pins
+        # V_T = K^2/f0^2 and the minimiser's spot level solves N = 0,
+        # k* = f0 rho Q(y0).  By the envelope theorem the rate moves by
+        # f1 dJ/df1 = f1 (dJ_v/dw) (-2 tanh(k* - x0) / f0) to first order,
+        # J_v(w) being the pinned-variance rate at w = y - log v0.
+        v0, rho, f0, x0 = 0.3691, 0.5918, 1.9268, -0.48315
+        strike = f0 * math.sqrt(v0) * math.exp(0.3354)
+        v = (strike / f0) ** 2
+        j0 = vol.variance_rate(v, v0)
+        if isinstance(vol, LognormalVolOfVol):
+            dj_dw = math.log(v / v0) / vol.sigma**2
+        else:
+            dj_dw = 2.0 * math.sqrt(v) * (math.sqrt(v) - math.sqrt(v0)) / vol.sigma**2
+        k_star = f0 * rho * vol_integral_Q(vol, v0, math.log(v))
+        slope = -2.0 * dj_dw * math.tanh(k_star - x0) / f0
+        assert 0.05 < abs(slope) < 0.2
+        model = LsvModel(s0=1.0, v0=v0, rho=rho, local_vol=TanhLocalVol(f0, f1, x0), vol_of_vol=vol)
+        pt = vix_rate(model, strike)
+        assert pt.converged and not pt.boundary_hit
+        # second-order remainder: about 0.12 f1^2 (lognormal), 0.08 f1^2 (square-root)
+        assert abs(pt.rate - j0 - slope * f1) <= 0.2 * f1 * f1 + 1e-14 * j0
+
+    @pytest.mark.parametrize("vol,x,rate", [
+        (LognormalVolOfVol(1.0), -0.2, 0.08309), (LognormalVolOfVol(1.0), 0.2, 0.08324),
+        (SquareRootVolOfVol(0.5), -0.2, 0.01064), (SquareRootVolOfVol(0.5), 0.2, 0.01601)])
+    def test_non_monotone_positive_eta(self, vol, x, rate):
+        # eta = 1 + 0.1 k + 0.2 k^2 is positive with a minimum at k = -0.25,
+        # so eta^2 has no inverse; the constraint curve over k needs none.
+        # Oracle: Nelder-Mead and polish from nine starts over (log u, k) on
+        # the value functions h_lognormal / h_heston, integral_IS and
+        # vol_integral_Q.
+        model = LsvModel(s0=1.0, v0=0.04, rho=-0.5, local_vol=TaylorLocalVol(1.0, 0.1, 0.2), vol_of_vol=vol)
+        strike = vix_spot(model) * math.exp(x)
+        pt = vix_rate(model, strike)
+        assert pt.converged and not pt.boundary_hit
+        h_fn = h_lognormal if isinstance(vol, LognormalVolOfVol) else h_heston
+        v0, rho = model.v0, model.rho
+
+        def objective(log_u, k):
+            eta = float(model.local_vol.eta(k))
+            y, z = math.log(strike * strike / (eta * eta)), v0 * math.exp(log_u)
+            num = integral_IS(model.local_vol, model.s0, math.exp(k)) - rho * vol_integral_Q(vol, v0, y)
+            return num * num / (2.0 * (1.0 - rho * rho) * z) + h_fn(y, z, v0, vol.sigma)
+
+        starts = [(log_u, k) for log_u in (-0.5, 0.0, 0.5) for k in (-1.0, -0.25, 0.5)]
+        oracle = _replaced_minimize_2d(objective, starts)
+        assert pt.rate == pytest.approx(oracle, rel=1e-11)
+        assert pt.rate == pytest.approx(rate, abs=5e-6)
 
 
 class TestRateToImpvol:
@@ -450,21 +504,8 @@ def _reference_quadrature(f, a, b, depth=0):
     return _reference_quadrature(f, a, mid, depth + 1) + _reference_quadrature(f, mid, b, depth + 1)
 
 
-def _reference_integral_IS(spec, s0, z):
-    return _reference_quadrature(lambda t: 1.0 / spec.eta(t), 0.0, math.log(z))
-
-
-def _reference_eta_sq_inverse(spec, w, s0):
-    def g(k):
-        return float(spec.eta(k)) - math.sqrt(w)
-
-    step, prev = 1.0, 0.0
-    while True:
-        for k in (step, -step):
-            if (g(k) > 0.0) != (g(0.0) > 0.0):
-                lo, hi = sorted((math.copysign(prev, k), k))
-                return s0 * math.exp(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16))
-        prev, step = step, 2.0 * step
+def _reference_inv_eta_integral(spec, length):
+    return _reference_quadrature(lambda t: 1.0 / spec.eta(t), 0.0, length)
 
 
 class TestReplacedPathRegression:
@@ -482,8 +523,8 @@ class TestReplacedPathRegression:
         f0 = vix_spot(model)
         cases = [(european_rate, model.s0), (vix_rate, f0)]
         fast = [solve(model, ref * math.exp(k)).rate for solve, ref in cases for k in self.LOG_MONEYNESS]
-        monkeypatch.setattr(rate_solver, "integral_IS", _reference_integral_IS)
-        monkeypatch.setattr(rate_solver, "eta_sq_inverse", _reference_eta_sq_inverse)
+        # both products reach the spot integral through the spec method
+        monkeypatch.setattr(TanhLocalVol, "inv_eta_integral", _reference_inv_eta_integral)
         slow = [solve(model, ref * math.exp(k)).rate for solve, ref in cases for k in self.LOG_MONEYNESS]
         assert np.max(np.abs(np.subtract(fast, slow))) <= 1e-12
 
@@ -498,12 +539,40 @@ MODEL_FILES = sorted(MODELS_DIR.glob("*.json"))
 
 def _objective(model, product, log_moneyness):
     """The solver's objective for one strike, as european_rate / vix_rate
-    build it."""
+    build it: over (log u, w) for European options, over (log u, k) on the
+    VIX constraint curve for VIX options."""
     if product == "european":
         i_s = integral_IS(model.local_vol, model.s0, math.exp(log_moneyness))
-        return rate_solver._rate_objective(model, lambda y: (i_s, 0.0, 0.0))
+        return rate_solver._rate_objective(model, lambda w: (w, 1.0, 0.0, i_s, 0.0, 0.0))
     strike = vix_spot(model) * math.exp(log_moneyness)
-    return rate_solver._rate_objective(model, rate_solver._vix_spot_leg(model.local_vol, model.s0, strike))
+    return rate_solver._rate_objective(model, rate_solver._vix_leg(model, strike))
+
+
+def _value_objective(model, product, log_moneyness):
+    """The objective's value over (log u, w), w = y - log v0, built from the
+    public value functions alone: h_lognormal / h_heston, vol_integral_Q and
+    integral_IS, for VIX options up to the spot level that eta_sq_inverse
+    gives for eta^2 = K^2 e^{-y}.  Independent of the solver's parametrisation
+    of the VIX constraint curve."""
+    vol = model.vol_of_vol
+    h_fn = h_lognormal if isinstance(vol, LognormalVolOfVol) else h_heston
+    v0, rho, log_v0 = model.v0, model.rho, math.log(model.v0)
+    if product == "european":
+        i_s = integral_IS(model.local_vol, model.s0, math.exp(log_moneyness))
+        spot = lambda y: i_s  # noqa: E731
+    else:
+        k2 = (vix_spot(model) * math.exp(log_moneyness)) ** 2
+
+        def spot(y):
+            s_star = eta_sq_inverse(model.local_vol, k2 * math.exp(-y), model.s0)
+            return integral_IS(model.local_vol, model.s0, s_star / model.s0)
+
+    def objective(log_u, w):
+        z, y = v0 * math.exp(log_u), log_v0 + w
+        num = spot(y) - rho * vol_integral_Q(vol, v0, y)
+        return num * num / (2.0 * (1.0 - rho * rho) * z) + h_fn(y, z, v0, vol.sigma)
+
+    return objective
 
 
 def _solve(model, product, log_moneyness):
@@ -514,7 +583,7 @@ def _solve(model, product, log_moneyness):
 
 def _vix_w_band(model, log_moneyness):
     """Open range of w = y - log v0 where K^2 e^{-y} lies inside eta^2's range."""
-    w_lo, w_hi = eta_sq_range(model.local_vol)
+    w_lo, w_hi = model.local_vol.eta_sq_range()
     k2 = (vix_spot(model) * math.exp(log_moneyness)) ** 2
     return math.log(k2 / w_hi) - math.log(model.v0), math.log(k2 / w_lo) - math.log(model.v0)
 
@@ -594,34 +663,18 @@ def _replaced_minimize_2d(objective, starts, y_bounds=None):
 
 
 def _replaced_rate(model, product, log_moneyness):
-    """J by the replaced path: value-only objective through h_lognormal /
-    h_heston (exact H), Nelder-Mead from the warm starts, then the polish."""
+    """J by the replaced path: the value-only objective over (log u, w)
+    (:func:`_value_objective`), Nelder-Mead from the replaced solver's warm
+    starts (the lognormal ones at w = 2 log u), then the polish."""
     vol = model.vol_of_vol
-    h_fn = h_lognormal if isinstance(vol, LognormalVolOfVol) else h_heston
-    v0, rho, log_v0 = model.v0, model.rho, math.log(model.v0)
-    lognormal = isinstance(vol, LognormalVolOfVol)
-    warm = np.array(vol.warm_start(model, log_moneyness, product == "vix"))
-    starts = [warm, np.zeros(2)] if lognormal else [np.zeros(2)]
+    log_u = vol.warm_start(model, log_moneyness, product == "vix")[0]
+    starts = [np.array([log_u, 2.0 * log_u]), np.zeros(2)] if isinstance(vol, LognormalVolOfVol) else [np.zeros(2)]
     y_bounds = None
-    if product == "european":
-        i_s = integral_IS(model.local_vol, model.s0, math.exp(log_moneyness))
-        spot = lambda y: i_s  # noqa: E731
-    else:
-        k2 = (vix_spot(model) * math.exp(log_moneyness)) ** 2
+    if product == "vix":
         lo, hi = _vix_w_band(model, log_moneyness)
         y_bounds = (lo + 1e-12, hi - 1e-12)
         starts = [np.array([p[0], min(max(p[1], y_bounds[0] + 1e-9), y_bounds[1] - 1e-9)]) for p in starts]
-
-        def spot(y):
-            s_star = rate_solver.eta_sq_inverse(model.local_vol, k2 * math.exp(-y), model.s0)
-            return integral_IS(model.local_vol, model.s0, s_star / model.s0)
-
-    def objective(log_u, w):
-        z, y = v0 * math.exp(log_u), log_v0 + w
-        num = spot(y) - rho * vol_integral_Q(vol, v0, y)
-        return num * num / (2.0 * (1.0 - rho * rho) * z) + h_fn(y, z, v0, vol.sigma)
-
-    return _replaced_minimize_2d(objective, starts, y_bounds)
+    return _replaced_minimize_2d(_value_objective(model, product, log_moneyness), starts, y_bounds)
 
 
 # the constant local-vol VIX rate is a closed form on both paths
@@ -667,8 +720,8 @@ class TestTrustRegionSweep:
                     if product == "vix":
                         lo, hi = _vix_w_band(model, k)
                         w_lo, w_hi = max(w_lo, lo + 1e-6), min(w_hi, hi - 1e-6)
-                    evaluate = _objective(model, product, k)
-                    grid_min = min(evaluate(log_u, w)[0] for log_u in np.linspace(-2.0, 2.0, 41)
+                    evaluate = _value_objective(model, product, k)
+                    grid_min = min(evaluate(log_u, w) for log_u in np.linspace(-2.0, 2.0, 41)
                                    for w in np.linspace(w_lo, w_hi, 41))
                     assert pt.rate <= grid_min * (1.0 + 1e-12), (rho, k, product, pt.rate, grid_min)
         assert solves == 60
@@ -741,8 +794,8 @@ WARM_START_OUTSIDE_BOX = LsvModel(
 
 
 class TestSupportedDomain:
-    """No input in the supported domain raises from inside a solve: each
-    returns a finite converged point or reports converged=False."""
+    """No input in the supported domain raises from inside a solve, and
+    each solve returns a finite, certified point."""
 
     def test_warm_start_outside_the_search_box(self):
         # the start is moved inside the box; it used to leave a negative step
@@ -784,16 +837,21 @@ class TestSupportedDomain:
     @settings(max_examples=3000, deadline=None, derandomize=True)
     @given(model=models(), k=st.floats(-0.5, 0.5))
     @example(model=WARM_START_OUTSIDE_BOX, k=-0.3127577116185075)
-    # eta reaches zero inside the window: the band of y is open at one end
+    # eta reaches zero at k = 3.3: the objective is undefined beyond it
     @example(model=LsvModel(1.0, 0.04, -0.5, TaylorLocalVol(1.0, -0.3), LognormalVolOfVol(1.0)), k=0.2)
-    # a band of y about 1e-12 wide: the trust region shrinks to nothing
+    # nearly flat eta: the range of eta^2 is about 1e-12 wide in log terms
     @example(model=LsvModel(1.0, 0.5, 0.5, TanhLocalVol(1.5, 1.425e-12), LognormalVolOfVol(1.0)), k=0.5)
+    # |f1|/f0 = 1.1e-3: a search over y stopped uncertified at 60 evaluations
+    # with J = 0.1275; over the spot level it certifies J = 0.03497
+    @example(model=LsvModel(1.0, 0.3691, 0.5918, TanhLocalVol(1.9268, -0.0020726, -0.48315),
+                            SquareRootVolOfVol(1.832)), k=0.3354)
     def test_solves_never_raise(self, model, k):
         points = [vix_rate(model, vix_spot(model) * math.exp(k))]
         # a European strike beyond the zero of eta lies outside the domain
         if model.local_vol.eta(k) > 0.0:
             points.append(european_rate(model, model.s0 * math.exp(k)))
         for pt in points:
-            if pt.converged:
-                assert all(map(math.isfinite, (pt.rate, pt.minimizer_y, pt.minimizer_z))), pt
-                assert pt.rate >= 0.0, pt
+            # every solve in the domain is certified
+            assert pt.converged, (model, k, pt)
+            assert all(map(math.isfinite, (pt.rate, pt.minimizer_y, pt.minimizer_z))), pt
+            assert pt.rate >= 0.0, pt

@@ -9,12 +9,12 @@ Taylor polynomial in log-moneyness, or held constant (pure stochastic vol).
 Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
 
 * ``eta(k)``                 - eta at an ndarray (or a float) of k, by numpy;
-* ``eta_derivatives(k)``     - eta, eta' and eta'' at a float k, in plain
-  ``math`` (the scalar eta of :func:`eta_eval` and :func:`vix_spot`);
+* ``eta_derivatives(k)``     - eta and its first three derivatives at a
+  float k, in plain ``math``: the one scalar eta, which also gives the
+  Taylor coefficients at the money (:func:`eta_log_coeffs`);
 * ``inv_eta_integral(L)``    - the integral of 1/eta over k in [0, L];
-* ``eta_sq_log_inverse(w)``  - the k at which eta(k)^2 = w;
-* ``eta_sq_range()``         - the open range of eta^2;
-* ``log_coeffs()``           - the Taylor coefficients of eta up to the cubic.
+* ``eta_sq_log_inverse(w)``  - the k at which eta(k)^2 = w, for an
+  attainable w.
 
 The module-level helpers (:func:`eta_eval`, :func:`eta_log_coeffs`,
 :func:`eta_sq_inverse`) delegate to them.  Each drift
@@ -145,10 +145,13 @@ class TanhLocalVol:
 
         return self.f0 + self.f1 * np.tanh(k - self.x0)
 
-    def eta_derivatives(self, k: float) -> tuple[float, float, float]:
+    def eta_derivatives(self, k: float) -> tuple[float, float, float, float]:
+        # with t = tanh(k - x0) and s = 1 - t^2: eta' = f1 s, eta'' = -2 t f1 s
+        # and eta''' = f1 s (4 t^2 - 2 s)
         t = math.tanh(k - self.x0)
-        slope = self.f1 * (1.0 - t * t)
-        return self.f0 + self.f1 * t, slope, -2.0 * t * slope
+        s = 1.0 - t * t
+        slope = self.f1 * s
+        return self.f0 + self.f1 * t, slope, -2.0 * t * slope, slope * (4.0 * t * t - 2.0 * s)
 
     def inv_eta_integral(self, L: float) -> float:
         """Closed form of the integral of 1/eta over [0, L].
@@ -174,26 +177,12 @@ class TanhLocalVol:
         return (f0 * L - f1 * log_ratio) / ((f0 - f1) * (f0 + f1))
 
     def eta_sq_log_inverse(self, w: float) -> float:
-        """Closed form k = x0 + atanh((sqrt(w) - f0) / f1) of eta(k)^2 = w;
-        f1 = 0 leaves an empty range, which the range check rejects."""
-        _check_eta_sq_target(w, *self.eta_sq_range())
+        """Closed form k = x0 + atanh((sqrt(w) - f0) / f1) of eta(k)^2 = w,
+        for w in the open range ((f0 - |f1|)^2, (f0 + |f1|)^2) of eta^2;
+        f1 = 0 leaves that range empty."""
+        lo, hi = self.f0 - abs(self.f1), self.f0 + abs(self.f1)
+        _check_eta_sq_target(w, lo * lo, hi * hi)
         return self.x0 + math.atanh((math.sqrt(w) - self.f0) / self.f1)
-
-    def eta_sq_range(self) -> tuple[float, float]:
-        lo = self.f0 - abs(self.f1)
-        hi = self.f0 + abs(self.f1)
-        return (lo * lo, hi * hi)
-
-    def log_coeffs(self) -> list[float]:
-        """Derivatives of eta at k = 0 over n!, from those of tanh at -x0."""
-        t = math.tanh(self.x0)
-        sech2 = 1.0 / math.cosh(self.x0) ** 2
-        return [
-            self.f0 - self.f1 * t,
-            self.f1 * sech2,
-            self.f1 * sech2 * t,
-            self.f1 * (-2.0 * sech2 ** 2 + 4.0 * t ** 2 * sech2) / 6.0,
-        ]
 
     def proxy_bounds(self) -> tuple[float, float, float]:
         """(|f1|, f0 + |f1|, sup over s of |(eta^2)''(s) s^2|).
@@ -236,9 +225,9 @@ class TaylorLocalVol:
     def eta(self, k):
         return self.eta0 + k * (self.eta1 + k * (self.eta2 + k * self.eta3))
 
-    def eta_derivatives(self, k: float) -> tuple[float, float, float]:
+    def eta_derivatives(self, k: float) -> tuple[float, float, float, float]:
         return (self.eta(k), self.eta1 + k * (2.0 * self.eta2 + 3.0 * k * self.eta3),
-                2.0 * self.eta2 + 6.0 * k * self.eta3)
+                2.0 * self.eta2 + 6.0 * k * self.eta3, 6.0 * self.eta3)
 
     def inv_eta_integral(self, L: float) -> float:
         """Integral of 1/eta over [0, L] by adaptive 16-point Gauss-Legendre
@@ -269,30 +258,19 @@ class TaylorLocalVol:
 
     def eta_sq_log_inverse(self, w: float) -> float:
         """Root of eta(k)^2 = w on the capped window [-50, 50], by safeguarded
-        Newton iteration to full precision; the polynomial must be monotone
-        on that window, so the window brackets every target in
-        :meth:`eta_sq_range` and eta(k) = sqrt(w) has one root there."""
+        Newton iteration to full precision.  The polynomial must be monotone
+        on that window, so its values at the window's ends bound it there:
+        w must lie between their squares, the lower end taken as 0 where eta
+        crosses zero (only eta = +sqrt(w) is matched), and eta(k) = sqrt(w)
+        then has one root in the window."""
         if not self._is_monotone():
             raise ValueError("taylor local vol spec is not monotone; inversion unsupported")
-        _check_eta_sq_target(w, *self.eta_sq_range())
+        a, b = self.eta(-_LOG_BRACKET_CAP), self.eta(_LOG_BRACKET_CAP)
+        lo, hi = max(min(a, b), 0.0), max(a, b)
+        _check_eta_sq_target(w, lo * lo, hi * hi)
         target = math.sqrt(w)
         return newton_bracketed(lambda k: self.eta(k) - target, lambda k: self.eta_derivatives(k)[1],
                                 0.0, -_LOG_BRACKET_CAP, _LOG_BRACKET_CAP)
-
-    def eta_sq_range(self) -> tuple[float, float]:
-        """Range over the capped log-moneyness window, restricted to the
-        region where eta stays positive (a polynomial may cross zero; the
-        inversion only ever matches eta = +sqrt(w) there)."""
-        a = self.eta(-_LOG_BRACKET_CAP)
-        b = self.eta(_LOG_BRACKET_CAP)
-        lo_eta, hi_eta = min(a, b), max(a, b)
-        if hi_eta <= 0.0:
-            raise ValueError("eta is not positive over the search window")
-        lo_eta = max(lo_eta, 0.0)
-        return (lo_eta * lo_eta, hi_eta * hi_eta)
-
-    def log_coeffs(self) -> list[float]:
-        return [self.eta0, self.eta1, self.eta2, self.eta3]
 
     def proxy_bounds(self) -> tuple[float, float, float]:
         raise ValueError("taylor local vol is unbounded; no finite proxy bounds")
@@ -308,8 +286,8 @@ class ConstantLocalVol:
 
         return np.ones_like(k, dtype=float)[()]
 
-    def eta_derivatives(self, k: float) -> tuple[float, float, float]:
-        return 1.0, 0.0, 0.0
+    def eta_derivatives(self, k: float) -> tuple[float, float, float, float]:
+        return 1.0, 0.0, 0.0, 0.0
 
     def inv_eta_integral(self, L: float) -> float:
         return L
@@ -320,12 +298,6 @@ class ConstantLocalVol:
         if abs(w - 1.0) > 1e-12:
             raise ValueError("constant local vol attains only eta^2 = 1")
         return 0.0
-
-    def eta_sq_range(self) -> tuple[float, float]:
-        return (1.0, 1.0)
-
-    def log_coeffs(self) -> list[float]:
-        return [1.0, 0.0, 0.0, 0.0]
 
     def proxy_bounds(self) -> tuple[float, float, float]:
         return 0.0, 1.0, 0.0
@@ -437,7 +409,7 @@ class LognormalVolOfVol:
         first order, written without the division so that it stays finite
         as eta1 -> 0."""
         sv0 = math.sqrt(model.v0)
-        eta0, eta1 = model.local_vol.log_coeffs()[:2]
+        eta0, eta1 = eta_log_coeffs(model.local_vol, 1)
         if vix_flavour:
             d = self.sigma + 2.0 * model.rho * eta1 * sv0
             den = d * d + 2.0 * (1.0 - model.rho**2) * eta1**2 * model.v0
@@ -562,10 +534,12 @@ def eta_eval(spec: LocalVolSpec, s: float, s0: float) -> float:
 
 
 def eta_log_coeffs(spec: LocalVolSpec, order: int = 3) -> list[float]:
-    """Taylor coefficients of eta in powers of log(s/s0), up to the cubic."""
+    """Taylor coefficients of eta in powers of log(s/s0), up to the cubic:
+    the derivatives of eta at the money over n!."""
     if order not in (0, 1, 2, 3):
         raise ValueError("order must be one of 0, 1, 2, 3")
-    return spec.log_coeffs()[: order + 1]
+    eta, d1, d2, d3 = spec.eta_derivatives(0.0)
+    return [eta, d1, d2 / 2.0, d3 / 6.0][: order + 1]
 
 
 def eta_sq_inverse(spec: LocalVolSpec, w: float, s0: float) -> float:
@@ -636,6 +610,9 @@ def _read(cls, d: dict, path: str):
                 kwargs[f.name] = float(value)
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{key} must be a number, got {reprlib.repr(value)}") from None
+            # json reads NaN and Infinity, and the spec checks' comparisons let NaN through
+            if not math.isfinite(kwargs[f.name]):
+                raise ValueError(f"{key} must be finite, got {reprlib.repr(value)}")
     return cls(**kwargs)
 
 

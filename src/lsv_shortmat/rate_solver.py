@@ -45,6 +45,7 @@ from .model import (
     LognormalVolOfVol,
     LsvModel,
     VolOfVolSpec,
+    eta_log_coeffs,
     eta_sq_inverse,  # noqa: F401
     vix_spot,
 )
@@ -317,7 +318,7 @@ def _vix_leg(model: LsvModel, strike: float):
     log_k2_v0 = math.log(strike * strike / model.v0)
 
     def leg(k: float):
-        eta, eta1, eta2 = spec.eta_derivatives(k)
+        eta, eta1, eta2, _ = spec.eta_derivatives(k)
         if not eta > 0.0:
             return None
         r1 = eta1 / eta
@@ -333,10 +334,11 @@ def vix_rate(model: LsvModel, strike: float) -> RatePoint:
     The search runs over the spot level k on the constraint curve
     eta(k)^2 V_T = K^2, so eta need only be positive there, not monotone;
     where eta(k) <= 0 the objective is undefined and the solver steps back.
-    Where eta^2 is exactly constant (pure stochastic volatility when it is
-    1), the VIX eta sqrt(V_T) pins the terminal variance at K^2/eta^2 and
-    leaves the spot free, so the rate is the vol-of-vol spec's
-    ``variance_rate``.
+    Where eta', eta'' and eta''' at the money are exactly 0 (:func:`eta_log_coeffs`),
+    eta is flat at eta0 to double precision near the money (pure stochastic
+    volatility when eta0 = 1): the VIX eta0 sqrt(V_T) pins the terminal
+    variance at K^2/eta0^2 and leaves the spot free, so the rate is the
+    vol-of-vol spec's ``variance_rate``.
     """
     if strike <= 0.0:
         raise ValueError("strike must be positive")
@@ -345,10 +347,10 @@ def vix_rate(model: LsvModel, strike: float) -> RatePoint:
     x = math.log(strike / vix_spot(model))
     if x == 0.0:
         return RatePoint(strike, 0.0, math.log(model.v0), model.v0, 0, True)
-    w_lo, w_hi = model.local_vol.eta_sq_range()
-    if w_lo == w_hi:
-        rate = model.vol_of_vol.variance_rate(strike * strike / w_hi, model.v0)
-        return RatePoint(strike, rate, 2.0 * math.log(strike / math.sqrt(w_hi)), model.v0, 0, True)
+    eta0, eta1, eta2, eta3 = eta_log_coeffs(model.local_vol)
+    if eta1 == eta2 == eta3 == 0.0:
+        rate = model.vol_of_vol.variance_rate(strike * strike / (eta0 * eta0), model.v0)
+        return RatePoint(strike, rate, 2.0 * math.log(strike / eta0), model.v0, 0, True)
     leg = _vix_leg(model, strike)
     solved = _minimize(_rate_objective(model, leg), model.vol_of_vol.warm_start(model, x, True))
     return _rate_point(model, strike, leg, solved)

@@ -123,6 +123,31 @@ class TestSmile:
         for row in rows:
             assert float(row[3]) == pytest.approx(float(row[2]), abs=1e-6)
 
+    @pytest.mark.parametrize("product", ["european", "vix"])
+    def test_far_centred_tanh(self, product, tmp_path, capsys):
+        # cosh(400)^2 overflows a float; eta is flat at f0 - f1 near the money
+        cfg = dict(TABLE_MODEL, local_vol={"kind": "tanh", "f0": 1.0, "f1": -0.5, "x0": 400.0})
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(["smile", "--model", str(path), "--product", product, "--kcount", "5"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 5 and all(math.isfinite(float(v)) for row in rows for v in row), rows
+
+    def test_even_taylor_vix_rate_column(self, tmp_path, capsys):
+        # eta = 1 + 0.1 k^2 is equal at both ends of the +-50 window but not
+        # constant; the rate column follows the expansion near the money
+        cfg = dict(TABLE_MODEL, v0=0.04, rho=-0.5, local_vol={"kind": "taylor_log", "eta0": 1.0, "eta2": 0.1},
+                   vol_of_vol={"kind": "lognormal", "sigma": 1.0})
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(["smile", "--model", str(path), "--product", "vix",
+                                "--kmin=-0.2", "--kmax=0.2", "--kcount", "5"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        for row in rows:
+            assert float(row[3]) == pytest.approx(float(row[2]), abs=5e-5), row
+
     def test_effective_config_echoed(self, model_file, capsys):
         _, _, err = run_cli(["smile", "--model", model_file, "--kcount", "3"], capsys)
         echoed = json.loads(err.strip().split("\n")[0])
@@ -150,6 +175,9 @@ class TestMalformedModelFile:
         (dict(TABLE_MODEL, local_vol=dict(TABLE_MODEL["local_vol"], x_0=0.3)), "unknown key local_vol.x_0"),
         (dict(TABLE_MODEL, vol_of_vol={"kind": "lognormal", "sigma": 2.0, "drift": {"mu": 0.5}}),
          "vol_of_vol.drift.kind must be one of"),
+        # written as the json literals NaN and Infinity
+        (dict(TABLE_MODEL, rho=math.nan), "rho must be finite"),
+        (dict(TABLE_MODEL, v0=math.inf), "v0 must be finite"),
     ])
     def test_one_error_line(self, body, key, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -38,6 +38,18 @@ from lsv_shortmat.model import (
 TANH = TanhLocalVol(f0=1.0, f1=-0.5, x0=0.0)
 
 
+def _eta_sq_range(spec):
+    """The open range of eta^2 that ``eta_sq_log_inverse`` accepts: between
+    the squares of f0 -+ |f1| for a tanh eta, and of a monotone Taylor eta
+    at the ends of the +-50 window, the lower end clipped at 0."""
+    if isinstance(spec, TanhLocalVol):
+        ends = (spec.f0 - abs(spec.f1), spec.f0 + abs(spec.f1))
+    else:
+        ends = (float(spec.eta(-50.0)), float(spec.eta(50.0)))
+    lo, hi = max(min(ends), 0.0), max(ends)
+    return lo * lo, hi * hi
+
+
 def table_model(rho=-0.7, **kw):
     base = dict(s0=1.0, v0=0.1, rho=rho, local_vol=TANH, vol_of_vol=LognormalVolOfVol(sigma=2.0))
     base.update(kw)
@@ -103,14 +115,23 @@ class TestScalarEta:
 
 class TestEtaLogCoeffs:
     def test_tanh_centered(self):
-        eta0, eta1, eta2, eta3 = eta_log_coeffs(TANH, 3)
-        assert eta0 == pytest.approx(1.0, abs=1e-15)
-        assert eta1 == pytest.approx(-0.5, abs=1e-15)
-        assert eta2 == pytest.approx(0.0, abs=1e-15)
-        assert eta3 == pytest.approx(1.0 / 6.0, abs=1e-15)
+        # eta = f0 + f1 (k - k^3/3 + ...), exact at x0 = 0
+        assert eta_log_coeffs(TANH, 3) == [1.0, -0.5, 0.0, 1.0 / 6.0]
 
     def test_constant(self):
         assert eta_log_coeffs(ConstantLocalVol(), 3) == [1.0, 0.0, 0.0, 0.0]
+
+    def test_taylor_coefficients_to_one_ulp(self):
+        # 6 eta3 / 6 need not round back to eta3
+        coeffs = (0.8, 0.2, -0.1, 0.05)
+        got = eta_log_coeffs(TaylorLocalVol(*coeffs), 3)
+        assert all(abs(g - c) <= math.ulp(c) for g, c in zip(got, coeffs)), got
+
+    @pytest.mark.parametrize("x0", [-800.0, -400.0, 400.0, 800.0])
+    def test_tanh_far_centre(self, x0):
+        # cosh(x0)^2 overflows beyond |x0| = 355; eta is flat at f0 -+ f1 there
+        coeffs = eta_log_coeffs(TanhLocalVol(1.0, 0.3, x0), 3)
+        assert coeffs == [pytest.approx(1.0 + 0.3 * math.copysign(1.0, -x0), abs=1e-15), 0.0, 0.0, 0.0]
 
     def test_order_cap(self):
         assert len(eta_log_coeffs(TANH, 1)) == 2
@@ -157,8 +178,9 @@ class TestEtaDerivatives:
             def eta(t):
                 return mp.mpf(1)
         with mp.workdps(40):
-            ref = (eta(mp.mpf(k)), mp.diff(eta, k), mp.diff(eta, k, 2))
+            ref = (eta(mp.mpf(k)), mp.diff(eta, k), mp.diff(eta, k, 2), mp.diff(eta, k, 3))
             got = spec.eta_derivatives(k)
+            assert len(got) == 4
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-14 * max(1.0, abs(r)), (k, got, ref)
 
@@ -185,7 +207,7 @@ class TestEtaSqInverse:
             assert eta_sq_inverse(spec, w, s0) == pytest.approx(s, rel=1e-10)
 
     def test_out_of_range(self):
-        lo, hi = TANH.eta_sq_range()
+        lo, hi = _eta_sq_range(TANH)
         with pytest.raises(ValueError):
             eta_sq_inverse(TANH, hi * 1.01, 1.0)
         with pytest.raises(ValueError):
@@ -215,12 +237,12 @@ class TestEtaSqInverse:
         # spacing of k, plus the rounding of its Horner terms
         spec = TaylorLocalVol(eta0, eta1, eta2, eta3)
         assume(spec._is_monotone())
-        w_lo, w_hi = spec.eta_sq_range()
+        w_lo, w_hi = _eta_sq_range(spec)
         w = w_lo + q * (w_hi - w_lo)
         assume(w_lo < w < w_hi)
         k = spec.eta_sq_log_inverse(w)
         target = math.sqrt(w)
-        terms = sum(abs(c) * abs(k) ** i for i, c in enumerate(spec.log_coeffs()))
+        terms = sum(abs(c) * abs(k) ** i for i, c in enumerate((spec.eta0, spec.eta1, spec.eta2, spec.eta3)))
         bound = (8.0 * math.ulp(target) + abs(spec.eta_derivatives(k)[1]) * math.ulp(k)
                  + 4.0 * np.finfo(float).eps * terms)
         assert abs(float(spec.eta(k)) - target) <= bound
@@ -233,7 +255,7 @@ class TestEtaSqInverse:
     ])
     def test_closed_form_round_trip(self, spec):
         # eta(k)^2 must reproduce w, also a hair inside both ends of the range
-        w_lo, w_hi = spec.eta_sq_range()
+        w_lo, w_hi = _eta_sq_range(spec)
         ws = list(np.linspace(w_lo, w_hi, 23)[1:-1]) + [w_lo * (1.0 + 1e-9), w_hi * (1.0 - 1e-9)]
         for w in ws:
             k = spec.eta_sq_log_inverse(w)
@@ -379,6 +401,11 @@ class TestJsonConfig:
         (lambda c: c.update(rho="-0.7x"), "rho must be a number"),
         (lambda c: c.update(v0=10**400), "v0 must be a number"),
         (lambda c: c["local_vol"].update(f1=[0.5]), "local_vol.f1 must be a number"),
+        # json reads NaN and Infinity; NaN passes every comparison of the spec checks
+        (lambda c: c.update(rho=math.nan), "rho must be finite"),
+        (lambda c: c["vol_of_vol"].update(sigma=math.nan), "vol_of_vol.sigma must be finite"),
+        (lambda c: c.update(v0=math.inf), "v0 must be finite"),
+        (lambda c: c["local_vol"].update(x0=-math.inf), "local_vol.x0 must be finite"),
     ])
     def test_malformed_input_names_its_key(self, edit, message):
         cfg = json.loads(json.dumps(model_to_dict(table_model())))

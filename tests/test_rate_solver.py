@@ -36,6 +36,12 @@ from lsv_shortmat.rate_solver import (
     vix_rate,
     vol_integral_Q,
 )
+from lsv_shortmat.smile import (
+    european_expansion_heston_type,
+    european_expansion_sabr_type,
+    vix_expansion_heston_type,
+    vix_expansion_sabr_type,
+)
 
 TANH = TanhLocalVol(1.0, -0.5, 0.0)
 
@@ -386,12 +392,11 @@ class TestVixBandEdges:
     @pytest.mark.parametrize("k", [-0.2, 0.2])
     @pytest.mark.parametrize("vol", [LognormalVolOfVol(1.0), SquareRootVolOfVol(1.0)], ids=["lognormal", "square_root"])
     def test_eta_reaching_zero_leaves_band_open(self, eta1, k, vol):
-        # eta = 1 + eta1 k vanishes inside the +-50 window, so the range of
-        # eta^2 starts at 0; beyond the zero the objective is undefined and
-        # the solver steps back
+        # eta = 1 + eta1 k vanishes inside the +-50 window; beyond the zero
+        # the objective is undefined and the solver steps back
         model = LsvModel(s0=1.0, v0=0.04, rho=-0.5, local_vol=TaylorLocalVol(eta0=1.0, eta1=eta1),
                          vol_of_vol=vol)
-        assert model.local_vol.eta_sq_range()[0] == 0.0
+        assert min(model.local_vol.eta(-50.0), model.local_vol.eta(50.0)) < 0.0
         pt = vix_rate(model, vix_spot(model) * math.exp(k))
         assert pt.converged and math.isfinite(pt.rate) and pt.rate > 0.0
 
@@ -437,27 +442,59 @@ class TestVixBandEdges:
         (SquareRootVolOfVol(0.5), -0.2, 0.01064), (SquareRootVolOfVol(0.5), 0.2, 0.01601)])
     def test_non_monotone_positive_eta(self, vol, x, rate):
         # eta = 1 + 0.1 k + 0.2 k^2 is positive with a minimum at k = -0.25,
-        # so eta^2 has no inverse; the constraint curve over k needs none.
-        # Oracle: Nelder-Mead and polish from nine starts over (log u, k) on
-        # the value functions h_lognormal / h_heston, integral_IS and
-        # vol_integral_Q.
+        # so eta^2 has no inverse; the constraint curve over k needs none
         model = LsvModel(s0=1.0, v0=0.04, rho=-0.5, local_vol=TaylorLocalVol(1.0, 0.1, 0.2), vol_of_vol=vol)
         strike = vix_spot(model) * math.exp(x)
         pt = vix_rate(model, strike)
         assert pt.converged and not pt.boundary_hit
-        h_fn = h_lognormal if isinstance(vol, LognormalVolOfVol) else h_heston
-        v0, rho = model.v0, model.rho
-
-        def objective(log_u, k):
-            eta = float(model.local_vol.eta(k))
-            y, z = math.log(strike * strike / (eta * eta)), v0 * math.exp(log_u)
-            num = integral_IS(model.local_vol, model.s0, math.exp(k)) - rho * vol_integral_Q(vol, v0, y)
-            return num * num / (2.0 * (1.0 - rho * rho) * z) + h_fn(y, z, v0, vol.sigma)
-
-        starts = [(log_u, k) for log_u in (-0.5, 0.0, 0.5) for k in (-1.0, -0.25, 0.5)]
-        oracle = _replaced_minimize_2d(objective, starts)
-        assert pt.rate == pytest.approx(oracle, rel=1e-11)
+        assert pt.rate == pytest.approx(_vix_curve_oracle(model, strike), rel=1e-11)
         assert pt.rate == pytest.approx(rate, abs=5e-6)
+
+    # eta = 1 + 0.1 k^2 takes the same value at both ends of the +-50
+    # window, which a constancy test on those ends took for a constant eta;
+    # eta = 1 + 0.1 k - 0.5 k^2 is negative at both ends, which a range of
+    # eta^2 over the window rejected.  Neither is constant or needs a range.
+    @pytest.mark.parametrize("spec,vol,x,rate", [
+        (TaylorLocalVol(1.0, 0.0, 0.1), LognormalVolOfVol(1.0), -0.2, 0.08010489295),
+        (TaylorLocalVol(1.0, 0.0, 0.1), LognormalVolOfVol(1.0), 0.2, 0.07984262517),
+        (TaylorLocalVol(1.0, 0.0, 0.1), SquareRootVolOfVol(0.5), -0.2, 0.01051638404),
+        (TaylorLocalVol(1.0, 0.0, 0.1), SquareRootVolOfVol(0.5), 0.2, 0.01567943509),
+        (TaylorLocalVol(1.0, 0.1, -0.5), LognormalVolOfVol(1.0), -0.2, 0.08238302532),
+        (TaylorLocalVol(1.0, 0.1, -0.5), LognormalVolOfVol(1.0), 0.2, 0.08427198225),
+        (TaylorLocalVol(1.0, 0.1, -0.5), SquareRootVolOfVol(0.5), -0.2, 0.01063166664),
+        (TaylorLocalVol(1.0, 0.1, -0.5), SquareRootVolOfVol(0.5), 0.2, 0.01605981074)])
+    def test_taylor_eta_judged_at_the_money(self, spec, vol, x, rate):
+        model = LsvModel(s0=1.0, v0=0.04, rho=-0.5, local_vol=spec, vol_of_vol=vol)
+        strike = vix_spot(model) * math.exp(x)
+        pt = vix_rate(model, strike)
+        assert pt.converged and not pt.boundary_hit and pt.iterations > 0
+        assert pt.rate == pytest.approx(_vix_curve_oracle(model, strike), rel=1e-11)
+        assert pt.rate == pytest.approx(rate, abs=1e-10)
+
+
+def _vix_curve_oracle(model, strike):
+    """The VIX rate by brute force over (log u, k) on the constraint curve:
+    Nelder-Mead and polish from nine starts on the value functions
+    h_lognormal / h_heston, integral_IS and vol_integral_Q, with eta(k) <= 0
+    or a raising integral_IS scored as +inf."""
+    spec, vol = model.local_vol, model.vol_of_vol
+    h_fn = h_lognormal if isinstance(vol, LognormalVolOfVol) else h_heston
+    v0, rho = model.v0, model.rho
+
+    def objective(log_u, k):
+        eta = float(spec.eta(k))
+        if not eta > 0.0:
+            return math.inf
+        try:
+            i_s = integral_IS(spec, model.s0, math.exp(k))
+        except ValueError:
+            return math.inf
+        y, z = math.log(strike * strike / (eta * eta)), v0 * math.exp(log_u)
+        num = i_s - rho * vol_integral_Q(vol, v0, y)
+        return num * num / (2.0 * (1.0 - rho * rho) * z) + h_fn(y, z, v0, vol.sigma)
+
+    starts = [(log_u, k) for log_u in (-0.5, 0.0, 0.5) for k in (-1.0, -0.25, 0.5)]
+    return _replaced_minimize_2d(objective, starts)
 
 
 class TestRateToImpvol:
@@ -582,8 +619,11 @@ def _solve(model, product, log_moneyness):
 
 
 def _vix_w_band(model, log_moneyness):
-    """Open range of w = y - log v0 where K^2 e^{-y} lies inside eta^2's range."""
-    w_lo, w_hi = model.local_vol.eta_sq_range()
+    """Open range of w = y - log v0 where K^2 e^{-y} lies inside the range
+    ((f0 - |f1|)^2, (f0 + |f1|)^2) of a tanh eta^2."""
+    spec = model.local_vol
+    lo, hi = spec.f0 - abs(spec.f1), spec.f0 + abs(spec.f1)
+    w_lo, w_hi = lo * lo, hi * hi
     k2 = (vix_spot(model) * math.exp(log_moneyness)) ** 2
     return math.log(k2 / w_hi) - math.log(model.v0), math.log(k2 / w_lo) - math.log(model.v0)
 
@@ -855,3 +895,22 @@ class TestSupportedDomain:
             assert pt.converged, (model, k, pt)
             assert all(map(math.isfinite, (pt.rate, pt.minimizer_y, pt.minimizer_z))), pt
             assert pt.rate >= 0.0, pt
+
+    # the sweep draws x0 from [-0.5, 0.5]; far from it tanh(x0) rounds to
+    # +-1 (|x0| >= 20) and cosh(x0)^2 overflows (|x0| > 355)
+    @pytest.mark.parametrize("vol,expansions", [
+        (LognormalVolOfVol(1.0), (european_expansion_sabr_type, vix_expansion_sabr_type)),
+        (SquareRootVolOfVol(0.5), (european_expansion_heston_type, vix_expansion_heston_type))],
+        ids=["lognormal", "square_root"])
+    @pytest.mark.parametrize("f1", [-0.5, 0.3])
+    @pytest.mark.parametrize("x0", [-400.0, -30.0, -5.0, 5.0, 30.0, 400.0])
+    def test_far_centred_tanh(self, x0, f1, vol, expansions):
+        model = LsvModel(s0=1.0, v0=0.04, rho=-0.5, local_vol=TanhLocalVol(1.0, f1, x0), vol_of_vol=vol)
+        for expansion in expansions:
+            terms = expansion(model)
+            assert all(math.isfinite(t) for t in (terms.atm, terms.skew, terms.convexity) if t is not None)
+        for k in (-0.3, -0.05, 0.05, 0.3):
+            for pt in (vix_rate(model, vix_spot(model) * math.exp(k)), european_rate(model, math.exp(k))):
+                assert pt.converged and not pt.boundary_hit, (k, pt)
+                assert all(map(math.isfinite, (pt.rate, pt.minimizer_y, pt.minimizer_z))), pt
+                assert pt.rate > 0.0, pt

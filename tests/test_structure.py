@@ -3,7 +3,12 @@
 Each spec class owns its formulas, so callers dispatch on the class rather
 than test its type.  The number of ``isinstance`` calls may only fall, and
 every spec class exposes the same methods as the others of its kind, so a
-new spec cannot quietly need a type ladder in a caller.  Every scalar root
+new spec cannot quietly need a type ladder in a caller.  The local-vol
+interface is held at five methods: the array ``eta``, the scalar
+``eta_derivatives`` (whose value at the money also gives the Taylor
+coefficients and decides whether eta is constant), the spot integral, the
+eta^2 inverse and the proxy bounds; a sixth must be added here
+deliberately.  Every scalar root
 goes through the one safeguarded solver in ``_roots``, so no module brings
 in another.  Monte Carlo pricing reads everything it needs from the
 samples, tells the products apart in one place and leaves output formats
@@ -267,6 +272,14 @@ def test_spec_classes_share_one_method_set(suffix):
     first = methods[classes[0].__name__]
     assert first, "spec classes carry their formulas as methods"
     assert all(m == first for m in methods.values()), methods
+
+
+LOCAL_VOL_METHODS = {"eta", "eta_derivatives", "inv_eta_integral", "eta_sq_log_inverse", "proxy_bounds"}
+
+
+def test_local_vol_interface():
+    methods = {cls.__name__: _public_methods(cls) for cls in typing.get_args(model.LocalVolSpec)}
+    assert all(m == LOCAL_VOL_METHODS for m in methods.values()), methods
 
 
 def test_kind_tables_list_every_spec_class_once():

@@ -10,12 +10,24 @@ Randomness is organised in fixed-size path blocks, each drawn from its own
 counter-based Philox stream keyed by (seed, block index).  Path i therefore
 depends only on the seed and its own index - never on n_paths - and blocks
 may be generated on any number of workers with bit-identical results.
+
+A block is a state (its generator, log-moneyness, variance and its positive
+part, the optional control-variate track) that a fused step advances in
+place, in buffers each worker allocates once: no array is allocated per
+step.  The step runs the model's expressions as ``out=`` ufuncs in numpy's
+own evaluation order, so its values are bit for bit those of the plain
+expressions; one draw per step drives both rows of an antithetic pair.  The
+n_blocks x n_steps block-steps are cut into one contiguous range per worker
+(a wrap-around split), so a block may be started on one worker and finished
+on the next, which waits for the handoff; each block still takes its steps
+in order from its own stream.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -85,50 +97,120 @@ class PriceEstimate:
     n: int
 
 
-def _simulate_block(model: LsvModel, config: McConfig, block_index: int, aux_const_vol: float | None,
-                    s_out: np.ndarray, v_out: np.ndarray, aux_out: np.ndarray | None) -> None:
-    """Simulate one fixed-width block of paths into its columns of the
-    (passes, n_paths) outputs.  The full block is always drawn, so the
-    content of path i is independent of n_paths; the last block is trimmed."""
-    key = (int(config.seed) % (1 << 64)) * (1 << 64) + block_index
-    n_steps = config.n_steps
-    dt = config.maturity / n_steps
-    sq_dt = math.sqrt(dt)
-    lo = block_index * _BLOCK
-    width = min(_BLOCK, config.n_paths - lo)
-    cols = slice(lo, lo + width)
+class _Row:
+    """One sampling row of a block (its plain paths, or their mirrored
+    partners) between steps: log-moneyness, variance, the positive part the
+    coefficients see (v itself once an exact variance step has run) and the
+    optional control-variate log-spot."""
 
-    rho = model.rho
-    rho_perp = math.sqrt(1.0 - rho * rho)
-    vv = model.vol_of_vol
-    carry = (model.r - model.q) * dt
+    __slots__ = ("log_m", "v", "v_pos", "log_aux")
 
-    for row, sign in enumerate((1.0, -1.0) if config.antithetic else (1.0,)):
-        # a fresh generator per pass replays the identical stream, so the
-        # antithetic partner uses exactly the mirrored increments
-        rng = np.random.Generator(np.random.Philox(key=key))
-        log_m = np.zeros(_BLOCK)
-        # v_pos is the variance the coefficients see: max(v, 0) under full
-        # truncation, v itself under an exact step
-        v = v_pos = np.full(_BLOCK, model.v0)
-        log_aux = np.zeros(_BLOCK) if aux_out is not None else None
-        for step in range(n_steps):
-            zb = rng.standard_normal((2, _BLOCK))
-            z = sign * zb[0]
-            b = sign * zb[1]
-            dw = sq_dt * (rho * z + rho_perp * b)
-            eta = model.local_vol.eta(log_m)
-            loc_var = eta * eta * v_pos
-            log_m += carry - 0.5 * loc_var * dt + eta * np.sqrt(v_pos) * dw
-            if log_aux is not None:
-                log_aux += carry - 0.5 * aux_const_vol**2 * dt + aux_const_vol * dw
-            v, v_pos = vv.variance_step(v, v_pos, z, dt)
-        # a path truncated at 0 ends at 1e-300; exact steps stay positive.
-        # Mapped whole, then trimmed, so no value depends on the block's width
-        v_out[row, cols] = np.maximum(v_pos, 1e-300)[:width]
-        s_out[row, cols] = (model.s0 * np.exp(log_m))[:width]
-        if aux_out is not None:
-            aux_out[row, cols] = (model.s0 * np.exp(log_aux))[:width]
+    def __init__(self, v0: float, aux: bool) -> None:
+        self.log_m = np.zeros(_BLOCK)
+        self.v = np.full(_BLOCK, v0)
+        self.v_pos = np.full(_BLOCK, v0)
+        self.log_aux = np.zeros(_BLOCK) if aux else None
+
+
+class _Block:
+    """A path block part-way through its steps: the block's own Philox
+    generator and its sampling rows.  A block may be started on one worker
+    and finished on another."""
+
+    __slots__ = ("index", "rng", "rows")
+
+    def __init__(self, index: int, config: McConfig, v0: float, aux: bool) -> None:
+        key = (int(config.seed) % (1 << 64)) * (1 << 64) + index
+        self.index = index
+        self.rng = np.random.Generator(np.random.Philox(key=key))
+        self.rows = [_Row(v0, aux) for _ in range(2 if config.antithetic else 1)]
+
+
+class _Stepper:
+    """One worker's scratch buffers and the constants of a run; it advances
+    blocks by the fused step and writes finished blocks to the outputs.
+
+    Every step runs the expressions
+
+        dw      = sqrt(dt) (rho z + sqrt(1 - rho^2) b)
+        log_m  += carry - 0.5 eta(log_m)^2 V+ dt + eta(log_m) sqrt(V+) dw
+        log_aux += carry - 0.5 a^2 dt + a dw
+
+    and the vol-of-vol spec's variance step as ``out=`` ufuncs in the order
+    in which numpy evaluates them written out, so every value is bit for bit
+    the one of the plain expressions.  Only two constants are folded: the
+    all-scalar aux drift, and 0.5 dt, as (0.5 x) dt = x (0.5 dt) holds
+    exactly while x = eta^2 V+ is zero or at least 2^-1021 (halving is
+    exact above the subnormals).  sqrt(V+) is taken once per step and
+    shared by the asset and the variance step.
+    """
+
+    def __init__(self, model: LsvModel, config: McConfig, aux_const_vol: float | None,
+                 s_out: np.ndarray, v_out: np.ndarray, aux_out: np.ndarray | None) -> None:
+        self.model, self.config, self.aux_const_vol = model, config, aux_const_vol
+        self.outputs = (s_out, v_out, aux_out)
+        self.dt = config.maturity / config.n_steps
+        self.sq_dt = math.sqrt(self.dt)
+        self.rho_perp = math.sqrt(1.0 - model.rho * model.rho)
+        self.carry = (model.r - model.q) * self.dt
+        if aux_const_vol is not None:
+            self.aux_drift = self.carry - 0.5 * aux_const_vol**2 * self.dt
+        self.zb = np.empty((2, _BLOCK))
+        self.eta, self.tmp, self.sqrt_v, self.dw = (np.empty(_BLOCK) for _ in range(4))
+
+    def start(self, index: int) -> _Block:
+        return _Block(index, self.config, self.model.v0, self.aux_const_vol is not None)
+
+    def advance(self, block: _Block, steps: int) -> _Block:
+        zb = self.zb
+        z, b = zb
+        for _ in range(steps):
+            block.rng.standard_normal(out=zb)
+            for i, row in enumerate(block.rows):
+                if i:
+                    # the mirrored row steps on the negated draws of the plain one
+                    np.negative(zb, out=zb)
+                self._step(row, z, b)
+        return block
+
+    def _step(self, row: _Row, z: np.ndarray, b: np.ndarray) -> None:
+        model, dt = self.model, self.dt
+        eta, tmp, sqrt_v, dw = self.eta, self.tmp, self.sqrt_v, self.dw
+        np.multiply(z, model.rho, out=tmp)
+        np.multiply(b, self.rho_perp, out=dw)
+        np.add(tmp, dw, out=dw)
+        np.multiply(dw, self.sq_dt, out=dw)
+        model.local_vol.eta(row.log_m, out=eta)
+        np.sqrt(row.v_pos, out=sqrt_v)
+        np.multiply(eta, eta, out=tmp)
+        np.multiply(tmp, row.v_pos, out=tmp)
+        np.multiply(tmp, 0.5 * dt, out=tmp)
+        np.subtract(self.carry, tmp, out=tmp)
+        np.multiply(eta, sqrt_v, out=eta)
+        np.multiply(eta, dw, out=eta)
+        np.add(tmp, eta, out=tmp)
+        np.add(row.log_m, tmp, out=row.log_m)
+        if row.log_aux is not None:
+            np.multiply(dw, self.aux_const_vol, out=tmp)
+            np.add(tmp, self.aux_drift, out=tmp)
+            np.add(row.log_aux, tmp, out=row.log_aux)
+        row.v_pos = model.vol_of_vol.variance_step(row.v, row.v_pos, z, dt, sqrt_v, tmp)
+
+    def finish(self, block: _Block) -> None:
+        """Write a block that has taken every step into its columns of the
+        (rows, n_paths) outputs.  Each map runs over the whole block before
+        the last block is trimmed, so no value depends on the block's width."""
+        s_out, v_out, aux_out = self.outputs
+        lo = block.index * _BLOCK
+        width = min(_BLOCK, self.config.n_paths - lo)
+        cols = slice(lo, lo + width)
+        tmp, s0 = self.tmp, self.model.s0
+        for r, row in enumerate(block.rows):
+            # a path truncated at 0 ends at 1e-300; exact steps stay positive
+            v_out[r, cols] = np.maximum(row.v_pos, 1e-300, out=tmp)[:width]
+            s_out[r, cols] = np.multiply(np.exp(row.log_m, out=tmp), s0, out=tmp)[:width]
+            if aux_out is not None:
+                aux_out[r, cols] = np.multiply(np.exp(row.log_aux, out=tmp), s0, out=tmp)[:width]
 
 
 def _worker_count() -> int:
@@ -139,13 +221,44 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _run_share(stepper: _Stepper, lo: int, hi: int, handoff: list, ready: list, worker: int) -> None:
+    """Run block-steps [lo, hi) of the block-major sequence on one worker.
+
+    A share that ends inside a block first runs that block's head and hands
+    the part-done block to the next worker (slot ``worker + 1`` of
+    ``handoff``, flagged by ``ready``); then its whole blocks; last, the tail
+    of the block it shares with the previous worker, once that block's head
+    has been handed over.  Heads come first and tails last, so a worker
+    seldom waits, and about two blocks are live on a worker at a time."""
+    n_steps = stepper.config.n_steps
+    first, lo_step = divmod(lo, n_steps)
+    last, hi_step = divmod(hi, n_steps)
+    if hi_step:
+        handoff[worker + 1] = stepper.advance(stepper.start(last), hi_step)
+        ready[worker + 1].set()
+    for index in range(first + (lo_step > 0), last):
+        # no name keeps a finished block alive while the next one starts
+        stepper.finish(stepper.advance(stepper.start(index), n_steps))
+    if lo_step:
+        ready[worker].wait()
+        block = handoff[worker]
+        if block is None:
+            raise RuntimeError(f"block {first} was not handed over")
+        handoff[worker] = None
+        # the previous worker's share ended lo_step steps into this block
+        stepper.finish(stepper.advance(block, n_steps - lo_step))
+
+
 def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | None = None) -> McSamples:
     """Simulate terminal (S_T, V_T) samples.
 
-    Blocks run on a thread pool with one worker per usable CPU; the output
-    is bit-identical for any worker count.  ``aux_const_vol`` additionally
-    evolves a constant-vol GBM from the same Brownian increments (a control
-    variate with known Black price).
+    The n_blocks x n_steps block-steps are split into one contiguous range
+    per worker of a thread pool with one worker per usable CPU (at most one
+    per block); a block cut by a range boundary is started on one worker
+    and finished on the next.  Every block runs its steps in order from its
+    own stream, so the output is bit-identical for any worker count.
+    ``aux_const_vol`` additionally evolves a constant-vol GBM from the same
+    Brownian increments (a control variate with known Black price).
     """
     if abs(model.rho) > 1.0:
         raise ValueError("|rho| must not exceed 1")
@@ -154,13 +267,23 @@ def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | Non
     shape = (2 if config.antithetic else 1, config.n_paths)
     s, v = np.empty(shape), np.empty(shape)
     aux = np.empty(shape) if aux_const_vol is not None else None
+    workers = min(_worker_count(), n_blocks)
+    total = n_blocks * config.n_steps
+    # slot w holds the block that worker w - 1 starts and worker w finishes
+    handoff = [None] * (workers + 1)
+    ready = [threading.Event() for _ in range(workers + 1)]
 
-    def work(bi: int) -> None:
-        _simulate_block(model, config, bi, aux_const_vol, s, v, aux)
+    def work(w: int) -> None:
+        try:
+            stepper = _Stepper(model, config, aux_const_vol, s, v, aux)
+            _run_share(stepper, w * total // workers, (w + 1) * total // workers, handoff, ready, w)
+        finally:
+            # set on failure too, so that the next worker stops waiting
+            ready[w + 1].set()
 
-    with ThreadPoolExecutor(max_workers=min(_worker_count(), n_blocks)) as pool:
-        # reading every result re-raises an error of any block here
-        list(pool.map(work, range(n_blocks)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # reading every result re-raises an error of any worker here
+        list(pool.map(work, range(workers)))
     return McSamples(terminal_s=s.reshape(-1), terminal_v=v.reshape(-1), config=config, model=model,
                      v_scheme=model.vol_of_vol.mc_scheme(),
                      terminal_s_aux=aux.reshape(-1) if aux is not None else None)

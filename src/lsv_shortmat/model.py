@@ -8,7 +8,9 @@ Taylor polynomial in log-moneyness, or held constant (pure stochastic vol).
 
 Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
 
-* ``eta(k)``                 - eta at an ndarray (or a float) of k, by numpy;
+* ``eta(k, out=None)``       - eta at an ndarray (or a float) of k, by numpy;
+  with ``out`` (an ndarray of k's shape) it is written there with no
+  temporaries, bit for bit the values without ``out``;
 * ``eta_derivatives(k)``     - eta and its first three derivatives at a
   float k, in plain ``math``: the one scalar eta, which also gives the
   Taylor coefficients at the money (:func:`eta_log_coeffs`);
@@ -18,7 +20,8 @@ Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
 
 The module-level helpers (:func:`eta_eval`, :func:`eta_log_coeffs`,
 :func:`eta_sq_inverse`) delegate to them.  Each drift
-spec class gives its dV drift ``dv_drift(v)`` (0, mu v or a (b - v)) and
+spec class gives its dV drift at an ndarray v, ``dv_drift(v, out)`` (0, or
+mu v or a (b - v) written into ``out``), and
 ``constant_mu()``, the mu of dV/V if it is constant, else None.
 
 Each vol-of-vol spec class owns the rest of the factor's maths, in terminal
@@ -32,8 +35,10 @@ log-variance y, w = y - log v0 and log u = log(z / v0):
   European strike, (log u, spot log-moneyness) for a VIX strike;
 * ``variance_rate(v, v0)``   - the stochastic-vol rate of reaching variance v;
 * ``sigma_at(v0)``           - the vol of vol sigma(V0) of dV/V at V0;
-* ``variance_step(v, v_pos, z, dt)`` - one Monte Carlo step of V, by the
-  scheme ``mc_scheme()`` names.
+* ``variance_step(v, v_pos, z, dt, sqrt_v_pos, work)`` - one Monte Carlo
+  step of V, by the scheme ``mc_scheme()`` names, in place in the arrays
+  v and v_pos (V and its positive part V+); it returns the array that
+  holds V+ afterwards and reuses the caller's sqrt(V+) and scratch array.
 
 Every spec class also gives the constants of the VIX-proxy error bound
 (``proxy_bounds()``, for a drift ``proxy_bound()``), raising ValueError where
@@ -43,9 +48,9 @@ the dataclass fields alone, with one ``{kind: class}`` table per spec kind
 
 All spec objects are frozen dataclasses: they validate on construction and
 their methods are pure, so everything here is safe to share across threads.
-numpy is imported by the array methods alone (``eta``, the Taylor-spec
-quadrature, the tanh ``proxy_bounds`` and ``variance_step``), so reading a
-model and the scalar formulas leave it unloaded.
+numpy is imported by the array methods alone (``eta``, ``dv_drift``, the
+Taylor-spec quadrature, the tanh ``proxy_bounds`` and ``variance_step``),
+so reading a model and the scalar formulas leave it unloaded.
 """
 
 from __future__ import annotations
@@ -140,10 +145,15 @@ class TanhLocalVol:
         if not self.f0 > abs(self.f1):
             raise ValueError(f"tanh local vol requires f0 > |f1|, got f0={self.f0}, f1={self.f1}")
 
-    def eta(self, k):
+    def eta(self, k, out=None):
         import numpy as np
 
-        return self.f0 + self.f1 * np.tanh(k - self.x0)
+        if out is None:
+            return self.f0 + self.f1 * np.tanh(k - self.x0)
+        # k - 0.0 is k bit for bit, so x0 = 0 skips the pass
+        np.tanh(k if self.x0 == 0.0 else np.subtract(k, self.x0, out=out), out=out)
+        np.multiply(out, self.f1, out=out)
+        return np.add(out, self.f0, out=out)
 
     def eta_derivatives(self, k: float) -> tuple[float, float, float, float]:
         # with t = tanh(k - x0) and s = 1 - t^2: eta' = f1 s, eta'' = -2 t f1 s
@@ -222,8 +232,17 @@ class TaylorLocalVol:
         if not self.eta0 > 0.0:
             raise ValueError(f"taylor local vol requires eta0 > 0, got {self.eta0}")
 
-    def eta(self, k):
-        return self.eta0 + k * (self.eta1 + k * (self.eta2 + k * self.eta3))
+    def eta(self, k, out=None):
+        if out is None:
+            return self.eta0 + k * (self.eta1 + k * (self.eta2 + k * self.eta3))
+        import numpy as np
+
+        np.multiply(k, self.eta3, out=out)
+        np.add(out, self.eta2, out=out)
+        np.multiply(out, k, out=out)
+        np.add(out, self.eta1, out=out)
+        np.multiply(out, k, out=out)
+        return np.add(out, self.eta0, out=out)
 
     def eta_derivatives(self, k: float) -> tuple[float, float, float, float]:
         return (self.eta(k), self.eta1 + k * (2.0 * self.eta2 + 3.0 * k * self.eta3),
@@ -281,10 +300,13 @@ class ConstantLocalVol:
     """eta(s) = 1: pure stochastic volatility dynamics (scale V0 for
     another level)."""
 
-    def eta(self, k):
+    def eta(self, k, out=None):
         import numpy as np
 
-        return np.ones_like(k, dtype=float)[()]
+        if out is None:
+            return np.ones_like(k, dtype=float)[()]
+        out.fill(1.0)
+        return out
 
     def eta_derivatives(self, k: float) -> tuple[float, float, float, float]:
         return 1.0, 0.0, 0.0, 0.0
@@ -310,7 +332,7 @@ LocalVolSpec = Union[TanhLocalVol, TaylorLocalVol, ConstantLocalVol]
 class ZeroDrift:
     """Driftless variance factor."""
 
-    def dv_drift(self, v):
+    def dv_drift(self, v, out):
         return 0.0
 
     def constant_mu(self) -> float | None:
@@ -326,8 +348,10 @@ class ConstantDrift:
 
     mu: float
 
-    def dv_drift(self, v):
-        return self.mu * v
+    def dv_drift(self, v, out):
+        import numpy as np
+
+        return np.multiply(v, self.mu, out=out)
 
     def constant_mu(self) -> float | None:
         return self.mu
@@ -347,8 +371,11 @@ class MeanRevertingDrift:
         if self.a <= 0.0 or self.b <= 0.0:
             raise ValueError("mean-reverting drift requires a > 0 and b > 0")
 
-    def dv_drift(self, v):
-        return self.a * (self.b - v)
+    def dv_drift(self, v, out):
+        import numpy as np
+
+        np.subtract(self.b, v, out=out)
+        return np.multiply(out, self.a, out=out)
 
     def constant_mu(self) -> float | None:
         return None
@@ -361,6 +388,23 @@ DriftSpec = Union[ZeroDrift, ConstantDrift, MeanRevertingDrift]
 
 
 _EPS = 2.0**-52
+
+
+def _euler_step(spec, v, v_pos, scale, z, dt: float, work):
+    """Full-truncation Euler step of V in place:
+    v <- v + drift(V+) dt + sigma scale sqrt(dt) z, then V+ = max(v, 0) into
+    ``v_pos``, which it returns.  ``scale`` is V+ for a lognormal factor and
+    sqrt(V+) for a square-root one; the operations run in the order of that
+    expression, so the step is bit for bit the one without buffers."""
+    import numpy as np
+
+    np.multiply(spec.drift.dv_drift(v_pos, out=work), dt, out=work)
+    np.add(v, work, out=v)
+    np.multiply(scale, spec.sigma, out=work)
+    np.multiply(work, math.sqrt(dt), out=work)
+    np.multiply(work, z, out=work)
+    np.add(v, work, out=v)
+    return np.maximum(v, 0.0, out=v_pos)
 
 
 @dataclass(frozen=True)
@@ -429,19 +473,22 @@ class LognormalVolOfVol:
     def mc_scheme(self) -> str:
         return "euler-full-truncation" if self.drift.constant_mu() is None else "exact-gbm"
 
-    def variance_step(self, v, v_pos, z, dt: float):
-        """One step of V from the standard normals z, returning (V, V+): an
-        exact geometric Brownian step for a constant mu, full-truncation
-        Euler (V+ = max(V, 0) feeds every coefficient) otherwise."""
+    def variance_step(self, v, v_pos, z, dt: float, sqrt_v_pos, work):
+        """One step of V from the standard normals z, in place: an exact
+        geometric Brownian step of v for a constant mu, full-truncation
+        Euler (:func:`_euler_step`) otherwise.  Returns the array that now
+        holds V+, the variance every coefficient sees: v itself under the
+        exact step.  ``sqrt_v_pos`` (sqrt(V+), unused here) and ``work`` are
+        caller-owned arrays of v's shape; ``work`` is overwritten."""
+        mu = self.drift.constant_mu()
+        if mu is None:
+            return _euler_step(self, v, v_pos, v_pos, z, dt, work)
         import numpy as np
 
-        mu = self.drift.constant_mu()
-        sq_dt = math.sqrt(dt)
-        if mu is None:
-            v = v + self.drift.dv_drift(v_pos) * dt + self.sigma * v_pos * sq_dt * z
-            return v, np.maximum(v, 0.0)
-        v = v * np.exp((mu - 0.5 * self.sigma * self.sigma) * dt + self.sigma * sq_dt * z)
-        return v, v
+        np.multiply(z, self.sigma * math.sqrt(dt), out=work)
+        np.add(work, (mu - 0.5 * self.sigma * self.sigma) * dt, out=work)
+        np.exp(work, out=work)
+        return np.multiply(v, work, out=v)
 
     def proxy_bounds(self) -> tuple[float, float]:
         return self.sigma, self.drift.proxy_bound()
@@ -490,12 +537,11 @@ class SquareRootVolOfVol:
     def mc_scheme(self) -> str:
         return "euler-full-truncation"
 
-    def variance_step(self, v, v_pos, z, dt: float):
-        """One full-truncation Euler step, as in :meth:`LognormalVolOfVol.variance_step`."""
-        import numpy as np
-
-        v = v + self.drift.dv_drift(v_pos) * dt + self.sigma * np.sqrt(v_pos) * math.sqrt(dt) * z
-        return v, np.maximum(v, 0.0)
+    def variance_step(self, v, v_pos, z, dt: float, sqrt_v_pos, work):
+        """One full-truncation Euler step (:func:`_euler_step`) in place, in
+        the layout of :meth:`LognormalVolOfVol.variance_step`; the diffusion
+        term reads the caller's sqrt(V+) rather than taking it again."""
+        return _euler_step(self, v, v_pos, sqrt_v_pos, z, dt, work)
 
     def proxy_bounds(self) -> tuple[float, float]:
         raise ValueError("square-root vol-of-vol is unbounded near 0; no finite proxy bounds")
@@ -584,7 +630,8 @@ def _object(d, where: str) -> dict:
 def _read(cls, d: dict, path: str):
     """``cls`` from the JSON object ``d`` whose keys sit under ``path``: each
     dataclass field from the key of its name, a spec field (a key of
-    :data:`_KINDS`) by its ``kind`` and any other field as a float.  Only a
+    :data:`_KINDS`) by its ``kind`` and any other field as a float from a
+    JSON number (not true/false, not a string).  Only a
     field with a default may be left out; any other malformed input raises
     ValueError naming its key."""
     names = [f.name for f in fields(cls)]
@@ -607,6 +654,9 @@ def _read(cls, d: dict, path: str):
             kwargs[f.name] = _read(kind_cls, spec, key + ".")
         else:
             try:
+                # float() would read true as 1.0 and "0.25" as 0.25
+                if type(value) in (bool, str):
+                    raise TypeError
                 kwargs[f.name] = float(value)
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{key} must be a number, got {reprlib.repr(value)}") from None

@@ -178,6 +178,9 @@ class TestMalformedModelFile:
         # written as the json literals NaN and Infinity
         (dict(TABLE_MODEL, rho=math.nan), "rho must be finite"),
         (dict(TABLE_MODEL, v0=math.inf), "v0 must be finite"),
+        # the json literal true and a numeric string are no numbers
+        (dict(TABLE_MODEL, s0=True), "s0 must be a number"),
+        (dict(TABLE_MODEL, local_vol=dict(TABLE_MODEL["local_vol"], x0="0.25")), "local_vol.x0 must be a number"),
     ])
     def test_one_error_line(self, body, key, tmp_path, capsys):
         path = tmp_path / "bad.json"

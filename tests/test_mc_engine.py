@@ -1,6 +1,8 @@
 import hashlib
 import math
 import sys
+import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,6 +28,7 @@ from lsv_shortmat.model import (
     SquareRootVolOfVol,
     TanhLocalVol,
     TaylorLocalVol,
+    ZeroDrift,
 )
 from lsv_shortmat.smile import VixMapping
 
@@ -36,6 +39,26 @@ def table_model(rho, **kw):
     base = dict(s0=1.0, v0=0.1, rho=rho, local_vol=TANH, vol_of_vol=LognormalVolOfVol(2.0))
     base.update(kw)
     return LsvModel(**base)
+
+
+def _within(seconds, fn, *args):
+    """``fn(*args)`` on a daemon thread that must end within ``seconds``, so
+    that a lost handoff fails a test rather than hanging it."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn(*args)
+        except Exception as exc:  # re-raised in the test's thread below
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"not done within {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 class TestMcConfig:
@@ -92,15 +115,23 @@ class TestSimulatePaths:
     def test_more_workers_than_cores(self, monkeypatch):
         # 9 blocks on 9 workers with frequent thread switches: each block must
         # still land in its own columns
+        self._pooled_matches_serial(monkeypatch, 16)
+
+    def test_split_blocks_on_more_workers_than_cores(self, monkeypatch):
+        # 9 blocks on 4 workers, which hand blocks 4 and 6 on part-way: no
+        # worker may wait for a handoff forever
+        self._pooled_matches_serial(monkeypatch, 4)
+
+    def _pooled_matches_serial(self, monkeypatch, cpus):
         model = table_model(-0.7)
         config = McConfig(n_paths=8 * 16384 + 1, n_steps=2, maturity=0.1, seed=3, antithetic=True)
         monkeypatch.setattr(mc_engine.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = self._sample_bytes(simulate_paths(model, config, aux_const_vol=0.2))
-        monkeypatch.setattr(mc_engine.os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        monkeypatch.setattr(mc_engine.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = self._sample_bytes(simulate_paths(model, config, aux_const_vol=0.2))
+            pooled = self._sample_bytes(_within(120, simulate_paths, model, config, 0.2))
         finally:
             sys.setswitchinterval(interval)
         assert pooled == serial
@@ -186,6 +217,168 @@ class TestSimulatePaths:
         # driven by the same increments: highly correlated with the LSV spot
         corr = np.corrcoef(np.log(s.terminal_s), logs)[0, 1]
         assert corr > 0.97
+
+
+ORACLE_DRIFTS = {
+    ZeroDrift: lambda d, v: 0.0,
+    ConstantDrift: lambda d, v: d.mu * v,
+    MeanRevertingDrift: lambda d, v: d.a * (d.b - v),
+}
+
+
+def _oracle_variance_step(vv, v, v_pos, z, dt):
+    """The variance step as one expression per scheme, returning (V, V+)."""
+    mu = vv.drift.constant_mu() if type(vv) is LognormalVolOfVol else None
+    sq_dt = math.sqrt(dt)
+    if mu is not None:
+        v = v * np.exp((mu - 0.5 * vv.sigma * vv.sigma) * dt + vv.sigma * sq_dt * z)
+        return v, v
+    scale = v_pos if type(vv) is LognormalVolOfVol else np.sqrt(v_pos)
+    v = v + ORACLE_DRIFTS[type(vv.drift)](vv.drift, v_pos) * dt + vv.sigma * scale * sq_dt * z
+    return v, np.maximum(v, 0.0)
+
+
+def _oracle_paths(model, config, aux_const_vol=None):
+    """The engine's step as plain numpy expressions, each block and each
+    antithetic row from a fresh generator, one block after another: the
+    oracle that the fused, buffered and scheduled step must match bit for bit."""
+    block = mc_engine._BLOCK
+    rows = 2 if config.antithetic else 1
+    s, v_out = np.empty((rows, config.n_paths)), np.empty((rows, config.n_paths))
+    aux = np.empty((rows, config.n_paths)) if aux_const_vol is not None else None
+    dt = config.maturity / config.n_steps
+    sq_dt = math.sqrt(dt)
+    rho = model.rho
+    rho_perp = math.sqrt(1.0 - rho * rho)
+    carry = (model.r - model.q) * dt
+    for bi in range((config.n_paths + block - 1) // block):
+        key = (config.seed % (1 << 64)) * (1 << 64) + bi
+        cols = slice(bi * block, min((bi + 1) * block, config.n_paths))
+        width = cols.stop - cols.start
+        for row, sign in enumerate((1.0, -1.0)[:rows]):
+            rng = np.random.Generator(np.random.Philox(key=key))
+            log_m = np.zeros(block)
+            v = v_pos = np.full(block, model.v0)
+            log_aux = np.zeros(block)
+            for _ in range(config.n_steps):
+                zb = rng.standard_normal((2, block))
+                z = sign * zb[0]
+                b = sign * zb[1]
+                dw = sq_dt * (rho * z + rho_perp * b)
+                eta = model.local_vol.eta(log_m)
+                loc_var = eta * eta * v_pos
+                log_m += carry - 0.5 * loc_var * dt + eta * np.sqrt(v_pos) * dw
+                if aux is not None:
+                    log_aux += carry - 0.5 * aux_const_vol**2 * dt + aux_const_vol * dw
+                v, v_pos = _oracle_variance_step(model.vol_of_vol, v, v_pos, z, dt)
+            v_out[row, cols] = np.maximum(v_pos, 1e-300)[:width]
+            s[row, cols] = (model.s0 * np.exp(log_m))[:width]
+            if aux is not None:
+                aux[row, cols] = (model.s0 * np.exp(log_aux))[:width]
+    return [a.reshape(-1).tobytes() if a is not None else None for a in (s, v_out, aux)]
+
+
+ORACLE_LOCAL_VOLS = {"tanh": TanhLocalVol(1.0, -0.5, 0.1), "taylor": TaylorLocalVol(0.9, -0.3, 0.2, 0.05),
+                     "constant": ConstantLocalVol()}
+ORACLE_VOLS_OF_VOL = {
+    "lognormal-exact": LognormalVolOfVol(2.0, drift=ConstantDrift(0.3)),
+    "lognormal-euler": LognormalVolOfVol(1.5, drift=MeanRevertingDrift(2.0, 0.1)),
+    "square-root": SquareRootVolOfVol(0.9, drift=MeanRevertingDrift(3.0, 0.08)),
+}
+# 5 blocks, the last ragged, of 3 steps: 2, 3 and 4 workers split blocks
+# part-way, 8 CPUs give one worker per block
+ORACLE_CONFIG = dict(n_paths=4 * mc_engine._BLOCK + 77, n_steps=3, maturity=0.1, seed=23)
+
+
+def _on_cpus(monkeypatch, n):
+    monkeypatch.setattr(mc_engine.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _engine_bytes(model, config, aux_const_vol):
+    out = simulate_paths(model, config, aux_const_vol=aux_const_vol)
+    return [a.tobytes() if a is not None else None for a in (out.terminal_s, out.terminal_v, out.terminal_s_aux)]
+
+
+class TestFusedStepOracle:
+    @pytest.mark.parametrize("vol_of_vol", sorted(ORACLE_VOLS_OF_VOL))
+    @pytest.mark.parametrize("local_vol", sorted(ORACLE_LOCAL_VOLS))
+    @pytest.mark.parametrize("antithetic, aux_const_vol", [(False, None), (True, 0.3)])
+    def test_byte_equal_to_the_plain_expressions(self, monkeypatch, local_vol, vol_of_vol, antithetic,
+                                                 aux_const_vol):
+        model = table_model(-0.6, local_vol=ORACLE_LOCAL_VOLS[local_vol], vol_of_vol=ORACLE_VOLS_OF_VOL[vol_of_vol],
+                            r=0.03, q=0.01)
+        config = McConfig(**ORACLE_CONFIG, antithetic=antithetic)
+        expected = _oracle_paths(model, config, aux_const_vol)
+        for cpus in (1, 2, 3, 8):
+            _on_cpus(monkeypatch, cpus)
+            assert _engine_bytes(model, config, aux_const_vol) == expected, cpus
+
+    # the Euler drifts the matrix above leaves out
+    @pytest.mark.parametrize("drift", [ZeroDrift(), ConstantDrift(0.5)])
+    @pytest.mark.parametrize("antithetic, aux_const_vol", [(True, None), (False, 0.2)])
+    @pytest.mark.parametrize("n_paths, n_steps, cpus", [
+        (4 * 16384 + 77, 1, 2),  # one step: no block can be split
+        (100, 7, 4),  # fewer blocks than workers
+        (3 * 16384, 5, 2),  # no ragged block; 7.5 blocks of steps per worker
+    ])
+    def test_sizes_and_worker_counts(self, monkeypatch, n_paths, n_steps, cpus, antithetic, aux_const_vol, drift):
+        model = table_model(0.4, vol_of_vol=SquareRootVolOfVol(0.7, drift=drift))
+        config = McConfig(n_paths=n_paths, n_steps=n_steps, maturity=0.05, seed=5, antithetic=antithetic)
+        _on_cpus(monkeypatch, cpus)
+        assert _engine_bytes(model, config, aux_const_vol) == _oracle_paths(model, config, aux_const_vol)
+
+    def test_failed_head_releases_the_next_worker(self, monkeypatch):
+        # worker 0 fails while its head block is part-done; worker 1 must
+        # not wait for the handoff forever, and the first error surfaces
+        model = table_model(0.0)
+        config = McConfig(n_paths=3 * mc_engine._BLOCK, n_steps=3, maturity=0.1, seed=1)
+        _on_cpus(monkeypatch, 2)
+        calls = []
+        original = mc_engine._Stepper.advance
+
+        def advance(self, block, steps):
+            calls.append((block.index, steps))
+            if (block.index, steps) == (1, 1):
+                raise FloatingPointError("head failed")
+            return original(self, block, steps)
+
+        monkeypatch.setattr(mc_engine._Stepper, "advance", advance)
+        with pytest.raises(FloatingPointError, match="head failed"):
+            _within(60, simulate_paths, model, config)
+        assert (1, 1) in calls
+
+
+class TestWorkingSet:
+    @staticmethod
+    def _peak_bytes(model, config, aux_const_vol=None):
+        # numpy imports its random package on first use; keep that out
+        simulate_paths(model, McConfig(2, 1, 0.1, 0))
+        tracemalloc.start()
+        try:
+            simulate_paths(model, config, aux_const_vol=aux_const_vol)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("antithetic, aux_const_vol, arrays", [
+        # 6 worker buffers (two draw rows, eta, one temporary, sqrt(V+),
+        # dw) and 3 per row (log-moneyness, V, V+)
+        (False, None, 9),
+        # the mirrored row reuses the negated draws; 4 arrays per row with log_aux
+        (True, 0.3, 14),
+    ])
+    def test_peak_is_flat_in_steps(self, monkeypatch, antithetic, aux_const_vol, arrays):
+        _on_cpus(monkeypatch, 1)
+        model = table_model(-0.7, vol_of_vol=ORACLE_VOLS_OF_VOL["square-root"])
+        block_bytes = mc_engine._BLOCK * 8
+        n_paths = 2 * mc_engine._BLOCK
+        outputs = (3 if aux_const_vol else 2) * (2 if antithetic else 1) * n_paths * 8
+        peaks = [self._peak_bytes(model, McConfig(n_paths, n_steps, 0.1, 3, antithetic), aux_const_vol)
+                 for n_steps in (5, 200)]
+        # nothing is allocated per step: the peak at 200 steps is that at 5,
+        # up to small Python objects
+        assert abs(peaks[1] - peaks[0]) < block_bytes // 16, peaks
+        assert max(peaks) - outputs <= arrays * block_bytes + block_bytes // 4, (peaks, outputs)
 
 
 @pytest.fixture(scope="module")

@@ -401,6 +401,11 @@ class TestJsonConfig:
         (lambda c: c.update(rho="-0.7x"), "rho must be a number"),
         (lambda c: c.update(v0=10**400), "v0 must be a number"),
         (lambda c: c["local_vol"].update(f1=[0.5]), "local_vol.f1 must be a number"),
+        # float() takes these, but they are no JSON numbers
+        (lambda c: c.update(s0=True), "s0 must be a number"),
+        (lambda c: c.update(rho=False), "rho must be a number"),
+        (lambda c: c["local_vol"].update(x0="0.25"), "local_vol.x0 must be a number"),
+        (lambda c: c["vol_of_vol"].update(sigma="2"), "vol_of_vol.sigma must be a number"),
         # json reads NaN and Infinity; NaN passes every comparison of the spec checks
         (lambda c: c.update(rho=math.nan), "rho must be finite"),
         (lambda c: c["vol_of_vol"].update(sigma=math.nan), "vol_of_vol.sigma must be finite"),

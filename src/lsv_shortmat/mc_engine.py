@@ -20,13 +20,20 @@ expressions; one draw per step drives both rows of an antithetic pair.  The
 n_blocks x n_steps block-steps are cut into one contiguous range per worker
 (a wrap-around split), so a block may be started on one worker and finished
 on the next, which waits for the handoff; each block still takes its steps
-in order from its own stream.
+in order from its own stream.  When there are more CPUs than blocks, each
+block has a worker to itself, and a spare CPU becomes a drawer for one
+block: it fills that block's normals from the block's own generator into a
+ring of two buffers, a step ahead of the block's worker, which then only
+does the arithmetic.  The generator and the order of its draws are the
+same, so the bytes are too.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -64,6 +71,16 @@ class McConfig:
     antithetic: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n_paths", "n_steps", "seed"):
+            value = getattr(self, name)
+            try:
+                # index() takes Python and numpy integers and refuses floats;
+                # bool is an int, but True is no path count
+                if type(value) is bool:
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n_paths < 2:
             raise ValueError("n_paths must be at least 2")
         if self.n_steps < 1:
@@ -112,17 +129,63 @@ class _Row:
         self.log_aux = np.zeros(_BLOCK) if aux else None
 
 
+def _generator(seed: int, index: int) -> np.random.Generator:
+    """The Philox stream of path block ``index``."""
+    return np.random.Generator(np.random.Philox(key=(int(seed) % (1 << 64)) * (1 << 64) + index))
+
+
+class _Ring:
+    """The draws of one block, filled ahead by a drawer and taken in order by
+    the block's stepper, in two (2, _BLOCK) buffers that pass between them
+    through two queues.  ``None`` in a queue ends the other side's wait:
+    the drawer puts it when its draws fail, the stepper (``close``) when it
+    is done with the block, finished or failed."""
+
+    def __init__(self, seed: int, index: int, n_steps: int) -> None:
+        self.index, self.n_steps = index, n_steps
+        self.rng = _generator(seed, index)
+        self.free, self.full = queue.SimpleQueue(), queue.SimpleQueue()
+        for _ in range(2):
+            self.free.put(np.empty((2, _BLOCK)))
+
+    def fill(self) -> None:
+        """The drawer: one step's draws per free buffer, n_steps in all."""
+        try:
+            for _ in range(self.n_steps):
+                zb = self.free.get()
+                if zb is None:
+                    return
+                # the fill releases the GIL, so it overlaps the stepper's arithmetic
+                self.rng.standard_normal(out=zb)
+                self.full.put(zb)
+        except BaseException:
+            self.full.put(None)
+            raise
+
+    def take(self) -> np.ndarray:
+        zb = self.full.get()
+        if zb is None:
+            raise RuntimeError(f"the draws of block {self.index} failed")
+        return zb
+
+    def give_back(self, zb: np.ndarray) -> None:
+        self.free.put(zb)
+
+    def close(self) -> None:
+        self.free.put(None)
+
+
 class _Block:
-    """A path block part-way through its steps: the block's own Philox
-    generator and its sampling rows.  A block may be started on one worker
-    and finished on another."""
+    """A path block part-way through its steps: its sampling rows and the
+    source of its draws, either the block's own Philox generator or a ring
+    that a drawer fills from it.  A block may be started on one worker and
+    finished on another."""
 
-    __slots__ = ("index", "rng", "rows")
+    __slots__ = ("index", "rng", "ring", "rows")
 
-    def __init__(self, index: int, config: McConfig, v0: float, aux: bool) -> None:
-        key = (int(config.seed) % (1 << 64)) * (1 << 64) + index
-        self.index = index
-        self.rng = np.random.Generator(np.random.Philox(key=key))
+    def __init__(self, index: int, config: McConfig, v0: float, aux: bool, ring: _Ring | None) -> None:
+        self.index, self.ring = index, ring
+        self.rng = _generator(config.seed, index) if ring is None else None
         self.rows = [_Row(v0, aux) for _ in range(2 if config.antithetic else 1)]
 
 
@@ -146,31 +209,42 @@ class _Stepper:
     """
 
     def __init__(self, model: LsvModel, config: McConfig, aux_const_vol: float | None,
-                 s_out: np.ndarray, v_out: np.ndarray, aux_out: np.ndarray | None) -> None:
+                 s_out: np.ndarray, v_out: np.ndarray, aux_out: np.ndarray | None, rings: list[_Ring]) -> None:
         self.model, self.config, self.aux_const_vol = model, config, aux_const_vol
         self.outputs = (s_out, v_out, aux_out)
+        self.rings = rings
         self.dt = config.maturity / config.n_steps
         self.sq_dt = math.sqrt(self.dt)
         self.rho_perp = math.sqrt(1.0 - model.rho * model.rho)
         self.carry = (model.r - model.q) * self.dt
         if aux_const_vol is not None:
             self.aux_drift = self.carry - 0.5 * aux_const_vol**2 * self.dt
-        self.zb = np.empty((2, _BLOCK))
+        # the draw buffer of the blocks this worker draws for itself, made
+        # on the first such step: a ring-fed block brings its own buffers
+        self.zb = None
         self.eta, self.tmp, self.sqrt_v, self.dw = (np.empty(_BLOCK) for _ in range(4))
 
     def start(self, index: int) -> _Block:
-        return _Block(index, self.config, self.model.v0, self.aux_const_vol is not None)
+        ring = self.rings[index] if index < len(self.rings) else None
+        return _Block(index, self.config, self.model.v0, self.aux_const_vol is not None, ring)
 
     def advance(self, block: _Block, steps: int) -> _Block:
-        zb = self.zb
-        z, b = zb
+        ring = block.ring
         for _ in range(steps):
-            block.rng.standard_normal(out=zb)
+            if ring is None:
+                if self.zb is None:
+                    self.zb = np.empty((2, _BLOCK))
+                zb = block.rng.standard_normal(out=self.zb)
+            else:
+                zb = ring.take()
+            z, b = zb
             for i, row in enumerate(block.rows):
                 if i:
                     # the mirrored row steps on the negated draws of the plain one
                     np.negative(zb, out=zb)
                 self._step(row, z, b)
+            if ring is not None:
+                ring.give_back(zb)
         return block
 
     def _step(self, row: _Row, z: np.ndarray, b: np.ndarray) -> None:
@@ -253,10 +327,13 @@ def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | Non
     """Simulate terminal (S_T, V_T) samples.
 
     The n_blocks x n_steps block-steps are split into one contiguous range
-    per worker of a thread pool with one worker per usable CPU (at most one
-    per block); a block cut by a range boundary is started on one worker
-    and finished on the next.  Every block runs its steps in order from its
-    own stream, so the output is bit-identical for any worker count.
+    per stepping worker of a thread pool, one per usable CPU and at most one
+    per block; a block cut by a range boundary is started on one worker and
+    finished on the next.  CPUs beyond the blocks become drawers, at most
+    one per block (so the pool is min(cpus, 2 n_blocks)): a drawer fills its
+    block's normals from the block's generator a step ahead of the block's
+    worker.  Every block takes its draws in order from its own stream and
+    its steps in order, so the output is bit-identical for any CPU count.
     ``aux_const_vol`` additionally evolves a constant-vol GBM from the same
     Brownian increments (a control variate with known Black price).
     """
@@ -267,23 +344,33 @@ def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | Non
     shape = (2 if config.antithetic else 1, config.n_paths)
     s, v = np.empty(shape), np.empty(shape)
     aux = np.empty(shape) if aux_const_vol is not None else None
-    workers = min(_worker_count(), n_blocks)
+    cpus = _worker_count()
+    steppers = min(cpus, n_blocks)
+    # with a CPU spare, worker w steps block w alone and ring w feeds it
+    rings = [_Ring(config.seed, index, config.n_steps) for index in range(min(cpus, 2 * n_blocks) - steppers)]
     total = n_blocks * config.n_steps
     # slot w holds the block that worker w - 1 starts and worker w finishes
-    handoff = [None] * (workers + 1)
-    ready = [threading.Event() for _ in range(workers + 1)]
+    handoff = [None] * (steppers + 1)
+    ready = [threading.Event() for _ in range(steppers + 1)]
 
     def work(w: int) -> None:
         try:
-            stepper = _Stepper(model, config, aux_const_vol, s, v, aux)
-            _run_share(stepper, w * total // workers, (w + 1) * total // workers, handoff, ready, w)
+            stepper = _Stepper(model, config, aux_const_vol, s, v, aux, rings)
+            _run_share(stepper, w * total // steppers, (w + 1) * total // steppers, handoff, ready, w)
         finally:
             # set on failure too, so that the next worker stops waiting
             ready[w + 1].set()
+            if w < len(rings):
+                # and so that the drawer stops drawing
+                rings[w].close()
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # reading every result re-raises an error of any worker here
-        list(pool.map(work, range(workers)))
+    with ThreadPoolExecutor(max_workers=steppers + len(rings)) as pool:
+        # every task has a thread of its own, so no stepper waits on a
+        # drawer that has none; the drawers' results are read first, so a
+        # failed draw, not the stepper it stopped, is the error raised here
+        tasks = [pool.submit(ring.fill) for ring in rings] + [pool.submit(work, w) for w in range(steppers)]
+        for task in tasks:
+            task.result()
     return McSamples(terminal_s=s.reshape(-1), terminal_v=v.reshape(-1), config=config, model=model,
                      v_scheme=model.vol_of_vol.mc_scheme(),
                      terminal_s_aux=aux.reshape(-1) if aux is not None else None)

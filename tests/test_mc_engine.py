@@ -67,6 +67,20 @@ class TestMcConfig:
         with pytest.raises(ValueError, match="maturity must be positive and finite"):
             McConfig(n_paths=1_000, n_steps=5, maturity=maturity, seed=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_paths", 20_000.0), ("n_paths", True), ("n_steps", 2.5), ("n_steps", True), ("seed", 1.5),
+        ("seed", False), ("seed", "1"),
+    ])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        kwargs = dict(n_paths=1_000, n_steps=5, maturity=0.1, seed=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            McConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = McConfig(n_paths=np.int64(1_000), n_steps=np.int32(5), maturity=0.1, seed=np.uint64(1))
+        assert simulate_paths(table_model(0.0), config).terminal_s.shape == (1_000,)
+
 
 class TestSimulatePaths:
     def test_deterministic_bytes(self):
@@ -103,8 +117,28 @@ class TestSimulatePaths:
             monkeypatch.setattr(mc_engine.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
                                 raising=False)
             runs.append(self._sample_bytes(simulate_paths(model, config, aux_const_vol=0.3)))
-        assert pools == [1, 3]  # one worker per usable CPU, never more than the 3 blocks
+        # one stepping worker per usable CPU, never more than the 3 blocks,
+        # and a drawer for one block on the fourth CPU
+        assert pools == [1, 4]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("blocks, cpus, drawn_ahead", [
+        (1, 1, []), (1, 2, [0]), (1, 8, [0]), (2, 3, [0]), (2, 8, [0, 1]), (3, 4, [0]), (7, 2, []),
+    ])
+    def test_drawers_take_the_spare_cpus(self, monkeypatch, blocks, cpus, drawn_ahead):
+        # a drawer for blocks 0, 1, ... while CPUs are left over after one
+        # stepping worker per block, never two for one block
+        filled = []
+        original = mc_engine._Ring.fill
+
+        def fill(ring):
+            filled.append(ring.index)
+            original(ring)
+
+        monkeypatch.setattr(mc_engine._Ring, "fill", fill)
+        _on_cpus(monkeypatch, cpus)
+        simulate_paths(table_model(0.0), McConfig(blocks * mc_engine._BLOCK, 2, 0.1, 1))
+        assert sorted(filled) == drawn_ahead
 
     def test_worker_count_without_affinity_mask(self, monkeypatch):
         monkeypatch.delattr(mc_engine.os, "sched_getaffinity", raising=False)
@@ -113,8 +147,9 @@ class TestSimulatePaths:
             assert mc_engine._worker_count() == workers
 
     def test_more_workers_than_cores(self, monkeypatch):
-        # 9 blocks on 9 workers with frequent thread switches: each block must
-        # still land in its own columns
+        # 9 blocks on 9 stepping workers, 7 of them fed by drawers, with
+        # frequent thread switches: each block must still land in its own
+        # columns
         self._pooled_matches_serial(monkeypatch, 16)
 
     def test_split_blocks_on_more_workers_than_cores(self, monkeypatch):
@@ -286,7 +321,7 @@ ORACLE_VOLS_OF_VOL = {
     "square-root": SquareRootVolOfVol(0.9, drift=MeanRevertingDrift(3.0, 0.08)),
 }
 # 5 blocks, the last ragged, of 3 steps: 2, 3 and 4 workers split blocks
-# part-way, 8 CPUs give one worker per block
+# part-way, 8 CPUs give one worker per block and drawers to three of them
 ORACLE_CONFIG = dict(n_paths=4 * mc_engine._BLOCK + 77, n_steps=3, maturity=0.1, seed=23)
 
 
@@ -315,11 +350,14 @@ class TestFusedStepOracle:
 
     # the Euler drifts the matrix above leaves out
     @pytest.mark.parametrize("drift", [ZeroDrift(), ConstantDrift(0.5)])
-    @pytest.mark.parametrize("antithetic, aux_const_vol", [(True, None), (False, 0.2)])
+    @pytest.mark.parametrize("antithetic, aux_const_vol", [(False, None), (True, None), (False, 0.2), (True, 0.3)])
     @pytest.mark.parametrize("n_paths, n_steps, cpus", [
         (4 * 16384 + 77, 1, 2),  # one step: no block can be split
-        (100, 7, 4),  # fewer blocks than workers
+        (100, 7, 4),  # fewer blocks than CPUs: a drawer feeds the one block
         (3 * 16384, 5, 2),  # no ragged block; 7.5 blocks of steps per worker
+        (16384, 6, 2),  # one block and its drawer, one step ahead
+        (16384 - 5, 1, 8),  # one step from the drawer; the other 6 CPUs stay idle
+        (2 * 16384 + 9, 4, 3),  # block 0 drawer-fed, block 1 drawing its own
     ])
     def test_sizes_and_worker_counts(self, monkeypatch, n_paths, n_steps, cpus, antithetic, aux_const_vol, drift):
         model = table_model(0.4, vol_of_vol=SquareRootVolOfVol(0.7, drift=drift))
@@ -347,6 +385,53 @@ class TestFusedStepOracle:
             _within(60, simulate_paths, model, config)
         assert (1, 1) in calls
 
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_failed_step_stops_its_drawer(self, monkeypatch, antithetic):
+        # one block on 2 CPUs: its worker fails at its fourth eta while the
+        # drawer waits for a buffer; the error surfaces, and the drawer ends
+        model = table_model(0.0)
+        config = McConfig(n_paths=mc_engine._BLOCK, n_steps=40, maturity=0.1, seed=1, antithetic=antithetic)
+        _on_cpus(monkeypatch, 2)
+        calls = []
+        original = TanhLocalVol.eta
+
+        def eta(self, k, out=None):
+            calls.append(k)
+            if len(calls) == 4:
+                raise FloatingPointError("step failed")
+            return original(self, k, out=out)
+
+        monkeypatch.setattr(TanhLocalVol, "eta", eta)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="step failed"):
+            _within(60, simulate_paths, model, config)
+        assert threading.active_count() == threads
+
+    def test_failed_draw_stops_its_stepper(self, monkeypatch):
+        # one block on 2 CPUs: the drawer fails at its third draw while the
+        # block's worker waits for it; the draw's error surfaces, not the
+        # worker's, and the worker ends
+        model = table_model(0.0)
+        config = McConfig(n_paths=mc_engine._BLOCK, n_steps=40, maturity=0.1, seed=1)
+        _on_cpus(monkeypatch, 2)
+        original = mc_engine._generator
+
+        class FailingGenerator:
+            def __init__(self, rng):
+                self.rng, self.draws = rng, 0
+
+            def standard_normal(self, out):
+                self.draws += 1
+                if self.draws == 3:
+                    raise MemoryError("draw failed")
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(mc_engine, "_generator", lambda seed, index: FailingGenerator(original(seed, index)))
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="draw failed"):
+            _within(60, simulate_paths, model, config)
+        assert threading.active_count() == threads
+
 
 class TestWorkingSet:
     @staticmethod
@@ -360,18 +445,21 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("antithetic, aux_const_vol, arrays", [
+    @pytest.mark.parametrize("cpus, blocks, antithetic, aux_const_vol, arrays", [
         # 6 worker buffers (two draw rows, eta, one temporary, sqrt(V+),
         # dw) and 3 per row (log-moneyness, V, V+)
-        (False, None, 9),
+        (1, 2, False, None, 9),
         # the mirrored row reuses the negated draws; 4 arrays per row with log_aux
-        (True, 0.3, 14),
+        (1, 2, True, 0.3, 14),
+        # a drawer's ring of two draw buffers stands in for the worker's own
+        # one: 2 arrays more
+        (2, 1, False, None, 11),
     ])
-    def test_peak_is_flat_in_steps(self, monkeypatch, antithetic, aux_const_vol, arrays):
-        _on_cpus(monkeypatch, 1)
+    def test_peak_is_flat_in_steps(self, monkeypatch, cpus, blocks, antithetic, aux_const_vol, arrays):
+        _on_cpus(monkeypatch, cpus)
         model = table_model(-0.7, vol_of_vol=ORACLE_VOLS_OF_VOL["square-root"])
         block_bytes = mc_engine._BLOCK * 8
-        n_paths = 2 * mc_engine._BLOCK
+        n_paths = blocks * mc_engine._BLOCK
         outputs = (3 if aux_const_vol else 2) * (2 if antithetic else 1) * n_paths * 8
         peaks = [self._peak_bytes(model, McConfig(n_paths, n_steps, 0.1, 3, antithetic), aux_const_vol)
                  for n_steps in (5, 200)]

@@ -35,11 +35,14 @@ __all__ = [
 
 _PI2_HALF = math.pi ** 2 / 2.0
 
-# Series coefficients of F around rho = 1 in powers of log(rho):
-# F = pi^2/2 - 1 - L + L^2 + (2/15) L^3 + O(L^4).  Only these four terms
-# are tabulated in usable form; the truncation is therefore quartic and
-# the series is used as a cross-check, never as the primary evaluator.
-_F_SERIES_COEFFS = (_PI2_HALF - 1.0, -1.0, 1.0, 2.0 / 15.0)
+# Taylor coefficients of F around rho = 1 in L = log(rho):
+# F = pi^2/2 - 1 - L + L^2 + (2/15) L^3 + (19/525) L^4 + ...  Past pi^2/2
+# they are exact rationals, from reverting L = -log(sinh(x)/x) in t = x^2
+# and F = pi^2/2 + t/2 - x cosh(x)/sinh(x); one series serves both branches
+# (t = -d^2 on the cos branch).  Ten terms leave at most 1.2e-12 on
+# |L| <= 0.3.
+_F_SERIES_COEFFS = (_PI2_HALF - 1.0, -1.0, 1.0, 2 / 15, 19 / 525, 22 / 2625, 4742 / 3031875,
+                    43636 / 197071875, 146287 / 6897515625, 68146 / 57984609375)
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,9 @@ def solve_f_branch(rho: float) -> FBranchSolution:
 def hw_F(rho: float) -> float:
     """F(rho) evaluated by branch root-solving.
 
-    The series :func:`hw_F_series` agrees with this to high accuracy near
-    rho = 1 but degrades quickly with |log rho| at the quartic truncation,
-    so the root-solve is used unconditionally.
+    The ten-term series :func:`hw_F_series` agrees with this to about
+    1e-12 for |log rho| <= 0.3, but its truncation error grows like
+    |log rho|^10 beyond, so the root-solve is used unconditionally.
     """
     return solve_f_branch(rho).f_value
 
@@ -155,12 +158,14 @@ def hw_F_derivatives(rho: float) -> tuple[float, float, float]:
 
 
 def hw_F_series(rho: float) -> float:
-    """Four-term expansion of F in powers of log(rho) around rho = 1."""
+    """Ten-term expansion of F in powers of log(rho) around rho = 1."""
     if rho <= 0.0:
         raise ValueError("series requires rho > 0")
-    c0, c1, c2, c3 = _F_SERIES_COEFFS
     el = math.log(rho)
-    return c0 + el * (c1 + el * (c2 + el * c3))
+    out = 0.0
+    for c in reversed(_F_SERIES_COEFFS):
+        out = out * el + c
+    return out
 
 
 def rate_I(u: float, v: float) -> float:

@@ -19,13 +19,18 @@ own evaluation order, so its values are bit for bit those of the plain
 expressions; one draw per step drives both rows of an antithetic pair.  The
 n_blocks x n_steps block-steps are cut into one contiguous range per worker
 (a wrap-around split), so a block may be started on one worker and finished
-on the next, which waits for the handoff; each block still takes its steps
-in order from its own stream.  When there are more CPUs than blocks, each
-block has a worker to itself, and a spare CPU becomes a drawer for one
-block: it fills that block's normals from the block's own generator into a
-ring of two buffers, a step ahead of the block's worker, which then only
-does the arithmetic.  The generator and the order of its draws are the
-same, so the bytes are too.
+on the next; each block still takes its steps in order from its own stream.
+When there are more CPUs than blocks, each block has a worker to itself,
+and a spare CPU becomes a drawer for one block: it fills that block's
+normals from the block's own generator into a ring of two buffers, a step
+ahead of the block's worker, which then only does the arithmetic.  The
+generator and the order of its draws are the same, so the bytes are too.
+
+Workers hand over part-done blocks and draw buffers through
+``queue.SimpleQueue`` alone, and every task has one exit rule: a stepper
+that ends, finished or failed, puts ``None`` on each queue it feeds, and so
+does a drawer whose draws fail, leaving its error on the ring; a stepper
+that takes ``None`` raises, and a drawer stops.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ import math
 import operator
 import os
 import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -137,14 +141,17 @@ def _generator(seed: int, index: int) -> np.random.Generator:
 class _Ring:
     """The draws of one block, filled ahead by a drawer and taken in order by
     the block's stepper, in two (2, _BLOCK) buffers that pass between them
-    through two queues.  ``None`` in a queue ends the other side's wait:
-    the drawer puts it when its draws fail, the stepper (``close``) when it
-    is done with the block, finished or failed."""
+    through two queues, ``free`` and ``full``.  ``None`` in a queue ends the
+    wait on the other side: the stepper puts it on ``free`` when it is done
+    with the block, finished or failed, and the drawer then stops; the drawer
+    puts it on ``full`` when its draws fail, and the stepper then re-raises
+    the drawer's error."""
 
     def __init__(self, seed: int, index: int, n_steps: int) -> None:
         self.index, self.n_steps = index, n_steps
         self.rng = _generator(seed, index)
         self.free, self.full = queue.SimpleQueue(), queue.SimpleQueue()
+        self.error: BaseException | None = None
         for _ in range(2):
             self.free.put(np.empty((2, _BLOCK)))
 
@@ -158,21 +165,10 @@ class _Ring:
                 # the fill releases the GIL, so it overlaps the stepper's arithmetic
                 self.rng.standard_normal(out=zb)
                 self.full.put(zb)
-        except BaseException:
+        except BaseException as exc:
+            self.error = exc
             self.full.put(None)
             raise
-
-    def take(self) -> np.ndarray:
-        zb = self.full.get()
-        if zb is None:
-            raise RuntimeError(f"the draws of block {self.index} failed")
-        return zb
-
-    def give_back(self, zb: np.ndarray) -> None:
-        self.free.put(zb)
-
-    def close(self) -> None:
-        self.free.put(None)
 
 
 class _Block:
@@ -236,7 +232,9 @@ class _Stepper:
                     self.zb = np.empty((2, _BLOCK))
                 zb = block.rng.standard_normal(out=self.zb)
             else:
-                zb = ring.take()
+                zb = ring.full.get()
+                if zb is None:
+                    raise ring.error
             z, b = zb
             for i, row in enumerate(block.rows):
                 if i:
@@ -244,7 +242,7 @@ class _Stepper:
                     np.negative(zb, out=zb)
                 self._step(row, z, b)
             if ring is not None:
-                ring.give_back(zb)
+                ring.free.put(zb)
         return block
 
     def _step(self, row: _Row, z: np.ndarray, b: np.ndarray) -> None:
@@ -295,30 +293,28 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_share(stepper: _Stepper, lo: int, hi: int, handoff: list, ready: list, worker: int) -> None:
+def _run_share(stepper: _Stepper, lo: int, hi: int, handoff: list[queue.SimpleQueue], worker: int) -> None:
     """Run block-steps [lo, hi) of the block-major sequence on one worker.
 
-    A share that ends inside a block first runs that block's head and hands
-    the part-done block to the next worker (slot ``worker + 1`` of
-    ``handoff``, flagged by ``ready``); then its whole blocks; last, the tail
-    of the block it shares with the previous worker, once that block's head
-    has been handed over.  Heads come first and tails last, so a worker
-    seldom waits, and about two blocks are live on a worker at a time."""
+    A share that ends inside a block first runs that block's head and puts
+    the part-done block on queue ``worker + 1`` of ``handoff``; then its
+    whole blocks; last, the tail of the block it shares with the previous
+    worker, taken from queue ``worker``, where ``None`` means that worker
+    ended without handing it over.  Heads come first and tails last, so a
+    worker seldom waits, and about two blocks are live on a worker at a
+    time."""
     n_steps = stepper.config.n_steps
     first, lo_step = divmod(lo, n_steps)
     last, hi_step = divmod(hi, n_steps)
     if hi_step:
-        handoff[worker + 1] = stepper.advance(stepper.start(last), hi_step)
-        ready[worker + 1].set()
+        handoff[worker + 1].put(stepper.advance(stepper.start(last), hi_step))
     for index in range(first + (lo_step > 0), last):
         # no name keeps a finished block alive while the next one starts
         stepper.finish(stepper.advance(stepper.start(index), n_steps))
     if lo_step:
-        ready[worker].wait()
-        block = handoff[worker]
+        block = handoff[worker].get()
         if block is None:
             raise RuntimeError(f"block {first} was not handed over")
-        handoff[worker] = None
         # the previous worker's share ended lo_step steps into this block
         stepper.finish(stepper.advance(block, n_steps - lo_step))
 
@@ -332,10 +328,13 @@ def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | Non
     finished on the next.  CPUs beyond the blocks become drawers, at most
     one per block (so the pool is min(cpus, 2 n_blocks)): a drawer fills its
     block's normals from the block's generator a step ahead of the block's
-    worker.  Every block takes its draws in order from its own stream and
-    its steps in order, so the output is bit-identical for any CPU count.
-    ``aux_const_vol`` additionally evolves a constant-vol GBM from the same
-    Brownian increments (a control variate with known Black price).
+    worker.  Hand-overs go through queues under the exit rule of the module
+    docstring, so a failed task ends the run with its error rather than
+    leaving another waiting.  Every block takes its draws in order from its
+    own stream and its steps in order, so the output is bit-identical for
+    any CPU count.  ``aux_const_vol`` additionally evolves a constant-vol
+    GBM from the same Brownian increments (a control variate with known
+    Black price).
     """
     if abs(model.rho) > 1.0:
         raise ValueError("|rho| must not exceed 1")
@@ -349,25 +348,23 @@ def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | Non
     # with a CPU spare, worker w steps block w alone and ring w feeds it
     rings = [_Ring(config.seed, index, config.n_steps) for index in range(min(cpus, 2 * n_blocks) - steppers)]
     total = n_blocks * config.n_steps
-    # slot w holds the block that worker w - 1 starts and worker w finishes
-    handoff = [None] * (steppers + 1)
-    ready = [threading.Event() for _ in range(steppers + 1)]
+    # queue w carries the block that worker w - 1 starts and worker w finishes
+    handoff = [queue.SimpleQueue() for _ in range(steppers + 1)]
 
     def work(w: int) -> None:
         try:
             stepper = _Stepper(model, config, aux_const_vol, s, v, aux, rings)
-            _run_share(stepper, w * total // steppers, (w + 1) * total // steppers, handoff, ready, w)
+            _run_share(stepper, w * total // steppers, (w + 1) * total // steppers, handoff, w)
         finally:
-            # set on failure too, so that the next worker stops waiting
-            ready[w + 1].set()
+            # the exit rule: a None behind whatever this worker handed over
+            handoff[w + 1].put(None)
             if w < len(rings):
-                # and so that the drawer stops drawing
-                rings[w].close()
+                rings[w].free.put(None)
 
     with ThreadPoolExecutor(max_workers=steppers + len(rings)) as pool:
         # every task has a thread of its own, so no stepper waits on a
-        # drawer that has none; the drawers' results are read first, so a
-        # failed draw, not the stepper it stopped, is the error raised here
+        # drawer that has none; drawers start first, as the draws are a
+        # one-block run's critical path
         tasks = [pool.submit(ring.fill) for ring in rings] + [pool.submit(work, w) for w in range(steppers)]
         for task in tasks:
             task.result()

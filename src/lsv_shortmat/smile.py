@@ -60,7 +60,6 @@ class SmileExpansion:
     atm: float
     skew: float
     convexity: float | None
-    kind: str
 
     def evaluate(self, log_moneyness: float) -> float:
         """Quadratic (or linear, if convexity is unavailable) smile value."""
@@ -126,7 +125,7 @@ def european_expansion_sabr_type(model: LsvModel) -> SmileExpansion:
     skew = 0.25 * (rho * sigma + 2.0 * eta1 * sv0)
     conv = ((2.0 - 3.0 * rho * rho) * sigma * sigma
             + 4.0 * (4.0 * eta0 * eta2 - eta1 * eta1) * v0) / (48.0 * eta0 * sv0)
-    return SmileExpansion(atm=atm, skew=skew, convexity=conv, kind="european_sabr_type")
+    return SmileExpansion(atm=atm, skew=skew, convexity=conv)
 
 
 def vix_convexity_numerator_coeffs(eta0: float, eta1: float, eta2: float, eta3: float,
@@ -187,7 +186,7 @@ def vix_expansion_sabr_type(model: LsvModel) -> SmileExpansion:
     for i in reversed(range(8)):
         k_vix = k_vix * sigma + coeffs[i]
     conv = sv0 / 6.0 * k_vix / d**3.5
-    return SmileExpansion(atm=atm, skew=skew, convexity=conv, kind="vix_sabr_type")
+    return SmileExpansion(atm=atm, skew=skew, convexity=conv)
 
 
 def vix_atm_bounds(model: LsvModel) -> tuple[float, float]:
@@ -217,7 +216,7 @@ def european_expansion_heston_type(model: LsvModel) -> SmileExpansion:
     skew = (rho * sigma + 2.0 * eta1 * v0) / (4.0 * sv0)
     conv = ((2.0 - 5.0 * rho * rho) * sigma * sigma
             + 4.0 * (4.0 * eta0 * eta2 - eta1 * eta1) * v0 * v0) / (48.0 * eta0 * v0 * sv0)
-    return SmileExpansion(atm=atm, skew=skew, convexity=conv, kind="european_heston_type")
+    return SmileExpansion(atm=atm, skew=skew, convexity=conv)
 
 
 def vix_expansion_heston_type(model: LsvModel) -> SmileExpansion:
@@ -236,7 +235,7 @@ def vix_expansion_heston_type(model: LsvModel) -> SmileExpansion:
            + 8.0 * eta1 * rho * v0**3 * sigma * (4.0 * eta0 * eta2 + eta1**2)
            + 32.0 * eta0 * eta1**2 * eta2 * v0**4)
     skew = num / (4.0 * sv0 * d**1.5)
-    return SmileExpansion(atm=atm, skew=skew, convexity=None, kind="vix_heston_type")
+    return SmileExpansion(atm=atm, skew=skew, convexity=None)
 
 
 def meanrev_lognormal_vix_smile(a: float, b: float, sigma: float, v0: float,

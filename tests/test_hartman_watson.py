@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lsv_shortmat.hartman_watson import (
+    _F_SERIES_COEFFS,
     h_lognormal,
     hw_F,
     hw_F_derivatives,
@@ -44,32 +46,70 @@ class TestBranchSolutions:
             hw_F(-1.0)
 
 
+def _power_series_mul(a, b):
+    n = len(a)
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:n - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _power_series_compose(f, g):
+    """f(g(z)) truncated to len(f) terms; g has no constant term."""
+    out = [Fraction(0)] * len(f)
+    for c in reversed(f):
+        out = _power_series_mul(out, g)
+        out[0] += c
+    return out
+
+
+def _f_series_by_reversion(n):
+    """The first n Taylor coefficients of F - pi^2/2 in L = log rho, exact.
+
+    With t = x^2, S(t) = sinh(x)/x and C(t) = cosh(x), the branch equation
+    is rho = 1/S, so L = -log S(t), and F = pi^2/2 + t/2 - C/S.  L(t) is
+    reverted to t(L) by fixed-point iteration, one exact order per pass."""
+    s = [Fraction(1, math.factorial(2 * k + 1)) for k in range(n)]
+    c = [Fraction(1, math.factorial(2 * k)) for k in range(n)]
+    # -log(1 + u) = sum_k (-1)^k u^k / k, with u = S - 1
+    el = _power_series_compose([Fraction(0)] + [Fraction((-1) ** k, k) for k in range(1, n)], [Fraction(0)] + s[1:])
+    inv_s = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for k in range(1, n):
+        inv_s[k] = -sum(s[j] * inv_s[k - j] for j in range(1, k + 1))
+    g = [-x for x in _power_series_mul(c, inv_s)]
+    g[1] += Fraction(1, 2)
+    # t = (L - sum_{k >= 2} el_k t^k) / el_1
+    t = [Fraction(0)] * n
+    for _ in range(n):
+        t = [-x / el[1] for x in _power_series_compose([Fraction(0), Fraction(0)] + el[2:], t)]
+        t[1] += 1 / el[1]
+    return _power_series_compose(g, t)
+
+
+F_SERIES = [Fraction(-1), Fraction(-1), Fraction(1), Fraction(2, 15), Fraction(19, 525), Fraction(22, 2625),
+            Fraction(4742, 3031875), Fraction(43636, 197071875), Fraction(146287, 6897515625),
+            Fraction(68146, 57984609375)]
+
+
 class TestSeries:
+    def test_coefficients_by_exact_reversion(self):
+        assert _f_series_by_reversion(10) == F_SERIES
+        assert _F_SERIES_COEFFS == (PI2_HALF + float(F_SERIES[0]), *map(float, F_SERIES[1:]))
+
     def test_series_values(self):
-        # pi^2/2 - 1 - L + L^2 + (2/15) L^3 at L = +-1
-        assert hw_F_series(math.e) == pytest.approx(PI2_HALF - 1.0 + 2.0 / 15.0, abs=1e-12)
-        assert hw_F_series(1.0 / math.e) == pytest.approx(PI2_HALF + 1.0 - 2.0 / 15.0, abs=1e-12)
-        assert hw_F_series(math.e) == pytest.approx(4.068135533878012, abs=1e-10)
-        assert hw_F_series(1.0 / math.e) == pytest.approx(5.801468867211345, abs=1e-10)
+        # pi^2/2 plus the ten exact terms at L = +-1
+        for el in (1, -1):
+            exact = PI2_HALF + float(sum(c * el**k for k, c in enumerate(F_SERIES)))
+            assert hw_F_series(math.exp(el)) == pytest.approx(exact, abs=1e-12)
+        assert hw_F_series(math.e) == pytest.approx(4.1145148167457055, abs=1e-10)
+        assert hw_F_series(1.0 / math.e) == pytest.approx(5.8306410513256495, abs=1e-10)
 
     def test_series_vs_branch_near_one(self):
-        # the tabulated truncation stops at the cubic; the next coefficient
-        # is about 0.034, so agreement is quartic-limited: ~1e-6 inside
-        # |log rho| <= 0.07 and ~3e-4 out at 0.3
-        for el in np.linspace(-0.07, 0.07, 15):
+        # ten terms: the remainder is at most about 1.2e-12 out at |log rho| = 0.3
+        for el in np.linspace(-0.3, 0.3, 601):
             rho = math.exp(el)
-            assert abs(hw_F_series(rho) - hw_F(rho)) < 1e-6, f"log rho = {el}"
-        for el in np.linspace(-0.3, 0.3, 13):
-            rho = math.exp(el)
-            err = abs(hw_F_series(rho) - hw_F(rho))
-            assert err < 0.04 * el**4 + 1e-9, f"log rho = {el}"
-
-    def test_series_truncation_is_quartic(self):
-        # the remainder shrinks like the fourth power of log rho
-        els = np.array([0.05, 0.1, 0.2, 0.3])
-        errs = np.array([abs(hw_F_series(math.exp(el)) - hw_F(math.exp(el))) for el in els])
-        slope = np.polyfit(np.log(els), np.log(errs), 1)[0]
-        assert 3.5 < slope < 4.5
+            assert abs(hw_F_series(rho) - hw_F(rho)) < 2e-12, f"log rho = {el}"
 
     def test_independent_root_oracle(self):
         # high-precision mpmath root solve, independent of the scipy/Newton path

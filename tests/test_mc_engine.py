@@ -1,9 +1,13 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,24 +45,29 @@ def table_model(rho, **kw):
     return LsvModel(**base)
 
 
-def _within(seconds, fn, *args):
-    """``fn(*args)`` on a daemon thread that must end within ``seconds``, so
-    that a lost handoff fails a test rather than hanging it."""
-    out = {}
+# runs scenario argv[2], a function of test file argv[1], on the JSON
+# arguments argv[3] and a fresh monkeypatch
+CHILD = """
+import functools, importlib.util, json, sys
+import pytest
+spec = importlib.util.spec_from_file_location("scenarios", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+scenario = functools.reduce(getattr, sys.argv[2].split("."), module)
+with pytest.MonkeyPatch.context() as monkeypatch:
+    scenario(monkeypatch, *json.loads(sys.argv[3]))
+"""
 
-    def run():
-        try:
-            out["value"] = fn(*args)
-        except Exception as exc:  # re-raised in the test's thread below
-            out["error"] = exc
 
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"not done within {seconds} s"
-    if "error" in out:
-        raise out["error"]
-    return out["value"]
+def _in_child(seconds, scenario, *args):
+    """``scenario(monkeypatch, *args)``, with its assertions, in a new
+    interpreter that must end within ``seconds``.  A lost hand-over then
+    fails the test and the child is killed; in this process the pool
+    threads left waiting would keep pytest from exiting."""
+    proc = subprocess.run([sys.executable, "-c", CHILD, __file__, scenario.__qualname__, json.dumps(args)],
+                          capture_output=True, text=True, timeout=seconds,
+                          env=dict(os.environ, PYTHONPATH=str(Path(mc_engine.__file__).parents[1])))
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestMcConfig:
@@ -146,27 +155,28 @@ class TestSimulatePaths:
             monkeypatch.setattr(mc_engine.os, "cpu_count", lambda r=reported: r)
             assert mc_engine._worker_count() == workers
 
-    def test_more_workers_than_cores(self, monkeypatch):
+    def test_more_workers_than_cores(self):
         # 9 blocks on 9 stepping workers, 7 of them fed by drawers, with
         # frequent thread switches: each block must still land in its own
         # columns
-        self._pooled_matches_serial(monkeypatch, 16)
+        _in_child(120, self.pooled_matches_serial, 16)
 
-    def test_split_blocks_on_more_workers_than_cores(self, monkeypatch):
+    def test_split_blocks_on_more_workers_than_cores(self):
         # 9 blocks on 4 workers, which hand blocks 4 and 6 on part-way: no
         # worker may wait for a handoff forever
-        self._pooled_matches_serial(monkeypatch, 4)
+        _in_child(120, self.pooled_matches_serial, 4)
 
-    def _pooled_matches_serial(self, monkeypatch, cpus):
+    @staticmethod
+    def pooled_matches_serial(monkeypatch, cpus):
         model = table_model(-0.7)
         config = McConfig(n_paths=8 * 16384 + 1, n_steps=2, maturity=0.1, seed=3, antithetic=True)
         monkeypatch.setattr(mc_engine.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        serial = self._sample_bytes(simulate_paths(model, config, aux_const_vol=0.2))
+        serial = TestSimulatePaths._sample_bytes(simulate_paths(model, config, aux_const_vol=0.2))
         monkeypatch.setattr(mc_engine.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = self._sample_bytes(_within(120, simulate_paths, model, config, 0.2))
+            pooled = TestSimulatePaths._sample_bytes(simulate_paths(model, config, 0.2))
         finally:
             sys.setswitchinterval(interval)
         assert pooled == serial
@@ -365,7 +375,11 @@ class TestFusedStepOracle:
         _on_cpus(monkeypatch, cpus)
         assert _engine_bytes(model, config, aux_const_vol) == _oracle_paths(model, config, aux_const_vol)
 
-    def test_failed_head_releases_the_next_worker(self, monkeypatch):
+    def test_failed_head_releases_the_next_worker(self):
+        _in_child(60, self.failed_head_releases_the_next_worker)
+
+    @staticmethod
+    def failed_head_releases_the_next_worker(monkeypatch):
         # worker 0 fails while its head block is part-done; worker 1 must
         # not wait for the handoff forever, and the first error surfaces
         model = table_model(0.0)
@@ -382,11 +396,15 @@ class TestFusedStepOracle:
 
         monkeypatch.setattr(mc_engine._Stepper, "advance", advance)
         with pytest.raises(FloatingPointError, match="head failed"):
-            _within(60, simulate_paths, model, config)
+            simulate_paths(model, config)
         assert (1, 1) in calls
 
     @pytest.mark.parametrize("antithetic", [False, True])
-    def test_failed_step_stops_its_drawer(self, monkeypatch, antithetic):
+    def test_failed_step_stops_its_drawer(self, antithetic):
+        _in_child(60, self.failed_step_stops_its_drawer, antithetic)
+
+    @staticmethod
+    def failed_step_stops_its_drawer(monkeypatch, antithetic):
         # one block on 2 CPUs: its worker fails at its fourth eta while the
         # drawer waits for a buffer; the error surfaces, and the drawer ends
         model = table_model(0.0)
@@ -404,13 +422,17 @@ class TestFusedStepOracle:
         monkeypatch.setattr(TanhLocalVol, "eta", eta)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="step failed"):
-            _within(60, simulate_paths, model, config)
+            simulate_paths(model, config)
         assert threading.active_count() == threads
 
-    def test_failed_draw_stops_its_stepper(self, monkeypatch):
+    def test_failed_draw_stops_its_stepper(self):
+        _in_child(60, self.failed_draw_stops_its_stepper)
+
+    @staticmethod
+    def failed_draw_stops_its_stepper(monkeypatch):
         # one block on 2 CPUs: the drawer fails at its third draw while the
-        # block's worker waits for it; the draw's error surfaces, not the
-        # worker's, and the worker ends
+        # block's worker waits for it; the worker re-raises the draw's error
+        # and ends
         model = table_model(0.0)
         config = McConfig(n_paths=mc_engine._BLOCK, n_steps=40, maturity=0.1, seed=1)
         _on_cpus(monkeypatch, 2)
@@ -427,9 +449,21 @@ class TestFusedStepOracle:
                 return self.rng.standard_normal(out=out)
 
         monkeypatch.setattr(mc_engine, "_generator", lambda seed, index: FailingGenerator(original(seed, index)))
+        raised = []
+        original_advance = mc_engine._Stepper.advance
+
+        def advance(self, block, steps):
+            try:
+                return original_advance(self, block, steps)
+            except MemoryError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(mc_engine._Stepper, "advance", advance)
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="draw failed"):
-            _within(60, simulate_paths, model, config)
+            simulate_paths(model, config)
+        assert len(raised) == 1
         assert threading.active_count() == threads
 
 

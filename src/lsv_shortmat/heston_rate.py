@@ -130,7 +130,9 @@ def boundary_theta_c(phi: float, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class LegendrePoint:
-    """Result of the Legendre-Fenchel maximisation."""
+    """Result of the Legendre-Fenchel maximisation: I_H(x, y) as ``value``
+    with its rounding error ``noise``, its gradient (theta, phi) and, for a
+    certified maximiser, its Hessian (I_xx, I_xy, I_yy) (None otherwise)."""
 
     x: float
     y: float
@@ -140,6 +142,8 @@ class LegendrePoint:
     phi: float
     iterations: int
     converged: bool
+    noise: float
+    hessian: tuple[float, float, float] | None
 
 
 def _warm_start(eps_x: float, eps_y: float, sigma: float) -> float:
@@ -251,6 +255,19 @@ def legendre_point(x: float, y: float, sigma: float) -> LegendrePoint:
     fallback: an uncertified point is returned with ``converged`` False,
     which :func:`rate_IH_numeric` raises on and :func:`rate_IH_derivatives`
     reports as None.
+
+    The derivatives of I_H come from the last evaluation's terms, with no
+    further one.  By Danskin's theorem the gradient is the maximiser
+    (theta*, phi*).  The Hessian is its Jacobian, by implicit
+    differentiation of the profile stationarity
+    G'(theta*; x, y) = x + (1 + y) k' - 2 sqrt(y) m' = 0 and of phi*:
+
+        dtheta/dx = -1/G'',   dtheta/dy = dphi/dx = -c/G'',
+        dphi/dy = c dtheta/dy + m / (2 a y^{3/2}),   c = k' - m'/sqrt(y),
+
+    with k, m and their u-derivatives at u = a theta*.  ``noise`` is 4 eps
+    times the magnitudes of the terms of G, whose sum cancels to I_H near
+    (1, 1).
     """
     if not (0.0 < x < math.inf and 0.0 < y < math.inf):
         raise ValueError("transform arguments must be positive and finite")
@@ -268,7 +285,7 @@ def legendre_point(x: float, y: float, sigma: float) -> LegendrePoint:
         noise = 4.0 * _EPS * (abs(theta * x) + ((1.0 + y) * abs(k) + 2.0 * sqrt_y * abs(m)) / a)
         slope = x + (1.0 + y) * k1 - 2.0 * sqrt_y * m1
         curv = a * ((1.0 + y) * k2 - 2.0 * sqrt_y * m2)
-        return value, noise, slope, curv, (k - m / sqrt_y) / a
+        return value, noise, slope, curv, terms
 
     scale = max(1.0, x, y)
     theta = _warm_start(math.log(x), math.log(y), sigma)
@@ -296,10 +313,14 @@ def legendre_point(x: float, y: float, sigma: float) -> LegendrePoint:
         theta, cur = theta + t * step, cand
         if last:
             break
-    value, _, slope, curv, phi = cur
+    value, noise, slope, curv, (k, k1, _, m, m1, _) = cur
+    converged = abs(slope) <= _GRAD_TOL * scale and curv < 0.0
+    c = k1 - m1 / sqrt_y
+    hessian = (-1.0 / curv, -c / curv, c * (-c / curv) + m / (2.0 * a * y * sqrt_y)) if converged else None
     # the sup includes (0, 0) where the objective vanishes
-    return LegendrePoint(x=x, y=y, sigma=sigma, value=max(value, 0.0), theta=theta, phi=phi,
-                         iterations=iters, converged=abs(slope) <= _GRAD_TOL * scale and curv < 0.0)
+    return LegendrePoint(x=x, y=y, sigma=sigma, value=max(value, 0.0), theta=theta,
+                         phi=(k - m / sqrt_y) / a, iterations=iters, converged=converged,
+                         noise=noise, hessian=hessian)
 
 
 def rate_IH_numeric(x: float, y: float, sigma: float) -> float:
@@ -314,35 +335,13 @@ def rate_IH_numeric(x: float, y: float, sigma: float) -> float:
 
 
 def rate_IH_derivatives(x: float, y: float, sigma: float):
-    """I_H(x, y) with its gradient, Hessian and rounding error, or None when
-    the transform does not certify its maximiser.
-
-    By Danskin's theorem the gradient is the maximiser (theta*, phi*).  The
-    Hessian is its Jacobian, by implicit differentiation of the profile
-    stationarity G'(theta*; x, y) = x + (1 + y) k' - 2 sqrt(y) m' = 0 and of
-    phi* = (k - m/sqrt(y)) / a (see :func:`legendre_point`):
-
-        dtheta/dx = -1/G'',   dtheta/dy = dphi/dx = -c/G'',
-        dphi/dy = c dtheta/dy + m / (2 a y^{3/2}),   c = k' - m'/sqrt(y),
-
-    with k, m and their u-derivatives at u = a theta*.  The rounding error
-    is 4 eps times the magnitudes of the terms of G, whose sum cancels to
-    I_H near (1, 1).
-
-    Returns (value, rounding error, (I_x, I_y), (I_xx, I_xy, I_yy)).
-    """
+    """(I_H, rounding error, (I_x, I_y), (I_xx, I_xy, I_yy)) at (x, y) as
+    :func:`legendre_point` leaves them, or None when the transform does not
+    certify its maximiser."""
     pt = legendre_point(x, y, sigma)
     if not pt.converged:
         return None
-    a = 0.5 * sigma * sigma
-    sqrt_y = math.sqrt(y)
-    k, k1, k2, m, m1, m2 = _profile_terms(a * pt.theta)
-    curv = a * ((1.0 + y) * k2 - 2.0 * sqrt_y * m2)
-    c = k1 - m1 / sqrt_y
-    theta_y = -c / curv
-    phi_y = c * theta_y + m / (2.0 * a * y * sqrt_y)
-    noise = 4.0 * _EPS * (abs(pt.theta * x) + ((1.0 + y) * abs(k) + 2.0 * sqrt_y * abs(m)) / a)
-    return pt.value, noise, (pt.theta, pt.phi), (-1.0 / curv, theta_y, phi_y)
+    return pt.value, pt.noise, (pt.theta, pt.phi), pt.hessian
 
 
 def rate_IH_series(eps_x: float, eps_y: float, sigma: float) -> float:

@@ -254,9 +254,10 @@ def meanrev_lognormal_vix_smile(a: float, b: float, sigma: float, v0: float,
         return 0.0
     f = math.sqrt(m.alpha * v0 + m.beta)
     z = math.log(strike / f)
-    if abs(z) < 1e-12:
+    if z == 0.0:
         return 0.5 * sigma * m.alpha * v0 / (m.alpha * v0 + m.beta)
-    denom = math.log((strike * strike - m.beta) / (m.alpha * v0))
+    # (K^2 - beta)/(alpha v0) = 1 + F^2 (e^{2z} - 1)/(alpha v0): no cancellation near the money
+    denom = math.log1p(f * f * math.expm1(2.0 * z) / (m.alpha * v0))
     return sigma * abs(z) / abs(denom)
 
 
@@ -275,10 +276,12 @@ def heston_vix_smile(a: float, b: float, sigma: float, v0: float,
         raise ValueError(f"strike^2 must exceed the VIX floor beta = {m.beta}")
     f = math.sqrt(m.alpha * v0 + m.beta)
     z = math.log(strike / f)
-    if abs(z) < 1e-8:
+    if z == 0.0:
         # 0/0 at the money; l'Hopital on z and the denominator in K
         return 0.5 * sigma * m.alpha * math.sqrt(v0) / (m.alpha * v0 + m.beta)
-    denom = math.sqrt((strike * strike - m.beta) / m.alpha) - math.sqrt(v0)
+    # the difference of roots over their sum, with K^2 - beta - alpha v0 = F^2 (e^{2z} - 1)
+    root = math.sqrt((strike * strike - m.beta) / m.alpha)
+    denom = f * f * math.expm1(2.0 * z) / m.alpha / (root + math.sqrt(v0))
     return 0.5 * sigma * z / denom
 
 

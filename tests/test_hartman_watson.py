@@ -185,7 +185,11 @@ def _mp_hw_F(mp, rho):
     """F(rho) from the branch equations solved by mpmath at working precision."""
     rho = mp.mpf(rho)
     if rho < 1:
-        x = mp.findroot(lambda t: rho * mp.sinh(t) - t, mp.sqrt(6 * (1 - rho) / rho))
+        # for rho << 1 the root is near l + log l, l = log(2/rho), where
+        # the small-x start would leave findroot short of it
+        l = mp.log(2 / rho)
+        x = mp.findroot(lambda t: rho * mp.sinh(t) - t,
+                        l + mp.log(l) if rho < 0.1 else mp.sqrt(6 * (1 - rho) / rho))
         return x**2 / 2 - rho * mp.cosh(x) + mp.pi**2 / 2
     d = mp.findroot(lambda t: rho * mp.sin(t) - t, min(mp.sqrt(6 * (rho - 1) / rho), 3))
     y = mp.pi - d
@@ -193,10 +197,12 @@ def _mp_hw_F(mp, rho):
 
 
 class TestFDerivatives:
-    @pytest.mark.parametrize("log_rho", [s * m for m in (1e-8, 1e-5, 1e-3, 0.3, 2.0) for s in (1, -1)])
+    @pytest.mark.parametrize("log_rho", [s * m for m in (1e-8, 1e-5, 1e-3, 0.3, 2.0, 5.0, 8.0, 10.0, 15.0)
+                                         for s in (1, -1)])
     def test_against_mpmath(self, log_rho):
         # negative log rho is the cosh branch, positive the cos branch;
-        # mpmath differentiates F itself, not the envelope formulas
+        # mpmath differentiates F itself, not the envelope formulas.  The
+        # rate solver's box |log u|, |w| <= 10 reaches |log rho| = 15.
         mp = pytest.importorskip("mpmath")
         rho = math.exp(log_rho)
         with mp.workdps(50):

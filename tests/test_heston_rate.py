@@ -403,8 +403,20 @@ def _replaced_legendre_point(x, y, sigma):
             p, fp = np.asarray(res.x), fc
         g, _ = _replaced_fd_grad_hess(f, p, fp, 1e-7 * max(1.0, float(np.max(np.abs(p)))))
         converged = g is not None and float(np.max(np.abs(g))) <= 1e-6 * scale
-    return heston_rate.LegendrePoint(x=x, y=y, sigma=sigma, value=max(fp, 0.0), theta=float(p[0]),
-                                     phi=float(p[1]), iterations=iters, converged=bool(converged))
+    # rounding error and Hessian at this path's own theta, from the profile
+    # terms by the implicit differentiation of legendre_point
+    theta, a, sqrt_y = float(p[0]), 0.5 * sigma * sigma, math.sqrt(y)
+    k, k1, k2, m, m1, m2 = _profile_terms(a * theta)
+    noise = 4.0 * heston_rate._EPS * (abs(theta * x) + ((1.0 + y) * abs(k) + 2.0 * sqrt_y * abs(m)) / a)
+    hessian = None
+    if converged:
+        curv = a * ((1.0 + y) * k2 - 2.0 * sqrt_y * m2)
+        c = k1 - m1 / sqrt_y
+        theta_y = -c / curv
+        hessian = (-1.0 / curv, theta_y, c * theta_y + m / (2.0 * a * y * sqrt_y))
+    return heston_rate.LegendrePoint(x=x, y=y, sigma=sigma, value=max(fp, 0.0), theta=theta,
+                                     phi=float(p[1]), iterations=iters, converged=bool(converged),
+                                     noise=noise, hessian=hessian)
 
 
 class TestReplacedPathRegression:
@@ -520,3 +532,27 @@ class TestDanskin:
     def test_uncertified_transform_gives_none(self, monkeypatch):
         monkeypatch.setattr(heston_rate, "_GRAD_TOL", 0.0)
         assert rate_IH_derivatives(math.exp(0.7), math.exp(-0.4), 1.0) is None
+
+    @pytest.mark.parametrize("ex,ey,sigma", [(0.5, 0.1, 1.0), (-1.2, -0.4, 2.0), (0.05, -0.02, 1.0)])
+    def test_one_profile_evaluation_per_point(self, ex, ey, sigma, monkeypatch):
+        # the derivatives are read off the transform's last evaluation: a
+        # rate_IH_derivatives call evaluates the profile kernel exactly as
+        # often as the legendre_point call inside it
+        calls = {"terms": 0}
+        inner = []
+
+        def counting_terms(u):
+            calls["terms"] += 1
+            return _profile_terms(u)
+
+        def counting_point(*args):
+            before = calls["terms"]
+            pt = legendre_point(*args)
+            inner.append(calls["terms"] - before)
+            return pt
+
+        monkeypatch.setattr(heston_rate, "_profile_terms", counting_terms)
+        monkeypatch.setattr(heston_rate, "legendre_point", counting_point)
+        assert rate_IH_derivatives(math.exp(ex), math.exp(ey), sigma) is not None
+        assert len(inner) == 1 and inner[0] > 0
+        assert calls["terms"] == inner[0]

@@ -263,6 +263,20 @@ class TestHestonVixSmile:
         assert got == pytest.approx(series, abs=2e-4 * sigma)
 
 
+class TestExplicitVixSmilesNearTheMoney:
+    @pytest.mark.parametrize("smile", [meanrev_lognormal_vix_smile, heston_vix_smile])
+    def test_no_cancellation(self, smile):
+        # |sigma(z)/sigma(0) - 1| / |z| is the smile's relative slope, of
+        # order 1; a denominator that cancels near z = 0 blows it up
+        a, b, sigma, v0, tau = 2.0, 0.04, 1.5, 0.09, 30 / 365
+        m = vix_mapping(a, b, tau)
+        f = math.sqrt(m.alpha * v0 + m.beta)
+        atm = smile(a, b, sigma, v0, tau, f)
+        for z in [s * 10.0**e for e in range(-14, -5) for s in (1, -1)]:
+            got = smile(a, b, sigma, v0, tau, f * math.exp(z))
+            assert abs(got / atm - 1.0) / abs(z) <= 1.0, z
+
+
 class TestVixMapping:
     def test_zero_speed_limit(self):
         m = vix_mapping(0.0, 0.04, 30 / 365)

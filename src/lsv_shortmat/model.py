@@ -31,8 +31,6 @@ log-variance y, w = y - log v0 and log u = log(z / v0):
   two y-derivatives;
 * ``path_rate(log_u, w, v0)`` - the variance-path rate function H with its
   gradient, Hessian and rounding error in (log u, w);
-* ``warm_start(model, k, vix)`` - the rate solver's start: (log u, w) for a
-  European strike, (log u, spot log-moneyness) for a VIX strike;
 * ``variance_rate(v, v0)``   - the stochastic-vol rate of reaching variance v;
 * ``sigma_at(v0)``           - the vol of vol sigma(V0) of dV/V at V0;
 * ``variance_step(v, v_pos, z, dt, sqrt_v_pos, work)`` - one Monte Carlo
@@ -445,23 +443,6 @@ class LognormalVolOfVol:
                 scale * (2.0 * f_ll + 4.0 * e2))
         return value, noise, grad, hess
 
-    def warm_start(self, model: LsvModel, k: float, vix_flavour: bool) -> tuple[float, float]:
-        """The minimiser's expansion in the log-moneyness k of the strike:
-        log u* = a1 k and log v* = a1 k.  A European solve starts at
-        w = y - log v0 = 2 a1 k.  A VIX solve starts at the spot level
-        b1 k where eta meets the constraint, b1 = (1 - a1) eta0 / eta1 to
-        first order, written without the division so that it stays finite
-        as eta1 -> 0."""
-        sv0 = math.sqrt(model.v0)
-        eta0, eta1 = eta_log_coeffs(model.local_vol, 1)
-        if vix_flavour:
-            d = self.sigma + 2.0 * model.rho * eta1 * sv0
-            den = d * d + 2.0 * (1.0 - model.rho**2) * eta1**2 * model.v0
-            b1 = 2.0 * eta0 * (model.rho * d * sv0 + (1.0 - model.rho**2) * eta1 * model.v0) / den
-            return (self.sigma * d / den * k, b1 * k)
-        a1 = model.rho * self.sigma / (2.0 * eta0 * sv0)
-        return (a1 * k, 2.0 * a1 * k)
-
     def variance_rate(self, v: float, v0: float) -> float:
         """J = (1/2) (integral of dx / (x sigma(x)) from v0 to v)^2
         = log^2(v / v0) / (2 sigma^2)."""
@@ -522,10 +503,6 @@ class SquareRootVolOfVol:
         value, noise, (i_x, i_y), (i_xx, i_xy, i_yy) = res
         return (v0 * value, v0 * noise, (v0 * x * i_x, v0 * y * i_y),
                 (v0 * x * (i_x + x * i_xx), v0 * x * y * i_xy, v0 * y * (i_y + y * i_yy)))
-
-    def warm_start(self, model: LsvModel, k: float, vix_flavour: bool) -> tuple[float, float]:
-        """The flat path at the spot: (0, 0) for either product."""
-        return (0.0, 0.0)
 
     def variance_rate(self, v: float, v0: float) -> float:
         """J = 2 (sqrt(v) - sqrt(v0))^2 / sigma^2, as for the lognormal factor."""

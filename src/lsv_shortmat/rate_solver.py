@@ -19,8 +19,9 @@ One solver finds the minimum for both products and both factors: a 2x2
 trust-region Newton method on (log u, s), u = z/v0, with the exact gradient
 and Hessian of the objective; s is w = y - log v0 for European options and
 k for VIX options.  The local-vol spec supplies eta, eta' and eta'' for the
-VIX curve, and the vol-of-vol spec supplies Q and H with their derivatives,
-and the start point (see :mod:`model`).
+VIX curve, and the vol-of-vol spec supplies Q and H with their derivatives
+(see :mod:`model`).  Both factors share the objective's quadratic model at
+the flat path p = 0, and its minimiser is the start (:func:`_start`).
 ``converged`` certifies a positive-definite Hessian with a Newton decrement
 below the objective's rounding error (see :func:`_minimize`).
 
@@ -79,6 +80,8 @@ def __getattr__(name):
 _BOX = 10.0
 # a step covers at most this share of the distance to the search region's edge
 _EDGE_FRACTION = 0.9
+# the first trust radius, and the longest distance from the flat path to a start
+_RADIUS0 = 1.0
 _MAX_EVALS = 60
 _EPS = 2.0**-52
 
@@ -227,18 +230,19 @@ def _trust_step(g, h, radius: float):
 def _minimize(evaluate, start):
     """Trust-region Newton minimisation of ``evaluate`` over p = (log u, s).
 
-    |log u|, |s| <= _BOX; the search starts from ``start`` moved into the
-    inner 80% of that box, and the step radius is capped at 0.9 times the
-    distance to the box's edge, so no trial point leaves it.  A step is
-    accepted when the objective falls by at least a tenth of the model's
-    prediction, allowing for rounding; the radius shrinks to a quarter of
-    a poor step, or of a step to a point where the objective is undefined,
-    and doubles after a good step that reached it.  The solve stops,
-    converged, at the first point with a positive-definite Hessian whose
-    Newton decrement g' H^-1 g (the gradient scaled by the inverse
-    curvature: twice the decrease a Newton step predicts) is below the
-    objective's rounding error.  It also stops, not converged, after
-    _MAX_EVALS evaluations or where the start is undefined.
+    |log u|, |s| <= _BOX; the search starts from ``start`` (:func:`_start`,
+    within _RADIUS0 of the flat path) with the trust radius _RADIUS0, and
+    the step radius is capped at 0.9 times the distance to the box's edge,
+    so no trial point leaves it.  A step is accepted when the objective
+    falls by at least a tenth of the model's prediction, allowing for
+    rounding; the radius shrinks to a quarter of a poor step, or of a step
+    to a point where the objective is undefined, and doubles after a good
+    step that reached it.  The solve stops, converged, at the first point
+    with a positive-definite Hessian whose Newton decrement g' H^-1 g (the
+    gradient scaled by the inverse curvature: twice the decrease a Newton
+    step predicts) is below the objective's rounding error.  It also stops,
+    not converged, after _MAX_EVALS evaluations or where the start is
+    undefined.
 
     Returns (p, value, evaluations, converged, boundary_hit).
     """
@@ -246,13 +250,11 @@ def _minimize(evaluate, start):
     def margin(p) -> float:
         return _BOX - max(abs(p[0]), abs(p[1]))
 
-    inner = 0.8 * _BOX
-    p = tuple(min(max(x, -inner), inner) for x in start)
-    cur = evaluate(*p)
+    p, cur = start, evaluate(*start)
     evals = 1
     if cur is None:
         return p, math.nan, evals, False, False
-    radius = 1.0
+    radius = _RADIUS0
     converged = False
     while True:
         value, noise, g, h = cur
@@ -284,11 +286,32 @@ def _minimize(evaluate, start):
     return p, cur[0], evals, converged, margin(p) < 1e-6
 
 
+def _start(model: LsvModel, leg) -> tuple[float, float]:
+    """The minimiser of the objective's quadratic model at the flat path
+    p = 0, brought back to distance _RADIUS0 when it lies further.  There H
+    has the Hessian (12, -6, 4)/sigma(V0)^2 in (log u, w) for either factor,
+    so log u = w/2 and H = (w/sigma(V0))^2/2 at the minimum over log u.
+    With Q' = q and the leg linear in s, w = w0 + w1 s and N = a + b s, and
+    kappa N^2 + w^2 (kappa = sigma(V0)^2 / ((1 - rho^2) v0)) has its minimum
+    over s at a denominator kappa b^2 + w1^2 > 0: w1 = 0 leaves b = 1/eta."""
+    w0, w1, _, i0, i1, _ = leg(0.0)
+    rho, v0 = model.rho, model.v0
+    sigma = model.vol_of_vol.sigma_at(v0)
+    q = math.sqrt(v0) / sigma
+    a, b = i0 - rho * q * w0, i1 - rho * q * w1
+    kappa = sigma * sigma / ((1.0 - rho * rho) * v0)
+    s = -(kappa * a * b + w0 * w1) / (kappa * b * b + w1 * w1)
+    p = (0.5 * (w0 + w1 * s), s)
+    length = math.hypot(*p)
+    return p if length <= _RADIUS0 else (p[0] * _RADIUS0 / length, s * _RADIUS0 / length)
+
+
 def _rate_point(model: LsvModel, strike: float, leg, solved) -> RatePoint:
     p, value, evals, converged, boundary_hit = solved
     spot = leg(p[1])
     y = math.log(model.v0) + spot[0] if spot else math.nan
-    return RatePoint(strike, value, y, model.v0 * math.exp(p[0]), evals, converged, boundary_hit)
+    # J is a sum of nonnegative terms, but near the money its rounding error exceeds it
+    return RatePoint(strike, max(value, 0.0), y, model.v0 * math.exp(p[0]), evals, converged, boundary_hit)
 
 
 def european_rate(model: LsvModel, strike: float) -> RatePoint:
@@ -305,7 +328,7 @@ def european_rate(model: LsvModel, strike: float) -> RatePoint:
     def leg(w: float):
         return w, 1.0, 0.0, i_s, 0.0, 0.0
 
-    solved = _minimize(_rate_objective(model, leg), model.vol_of_vol.warm_start(model, k, False))
+    solved = _minimize(_rate_objective(model, leg), _start(model, leg))
     return _rate_point(model, strike, leg, solved)
 
 
@@ -352,7 +375,7 @@ def vix_rate(model: LsvModel, strike: float) -> RatePoint:
         rate = model.vol_of_vol.variance_rate(strike * strike / (eta0 * eta0), model.v0)
         return RatePoint(strike, rate, 2.0 * math.log(strike / eta0), model.v0, 0, True)
     leg = _vix_leg(model, strike)
-    solved = _minimize(_rate_objective(model, leg), model.vol_of_vol.warm_start(model, x, True))
+    solved = _minimize(_rate_objective(model, leg), _start(model, leg))
     return _rate_point(model, strike, leg, solved)
 
 

@@ -574,15 +574,20 @@ MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 MODEL_FILES = sorted(MODELS_DIR.glob("*.json"))
 
 
-def _objective(model, product, log_moneyness):
-    """The solver's objective for one strike, as european_rate / vix_rate
-    build it: over (log u, w) for European options, over (log u, k) on the
-    VIX constraint curve for VIX options."""
+def _leg(model, product, log_moneyness):
+    """The solver's leg for one strike, as european_rate / vix_rate build
+    it: over w for European options, over k on the VIX constraint curve for
+    VIX options."""
     if product == "european":
         i_s = integral_IS(model.local_vol, model.s0, math.exp(log_moneyness))
-        return rate_solver._rate_objective(model, lambda w: (w, 1.0, 0.0, i_s, 0.0, 0.0))
-    strike = vix_spot(model) * math.exp(log_moneyness)
-    return rate_solver._rate_objective(model, rate_solver._vix_leg(model, strike))
+        return lambda w: (w, 1.0, 0.0, i_s, 0.0, 0.0)
+    return rate_solver._vix_leg(model, vix_spot(model) * math.exp(log_moneyness))
+
+
+def _objective(model, product, log_moneyness):
+    """The solver's objective for one strike, over (log u, s) with the leg
+    of :func:`_leg`."""
+    return rate_solver._rate_objective(model, _leg(model, product, log_moneyness))
 
 
 def _value_objective(model, product, log_moneyness):
@@ -704,11 +709,21 @@ def _replaced_minimize_2d(objective, starts, y_bounds=None):
 
 def _replaced_rate(model, product, log_moneyness):
     """J by the replaced path: the value-only objective over (log u, w)
-    (:func:`_value_objective`), Nelder-Mead from the replaced solver's warm
-    starts (the lognormal ones at w = 2 log u), then the polish."""
+    (:func:`_value_objective`), Nelder-Mead from the replaced solver's
+    starts, then the polish.  It started from the flat path and, for a
+    lognormal factor, first from its own expansion log u = a k at
+    w = 2 log u."""
     vol = model.vol_of_vol
-    log_u = vol.warm_start(model, log_moneyness, product == "vix")[0]
-    starts = [np.array([log_u, 2.0 * log_u]), np.zeros(2)] if isinstance(vol, LognormalVolOfVol) else [np.zeros(2)]
+    starts = [np.zeros(2)]
+    if isinstance(vol, LognormalVolOfVol):
+        sv0, rho = math.sqrt(model.v0), model.rho
+        eta0, eta1 = model_mod.eta_log_coeffs(model.local_vol, 1)
+        if product == "vix":
+            d = vol.sigma + 2.0 * rho * eta1 * sv0
+            a = vol.sigma * d / (d * d + 2.0 * (1.0 - rho * rho) * eta1 * eta1 * model.v0)
+        else:
+            a = rho * vol.sigma / (2.0 * eta0 * sv0)
+        starts.insert(0, np.array([a * log_moneyness, 2.0 * a * log_moneyness]))
     y_bounds = None
     if product == "vix":
         lo, hi = _vix_w_band(model, log_moneyness)
@@ -769,10 +784,14 @@ class TestTrustRegionSweep:
     @pytest.mark.parametrize("k", [-0.3, -0.5])
     def test_indefinite_start(self, k):
         # square-root European at sigma = 1, rho = -0.9: the Hessian at the
-        # start (0, 0) is indefinite, where a line-search Newton runs away
+        # flat path (0, 0) is indefinite, where a line-search Newton runs
+        # away; the solver itself starts from the quadratic model's minimiser
         model = table_model(-0.9, vol_of_vol=SquareRootVolOfVol(1.0))
-        _, _, _, (h_uu, h_uw, h_ww) = _objective(model, "european", k)(0.0, 0.0)
+        evaluate = _objective(model, "european", k)
+        _, _, _, (h_uu, h_uw, h_ww) = evaluate(0.0, 0.0)
         assert h_uu * h_ww - h_uw * h_uw < 0.0
+        _, _, evals, converged, _ = rate_solver._minimize(evaluate, (0.0, 0.0))
+        assert converged and evals <= 12
         pt = european_rate(model, math.exp(k))
         assert pt.converged and pt.iterations <= 12
 
@@ -803,6 +822,49 @@ class TestSingleSolver:
             assert not pt.converged
 
 
+class TestStart:
+    """The solver starts from the minimiser of the objective's quadratic
+    model at the flat path (:func:`rate_solver._start`), which rests on H and
+    Q having the same second-order terms there for both factors."""
+
+    @pytest.mark.parametrize("family", [LognormalVolOfVol, SquareRootVolOfVol], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("drift", [ZeroDrift(), ConstantDrift(0.3), MeanRevertingDrift(2.0, 0.05)],
+                             ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("v0", [0.01, 0.1, 0.7])
+    def test_flat_path_model(self, family, drift, v0):
+        vol = family(0.8, drift)
+        scale = vol.sigma_at(v0) ** -2
+        value, _, grad, hess = vol.path_rate(0.0, 0.0, v0)
+        assert value == pytest.approx(0.0, abs=1e-14 * scale)
+        assert grad == pytest.approx((0.0, 0.0), abs=1e-14 * scale)
+        assert hess == pytest.approx((12.0 * scale, -6.0 * scale, 4.0 * scale), rel=1e-14, abs=0.0)
+        slope = vol.variance_leg(math.log(v0), v0)[1]
+        assert slope == pytest.approx(math.sqrt(v0) / vol.sigma_at(v0), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["tanh_lognormal_rho_m07", "tanh_lognormal_rho_0", "tanh_lognormal_rho_p07",
+                                      "tanh_sqrt_rho_m07", "tanh_sqrt_rho_0"])
+    @pytest.mark.parametrize("product", ["european", "vix"])
+    def test_first_order_minimiser(self, name, product):
+        # the start at x = 1e-6, over x, against the Richardson slope of the
+        # solved minimiser in (log u, w)
+        model = load_model(str(MODELS_DIR / f"{name}.json"))
+        x = 1e-6
+        leg = _leg(model, product, x)
+        log_u, s = rate_solver._start(model, leg)
+        start = (log_u / x, leg(s)[0] / x)
+
+        def minimiser(h):
+            pt = _solve(model, product, h)
+            return np.array([math.log(pt.minimizer_z / model.v0), pt.minimizer_y - math.log(model.v0)])
+
+        def central(h):
+            return (minimiser(h) - minimiser(-h)) / (2.0 * h)
+
+        slope = (4.0 * central(0.01) - central(0.02)) / 3.0
+        for got, want in zip(start, slope):
+            assert abs(got - want) <= 1e-3 * max(1.0, abs(want)), (start, slope)
+
+
 class TestTrustStep:
     @pytest.mark.parametrize("g,h,radius", [
         ((1.0, -2.0), (3.0, 0.5, 2.0), 10.0),       # positive definite, Newton step fits
@@ -826,7 +888,8 @@ class TestTrustStep:
         assert model_value(step) <= grid + 1e-12
 
 
-# the lognormal warm start of this model, (7.50, 15.01), lies beyond |w| <= 10
+# the start this model's lognormal spec used to give, (7.50, 15.01), lay
+# beyond |w| <= 10
 WARM_START_OUTSIDE_BOX = LsvModel(
     1.0, 0.05368691434674289, -0.7433499673795161,
     TanhLocalVol(0.20159463379008488, 0.12785022642174282, 0.08935012304448542),
@@ -838,9 +901,12 @@ class TestSupportedDomain:
     each solve returns a finite, certified point."""
 
     def test_warm_start_outside_the_search_box(self):
-        # the start is moved inside the box; it used to leave a negative step
-        # radius and a division by zero in the trust-region step
-        pt = european_rate(WARM_START_OUTSIDE_BOX, math.exp(-0.3127577116185075))
+        # the minimiser of the quadratic model lies beyond the first trust
+        # radius here too, and the start is brought back onto it
+        k = -0.3127577116185075
+        start = rate_solver._start(WARM_START_OUTSIDE_BOX, _leg(WARM_START_OUTSIDE_BOX, "european", k))
+        assert math.hypot(*start) == pytest.approx(rate_solver._RADIUS0, rel=1e-15)
+        pt = european_rate(WARM_START_OUTSIDE_BOX, math.exp(k))
         assert pt.converged and not pt.boundary_hit
         assert pt.rate == pytest.approx(1.7018169433037211, rel=1e-9)
 
@@ -885,6 +951,10 @@ class TestSupportedDomain:
     # with J = 0.1275; over the spot level it certifies J = 0.03497
     @example(model=LsvModel(1.0, 0.3691, 0.5918, TanhLocalVol(1.9268, -0.0020726, -0.48315),
                             SquareRootVolOfVol(1.832)), k=0.3354)
+    # near the money the objective's rounding error exceeds J ~ 1e-14, and
+    # the computed minimum came out at -3.2e-14
+    @example(model=LsvModel(1.0, 0.5, 0.0, TanhLocalVol(1.0, 0.8312499999999999, 0.5), LognormalVolOfVol(0.25)),
+             k=2.0**-23)
     def test_solves_never_raise(self, model, k):
         points = [vix_rate(model, vix_spot(model) * math.exp(k))]
         # a European strike beyond the zero of eta lies outside the domain

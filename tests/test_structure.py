@@ -40,7 +40,7 @@ from lsv_shortmat import heston_rate, mc_engine, model, rate_solver
 PACKAGE = Path(model.__file__).resolve().parent
 # the remaining sites: cli._expansion_for, smile._require and the two input
 # guards of rate_solver.sabr_rate_closed
-MAX_ISINSTANCE = 6
+MAX_ISINSTANCE = 4
 
 # scipy root finders the package solver replaces
 FOREIGN_ROOT_FINDERS = {"brentq", "bisect", "newton", "root_scalar"}

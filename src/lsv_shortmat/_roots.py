@@ -1,11 +1,10 @@
 """The package's one scalar root solver.
 
 Every 1-D root in the package is a sign change of a smooth function with an
-analytic derivative on a known bracket: the F branch equations, the spot
-level of an eta^2 target, the edge of the square-root cumulant's domain and
-Black implied volatility.  One Newton iteration, safeguarded by the bracket
-(the ``rtsafe`` rule of Press et al., *Numerical Recipes*), solves them all
-to machine precision.
+analytic derivative on a known bracket: the F branch equations, the edge of
+the square-root cumulant's domain and Black implied volatility.  One Newton
+iteration, safeguarded by the bracket (the ``rtsafe`` rule of Press et al.,
+*Numerical Recipes*), solves them all to machine precision.
 """
 
 from __future__ import annotations

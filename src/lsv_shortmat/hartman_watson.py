@@ -51,7 +51,7 @@ class FBranchSolution:
     """Root and value of one branch of the piecewise function F."""
 
     rho: float
-    branch: str  # "cosh" for rho < 1, "cos" for rho >= 1
+    branch: str  # "cosh" for rho <= 1, "cos" for rho > 1
     root: float
     f_value: float
 
@@ -60,11 +60,10 @@ def solve_f_branch(rho: float) -> FBranchSolution:
     """Solve the defining equation of F on the branch selected by rho."""
     if rho <= 0.0:
         raise ValueError("branch solve requires rho > 0")
-    if rho == 1.0:
-        return FBranchSolution(rho=rho, branch="cosh", root=0.0, f_value=_PI2_HALF - 1.0)
-    if rho < 1.0:
-        # rho sinh(x)/x = 1 has a unique positive root; small-x expansion
-        # gives the starting guess x ~ sqrt(6 (1 - rho) / rho).
+    if rho <= 1.0:
+        # rho sinh(x)/x = 1 has a unique positive root for rho < 1, and the
+        # root 0 at rho = 1; small-x expansion gives the starting guess
+        # x ~ sqrt(6 (1 - rho) / rho).
         def g(x: float) -> float:
             return rho * math.sinh(x) - x
 
@@ -80,7 +79,8 @@ def solve_f_branch(rho: float) -> FBranchSolution:
         # g(0) = 0 is a spurious root; start the bracket strictly inside,
         # where g is still negative.  The true root exceeds sqrt of machine
         # epsilon only when 1 - rho does, so 1e-12 stays below it whenever
-        # the branch is numerically distinguishable from rho = 1.
+        # the branch is numerically distinguishable from rho = 1.  At rho = 1
+        # the guess and lo are 0, where g vanishes: the root is 0.
         lo = min(1e-12, 0.5 * guess)
         x1 = newton_bracketed(g, gp, guess, lo, hi)
         value = 0.5 * x1 * x1 - rho * math.cosh(x1) + _PI2_HALF

@@ -36,7 +36,6 @@ __all__ = [
     "LegendrePoint",
     "legendre_point",
     "rate_IH_numeric",
-    "rate_IH_derivatives",
     "rate_IH_series",
     "h_heston",
     "marginal_J1",
@@ -253,8 +252,8 @@ def legendre_point(x: float, y: float, sigma: float) -> LegendrePoint:
     definite exactly when G'' < 0 (Lambda_phi_phi = 2 a g / D^3 > 0), so
     converged means |G'| <= 1e-9 max(1, x, y) with G'' < 0.  There is no
     fallback: an uncertified point is returned with ``converged`` False,
-    which :func:`rate_IH_numeric` raises on and :func:`rate_IH_derivatives`
-    reports as None.
+    which :func:`rate_IH_numeric` raises on and the square-root
+    ``path_rate`` (:mod:`lsv_shortmat.model`) reports as None.
 
     The derivatives of I_H come from the last evaluation's terms, with no
     further one.  By Danskin's theorem the gradient is the maximiser
@@ -332,16 +331,6 @@ def rate_IH_numeric(x: float, y: float, sigma: float) -> float:
             f"value={pt.value}, theta={pt.theta}, phi={pt.phi}, iters={pt.iterations}"
         )
     return pt.value
-
-
-def rate_IH_derivatives(x: float, y: float, sigma: float):
-    """(I_H, rounding error, (I_x, I_y), (I_xx, I_xy, I_yy)) at (x, y) as
-    :func:`legendre_point` leaves them, or None when the transform does not
-    certify its maximiser."""
-    pt = legendre_point(x, y, sigma)
-    if not pt.converged:
-        return None
-    return pt.value, pt.noise, (pt.theta, pt.phi), pt.hessian
 
 
 def rate_IH_series(eps_x: float, eps_y: float, sigma: float) -> float:

@@ -336,8 +336,6 @@ def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | Non
     GBM from the same Brownian increments (a control variate with known
     Black price).
     """
-    if abs(model.rho) > 1.0:
-        raise ValueError("|rho| must not exceed 1")
     n_blocks = (config.n_paths + _BLOCK - 1) // _BLOCK
     # the plain paths first, their antithetic partners second
     shape = (2 if config.antithetic else 1, config.n_paths)

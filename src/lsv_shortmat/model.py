@@ -16,7 +16,8 @@ Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
   Taylor coefficients at the money (:func:`eta_log_coeffs`);
 * ``inv_eta_integral(L)``    - the integral of 1/eta over k in [0, L];
 * ``eta_sq_log_inverse(w)``  - the k at which eta(k)^2 = w, for an
-  attainable w.
+  attainable w.  Only a tanh eta with f1 != 0 is strictly monotone; the
+  Taylor and constant specs raise ValueError for every w.
 
 The module-level helpers (:func:`eta_eval`, :func:`eta_log_coeffs`,
 :func:`eta_sq_inverse`) delegate to them.  Each drift
@@ -60,9 +61,8 @@ import reprlib
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Union
 
-from ._roots import newton_bracketed
+from . import heston_rate
 from .hartman_watson import hw_F_derivatives
-from .heston_rate import rate_IH_derivatives
 
 __all__ = [
     "TanhLocalVol",
@@ -86,11 +86,6 @@ __all__ = [
     "model_to_dict",
     "load_model",
 ]
-
-# Log-moneyness cap for bracketing searches on eta; eta is effectively
-# constant far beyond +-50 for every supported shape.
-_LOG_BRACKET_CAP = 50.0
-
 
 @functools.cache
 def _gl_rule():
@@ -120,19 +115,13 @@ def _gl_adaptive(f, a: float, b: float, rel_tol: float = 1e-10, depth: int = 0) 
     return _gl_adaptive(f, a, mid, rel_tol, depth + 1) + _gl_adaptive(f, mid, b, rel_tol, depth + 1)
 
 
-def _check_eta_sq_target(w: float, w_lo: float, w_hi: float) -> None:
-    if w <= 0.0:
-        raise ValueError("target of eta^2 inversion must be positive")
-    if not (w_lo < w < w_hi):
-        raise ValueError(f"eta^2 target {w} outside attainable range ({w_lo}, {w_hi})")
-
-
 @dataclass(frozen=True)
 class TanhLocalVol:
     """Bounded local volatility eta(s) = f0 + f1 * tanh(log(s/s0) - x0).
 
     Requires f0 > |f1| so that eta stays strictly positive.  The function is
-    strictly monotone in s whenever f1 != 0, which makes eta^2 invertible.
+    strictly monotone in s whenever f1 != 0, which makes eta^2 invertible;
+    f1 = 0 leaves no w attainable.
     """
 
     f0: float
@@ -189,7 +178,11 @@ class TanhLocalVol:
         for w in the open range ((f0 - |f1|)^2, (f0 + |f1|)^2) of eta^2;
         f1 = 0 leaves that range empty."""
         lo, hi = self.f0 - abs(self.f1), self.f0 + abs(self.f1)
-        _check_eta_sq_target(w, lo * lo, hi * hi)
+        w_lo, w_hi = lo * lo, hi * hi
+        if w <= 0.0:
+            raise ValueError("target of eta^2 inversion must be positive")
+        if not (w_lo < w < w_hi):
+            raise ValueError(f"eta^2 target {w} outside attainable range ({w_lo}, {w_hi})")
         return self.x0 + math.atanh((math.sqrt(w) - self.f0) / self.f1)
 
     def proxy_bounds(self) -> tuple[float, float, float]:
@@ -218,7 +211,8 @@ class TaylorLocalVol:
 
     eta(s) = eta0 + eta1*k + eta2*k^2 + eta3*k^3 with k = log(s/s0).
     Intended for smile-expansion work near the money; it is not guaranteed
-    positive or monotone far from s0.
+    positive or monotone far from s0, so it neither inverts eta^2 nor has
+    finite proxy bounds: both raise ValueError.
     """
 
     eta0: float
@@ -258,36 +252,8 @@ class TaylorLocalVol:
 
         return _gl_adaptive(f, 0.0, L)
 
-    def _is_monotone(self) -> bool:
-        # eta'(k) = eta1 + 2 eta2 k + 3 eta3 k^2 must not change sign on the
-        # bracketing window.
-        a, b, c = 3.0 * self.eta3, 2.0 * self.eta2, self.eta1
-        if a == 0.0 and b == 0.0:
-            return c != 0.0
-        if a == 0.0:
-            root = -c / b
-            return abs(root) >= _LOG_BRACKET_CAP
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return True
-        roots = ((-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a))
-        return all(abs(r) >= _LOG_BRACKET_CAP for r in roots)
-
     def eta_sq_log_inverse(self, w: float) -> float:
-        """Root of eta(k)^2 = w on the capped window [-50, 50], by safeguarded
-        Newton iteration to full precision.  The polynomial must be monotone
-        on that window, so its values at the window's ends bound it there:
-        w must lie between their squares, the lower end taken as 0 where eta
-        crosses zero (only eta = +sqrt(w) is matched), and eta(k) = sqrt(w)
-        then has one root in the window."""
-        if not self._is_monotone():
-            raise ValueError("taylor local vol spec is not monotone; inversion unsupported")
-        a, b = self.eta(-_LOG_BRACKET_CAP), self.eta(_LOG_BRACKET_CAP)
-        lo, hi = max(min(a, b), 0.0), max(a, b)
-        _check_eta_sq_target(w, lo * lo, hi * hi)
-        target = math.sqrt(w)
-        return newton_bracketed(lambda k: self.eta(k) - target, lambda k: self.eta_derivatives(k)[1],
-                                0.0, -_LOG_BRACKET_CAP, _LOG_BRACKET_CAP)
+        raise ValueError("taylor local vol is not guaranteed monotone; eta^2 inversion unsupported")
 
     def proxy_bounds(self) -> tuple[float, float, float]:
         raise ValueError("taylor local vol is unbounded; no finite proxy bounds")
@@ -296,7 +262,7 @@ class TaylorLocalVol:
 @dataclass(frozen=True)
 class ConstantLocalVol:
     """eta(s) = 1: pure stochastic volatility dynamics (scale V0 for
-    another level)."""
+    another level).  Like a tanh eta with f1 = 0 it does not invert eta^2."""
 
     def eta(self, k, out=None):
         import numpy as np
@@ -313,11 +279,7 @@ class ConstantLocalVol:
         return L
 
     def eta_sq_log_inverse(self, w: float) -> float:
-        """Degenerate: only w = 1 is attainable, and k = 0 is returned by
-        convention."""
-        if abs(w - 1.0) > 1e-12:
-            raise ValueError("constant local vol attains only eta^2 = 1")
-        return 0.0
+        raise ValueError("constant local vol is not monotone; eta^2 inversion unsupported")
 
     def proxy_bounds(self) -> tuple[float, float, float]:
         return 0.0, 1.0, 0.0
@@ -493,15 +455,17 @@ class SquareRootVolOfVol:
 
     def path_rate(self, log_u: float, w: float, v0: float):
         """H = v0 I_H(x, y) at x = e^{log u}, y = e^w, in the layout of
-        :meth:`LognormalVolOfVol.path_rate`, or None when the Legendre
-        transform does not certify its maximiser (:func:`rate_IH_derivatives`)."""
+        :meth:`LognormalVolOfVol.path_rate`, read off the point of
+        :func:`heston_rate.legendre_point` (gradient (theta, phi)), or None
+        when the transform does not certify its maximiser."""
         x = math.exp(log_u)
         y = math.exp(w)
-        res = rate_IH_derivatives(x, y, self.sigma)
-        if res is None:
+        pt = heston_rate.legendre_point(x, y, self.sigma)
+        if not pt.converged:
             return None
-        value, noise, (i_x, i_y), (i_xx, i_xy, i_yy) = res
-        return (v0 * value, v0 * noise, (v0 * x * i_x, v0 * y * i_y),
+        i_x, i_y = pt.theta, pt.phi
+        i_xx, i_xy, i_yy = pt.hessian
+        return (v0 * pt.value, v0 * pt.noise, (v0 * x * i_x, v0 * y * i_y),
                 (v0 * x * (i_x + x * i_xx), v0 * x * y * i_xy, v0 * y * (i_y + y * i_yy)))
 
     def variance_rate(self, v: float, v0: float) -> float:

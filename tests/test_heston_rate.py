@@ -16,11 +16,10 @@ from lsv_shortmat.heston_rate import (
     legendre_point,
     marginal_J1,
     marginal_J2,
-    rate_IH_derivatives,
     rate_IH_numeric,
     rate_IH_series,
 )
-from lsv_shortmat.model import load_model, vix_spot
+from lsv_shortmat.model import SquareRootVolOfVol, load_model, vix_spot
 from lsv_shortmat.rate_solver import european_rate, vix_rate
 
 MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
@@ -516,9 +515,7 @@ class TestDanskin:
         # grad^2 I_H from implicit differentiation of the profile against
         # central differences of the Danskin gradient (theta*, phi*)
         x, y = math.exp(ex), math.exp(ey)
-        value, _, grad, (i_xx, i_xy, i_yy) = rate_IH_derivatives(x, y, sigma)
-        pt = legendre_point(x, y, sigma)
-        assert (value, grad) == (pt.value, (pt.theta, pt.phi))
+        i_xx, i_xy, i_yy = legendre_point(x, y, sigma).hessian
         hx, hy = 1e-5 * x, 1e-5 * y
         up_x, dn_x = legendre_point(x + hx, y, sigma), legendre_point(x - hx, y, sigma)
         up_y, dn_y = legendre_point(x, y + hy, sigma), legendre_point(x, y - hy, sigma)
@@ -531,12 +528,12 @@ class TestDanskin:
 
     def test_uncertified_transform_gives_none(self, monkeypatch):
         monkeypatch.setattr(heston_rate, "_GRAD_TOL", 0.0)
-        assert rate_IH_derivatives(math.exp(0.7), math.exp(-0.4), 1.0) is None
+        assert SquareRootVolOfVol(1.0).path_rate(0.7, -0.4, 1.0) is None
 
     @pytest.mark.parametrize("ex,ey,sigma", [(0.5, 0.1, 1.0), (-1.2, -0.4, 2.0), (0.05, -0.02, 1.0)])
     def test_one_profile_evaluation_per_point(self, ex, ey, sigma, monkeypatch):
         # the derivatives are read off the transform's last evaluation: a
-        # rate_IH_derivatives call evaluates the profile kernel exactly as
+        # square-root path_rate call evaluates the profile kernel exactly as
         # often as the legendre_point call inside it
         calls = {"terms": 0}
         inner = []
@@ -553,6 +550,6 @@ class TestDanskin:
 
         monkeypatch.setattr(heston_rate, "_profile_terms", counting_terms)
         monkeypatch.setattr(heston_rate, "legendre_point", counting_point)
-        assert rate_IH_derivatives(math.exp(ex), math.exp(ey), sigma) is not None
+        assert SquareRootVolOfVol(sigma).path_rate(ex, ey, 1.0) is not None
         assert len(inner) == 1 and inner[0] > 0
         assert calls["terms"] == inner[0]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize, minimize_scalar
 
-from lsv_shortmat import heston_rate, rate_solver
+from lsv_shortmat import cli, heston_rate, rate_solver
 from lsv_shortmat import model as model_mod
 from lsv_shortmat.hartman_watson import h_lognormal
 from lsv_shortmat.heston_rate import h_heston
@@ -820,6 +820,38 @@ class TestSingleSolver:
         monkeypatch.setattr(heston_rate, "_GRAD_TOL", 0.0)
         for pt in (european_rate(model, math.exp(0.2)), vix_rate(model, vix_spot(model) * math.exp(0.2))):
             assert not pt.converged
+
+
+class TestNearMoney:
+    def test_absolute_accuracy_floor(self):
+        # J itself is good to about 1e-14 absolute near the money, where J is
+        # O(k^2) and so its relative error grows like 1/k^2 (about 1e-8 at
+        # |k| = 1e-4); the floor is pinned, not the relative error
+        model = load_model(str(MODELS_DIR / "constant_lognormal_rho_m07.json"))
+        for a in np.geomspace(1e-4, 0.3, 81):
+            for k in (-a, a):
+                strike = math.exp(k)
+                pt = european_rate(model, strike)
+                assert pt.converged, k
+                assert abs(pt.rate - sabr_rate_closed(model, strike)) <= 1e-14, k
+
+
+class TestEvaluationBudget:
+    # objective evaluations summed over the 14 grids of 25 strikes, as
+    # measured when the budget was set: a change may spend fewer, and one
+    # that spends more raises the budget knowingly
+    BUDGET = 1153
+
+    def test_grid_evaluations_do_not_grow(self):
+        counts = {}
+        for path in MODEL_FILES:
+            model = load_model(str(path))
+            for solve, reference in ((european_rate, model.s0), (vix_rate, vix_spot(model))):
+                counts[path.stem, solve.__name__] = sum(
+                    solve(model, reference * math.exp(k)).iterations
+                    for k in cli._log_moneyness_grid(-0.3, 0.3, 25))
+        assert len(counts) == 14
+        assert sum(counts.values()) <= self.BUDGET, counts
 
 
 class TestStart:

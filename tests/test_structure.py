@@ -7,8 +7,9 @@ new spec cannot quietly need a type ladder in a caller.  The local-vol
 interface is held at five methods: the array ``eta``, the scalar
 ``eta_derivatives`` (whose value at the money also gives the Taylor
 coefficients and decides whether eta is constant), the spot integral, the
-eta^2 inverse and the proxy bounds; a sixth must be added here
-deliberately.  Every scalar root
+eta^2 inverse and the proxy bounds.  A spec without a finite answer still
+carries the method and raises ValueError from it: only a monotone tanh eta
+inverts eta^2.  A sixth method must be added here deliberately.  Every scalar root
 goes through the one safeguarded solver in ``_roots``, so no module brings
 in another.  Monte Carlo pricing reads everything it needs from the
 samples, tells the products apart in one place and leaves output formats

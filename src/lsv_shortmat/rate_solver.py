@@ -23,7 +23,8 @@ VIX curve, and the vol-of-vol spec supplies Q and H with their derivatives
 (see :mod:`model`).  Both factors share the objective's quadratic model at
 the flat path p = 0, and its minimiser is the start (:func:`_start`).
 ``converged`` certifies a positive-definite Hessian with a Newton decrement
-below the objective's rounding error (see :func:`_minimize`).
+below the objective's rounding error (see :func:`_minimize`); at |rho| = 1
+the objective is undefined and no point is certified (:func:`_solve`).
 
 Closed forms cover the special cases: lognormal stochastic vol (where the
 two-variable problem collapses to an explicit expression) and VIX options
@@ -306,8 +307,21 @@ def _start(model: LsvModel, leg) -> tuple[float, float]:
     return p if length <= _RADIUS0 else (p[0] * _RADIUS0 / length, s * _RADIUS0 / length)
 
 
-def _rate_point(model: LsvModel, strike: float, leg, solved) -> RatePoint:
-    p, value, evals, converged, boundary_hit = solved
+def _solve(model: LsvModel, strike: float, reference: float, make_leg, exact=None) -> RatePoint:
+    """The rate point of :func:`european_rate` and :func:`vix_rate`: rate 0
+    at the money (strike = reference), ``exact()`` where the product has a
+    closed form, an uncertified nan point at |rho| = 1, where the objective
+    divides by 1 - rho^2, else the minimum over the leg ``make_leg()`` builds."""
+    if strike <= 0.0:
+        raise ValueError("strike must be positive")
+    if math.log(strike / reference) == 0.0:
+        return RatePoint(strike, 0.0, math.log(model.v0), model.v0, 0, True)
+    if exact is not None:
+        return exact()
+    if abs(model.rho) >= 1.0:
+        return RatePoint(strike, math.nan, math.nan, math.nan, 0, False)
+    leg = make_leg()
+    p, value, evals, converged, boundary_hit = _minimize(_rate_objective(model, leg), _start(model, leg))
     spot = leg(p[1])
     y = math.log(model.v0) + spot[0] if spot else math.nan
     # J is a sum of nonnegative terms, but near the money its rounding error exceeds it
@@ -316,20 +330,12 @@ def _rate_point(model: LsvModel, strike: float, leg, solved) -> RatePoint:
 
 def european_rate(model: LsvModel, strike: float) -> RatePoint:
     """Rate function of an out-of-the-money European option."""
-    if strike <= 0.0:
-        raise ValueError("strike must be positive")
-    if abs(model.rho) >= 1.0:
-        raise ValueError("|rho| = 1 is degenerate here; use the closed forms")
-    k = math.log(strike / model.s0)
-    if k == 0.0:
-        return RatePoint(strike, 0.0, math.log(model.v0), model.v0, 0, True)
-    i_s = integral_IS(model.local_vol, model.s0, strike / model.s0)
 
-    def leg(w: float):
-        return w, 1.0, 0.0, i_s, 0.0, 0.0
+    def make_leg():
+        i_s = integral_IS(model.local_vol, model.s0, strike / model.s0)
+        return lambda w: (w, 1.0, 0.0, i_s, 0.0, 0.0)
 
-    solved = _minimize(_rate_objective(model, leg), _start(model, leg))
-    return _rate_point(model, strike, leg, solved)
+    return _solve(model, strike, model.s0, make_leg)
 
 
 def _vix_leg(model: LsvModel, strike: float):
@@ -361,22 +367,16 @@ def vix_rate(model: LsvModel, strike: float) -> RatePoint:
     eta is flat at eta0 to double precision near the money (pure stochastic
     volatility when eta0 = 1): the VIX eta0 sqrt(V_T) pins the terminal
     variance at K^2/eta0^2 and leaves the spot free, so the rate is the
-    vol-of-vol spec's ``variance_rate``.
+    vol-of-vol spec's ``variance_rate``, for every rho.
     """
-    if strike <= 0.0:
-        raise ValueError("strike must be positive")
-    if abs(model.rho) >= 1.0:
-        raise ValueError("|rho| = 1 is degenerate here; use the closed forms")
-    x = math.log(strike / vix_spot(model))
-    if x == 0.0:
-        return RatePoint(strike, 0.0, math.log(model.v0), model.v0, 0, True)
     eta0, eta1, eta2, eta3 = eta_log_coeffs(model.local_vol)
+    exact = None
     if eta1 == eta2 == eta3 == 0.0:
-        rate = model.vol_of_vol.variance_rate(strike * strike / (eta0 * eta0), model.v0)
-        return RatePoint(strike, rate, 2.0 * math.log(strike / eta0), model.v0, 0, True)
-    leg = _vix_leg(model, strike)
-    solved = _minimize(_rate_objective(model, leg), _start(model, leg))
-    return _rate_point(model, strike, leg, solved)
+        def exact():
+            rate = model.vol_of_vol.variance_rate(strike * strike / (eta0 * eta0), model.v0)
+            return RatePoint(strike, rate, 2.0 * math.log(strike / eta0), model.v0, 0, True)
+
+    return _solve(model, strike, vix_spot(model), lambda: _vix_leg(model, strike), exact)
 
 
 def stochvol_vix_rate(spec: VolOfVolSpec, v0: float, strike: float, mapping=None) -> float:

@@ -6,8 +6,11 @@ second order in log-moneyness,
     sigma(k) = atm + skew * k + convexity * k^2 + O(k^3),
 
 around the money (spot S0 for European options, eta(S0) sqrt(V0) for VIX
-options).  The VIX convexity numerator for the lognormal family is a long
-degree-7 polynomial in sigma whose coefficients are transcribed in
+options).  One formula per product serves both families: it reads the vol
+of vol only through sigma(V0) and its elasticity e = V0 sigma'(V0)/sigma(V0)
+(0 lognormal, -1/2 square-root), so the families differ only by e.  The VIX
+convexity is known for the lognormal family alone: a long degree-7
+polynomial in sigma whose coefficients are transcribed in
 :func:`vix_convexity_numerator_coeffs`; a double-entry copy of that table
 lives in the test suite to guard against transcription slips.
 
@@ -108,24 +111,39 @@ def constant_drift_factor(mu: float, tau: float) -> float:
     return math.expm1(x) / x
 
 
-def _require(model: LsvModel, family) -> float:
+def _require(model: LsvModel, family) -> tuple[float, float]:
+    """sigma(V0) and its elasticity e = V0 sigma'(V0) / sigma(V0) for a model
+    of the given family.  In y = log V the variance leg has
+    Q' = sqrt(V) / sigma(V), so e = 1/2 - Q''/Q': exactly 0 for the
+    lognormal family and -1/2 for the square-root family."""
     if not isinstance(model.vol_of_vol, family):
         raise ValueError(f"expansion requires {family.__name__}, got {type(model.vol_of_vol).__name__}")
-    return model.vol_of_vol.sigma
+    v0 = model.v0
+    _, q1, q2 = model.vol_of_vol.variance_leg(math.log(v0), v0)
+    return model.vol_of_vol.sigma_at(v0), 0.5 - q2 / q1
 
 
-def european_expansion_sabr_type(model: LsvModel) -> SmileExpansion:
-    """European smile expansion for the lognormal vol-of-vol family."""
-    sigma = _require(model, LognormalVolOfVol)
+def _european_expansion(model: LsvModel, family) -> SmileExpansion:
+    sigma, e = _require(model, family)
     eta0, eta1, eta2, _ = eta_log_coeffs(model.local_vol, 3)
     v0 = model.v0
     sv0 = math.sqrt(v0)
     rho = model.rho
     atm = eta0 * sv0
     skew = 0.25 * (rho * sigma + 2.0 * eta1 * sv0)
-    conv = ((2.0 - 3.0 * rho * rho) * sigma * sigma
+    conv = ((2.0 - (3.0 - 4.0 * e) * rho * rho) * sigma * sigma
             + 4.0 * (4.0 * eta0 * eta2 - eta1 * eta1) * v0) / (48.0 * eta0 * sv0)
     return SmileExpansion(atm=atm, skew=skew, convexity=conv)
+
+
+def european_expansion_sabr_type(model: LsvModel) -> SmileExpansion:
+    """European smile expansion for the lognormal vol-of-vol family."""
+    return _european_expansion(model, LognormalVolOfVol)
+
+
+def european_expansion_heston_type(model: LsvModel) -> SmileExpansion:
+    """European smile expansion for the square-root vol-of-vol family."""
+    return _european_expansion(model, SquareRootVolOfVol)
 
 
 def vix_convexity_numerator_coeffs(eta0: float, eta1: float, eta2: float, eta3: float,
@@ -162,15 +180,10 @@ def vix_convexity_numerator_coeffs(eta0: float, eta1: float, eta2: float, eta3: 
     return [k0, k1, k2, k3, k4, k5, k6, k7]
 
 
-def vix_expansion_sabr_type(model: LsvModel) -> SmileExpansion:
-    """VIX smile expansion for the lognormal vol-of-vol family.
-
-    The value returned in the convexity slot is the true quadratic
-    coefficient of the smile: it matches a quadratic fit of the full
-    rate-function smile (some widely circulated reference values for this
-    quantity carry a spurious extra factor sqrt(V0)).
-    """
-    sigma = _require(model, LognormalVolOfVol)
+def _vix_expansion(model: LsvModel, family) -> SmileExpansion:
+    """The VIX level and skew of either family, and the convexity from the
+    numerator table of the lognormal family (None for the other)."""
+    sigma, e = _require(model, family)
     eta0, eta1, eta2, eta3 = eta_log_coeffs(model.local_vol, 3)
     v0 = model.v0
     sv0 = math.sqrt(v0)
@@ -180,62 +193,44 @@ def vix_expansion_sabr_type(model: LsvModel) -> SmileExpansion:
     w = (sigma * sigma * eta1
          + 2.0 * rho * sigma * sv0 * (eta1 * eta1 + 2.0 * eta0 * eta2)
          + 8.0 * eta0 * eta1 * eta2 * v0)
-    skew = 0.5 * sv0 * (rho * sigma + 2.0 * eta1 * sv0) / d**1.5 * w
-    coeffs = vix_convexity_numerator_coeffs(eta0, eta1, eta2, eta3, rho, v0)
-    k_vix = 0.0
-    for i in reversed(range(8)):
-        k_vix = k_vix * sigma + coeffs[i]
-    conv = sv0 / 6.0 * k_vix / d**3.5
+    b = sigma * (sigma + 2.0 * rho * eta1 * sv0)
+    skew = 0.5 * sv0 * (rho * sigma + 2.0 * eta1 * sv0) / d**1.5 * w + 0.5 * e * b * b / d**1.5
+    conv = None
+    if family is LognormalVolOfVol:
+        coeffs = vix_convexity_numerator_coeffs(eta0, eta1, eta2, eta3, rho, v0)
+        k_vix = 0.0
+        for i in reversed(range(8)):
+            k_vix = k_vix * sigma + coeffs[i]
+        conv = sv0 / 6.0 * k_vix / d**3.5
     return SmileExpansion(atm=atm, skew=skew, convexity=conv)
 
 
-def vix_atm_bounds(model: LsvModel) -> tuple[float, float]:
-    """Range of the ATM VIX vol as the correlation sweeps [-1, 1]."""
-    sigma = _require(model, LognormalVolOfVol)
-    _, eta1 = eta_log_coeffs(model.local_vol, 1)
-    sv0 = math.sqrt(model.v0)
-    a = abs(0.5 * sigma - eta1 * sv0)
-    b = abs(0.5 * sigma + eta1 * sv0)
-    return (min(a, b), max(a, b))
+def vix_expansion_sabr_type(model: LsvModel) -> SmileExpansion:
+    """VIX smile expansion for the lognormal vol-of-vol family.
 
-
-def european_expansion_heston_type(model: LsvModel) -> SmileExpansion:
-    """European smile expansion for the square-root vol-of-vol family.
-
-    The pure local-volatility contribution to the convexity enters with
-    weight V0^2 over the common V0^(3/2) denominator (so that switching off
-    the vol-of-vol reproduces the local-vol smile exactly); quadratic fits of
-    the full rate-function smile confirm this scaling.
+    The value returned in the convexity slot is the true quadratic
+    coefficient of the smile: it matches a quadratic fit of the full
+    rate-function smile (some widely circulated reference values for this
+    quantity carry a spurious extra factor sqrt(V0)).
     """
-    sigma = _require(model, SquareRootVolOfVol)
-    eta0, eta1, eta2, _ = eta_log_coeffs(model.local_vol, 3)
-    v0 = model.v0
-    sv0 = math.sqrt(v0)
-    rho = model.rho
-    atm = eta0 * sv0
-    skew = (rho * sigma + 2.0 * eta1 * v0) / (4.0 * sv0)
-    conv = ((2.0 - 5.0 * rho * rho) * sigma * sigma
-            + 4.0 * (4.0 * eta0 * eta2 - eta1 * eta1) * v0 * v0) / (48.0 * eta0 * v0 * sv0)
-    return SmileExpansion(atm=atm, skew=skew, convexity=conv)
+    return _vix_expansion(model, LognormalVolOfVol)
 
 
 def vix_expansion_heston_type(model: LsvModel) -> SmileExpansion:
     """VIX smile expansion for the square-root family; no closed-form
     convexity is available, so it is reported as None."""
-    sigma = _require(model, SquareRootVolOfVol)
-    eta0, eta1, eta2, _ = eta_log_coeffs(model.local_vol, 3)
-    v0 = model.v0
-    sv0 = math.sqrt(v0)
-    rho = model.rho
-    atm = math.sqrt(0.25 * sigma * sigma + eta1 * rho * sigma * v0 + eta1 * eta1 * v0 * v0) / sv0
-    d = sigma * sigma + 4.0 * eta1 * rho * sigma * v0 + 4.0 * eta1 * eta1 * v0 * v0
-    num = (-sigma**4
-           - 2.0 * eta1 * rho * v0 * sigma**3
-           + 4.0 * sigma**2 * v0**2 * (eta1**2 + 2.0 * eta0 * eta2 * rho**2)
-           + 8.0 * eta1 * rho * v0**3 * sigma * (4.0 * eta0 * eta2 + eta1**2)
-           + 32.0 * eta0 * eta1**2 * eta2 * v0**4)
-    skew = num / (4.0 * sv0 * d**1.5)
-    return SmileExpansion(atm=atm, skew=skew, convexity=None)
+    return _vix_expansion(model, SquareRootVolOfVol)
+
+
+def vix_atm_bounds(model: LsvModel) -> tuple[float, float]:
+    """Range of the ATM VIX vol of either family as the correlation sweeps
+    [-1, 1]: its square is affine in rho, so the ends are at rho = -+1."""
+    sigma = model.vol_of_vol.sigma_at(model.v0)
+    _, eta1 = eta_log_coeffs(model.local_vol, 1)
+    sv0 = math.sqrt(model.v0)
+    a = abs(0.5 * sigma - eta1 * sv0)
+    b = abs(0.5 * sigma + eta1 * sv0)
+    return (min(a, b), max(a, b))
 
 
 def meanrev_lognormal_vix_smile(a: float, b: float, sigma: float, v0: float,

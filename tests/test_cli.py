@@ -231,6 +231,27 @@ class TestUncertifiedSolves:
         assert [r[3] for r in rows] == ["nan", "nan"]
         assert all(math.isfinite(float(r[4])) for r in rows)
 
+    @pytest.mark.parametrize("product", ["european", "vix"])
+    def test_full_correlation(self, product, tmp_path, capsys):
+        # at |rho| = 1 the rate objective divides by 1 - rho^2, so no solve
+        # off the money is certified; compare keeps its Monte Carlo columns
+        path = tmp_path / "rho1.json"
+        path.write_text(json.dumps(dict(TABLE_MODEL, rho=1.0)))
+        args = ["--model", str(path), "--product", product, "--kmin=-0.1", "--kmax", "0.1", "--kcount", "3"]
+        code, out, _ = run_cli(["smile"] + args, capsys)
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert [r[3] for r in rows] == ["nan", rows[1][2], "nan"]  # ATM: the expansion
+        code, out, _ = run_cli(["rate"] + args, capsys)
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert [(r[2], r[6]) for r in rows] == [("nan", "false"), ("0", "true"), ("nan", "false")]
+        code, out, _ = run_cli(["compare", "--paths", "4096", "--steps", "10"] + args, capsys)
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert [r[3] for r in rows] == ["nan", rows[1][2], "nan"]
+        assert all(math.isfinite(float(x)) for r in rows for x in r[4:])
+
 
 class TestMcAndCompare:
     ARGS = ["--paths", "20000", "--steps", "40", "--seed", "7",

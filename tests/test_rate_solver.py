@@ -218,9 +218,20 @@ class TestEuropeanRate:
         assert jumps_y.max() <= 5 * np.median(jumps_y) + 1e-9
         assert jumps_z.max() <= 5 * np.median(jumps_z) + 1e-9
 
-    def test_rho_one_rejected(self):
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    @pytest.mark.parametrize("solve", [european_rate, vix_rate])
+    def test_rho_one_uncertified(self, solve, rho):
+        # the objective divides by 1 - rho^2: off the money no point is
+        # certified, and the money keeps its rate 0
+        model = table_model(rho)
+        reference = model.s0 if solve is european_rate else vix_spot(model)
+        pt = solve(model, 1.1 * reference)
+        assert (pt.iterations, pt.converged) == (0, False)
+        assert all(math.isnan(x) for x in (pt.rate, pt.minimizer_y, pt.minimizer_z))
+        atm = solve(model, reference)
+        assert (atm.rate, atm.converged) == (0.0, True)
         with pytest.raises(ValueError):
-            european_rate(table_model(1.0), 1.1)
+            solve(model, 0.0)
 
     def test_heston_vol_of_vol_small_k(self):
         # square-root factor: the leading coefficient is still 1/(2 eta0^2 V0)
@@ -252,6 +263,15 @@ class TestVixRate:
         for strike in (0.25, 0.35):
             pt = vix_rate(model, strike)
             assert abs(pt.rate - stochvol_vix_rate(model.vol_of_vol, model.v0, strike)) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_constant_eta_at_full_correlation(self, rho):
+        # eta0 sqrt(V_T) reads no spot path, so the closed form holds at |rho| = 1 too
+        model = LsvModel(s0=1.0, v0=0.09, rho=rho, local_vol=ConstantLocalVol(),
+                         vol_of_vol=LognormalVolOfVol(1.5))
+        pt = vix_rate(model, 0.35)
+        assert pt.converged
+        assert pt.rate == pytest.approx(stochvol_vix_rate(model.vol_of_vol, model.v0, 0.35), rel=1e-15)
 
     @pytest.mark.parametrize("rho", [-0.7, 0.0, 0.7])
     def test_small_x_leading_coefficient(self, rho):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lsv_shortmat import smile
 from lsv_shortmat.model import (
     ConstantLocalVol,
     LognormalVolOfVol,
@@ -10,6 +11,7 @@ from lsv_shortmat.model import (
     SquareRootVolOfVol,
     TanhLocalVol,
     TaylorLocalVol,
+    eta_log_coeffs,
     vix_spot,
 )
 from lsv_shortmat.rate_solver import european_rate, rate_to_impvol, vix_rate
@@ -151,6 +153,17 @@ class TestVixAtmBounds:
         lo, hi = vix_atm_bounds(table_model(0.0, local_vol=ConstantLocalVol()))
         assert lo == hi == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("sigma, v0, f1", [(0.6, 0.1, -0.5), (1.2, 0.04, 0.3), (0.3, 0.4, -0.2)])
+    def test_square_root_family(self, sigma, v0, f1):
+        # the ends are the ATM levels at rho = -+1, and every level lies between
+        base = dict(v0=v0, local_vol=TanhLocalVol(1.0, f1, 0.0), vol_of_vol=SquareRootVolOfVol(sigma))
+        lo, hi = vix_atm_bounds(table_model(0.0, **base))
+        ends = sorted(vix_expansion_heston_type(table_model(rho, **base)).atm for rho in (-1.0, 1.0))
+        assert abs(lo - ends[0]) <= 1e-15 * ends[0]
+        assert abs(hi - ends[1]) <= 1e-15 * ends[1]
+        for rho in (-0.7, 0.0, 0.7):
+            assert lo <= vix_expansion_heston_type(table_model(rho, **base)).atm <= hi
+
 
 class TestEuropeanHestonType:
     def test_pure_heston_coefficients(self):
@@ -204,6 +217,94 @@ class TestVixHestonType:
         down = heston_vix_smile(0.0, v0, sigma, v0, 1e-9, math.sqrt(v0) * math.exp(-h))
         slope = (up - down) / (2 * h)
         assert slope == pytest.approx(exp.skew, rel=1e-4)
+
+
+# The per-family closed forms that one formula per product replaced, kept as
+# reference copies.  They take the Taylor coefficients of eta and the spec's
+# own sigma: sigma(V0) is sigma for the lognormal family and sigma / sqrt(V0)
+# for the square-root family.
+
+
+def reference_european_lognormal(eta, rho, v0, sigma):
+    eta0, eta1, eta2, _ = eta
+    sv0 = math.sqrt(v0)
+    skew = 0.25 * (rho * sigma + 2 * eta1 * sv0)
+    conv = ((2 - 3 * rho**2) * sigma**2 + 4 * (4 * eta0 * eta2 - eta1**2) * v0) / (48 * eta0 * sv0)
+    return eta0 * sv0, skew, conv
+
+
+def reference_european_square_root(eta, rho, v0, sigma):
+    # the local-vol part enters with weight V0^2 over the common V0^(3/2)
+    eta0, eta1, eta2, _ = eta
+    sv0 = math.sqrt(v0)
+    skew = (rho * sigma + 2 * eta1 * v0) / (4 * sv0)
+    conv = ((2 - 5 * rho**2) * sigma**2 + 4 * (4 * eta0 * eta2 - eta1**2) * v0**2) / (48 * eta0 * v0 * sv0)
+    return eta0 * sv0, skew, conv
+
+
+def reference_vix_lognormal(eta, rho, v0, sigma):
+    eta0, eta1, eta2, _ = eta
+    sv0 = math.sqrt(v0)
+    d = sigma**2 + 4 * eta1 * rho * sigma * sv0 + 4 * eta1**2 * v0
+    w = (sigma**2 * eta1 + 2 * rho * sigma * sv0 * (eta1**2 + 2 * eta0 * eta2)
+         + 8 * eta0 * eta1 * eta2 * v0)
+    skew = 0.5 * sv0 * (rho * sigma + 2 * eta1 * sv0) / d**1.5 * w
+    numerator = sum(c * sigma**i for i, c in enumerate(vix_convexity_numerator_coeffs(*eta, rho, v0)))
+    return 0.5 * math.sqrt(d), skew, sv0 / 6 * numerator / d**3.5
+
+
+def reference_vix_square_root(eta, rho, v0, sigma):
+    # the five-term skew numerator; no convexity closed form
+    eta0, eta1, eta2, _ = eta
+    sv0 = math.sqrt(v0)
+    d = sigma**2 + 4 * eta1 * rho * sigma * v0 + 4 * eta1**2 * v0**2
+    num = (-sigma**4
+           - 2 * eta1 * rho * v0 * sigma**3
+           + 4 * sigma**2 * v0**2 * (eta1**2 + 2 * eta0 * eta2 * rho**2)
+           + 8 * eta1 * rho * v0**3 * sigma * (4 * eta0 * eta2 + eta1**2)
+           + 32 * eta0 * eta1**2 * eta2 * v0**4)
+    return math.sqrt(d) / (2 * sv0), num / (4 * sv0 * d**1.5), None
+
+
+class TestOneFormulaPerProduct:
+    """Both families' expansions come from one formula per product in
+    sigma(V0) and its elasticity e; they reproduce the per-family closed
+    forms, and e comes out exact."""
+
+    FAMILIES = {
+        LognormalVolOfVol: (european_expansion_sabr_type, vix_expansion_sabr_type,
+                            reference_european_lognormal, reference_vix_lognormal),
+        SquareRootVolOfVol: (european_expansion_heston_type, vix_expansion_heston_type,
+                             reference_european_square_root, reference_vix_square_root),
+    }
+
+    @pytest.mark.parametrize("family", [LognormalVolOfVol, SquareRootVolOfVol])
+    def test_matches_the_per_family_closed_forms(self, family):
+        european, vix, ref_european, ref_vix = self.FAMILIES[family]
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for _ in range(1000):
+            local_vol = TaylorLocalVol(rng.uniform(0.5, 1.5), *rng.uniform(-1.0, 1.0, size=3))
+            v0, rho, sigma = rng.uniform(0.01, 0.5), rng.uniform(-0.95, 0.95), rng.uniform(0.2, 3.0)
+            model = LsvModel(s0=1.0, v0=v0, rho=rho, local_vol=local_vol, vol_of_vol=family(sigma))
+            eta = eta_log_coeffs(local_vol)
+            eur, vx = european(model), vix(model)
+            want = ref_european(eta, rho, v0, sigma) + ref_vix(eta, rho, v0, sigma)
+            got = (eur.atm, eur.skew, eur.convexity, vx.atm, vx.skew, vx.convexity)
+            assert (got[-1] is None) == (want[-1] is None)
+            for g, w in zip(got, want):
+                if w is not None:
+                    worst = max(worst, abs(g - w) / max(1.0, abs(w)))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("v0", [1e-4, 0.01, 0.1, 0.5, 3.0])
+    @pytest.mark.parametrize("sigma", [0.2, 1.0, 2.7])
+    def test_elasticity_is_exact(self, v0, sigma):
+        for family, elasticity in ((LognormalVolOfVol, 0.0), (SquareRootVolOfVol, -0.5)):
+            model = table_model(0.0, v0=v0, vol_of_vol=family(sigma))
+            sigma_v0, e = smile._require(model, family)
+            assert sigma_v0 == model.vol_of_vol.sigma_at(v0)
+            assert e == elasticity
 
 
 class TestMeanRevLognormalSmile:

@@ -1,9 +1,11 @@
 """Structural ratchets on the package source.
 
 Each spec class owns its formulas, so callers dispatch on the class rather
-than test its type.  The number of ``isinstance`` calls may only fall, and
-every spec class exposes the same methods as the others of its kind, so a
-new spec cannot quietly need a type ladder in a caller.  The local-vol
+than test its type.  The number of ``isinstance`` calls may only fall, the
+smile expansions read the vol of vol only through ``sigma_at`` and
+``variance_leg``, never its ``sigma`` field, and every spec class exposes
+the same methods as the others of its kind, so a new spec cannot quietly
+need a type ladder in a caller.  The local-vol
 interface is held at five methods: the array ``eta``, the scalar
 ``eta_derivatives`` (whose value at the money also gives the Taylor
 coefficients and decides whether eta is constant), the spot integral, the
@@ -61,6 +63,14 @@ def test_isinstance_sites():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
     ]
     assert len(sites) <= MAX_ISINSTANCE, sites
+
+
+def test_smile_reads_the_vol_of_vol_through_the_spec():
+    # the expansions reach the vol of vol only through sigma_at and
+    # variance_leg, so a per-family transcription in sigma cannot creep back
+    tree = ast.parse((PACKAGE / "smile.py").read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "sigma"]
+    assert not reads, reads
 
 
 def _imported_modules(node) -> list[str]:

@@ -5,12 +5,12 @@ for a driftless lognormal factor is controlled by the function
 
     I(u, v) = 8 F(v/u) + 4 (1 + v^2) / u - 4 pi^2,
 
-where F is defined piecewise through the roots of two transcendental
-equations,
+where F is a stationary value,
 
-    rho * sinh(x1) / x1 = 1          (0 < rho < 1, "cosh" branch),
-    y1 + rho * sin(y1)  = pi         (rho >= 1,    "cos" branch).
+    F(rho) = pi^2/2 + stat_u [-u/2 - rho f(u)],   rho g(u) = 1,
 
+with f(u) = cos(sqrt u) and g(u) = sin(sqrt u)/sqrt u (cosh and sinh of
+sqrt(-u) for u < 0); the stationary u is <= 0 for rho <= 1 and > 0 beyond.
 I is nonnegative and vanishes only at u = v = 1 (the constant variance path).
 The variance-path rate function follows by pure rescaling, see
 :func:`h_lognormal`.
@@ -48,7 +48,9 @@ _F_SERIES_COEFFS = (_PI2_HALF - 1.0, -1.0, 1.0, 2 / 15, 19 / 525, 22 / 2625, 474
 
 @dataclass(frozen=True)
 class FBranchSolution:
-    """Root and value of one branch of the piecewise function F."""
+    """Root and value of F on the branch selected by rho: root = x1 with
+    rho sinh(x1) = x1 on the "cosh" branch (rho <= 1), root = y1 with
+    y1 + rho sin(y1) = pi on the "cos" branch (rho > 1)."""
 
     rho: float
     branch: str  # "cosh" for rho <= 1, "cos" for rho > 1
@@ -56,98 +58,68 @@ class FBranchSolution:
     f_value: float
 
 
-def solve_f_branch(rho: float) -> FBranchSolution:
-    """Solve the defining equation of F on the branch selected by rho."""
+def _stationary_point(rho: float) -> tuple[float, float, float, float]:
+    """(t, u, f(u), F) at the stationary point, t = sqrt|u|.
+
+    In t the condition rho g(u) = 1 reads rho S(t) = t, with (S, f) =
+    (sinh, cosh) and u = -t^2 for rho <= 1, (sin, cos) and u = t^2 beyond.
+    """
     if rho <= 0.0:
         raise ValueError("branch solve requires rho > 0")
     if rho <= 1.0:
-        # rho sinh(x)/x = 1 has a unique positive root for rho < 1, and the
-        # root 0 at rho = 1; small-x expansion gives the starting guess
-        # x ~ sqrt(6 (1 - rho) / rho).
-        def g(x: float) -> float:
-            return rho * math.sinh(x) - x
+        # rho sinh(t) - t = 2/rho - rho^3/8 - t > 0 at t = 2 log(2/rho);
+        # sinh overflows just beyond 705
+        s, c, sign, hi, cap = math.sinh, math.cosh, -1.0, min(2.0 * math.log(2.0 / rho), 705.0), math.inf
+    else:
+        s, c, sign, hi, cap = math.sin, math.cos, 1.0, math.pi, 0.9 * math.pi**2
+    # The guess solves rho (1 +- t^2/6) = 1, kept below pi.  t = 0 is a spurious
+    # root, so the bracket starts inside: the root is about sqrt(6 |1 - rho|),
+    # at least 2.5e-8 wherever rho differs from 1 in floats.  At rho = 1 the
+    # guess and lo are 0, where the equation holds.
+    guess = math.sqrt(min(6.0 * abs(1.0 - rho) / rho, cap))
+    t = newton_bracketed(lambda x: rho * s(x) - x, lambda x: rho * c(x) - 1.0,
+                         guess, min(1e-12, 0.5 * guess), hi)
+    u, f = sign * t * t, c(t)
+    return t, u, f, -0.5 * u - rho * f + _PI2_HALF
 
-        def gp(x: float) -> float:
-            return rho * math.cosh(x) - 1.0
 
-        guess = math.sqrt(6.0 * (1.0 - rho) / rho)
-        hi = 1.0
-        while g(hi) < 0.0:
-            if hi >= 705.0:  # sinh overflows just beyond this
-                raise ArithmeticError("cosh-branch root escaped the search range")
-            hi = min(2.0 * hi, 705.0)
-        # g(0) = 0 is a spurious root; start the bracket strictly inside,
-        # where g is still negative.  The true root exceeds sqrt of machine
-        # epsilon only when 1 - rho does, so 1e-12 stays below it whenever
-        # the branch is numerically distinguishable from rho = 1.  At rho = 1
-        # the guess and lo are 0, where g vanishes: the root is 0.
-        lo = min(1e-12, 0.5 * guess)
-        x1 = newton_bracketed(g, gp, guess, lo, hi)
-        value = 0.5 * x1 * x1 - rho * math.cosh(x1) + _PI2_HALF
-        return FBranchSolution(rho=rho, branch="cosh", root=x1, f_value=value)
-
-    # rho > 1: y + rho sin(y) = pi has the spurious endpoint root y = pi
-    # (sin(pi) = 0) next to the interior root.  Substituting y = pi - d turns
-    # the equation into rho sin(d) = d, the trigonometric mirror of the cosh
-    # branch, which is free of cancellation against pi.
-    def g(d: float) -> float:
-        return rho * math.sin(d) - d
-
-    def gp(d: float) -> float:
-        return rho * math.cos(d) - 1.0
-
-    guess = math.sqrt(min(6.0 * (rho - 1.0) / rho, math.pi**2 * 0.9))
-    lo = min(1e-12, 0.5 * guess) if guess > 0.0 else 1e-12
-    d1 = newton_bracketed(g, gp, guess, lo, math.pi)
-    y1 = math.pi - d1
-    value = -0.5 * y1 * y1 + rho * math.cos(y1) + math.pi * y1
-    return FBranchSolution(rho=rho, branch="cos", root=y1, f_value=value)
+def solve_f_branch(rho: float) -> FBranchSolution:
+    """Solve the stationary equation of F and report it on rho's branch."""
+    t, _, _, value = _stationary_point(rho)
+    if rho <= 1.0:
+        return FBranchSolution(rho=rho, branch="cosh", root=t, f_value=value)
+    return FBranchSolution(rho=rho, branch="cos", root=math.pi - t, f_value=value)
 
 
 def hw_F(rho: float) -> float:
-    """F(rho) evaluated by branch root-solving.
+    """F(rho) evaluated by root-solving.
 
     The ten-term series :func:`hw_F_series` agrees with this to about
     1e-12 for |log rho| <= 0.3, but its truncation error grows like
     |log rho|^10 beyond, so the root-solve is used unconditionally.
     """
-    return solve_f_branch(rho).f_value
+    return _stationary_point(rho)[3]
 
 
 def hw_F_derivatives(rho: float) -> tuple[float, float, float]:
-    """F(rho) with its first two derivatives, from the branch root.
+    """F(rho) with its first two derivatives, from the stationary point.
 
-    Both branches are one stationary form in f(u) = cos(sqrt u) and
-    g(u) = sin(sqrt u)/sqrt u (cosh and sinh for u < 0), with f' = -g/2:
-
-        F = pi^2/2 + stat_u [-u/2 - rho f(u)],   rho g(u) = 1 at the root,
-
-    where u = -x1^2 on the cosh branch and u = (pi - y1)^2 on the cos
-    branch.  The envelope theorem gives F' = -f(u), and differentiating
-    rho g(u) = 1 in rho gives F'' = -1/(2 rho^3 g'(u)).  g' cancels near
-    u = 0 (rho = 1), so |u| <= 1 takes the Taylor series of
-    :mod:`heston_rate`; beyond, rho g' = (rho f - 1)/(2u).  At rho = 1,
+    With f' = -g/2, the envelope theorem gives F' = -f(u), and
+    differentiating rho g(u) = 1 in rho gives F'' = -1/(2 rho^3 g'(u)).
+    g' cancels near u = 0 (rho = 1), so |u| <= 1 takes the Taylor series
+    of :mod:`heston_rate`; beyond, rho g' = (rho f - 1)/(2u).  At rho = 1,
     F' = -1 and F'' = 3.
     """
-    sol = solve_f_branch(rho)
-    if sol.branch == "cosh":
-        u, f = -sol.root * sol.root, math.cosh(sol.root)
-    else:
-        d = math.pi - sol.root
-        u, f = d * d, math.cos(d)
+    _, u, f, value = _stationary_point(rho)
     rho_g1 = rho * _horner(_SINC_D1_SERIES, -u) if abs(u) <= 1.0 else (rho * f - 1.0) / (2.0 * u)
-    return sol.f_value, -f, -0.5 / (rho * rho * rho_g1)
+    return value, -f, -0.5 / (rho * rho * rho_g1)
 
 
 def hw_F_series(rho: float) -> float:
     """Ten-term expansion of F in powers of log(rho) around rho = 1."""
     if rho <= 0.0:
         raise ValueError("series requires rho > 0")
-    el = math.log(rho)
-    out = 0.0
-    for c in reversed(_F_SERIES_COEFFS):
-        out = out * el + c
-    return out
+    return _horner(_F_SERIES_COEFFS, math.log(rho))
 
 
 def rate_I(u: float, v: float) -> float:

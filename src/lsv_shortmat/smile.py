@@ -189,6 +189,8 @@ def _vix_expansion(model: LsvModel, family) -> SmileExpansion:
     sv0 = math.sqrt(v0)
     rho = model.rho
     d = sigma * sigma + 4.0 * eta1 * rho * sigma * sv0 + 4.0 * eta1 * eta1 * v0
+    if d <= 0.0:  # |rho| = 1 and sigma = 2 |eta1| sqrt(V0), up to rounding: no level, no skew
+        return SmileExpansion(0.0, math.nan, math.nan if family is LognormalVolOfVol else None)
     atm = 0.5 * math.sqrt(d)
     w = (sigma * sigma * eta1
          + 2.0 * rho * sigma * sv0 * (eta1 * eta1 + 2.0 * eta0 * eta2)

@@ -252,6 +252,25 @@ class TestUncertifiedSolves:
         assert [r[3] for r in rows] == ["nan", rows[1][2], "nan"]
         assert all(math.isfinite(float(x)) for r in rows for x in r[4:])
 
+    @pytest.mark.parametrize("rho, f1", [(1.0, -0.5), (-1.0, 0.5)])
+    def test_vanishing_vix_level(self, rho, f1, tmp_path, capsys):
+        # sigma = 2 |eta1| sqrt(V0) at |rho| = 1: the ATM VIX level is 0 and
+        # the expansion has no skew, so its column is nan
+        path = tmp_path / "flat_vix.json"
+        path.write_text(json.dumps(dict(TABLE_MODEL, v0=1.0, rho=rho,
+                                        local_vol={"kind": "tanh", "f0": 1.0, "f1": f1, "x0": 0.0},
+                                        vol_of_vol={"kind": "lognormal", "sigma": 1.0})))
+        args = ["--model", str(path), "--product", "vix", "--kcount", "3"]
+        code, out, _ = run_cli(["smile"] + args, capsys)
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert [r[2] for r in rows] == ["nan"] * 3
+        code, out, _ = run_cli(["compare", "--paths", "4096", "--steps", "10"] + args, capsys)
+        _, rows = parse_csv(out)
+        assert code == 0 and len(rows) == 3
+        assert [r[2] for r in rows] == ["nan"] * 3
+        assert all(math.isfinite(float(x)) for r in rows for x in r[4:6])
+
 
 class TestMcAndCompare:
     ARGS = ["--paths", "20000", "--steps", "40", "--seed", "7",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lsv_shortmat._roots import newton_bracketed
 from lsv_shortmat.hartman_watson import (
     _F_SERIES_COEFFS,
     h_lognormal,
@@ -13,6 +14,7 @@ from lsv_shortmat.hartman_watson import (
     rate_I,
     solve_f_branch,
 )
+from lsv_shortmat.heston_rate import _SINC_D1_SERIES, _horner
 
 PI2_HALF = math.pi**2 / 2.0
 
@@ -217,3 +219,89 @@ class TestFDerivatives:
         assert f == hw_F(1.0)
         assert f1 == -1.0
         assert f2 == pytest.approx(3.0, rel=1e-15)
+
+
+# The two-branch solve that one stationary solve replaced, kept as a
+# reference copy: rho sinh(x1) = x1 with its bracket found by doubling for
+# rho <= 1, and y1 + rho sin(y1) = pi through d = pi - y1 for rho > 1.
+
+
+def reference_solve_f_branch(rho):
+    """(branch, root, F) from the branch equation selected by rho."""
+    if rho <= 1.0:
+        def g(x):
+            return rho * math.sinh(x) - x
+
+        def gp(x):
+            return rho * math.cosh(x) - 1.0
+
+        guess = math.sqrt(6.0 * (1.0 - rho) / rho)
+        hi = 1.0
+        while g(hi) < 0.0:
+            if hi >= 705.0:
+                raise ArithmeticError("cosh-branch root escaped the search range")
+            hi = min(2.0 * hi, 705.0)
+        x1 = newton_bracketed(g, gp, guess, min(1e-12, 0.5 * guess), hi)
+        return "cosh", x1, 0.5 * x1 * x1 - rho * math.cosh(x1) + PI2_HALF
+
+    def g(d):
+        return rho * math.sin(d) - d
+
+    def gp(d):
+        return rho * math.cos(d) - 1.0
+
+    guess = math.sqrt(min(6.0 * (rho - 1.0) / rho, math.pi**2 * 0.9))
+    lo = min(1e-12, 0.5 * guess) if guess > 0.0 else 1e-12
+    y1 = math.pi - newton_bracketed(g, gp, guess, lo, math.pi)
+    return "cos", y1, -0.5 * y1 * y1 + rho * math.cos(y1) + math.pi * y1
+
+
+def reference_hw_F_derivatives(rho):
+    branch, root, value = reference_solve_f_branch(rho)
+    if branch == "cosh":
+        u, f = -root * root, math.cosh(root)
+    else:
+        d = math.pi - root
+        u, f = d * d, math.cos(d)
+    rho_g1 = rho * _horner(_SINC_D1_SERIES, -u) if abs(u) <= 1.0 else (rho * f - 1.0) / (2.0 * u)
+    return value, -f, -0.5 / (rho * rho * rho_g1)
+
+
+def _assert_matches_reference(rho):
+    branch, root, _ = reference_solve_f_branch(rho)
+    sol = solve_f_branch(rho)
+    assert (sol.branch, sol.rho) == (branch, rho)
+    assert abs(sol.root - root) <= 1e-14 * root, (rho, sol.root, root)
+    ref = reference_hw_F_derivatives(rho)
+    got = hw_F_derivatives(rho)
+    assert got[0] == sol.f_value == hw_F(rho)
+    for name, g, r in zip(("F", "F'", "F''"), got, ref):
+        assert abs(g - r) <= 1e-14 * abs(r), (name, rho, g, r)
+
+
+class TestTwoBranchReference:
+    def test_seeded_rho(self):
+        # both branches over the rate solver's |log rho| <= 15, and decades
+        # of |log rho| down to 1e-12 on either side of rho = 1
+        rng = np.random.default_rng(22)
+        log_rho = np.concatenate([rng.uniform(-15.0, 15.0, 6000),
+                                  np.outer([1.0, -1.0], 10.0 ** rng.uniform(-12.0, 0.0, 2000)).ravel()])
+        for el in log_rho:
+            _assert_matches_reference(math.exp(el))
+
+    @pytest.mark.parametrize("rho", [1e-150, 1e-250, 1e-303, 1.0])
+    def test_domain_ends(self, rho):
+        # F'' is not compared: it overflows to inf below about 1e-152
+        sol = solve_f_branch(rho)
+        branch, root, value = reference_solve_f_branch(rho)
+        assert sol.branch == branch
+        assert abs(sol.root - root) <= 1e-14 * root
+        assert abs(sol.f_value - value) <= 1e-14 * abs(value)
+
+    def test_past_the_sinh_cap(self):
+        # the root lies past 705, where sinh overflows: the bracket at 705
+        # does not hold it (the two-branch solve raised ArithmeticError)
+        with pytest.raises(ArithmeticError):
+            reference_solve_f_branch(1e-305)
+        with pytest.raises(ValueError, match="not bracketed"):
+            hw_F(1e-305)

@@ -165,6 +165,32 @@ class TestVixAtmBounds:
             assert lo <= vix_expansion_heston_type(table_model(rho, **base)).atm <= hi
 
 
+class TestVixLevelVanishes:
+    """The squared ATM VIX level d = sigma^2 + 4 eta1 rho sigma sqrt(V0) +
+    4 eta1^2 V0 is 0 at |rho| = 1 with sigma(V0) = 2 |eta1| sqrt(V0); the
+    expansion reports a zero level and no skew there instead of raising."""
+
+    @pytest.mark.parametrize("rho, f1", [(1.0, -0.5), (-1.0, 0.5)])
+    def test_exact_zero(self, rho, f1):
+        base = dict(v0=1.0, local_vol=TanhLocalVol(1.0, f1, 0.0))
+        lognormal = vix_expansion_sabr_type(table_model(rho, vol_of_vol=LognormalVolOfVol(1.0), **base))
+        assert lognormal.atm == 0.0
+        assert math.isnan(lognormal.skew) and math.isnan(lognormal.convexity)
+        # sigma(V0) = sigma / sqrt(V0) = 1 for the square-root family
+        square_root = vix_expansion_heston_type(table_model(rho, vol_of_vol=SquareRootVolOfVol(1.0), **base))
+        assert square_root.atm == 0.0
+        assert math.isnan(square_root.skew) and square_root.convexity is None
+        assert vix_atm_bounds(table_model(rho, vol_of_vol=LognormalVolOfVol(1.0), **base))[0] == 0.0
+
+    def test_rounds_below_zero(self):
+        # d evaluates to -2.8e-17 here, where the square root used to raise
+        sigma = 2 * 0.7 * math.sqrt(0.1)
+        exp = vix_expansion_sabr_type(table_model(1.0, local_vol=TanhLocalVol(1.0, -0.7, 0.0),
+                                                  vol_of_vol=LognormalVolOfVol(sigma)))
+        assert exp.atm == 0.0
+        assert math.isnan(exp.skew) and math.isnan(exp.convexity)
+
+
 class TestEuropeanHestonType:
     def test_pure_heston_coefficients(self):
         # eta = 1 limit: skew rho sigma/(4 sqrt(V0)), convexity

@@ -13,10 +13,11 @@ eta^2 inverse and the proxy bounds.  A spec without a finite answer still
 carries the method and raises ValueError from it: only a monotone tanh eta
 inverts eta^2.  A sixth method must be added here deliberately.  Every scalar root
 goes through the one safeguarded solver in ``_roots``, so no module brings
-in another.  Monte Carlo pricing reads everything it needs from the
-samples, tells the products apart in one place and leaves output formats
-to the CLI.  A model file is read and written through one ``{kind: class}``
-table per spec kind, never by per-class JSON code.  The package reads no
+in another, and the Hartman-Watson F calls it once for both branches.
+Monte Carlo pricing reads everything it needs from the samples, tells the
+products apart in one place and leaves output formats to the CLI.  A model
+file is read and written through one ``{kind: class}`` table per spec
+kind, never by per-class JSON code.  The package reads no
 environment variables, and the Monte Carlo engine works out its own worker
 count, so no caller passes one.  numpy is the one runtime dependency, and
 only the Monte Carlo engine imports it at module level: the package, its
@@ -38,7 +39,7 @@ from pathlib import Path
 import pytest
 
 import lsv_shortmat
-from lsv_shortmat import heston_rate, mc_engine, model, rate_solver
+from lsv_shortmat import hartman_watson, heston_rate, mc_engine, model, rate_solver
 
 PACKAGE = Path(model.__file__).resolve().parent
 # the remaining sites: cli._expansion_for, smile._require and the two input
@@ -102,6 +103,21 @@ def test_one_root_solver():
     assert not foreign, foreign
     assert not scipy_imports, scipy_imports
     assert definitions == ["_roots.py"]
+
+
+def test_one_f_solve():
+    # both branches of the Hartman-Watson F are one stationary equation
+    tree = ast.parse(Path(hartman_watson.__file__).read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "newton_bracketed"]
+    assert len(calls) == 1, calls
+
+
+def test_rate_I_reads_hw_F_through_the_module(monkeypatch):
+    # the benchmark tracer counts F evaluations by rebinding this name
+    before = hartman_watson.rate_I(1.2, 0.9)
+    monkeypatch.setattr(hartman_watson, "hw_F", lambda rho: 0.0)
+    assert hartman_watson.rate_I(1.2, 0.9) != before
 
 
 def _module_level_imports(tree):

@@ -14,17 +14,7 @@ import importlib
 
 from .black_scholes import OptionQuote, black_price, black_vega, implied_vol
 from .hartman_watson import FBranchSolution, h_lognormal, hw_F, hw_F_series, rate_I, solve_f_branch
-from .heston_rate import (
-    CumulantPoint,
-    boundary_theta_c,
-    cumulant,
-    h_heston,
-    legendre_point,
-    marginal_J1,
-    marginal_J2,
-    rate_IH_numeric,
-    rate_IH_series,
-)
+from .heston_rate import h_heston, legendre_point, marginal_J1, marginal_J2, rate_IH_numeric, rate_IH_series
 from .model import (
     ConstantDrift,
     ConstantLocalVol,
@@ -38,7 +28,6 @@ from .model import (
     check_moment_condition,
     eta_eval,
     eta_log_coeffs,
-    eta_sq_inverse,
     load_model,
     model_from_dict,
     model_to_dict,

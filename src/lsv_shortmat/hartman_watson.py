@@ -108,11 +108,13 @@ def hw_F_derivatives(rho: float) -> tuple[float, float, float]:
     differentiating rho g(u) = 1 in rho gives F'' = -1/(2 rho^3 g'(u)).
     g' cancels near u = 0 (rho = 1), so |u| <= 1 takes the Taylor series
     of :mod:`heston_rate`; beyond, rho g' = (rho f - 1)/(2u).  At rho = 1,
-    F' = -1 and F'' = 3.
+    F' = -1 and F'' = 3.  g' < 0, so F'' > 0 everywhere; below rho of about
+    1e-160 the denominator underflows to -0.0 and F'' is +inf.
     """
     _, u, f, value = _stationary_point(rho)
     rho_g1 = rho * _horner(_SINC_D1_SERIES, -u) if abs(u) <= 1.0 else (rho * f - 1.0) / (2.0 * u)
-    return value, -f, -0.5 / (rho * rho * rho_g1)
+    den = rho * rho * rho_g1
+    return value, -f, -0.5 / den if den else math.inf
 
 
 def hw_F_series(rho: float) -> float:

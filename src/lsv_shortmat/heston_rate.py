@@ -8,7 +8,8 @@ dV = mu V dt + sigma sqrt(V) dZ has the closed form
                  sigma       sqrt(2 theta) - sigma phi tan(c)
 
 with c = sigma sqrt(2 theta) / 2, and the analogous tanh expression for
-theta < 0.  The joint rate function is its Legendre-Fenchel transform
+theta < 0.  Nothing here evaluates Lambda itself: it defines the joint rate
+function, its Legendre-Fenchel transform
 
     I_H(x, y) = sup_{theta, phi} [theta x + phi y - Lambda(theta, phi)],
 
@@ -27,12 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._roots import newton_bracketed
-
 __all__ = [
-    "CumulantPoint",
-    "cumulant",
-    "boundary_theta_c",
     "LegendrePoint",
     "legendre_point",
     "rate_IH_numeric",
@@ -43,88 +39,15 @@ __all__ = [
 ]
 
 
+# Names of retired layers that the benchmark tracer (perfbench/tracing.py)
+# still reads and rebinds here; nothing calls them, so they resolve to None.
+_TRACED_RETIRED = ("cumulant", "minimize")
+
+
 def __getattr__(name):
-    # No code here calls scipy.  The benchmark tracer (perfbench/tracing.py)
-    # still reads and rebinds ``minimize`` on this module to count calls, so
-    # it resolves on first access, and only then is scipy imported.
-    if name == "minimize":
-        import scipy.optimize
-
-        return scipy.optimize.minimize
+    if name in _TRACED_RETIRED:
+        return None
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@dataclass(frozen=True)
-class CumulantPoint:
-    """Cumulant value at (theta, phi); in_domain is False past the boundary
-    curves, where the value is +inf."""
-
-    theta: float
-    phi: float
-    sigma: float
-    value: float
-    in_domain: bool
-
-
-def cumulant(theta: float, phi: float, sigma: float) -> CumulantPoint:
-    """Evaluate the scaled cumulant, flagging out-of-domain points.
-
-    The theta > 0 branch is written with the tangent expanded into
-    sine/cosine so that nothing blows up at c = pi/2 (the pole cancels
-    between numerator and denominator); the domain edge is where the
-    denominator changes sign, capped at c = pi.
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if theta == 0.0:
-        if sigma * sigma * phi < 2.0:
-            val = phi / (1.0 - sigma * sigma * phi / 2.0)
-            return CumulantPoint(theta, phi, sigma, val, True)
-        return CumulantPoint(theta, phi, sigma, math.inf, False)
-    if theta > 0.0:
-        s2t = math.sqrt(2.0 * theta)
-        c = sigma * s2t / 2.0
-        if c >= math.pi:
-            return CumulantPoint(theta, phi, sigma, math.inf, False)
-        den = s2t * math.cos(c) - sigma * phi * math.sin(c)
-        if den <= 0.0:
-            return CumulantPoint(theta, phi, sigma, math.inf, False)
-        num = s2t * math.sin(c) + sigma * phi * math.cos(c)
-        return CumulantPoint(theta, phi, sigma, (s2t / sigma) * num / den, True)
-    s2t = math.sqrt(-2.0 * theta)
-    t = math.tanh(sigma * s2t / 2.0)
-    den = s2t - sigma * phi * t
-    if den <= 0.0:
-        return CumulantPoint(theta, phi, sigma, math.inf, False)
-    num = sigma * phi - s2t * t
-    return CumulantPoint(theta, phi, sigma, (s2t / sigma) * num / den, True)
-
-
-def boundary_theta_c(phi: float, sigma: float) -> float:
-    """Smallest theta > 0 on the cumulant domain boundary at fixed phi.
-
-    Parameterised by c = sigma sqrt(2 theta)/2 in (0, pi), the boundary is
-    the first zero of sqrt(2 theta) cos(c) - sigma phi sin(c).  For
-    sigma^2 phi >= 2 the domain is empty already at theta = 0 and the
-    function returns 0.
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if sigma * sigma * phi >= 2.0:
-        return 0.0
-
-    def g(c: float) -> float:
-        return (2.0 * c / sigma) * math.cos(c) - sigma * phi * math.sin(c)
-
-    def gp(c: float) -> float:
-        return (2.0 / sigma) * (math.cos(c) - c * math.sin(c)) - sigma * phi * math.cos(c)
-
-    lo, hi = 1e-12, math.pi * (1.0 - 1e-14)
-    if g(lo) <= 0.0 or g(hi) >= 0.0:
-        return math.inf
-    # g(pi/2) = -sigma phi: the root lies below pi/2 for phi > 0, above for phi < 0
-    c_star = newton_bracketed(g, gp, 0.5 * math.pi, lo, hi)
-    return 2.0 * c_star * c_star / (sigma * sigma)
 
 
 @dataclass(frozen=True)

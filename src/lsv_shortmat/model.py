@@ -14,15 +14,11 @@ Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
 * ``eta_derivatives(k)``     - eta and its first three derivatives at a
   float k, in plain ``math``: the one scalar eta, which also gives the
   Taylor coefficients at the money (:func:`eta_log_coeffs`);
-* ``inv_eta_integral(L)``    - the integral of 1/eta over k in [0, L];
-* ``eta_sq_log_inverse(w)``  - the k at which eta(k)^2 = w, for an
-  attainable w.  Only a tanh eta with f1 != 0 is strictly monotone; the
-  Taylor and constant specs raise ValueError for every w.
+* ``inv_eta_integral(L)``    - the integral of 1/eta over k in [0, L].
 
-The module-level helpers (:func:`eta_eval`, :func:`eta_log_coeffs`,
-:func:`eta_sq_inverse`) delegate to them.  Each drift
-spec class gives its dV drift at an ndarray v, ``dv_drift(v, out)`` (0, or
-mu v or a (b - v) written into ``out``), and
+The module-level helpers (:func:`eta_eval`, :func:`eta_log_coeffs`)
+delegate to them.  Each drift spec class gives its dV drift at an ndarray
+v, ``dv_drift(v, out)`` (0, or mu v or a (b - v) written into ``out``), and
 ``constant_mu()``, the mu of dV/V if it is constant, else None.
 
 Each vol-of-vol spec class owns the rest of the factor's maths, in terminal
@@ -33,6 +29,8 @@ log-variance y, w = y - log v0 and log u = log(z / v0):
 * ``path_rate(log_u, w, v0)`` - the variance-path rate function H with its
   gradient, Hessian and rounding error in (log u, w);
 * ``variance_rate(v, v0)``   - the stochastic-vol rate of reaching variance v;
+* ``mean_variance(v, v0)``   - the time-averaged variance along the path
+  that attains that rate;
 * ``sigma_at(v0)``           - the vol of vol sigma(V0) of dV/V at V0;
 * ``variance_step(v, v_pos, z, dt, sqrt_v_pos, work)`` - one Monte Carlo
   step of V, by the scheme ``mc_scheme()`` names, in place in the arrays
@@ -79,7 +77,6 @@ __all__ = [
     "LsvModel",
     "eta_eval",
     "eta_log_coeffs",
-    "eta_sq_inverse",
     "vix_spot",
     "check_moment_condition",
     "model_from_dict",
@@ -119,9 +116,7 @@ def _gl_adaptive(f, a: float, b: float, rel_tol: float = 1e-10, depth: int = 0) 
 class TanhLocalVol:
     """Bounded local volatility eta(s) = f0 + f1 * tanh(log(s/s0) - x0).
 
-    Requires f0 > |f1| so that eta stays strictly positive.  The function is
-    strictly monotone in s whenever f1 != 0, which makes eta^2 invertible;
-    f1 = 0 leaves no w attainable.
+    Requires f0 > |f1| so that eta stays strictly positive.
     """
 
     f0: float
@@ -173,18 +168,6 @@ class TanhLocalVol:
             log_ratio = a + math.log(0.5 * ((1.0 + ts) + (1.0 - ts) * math.exp(-2.0 * a)))
         return (f0 * L - f1 * log_ratio) / ((f0 - f1) * (f0 + f1))
 
-    def eta_sq_log_inverse(self, w: float) -> float:
-        """Closed form k = x0 + atanh((sqrt(w) - f0) / f1) of eta(k)^2 = w,
-        for w in the open range ((f0 - |f1|)^2, (f0 + |f1|)^2) of eta^2;
-        f1 = 0 leaves that range empty."""
-        lo, hi = self.f0 - abs(self.f1), self.f0 + abs(self.f1)
-        w_lo, w_hi = lo * lo, hi * hi
-        if w <= 0.0:
-            raise ValueError("target of eta^2 inversion must be positive")
-        if not (w_lo < w < w_hi):
-            raise ValueError(f"eta^2 target {w} outside attainable range ({w_lo}, {w_hi})")
-        return self.x0 + math.atanh((math.sqrt(w) - self.f0) / self.f1)
-
     def proxy_bounds(self) -> tuple[float, float, float]:
         """(|f1|, f0 + |f1|, sup over s of |(eta^2)''(s) s^2|).
 
@@ -211,8 +194,7 @@ class TaylorLocalVol:
 
     eta(s) = eta0 + eta1*k + eta2*k^2 + eta3*k^3 with k = log(s/s0).
     Intended for smile-expansion work near the money; it is not guaranteed
-    positive or monotone far from s0, so it neither inverts eta^2 nor has
-    finite proxy bounds: both raise ValueError.
+    positive far from s0, so it has no finite proxy bounds.
     """
 
     eta0: float
@@ -252,9 +234,6 @@ class TaylorLocalVol:
 
         return _gl_adaptive(f, 0.0, L)
 
-    def eta_sq_log_inverse(self, w: float) -> float:
-        raise ValueError("taylor local vol is not guaranteed monotone; eta^2 inversion unsupported")
-
     def proxy_bounds(self) -> tuple[float, float, float]:
         raise ValueError("taylor local vol is unbounded; no finite proxy bounds")
 
@@ -262,7 +241,7 @@ class TaylorLocalVol:
 @dataclass(frozen=True)
 class ConstantLocalVol:
     """eta(s) = 1: pure stochastic volatility dynamics (scale V0 for
-    another level).  Like a tanh eta with f1 = 0 it does not invert eta^2."""
+    another level)."""
 
     def eta(self, k, out=None):
         import numpy as np
@@ -277,9 +256,6 @@ class ConstantLocalVol:
 
     def inv_eta_integral(self, L: float) -> float:
         return L
-
-    def eta_sq_log_inverse(self, w: float) -> float:
-        raise ValueError("constant local vol is not monotone; eta^2 inversion unsupported")
 
     def proxy_bounds(self) -> tuple[float, float, float]:
         return 0.0, 1.0, 0.0
@@ -410,6 +386,13 @@ class LognormalVolOfVol:
         = log^2(v / v0) / (2 sigma^2)."""
         return math.log(v / v0) ** 2 / (2.0 * self.sigma * self.sigma)
 
+    def mean_variance(self, v: float, v0: float) -> float:
+        """Time average v0 (r - 1) / log r, r = v / v0, of the path
+        V_t = v0 r^t that attains :meth:`variance_rate` (log V linear in t);
+        v0 where r rounds to 1."""
+        r = v / v0
+        return v0 if r == 1.0 else v0 * (r - 1.0) / math.log(r)
+
     def sigma_at(self, v0: float) -> float:
         return self.sigma
 
@@ -472,6 +455,12 @@ class SquareRootVolOfVol:
         """J = 2 (sqrt(v) - sqrt(v0))^2 / sigma^2, as for the lognormal factor."""
         return 2.0 * (math.sqrt(v) - math.sqrt(v0)) ** 2 / (self.sigma * self.sigma)
 
+    def mean_variance(self, v: float, v0: float) -> float:
+        """Time average (v0 + sqrt(v0 v) + v) / 3 of the path that attains
+        :meth:`variance_rate` (sqrt(V) linear in t); v0 where v / v0 rounds
+        to 1."""
+        return v0 if v / v0 == 1.0 else (v0 + math.sqrt(v0 * v) + v) / 3.0
+
     def sigma_at(self, v0: float) -> float:
         return self.sigma / math.sqrt(v0)
 
@@ -527,12 +516,6 @@ def eta_log_coeffs(spec: LocalVolSpec, order: int = 3) -> list[float]:
         raise ValueError("order must be one of 0, 1, 2, 3")
     eta, d1, d2, d3 = spec.eta_derivatives(0.0)
     return [eta, d1, d2 / 2.0, d3 / 6.0][: order + 1]
-
-
-def eta_sq_inverse(spec: LocalVolSpec, w: float, s0: float) -> float:
-    """Solve eta(s)^2 = w for s, for strictly monotone local volatility
-    (``eta_sq_log_inverse`` on the spec)."""
-    return s0 * math.exp(spec.eta_sq_log_inverse(w))
 
 
 def vix_spot(model: LsvModel) -> float:

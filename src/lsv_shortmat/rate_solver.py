@@ -37,10 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# h_lognormal, h_heston and eta_sq_inverse are bound here only for the
-# benchmark tracer (perfbench/tracing.py), which rebinds them by name
-from .hartman_watson import h_lognormal  # noqa: F401
-from .heston_rate import h_heston  # noqa: F401
 from .model import (
     ConstantLocalVol,
     LocalVolSpec,
@@ -48,7 +44,6 @@ from .model import (
     LsvModel,
     VolOfVolSpec,
     eta_log_coeffs,
-    eta_sq_inverse,  # noqa: F401
     vix_spot,
 )
 
@@ -64,15 +59,14 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # The solver calls no scipy minimiser.  The benchmark tracer
-    # (perfbench/tracing.py) still reads and rebinds these two names on this
-    # module to count calls, so they resolve on first access, and only then
-    # is scipy imported: a CLI run never loads it.
-    if name in ("minimize", "minimize_scalar"):
-        import scipy.optimize
+# Names of retired layers that the benchmark tracer (perfbench/tracing.py)
+# still reads and rebinds here; nothing calls them, so they resolve to None.
+_TRACED_RETIRED = ("eta_sq_inverse", "h_heston", "h_lognormal", "minimize", "minimize_scalar")
 
-        return getattr(scipy.optimize, name)
+
+def __getattr__(name):
+    if name in _TRACED_RETIRED:
+        return None
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -367,14 +361,16 @@ def vix_rate(model: LsvModel, strike: float) -> RatePoint:
     eta is flat at eta0 to double precision near the money (pure stochastic
     volatility when eta0 = 1): the VIX eta0 sqrt(V_T) pins the terminal
     variance at K^2/eta0^2 and leaves the spot free, so the rate is the
-    vol-of-vol spec's ``variance_rate``, for every rho.
+    vol-of-vol spec's ``variance_rate``, for every rho, and the minimiser's
+    time-averaged variance its ``mean_variance``.
     """
     eta0, eta1, eta2, eta3 = eta_log_coeffs(model.local_vol)
     exact = None
     if eta1 == eta2 == eta3 == 0.0:
         def exact():
-            rate = model.vol_of_vol.variance_rate(strike * strike / (eta0 * eta0), model.v0)
-            return RatePoint(strike, rate, 2.0 * math.log(strike / eta0), model.v0, 0, True)
+            vol, v = model.vol_of_vol, strike * strike / (eta0 * eta0)
+            return RatePoint(strike, vol.variance_rate(v, model.v0), 2.0 * math.log(strike / eta0),
+                             vol.mean_variance(v, model.v0), 0, True)
 
     return _solve(model, strike, vix_spot(model), lambda: _vix_leg(model, strike), exact)
 

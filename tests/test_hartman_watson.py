@@ -220,6 +220,17 @@ class TestFDerivatives:
         assert f1 == -1.0
         assert f2 == pytest.approx(3.0, rel=1e-15)
 
+    @pytest.mark.parametrize("rho", [1e-161, 1e-165, 1e-300])
+    def test_underflowing_curvature_is_inf(self, rho):
+        # F'' = -1/(2 rho^3 g') > 0, and rho^2 (rho g') underflows to -0.0
+        f, f1, f2 = hw_F_derivatives(rho)
+        assert (f, f1) == (hw_F(rho), -math.cosh(solve_f_branch(rho).root))
+        assert f2 == math.inf
+
+    def test_curvature_unchanged_above_the_underflow(self):
+        assert hw_F_derivatives(1e-150) == reference_hw_F_derivatives(1e-150)
+        assert hw_F_derivatives(1e-150)[2] == pytest.approx(3.53e302, rel=1e-3)
+
 
 # The two-branch solve that one stationary solve replaced, kept as a
 # reference copy: rho sinh(x1) = x1 with its bracket found by doubling for

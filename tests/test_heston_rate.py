@@ -10,8 +10,6 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from lsv_shortmat import cli, heston_rate
 from lsv_shortmat.heston_rate import (
     _profile_terms,
-    boundary_theta_c,
-    cumulant,
     h_heston,
     legendre_point,
     marginal_J1,
@@ -21,6 +19,7 @@ from lsv_shortmat.heston_rate import (
 )
 from lsv_shortmat.model import SquareRootVolOfVol, load_model, vix_spot
 from lsv_shortmat.rate_solver import european_rate, vix_rate
+from oracles import boundary_theta_c, cumulant
 
 MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 GRID_SIGMAS = (0.5, 1.0, 2.0)
@@ -462,19 +461,22 @@ class TestConvergenceCertificate:
     @pytest.mark.parametrize("name", ["tanh_sqrt_rho_m07", "tanh_sqrt_rho_0"])
     @pytest.mark.parametrize("product", ["european", "vix"])
     def test_smile_needs_no_nelder_mead(self, name, product, monkeypatch, tmp_path):
-        calls = []
+        # there is no fallback to run: every transform along the smile must
+        # certify its maximiser
+        certified = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return minimize(*args, **kwargs)
+        def recording(*args):
+            pt = legendre_point(*args)
+            certified.append(pt.converged)
+            return pt
 
-        monkeypatch.setattr(heston_rate, "minimize", counting)
+        monkeypatch.setattr(heston_rate, "legendre_point", recording)
         out = tmp_path / "smile.csv"
         argv = ["smile", "--model", str(MODELS_DIR / f"{name}.json"), "--product", product,
                 "--kmin", "-0.3", "--kmax", "0.3", "--kcount", "25", "--out", str(out)]
         assert cli.main(argv) == 0
         assert len(out.read_text().splitlines()) == 26
-        assert len(calls) == 0
+        assert certified and all(certified)
 
     def test_forced_non_certification_reports_unconverged(self, monkeypatch):
         # there is no fallback: an uncertified maximiser is returned as Newton

@@ -28,18 +28,18 @@ from lsv_shortmat.model import (
     check_moment_condition,
     eta_eval,
     eta_log_coeffs,
-    eta_sq_inverse,
     load_model,
     model_from_dict,
     model_to_dict,
     vix_spot,
 )
+from oracles import tanh_eta_sq_log_inverse
 
 TANH = TanhLocalVol(f0=1.0, f1=-0.5, x0=0.0)
 
 
 def _eta_sq_range(spec):
-    """The open range of eta^2 that a tanh ``eta_sq_log_inverse`` accepts:
+    """The open range of eta^2 that ``tanh_eta_sq_log_inverse`` accepts:
     between the squares of f0 -+ |f1|."""
     lo, hi = spec.f0 - abs(spec.f1), spec.f0 + abs(spec.f1)
     return lo * lo, hi * hi
@@ -181,43 +181,29 @@ class TestEtaDerivatives:
 
 
 class TestEtaSqInverse:
+    """The tanh closed-form inverse of eta^2, the VIX oracle of the rate
+    solver's tests."""
+
     def test_unit_target(self):
-        assert eta_sq_inverse(TANH, 1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert tanh_eta_sq_log_inverse(TANH, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_forward_then_invert(self):
         w = eta_eval(TANH, math.e, 1.0) ** 2
-        assert eta_sq_inverse(TANH, w, 1.0) == pytest.approx(math.e, rel=1e-10)
+        assert tanh_eta_sq_log_inverse(TANH, w) == pytest.approx(1.0, rel=1e-10)
 
     @pytest.mark.parametrize("spec", [TANH, TanhLocalVol(1.1, 0.4, 0.3)])
     def test_round_trip_grid(self, spec):
         s0 = 1.3
         for k in np.linspace(-3.0, 3.0, 41):
-            s = s0 * math.exp(k)
-            w = eta_eval(spec, s, s0) ** 2
-            assert eta_sq_inverse(spec, w, s0) == pytest.approx(s, rel=1e-10)
+            w = eta_eval(spec, s0 * math.exp(k), s0) ** 2
+            assert tanh_eta_sq_log_inverse(spec, w) == pytest.approx(k, abs=1e-10)
 
     def test_out_of_range(self):
         lo, hi = _eta_sq_range(TANH)
         with pytest.raises(ValueError):
-            eta_sq_inverse(TANH, hi * 1.01, 1.0)
+            tanh_eta_sq_log_inverse(TANH, hi * 1.01)
         with pytest.raises(ValueError):
-            eta_sq_inverse(TANH, lo * 0.99, 1.0)
-
-    @pytest.mark.parametrize("spec", [
-        ConstantLocalVol(),
-        TaylorLocalVol(eta0=1.0, eta1=0.0, eta2=0.5),
-        TaylorLocalVol(eta0=1.0, eta1=-0.2),
-        TaylorLocalVol(0.5754, -0.00637),
-        TaylorLocalVol(1.2, 0.3, 0.01, 1e-4),
-    ], ids=["constant", "taylor-convex", "taylor-linear", "taylor-flat", "taylor-cubic"])
-    def test_inverse_refused_without_a_monotone_tanh(self, spec):
-        # only a tanh eta with f1 != 0 promises a strictly monotone eta; the
-        # constant spec refuses w = 1 as the tanh spec with f1 = 0 does
-        for w in (0.25, 1.0, 1.44):
-            with pytest.raises(ValueError):
-                spec.eta_sq_log_inverse(w)
-            with pytest.raises(ValueError):
-                eta_sq_inverse(spec, w, 1.3)
+            tanh_eta_sq_log_inverse(TANH, lo * 0.99)
 
     @pytest.mark.parametrize("spec", [
         TANH,
@@ -230,21 +216,16 @@ class TestEtaSqInverse:
         w_lo, w_hi = _eta_sq_range(spec)
         ws = list(np.linspace(w_lo, w_hi, 23)[1:-1]) + [w_lo * (1.0 + 1e-9), w_hi * (1.0 - 1e-9)]
         for w in ws:
-            k = spec.eta_sq_log_inverse(w)
+            k = tanh_eta_sq_log_inverse(spec, w)
             assert float(spec.eta(k)) ** 2 == pytest.approx(w, rel=1e-13)
-            s = eta_sq_inverse(spec, w, 1.3)
-            assert eta_eval(spec, s, 1.3) ** 2 == pytest.approx(w, rel=1e-13)
+            assert eta_eval(spec, 1.3 * math.exp(k), 1.3) ** 2 == pytest.approx(w, rel=1e-13)
 
     def test_closed_form_matches_root_finding(self):
         # the Brent root of eta(k) = sqrt(w), independent of the atanh form
         spec = TanhLocalVol(1.1, 0.4, 0.3)
         for w in (0.6, 1.0, 1.21, 1.9):
             root = brentq(lambda k: float(spec.eta(k)) - math.sqrt(w), -30.0, 30.0, xtol=1e-15)
-            assert spec.eta_sq_log_inverse(w) == pytest.approx(root, abs=1e-13)
-
-    def test_f1_zero_rejected(self):
-        with pytest.raises(ValueError):
-            eta_sq_inverse(TanhLocalVol(1.0, 0.0), 1.0, 1.0)
+            assert tanh_eta_sq_log_inverse(spec, w) == pytest.approx(root, abs=1e-13)
 
 
 class TestVixSpot:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from lsv_shortmat.model import (
     TaylorLocalVol,
     ZeroDrift,
     eta_eval,
-    eta_sq_inverse,
     load_model,
     vix_spot,
 )
@@ -42,6 +42,7 @@ from lsv_shortmat.smile import (
     vix_expansion_heston_type,
     vix_expansion_sabr_type,
 )
+from oracles import tanh_eta_sq_log_inverse
 
 TANH = TanhLocalVol(1.0, -0.5, 0.0)
 
@@ -263,6 +264,24 @@ class TestVixRate:
         for strike in (0.25, 0.35):
             pt = vix_rate(model, strike)
             assert abs(pt.rate - stochvol_vix_rate(model.vol_of_vol, model.v0, strike)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["constant_lognormal_rho_m07", "tanh_sqrt_rho_m07"])
+    @pytest.mark.parametrize("k", [-0.3, 0.3])
+    def test_constant_eta_minimizer_matches_general_solve(self, name, k):
+        # the closed form's minimiser against the general solver on a
+        # near-flat tanh eta, which takes the two-variable path
+        base = load_model(str(MODELS_DIR / f"{name}.json"))
+        exact = vix_rate(replace(base, local_vol=ConstantLocalVol()), math.sqrt(base.v0) * math.exp(k))
+        flat = replace(base, local_vol=TanhLocalVol(1.0, 1e-9))
+        general = vix_rate(flat, vix_spot(flat) * math.exp(k))
+        assert exact.iterations == 0 and general.iterations > 0 and general.converged
+        assert exact.minimizer_z == pytest.approx(general.minimizer_z, rel=1e-8)
+        assert exact.minimizer_z != base.v0
+
+    @pytest.mark.parametrize("vol_of_vol", [LognormalVolOfVol(2.0), SquareRootVolOfVol(1.0)])
+    def test_constant_eta_minimizer_at_the_money_limit(self, vol_of_vol):
+        assert vol_of_vol.mean_variance(0.1, 0.1) == 0.1
+        assert vol_of_vol.mean_variance(0.1 * (1.0 + 1e-12), 0.1) == pytest.approx(0.1, rel=1e-12)
 
     @pytest.mark.parametrize("rho", [1.0, -1.0])
     def test_constant_eta_at_full_correlation(self, rho):
@@ -613,9 +632,9 @@ def _objective(model, product, log_moneyness):
 def _value_objective(model, product, log_moneyness):
     """The objective's value over (log u, w), w = y - log v0, built from the
     public value functions alone: h_lognormal / h_heston, vol_integral_Q and
-    integral_IS, for VIX options up to the spot level that eta_sq_inverse
-    gives for eta^2 = K^2 e^{-y}.  Independent of the solver's parametrisation
-    of the VIX constraint curve."""
+    integral_IS, for VIX options up to the spot level that the tanh
+    closed-form inverse gives for eta^2 = K^2 e^{-y}.  Independent of the
+    solver's parametrisation of the VIX constraint curve."""
     vol = model.vol_of_vol
     h_fn = h_lognormal if isinstance(vol, LognormalVolOfVol) else h_heston
     v0, rho, log_v0 = model.v0, model.rho, math.log(model.v0)
@@ -626,8 +645,8 @@ def _value_objective(model, product, log_moneyness):
         k2 = (vix_spot(model) * math.exp(log_moneyness)) ** 2
 
         def spot(y):
-            s_star = eta_sq_inverse(model.local_vol, k2 * math.exp(-y), model.s0)
-            return integral_IS(model.local_vol, model.s0, s_star / model.s0)
+            k = tanh_eta_sq_log_inverse(model.local_vol, k2 * math.exp(-y))
+            return integral_IS(model.local_vol, model.s0, math.exp(k))
 
     def objective(log_u, w):
         z, y = v0 * math.exp(log_u), log_v0 + w
@@ -818,12 +837,9 @@ class TestTrustRegionSweep:
 
 class TestSingleSolver:
     @pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: p.stem)
-    def test_no_scipy_minimiser_runs(self, path, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the rate solver must not fall back to a scipy minimiser")
-
-        monkeypatch.setattr(rate_solver, "minimize", forbidden)
-        monkeypatch.setattr(rate_solver, "minimize_scalar", forbidden)
+    def test_no_scipy_minimiser_runs(self, path):
+        # the package imports no scipy (test_structure), so every solve on
+        # the default grid must be certified by the one trust-region solver
         model = load_model(str(path))
         # the CLI's default smile/rate grid
         for k in np.linspace(-0.3, 0.3, 21):

@@ -6,14 +6,14 @@ smile expansions read the vol of vol only through ``sigma_at`` and
 ``variance_leg``, never its ``sigma`` field, and every spec class exposes
 the same methods as the others of its kind, so a new spec cannot quietly
 need a type ladder in a caller.  The local-vol
-interface is held at five methods: the array ``eta``, the scalar
+interface is held at four methods: the array ``eta``, the scalar
 ``eta_derivatives`` (whose value at the money also gives the Taylor
-coefficients and decides whether eta is constant), the spot integral, the
-eta^2 inverse and the proxy bounds.  A spec without a finite answer still
-carries the method and raises ValueError from it: only a monotone tanh eta
-inverts eta^2.  A sixth method must be added here deliberately.  Every scalar root
-goes through the one safeguarded solver in ``_roots``, so no module brings
-in another, and the Hartman-Watson F calls it once for both branches.
+coefficients and decides whether eta is constant), the spot integral and
+the proxy bounds.  A spec without a finite answer still carries the method
+and raises ValueError from it.  A fifth method must be added here
+deliberately.  Every scalar root goes through the one safeguarded solver in
+``_roots``, so no module brings in another, and the Hartman-Watson F calls
+it once for both branches.
 Monte Carlo pricing reads everything it needs from the samples, tells the
 products apart in one place and leaves output formats to the CLI.  A model
 file is read and written through one ``{kind: class}`` table per spec
@@ -22,9 +22,11 @@ environment variables, and the Monte Carlo engine works out its own worker
 count, so no caller passes one.  numpy is the one runtime dependency, and
 only the Monte Carlo engine imports it at module level: the package, its
 model files and the analytic commands load neither numpy nor the thread
-pool, and the package still exports every name it did.  scipy is imported
-only by the module ``__getattr__`` hooks that hand the benchmark tracer the
-scipy minimisers it counts, so no CLI run loads it.
+pool, and the package still exports every name it did but the retired
+eta^2 inverse and cumulant oracles.  No module imports scipy, so no CLI run
+loads it.  The names of retired layers that the benchmark tracer still
+rebinds resolve to None on their modules, and only while the tracer reads
+them.
 """
 
 import ast
@@ -42,6 +44,7 @@ import lsv_shortmat
 from lsv_shortmat import hartman_watson, heston_rate, mc_engine, model, rate_solver
 
 PACKAGE = Path(model.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # the remaining sites: cli._expansion_for, smile._require and the two input
 # guards of rate_solver.sabr_rate_closed
 MAX_ISINSTANCE = 4
@@ -86,10 +89,6 @@ def test_one_root_solver():
     foreign, scipy_imports, definitions = [], [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        # the one place scipy may be imported: `import scipy.optimize` in a
-        # module-level __getattr__, which runs only when a tracer asks for it
-        hooked = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "__getattr__"
-                  for node in ast.walk(fn) if _imported_modules(node) == ["scipy.optimize"]}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
@@ -98,7 +97,7 @@ def test_one_root_solver():
                 foreign.append(f"{path.name}:{node.lineno}:{node.attr}")
             elif isinstance(node, ast.FunctionDef) and node.name == "newton_bracketed":
                 definitions.append(path.name)
-            if id(node) not in hooked and any(m.split(".")[0] == "scipy" for m in _imported_modules(node)):
+            if any(m.split(".")[0] == "scipy" for m in _imported_modules(node)):
                 scipy_imports.append(f"{path.name}:{node.lineno}")
     assert not foreign, foreign
     assert not scipy_imports, scipy_imports
@@ -144,14 +143,15 @@ def test_only_the_mc_engine_imports_numpy_on_import():
     assert importers == ["mc_engine.py"]
 
 
-# every name the package exported when it imported mc_engine eagerly
+# every name the package exported when it imported mc_engine eagerly, less
+# the eta^2 inverse and the cumulant oracles that no command reached
 PACKAGE_EXPORTS = [
-    "ConstantDrift", "ConstantLocalVol", "CumulantPoint", "FBranchSolution", "LognormalVolOfVol",
+    "ConstantDrift", "ConstantLocalVol", "FBranchSolution", "LognormalVolOfVol",
     "LsvModel", "McConfig", "McSamples", "MeanRevertingDrift", "OptionQuote", "PriceEstimate",
     "RatePoint", "SmileExpansion", "SmilePoint", "SquareRootVolOfVol", "TanhLocalVol",
     "TaylorLocalVol", "VixMapping", "ZeroDrift", "atm_price_limit_european", "atm_price_limit_vix",
-    "black_price", "black_vega", "boundary_theta_c", "check_moment_condition", "constant_drift_factor",
-    "cumulant", "default_strike_grid", "eta_eval", "eta_log_coeffs", "eta_sq_inverse",
+    "black_price", "black_vega", "check_moment_condition", "constant_drift_factor",
+    "default_strike_grid", "eta_eval", "eta_log_coeffs",
     "european_expansion_heston_type", "european_expansion_sabr_type", "european_rate", "h_heston",
     "h_lognormal", "heston_vix_smile", "hw_F", "hw_F_series", "implied_vol", "integral_IS",
     "legendre_point", "load_model", "marginal_J1", "marginal_J2", "meanrev_lognormal_vix_smile",
@@ -274,15 +274,38 @@ def test_analytic_commands_load_no_numpy(tmp_path):
     assert after_mc == ["numpy", "concurrent.futures"]
 
 
-def test_traced_names_resolve_on_access():
-    import scipy.optimize
+TRACED_RETIRED = {
+    rate_solver: ("eta_sq_inverse", "h_heston", "h_lognormal", "minimize", "minimize_scalar"),
+    heston_rate: ("cumulant", "minimize"),
+}
 
-    assert rate_solver.minimize is scipy.optimize.minimize
-    assert rate_solver.minimize_scalar is scipy.optimize.minimize_scalar
-    assert heston_rate.minimize is scipy.optimize.minimize
-    for module in (rate_solver, heston_rate):
+
+def test_traced_names_resolve_on_access():
+    for module, names in TRACED_RETIRED.items():
+        assert module._TRACED_RETIRED == names
+        for name in names:
+            assert getattr(module, name) is None, (module.__name__, name)
         with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
+
+
+def _traced_attributes() -> set[tuple[str, str]]:
+    """(module, attribute) of every binding the benchmark tracer's
+    ``instrument`` plan reads, from its source."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    instrument = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "instrument")
+    return {(node.elts[0].id, node.elts[1].value) for node in ast.walk(instrument)
+            if isinstance(node, ast.Tuple) and len(node.elts) == 3 and isinstance(node.elts[0], ast.Name)
+            and isinstance(node.elts[1], ast.Constant) and isinstance(node.elts[1].value, str)}
+
+
+def test_retired_names_stay_only_while_traced():
+    # a name the tracer no longer reads must leave its module's hook tuple
+    traced = _traced_attributes()
+    assert ("cli", "european_rate") in traced
+    stale = [(module.__name__, name) for module, names in TRACED_RETIRED.items() for name in names
+             if (module.__name__.rsplit(".", 1)[-1], name) not in traced]
+    assert not stale, stale
 
 
 def _public_methods(cls) -> set[str]:
@@ -301,7 +324,7 @@ def test_spec_classes_share_one_method_set(suffix):
     assert all(m == first for m in methods.values()), methods
 
 
-LOCAL_VOL_METHODS = {"eta", "eta_derivatives", "inv_eta_integral", "eta_sq_log_inverse", "proxy_bounds"}
+LOCAL_VOL_METHODS = {"eta", "eta_derivatives", "inv_eta_integral", "proxy_bounds"}
 
 
 def test_local_vol_interface():

@@ -8,8 +8,8 @@ serves both products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from ._roots import newton_bracketed
 
 __all__ = ["OptionQuote", "black_price", "black_vega", "implied_vol"]
@@ -24,8 +24,7 @@ def _ncdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-@dataclass(frozen=True)
-class OptionQuote:
+class OptionQuote(Record):
     """Undiscounted option price quoted against a forward."""
 
     forward: float

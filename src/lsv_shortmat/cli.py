@@ -9,22 +9,22 @@ Subcommands:
   below 1e-4 the rate column (here and in ``compare``) repeats the
   expansion, which is more accurate there than |k| / sqrt(2 J) from a
   solved J ~ k^2.  A strike whose rate solve is not certified
-  (``converged`` false) prints nan there.
+  (``converged`` false) prints nan there, and a strike where the truncated
+  expansion is not positive, which is no vol, prints nan for it.
 * ``rate``    - rate-function values and minimiser diagnostics per strike.
 * ``mc``      - Monte Carlo implied-vol smile with error bands.
 * ``compare`` - asymptotics and Monte Carlo joined, with z-scores.
 
 Model parameters come from a JSON file (--model); run parameters are flags.
 The effective configuration is echoed to stderr for reproducibility.  Output
-is RFC-4180 CSV with '.' decimals, written to --out or stdout.
+is RFC-4180 CSV with '.' decimals, written to --out or stdout; no field
+needs quoting, so each row is its fields joined by commas.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -126,15 +126,12 @@ def _strike_grid(args, reference: float) -> list[float]:
 
 
 def _write_csv(header, rows, out_path: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
     if out_path is None:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
 
 
 def _echo_config(args, model: LsvModel | None) -> None:
@@ -150,10 +147,16 @@ def _rate_point(model: LsvModel, product: str, strike: float):
     return vix_rate(model, strike)
 
 
+def _expansion_vol(expansion: SmileExpansion, log_m: float) -> float:
+    """The truncated expansion at log_m, or nan where it is not positive."""
+    vol = expansion.evaluate(log_m)
+    return math.nan if vol <= 0.0 else vol
+
+
 def _iv_rate_column(model: LsvModel, product: str, expansion: SmileExpansion, strike: float, log_m: float) -> float:
     """The rate-solver vol, or nan where the solve is not certified."""
     if abs(log_m) < _NEAR_MONEY:
-        return expansion.evaluate(log_m)
+        return _expansion_vol(expansion, log_m)
     pt = _rate_point(model, product, strike)
     return rate_to_impvol(pt.rate, log_m) if pt.converged else math.nan
 
@@ -189,7 +192,7 @@ def _cmd_smile(args, model: LsvModel) -> int:
     rows = []
     for strike in _strike_grid(args, reference):
         log_m = math.log(strike / reference)
-        iv_exp = expansion.evaluate(log_m)
+        iv_exp = _expansion_vol(expansion, log_m)
         iv_rate = _iv_rate_column(model, args.product, expansion, strike, log_m)
         rows.append([f"{strike:.10g}", f"{log_m:.10g}", f"{iv_exp:.10g}", f"{iv_rate:.10g}"])
     _write_csv(SMILE_HEADER, rows, args.out)
@@ -240,7 +243,7 @@ def _cmd_compare(args, model: LsvModel) -> int:
     rows = []
     for point in mc_rows:
         log_m = point.log_moneyness
-        iv_exp = expansion.evaluate(log_m)
+        iv_exp = _expansion_vol(expansion, log_m)
         iv_rate = _iv_rate_column(model, args.product, expansion, point.strike, log_m)
         if point.skip_reason is None:
             band = point.iv_high - point.implied_vol

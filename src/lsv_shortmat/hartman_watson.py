@@ -19,20 +19,13 @@ The variance-path rate function follows by pure rescaling, see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from ._roots import newton_bracketed
-from .heston_rate import _SINC_D1_SERIES, _horner
+from ._sinc import SINC_D1_SERIES, horner
 
-__all__ = [
-    "FBranchSolution",
-    "solve_f_branch",
-    "hw_F",
-    "hw_F_derivatives",
-    "hw_F_series",
-    "rate_I",
-    "h_lognormal",
-]
+__all__ = ["FBranchSolution", "solve_f_branch", "hw_F", "hw_F_derivatives", "hw_F_series", "rate_I",
+           "h_lognormal"]
 
 _PI2_HALF = math.pi ** 2 / 2.0
 
@@ -46,8 +39,7 @@ _F_SERIES_COEFFS = (_PI2_HALF - 1.0, -1.0, 1.0, 2 / 15, 19 / 525, 22 / 2625, 474
                     43636 / 197071875, 146287 / 6897515625, 68146 / 57984609375)
 
 
-@dataclass(frozen=True)
-class FBranchSolution:
+class FBranchSolution(Record):
     """Root and value of F on the branch selected by rho: root = x1 with
     rho sinh(x1) = x1 on the "cosh" branch (rho <= 1), root = y1 with
     y1 + rho sin(y1) = pi on the "cos" branch (rho > 1)."""
@@ -107,12 +99,12 @@ def hw_F_derivatives(rho: float) -> tuple[float, float, float]:
     With f' = -g/2, the envelope theorem gives F' = -f(u), and
     differentiating rho g(u) = 1 in rho gives F'' = -1/(2 rho^3 g'(u)).
     g' cancels near u = 0 (rho = 1), so |u| <= 1 takes the Taylor series
-    of :mod:`heston_rate`; beyond, rho g' = (rho f - 1)/(2u).  At rho = 1,
+    of :mod:`._sinc`; beyond, rho g' = (rho f - 1)/(2u).  At rho = 1,
     F' = -1 and F'' = 3.  g' < 0, so F'' > 0 everywhere; below rho of about
     1e-160 the denominator underflows to -0.0 and F'' is +inf.
     """
     _, u, f, value = _stationary_point(rho)
-    rho_g1 = rho * _horner(_SINC_D1_SERIES, -u) if abs(u) <= 1.0 else (rho * f - 1.0) / (2.0 * u)
+    rho_g1 = rho * horner(SINC_D1_SERIES, -u) if abs(u) <= 1.0 else (rho * f - 1.0) / (2.0 * u)
     den = rho * rho * rho_g1
     return value, -f, -0.5 / den if den else math.inf
 
@@ -121,7 +113,7 @@ def hw_F_series(rho: float) -> float:
     """Ten-term expansion of F in powers of log(rho) around rho = 1."""
     if rho <= 0.0:
         raise ValueError("series requires rho > 0")
-    return _horner(_F_SERIES_COEFFS, math.log(rho))
+    return horner(_F_SERIES_COEFFS, math.log(rho))
 
 
 def rate_I(u: float, v: float) -> float:

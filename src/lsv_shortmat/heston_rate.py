@@ -26,17 +26,12 @@ started at v0 is the rescaling  H(y, z) = v0 * I_H(z/v0, e^y/v0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = [
-    "LegendrePoint",
-    "legendre_point",
-    "rate_IH_numeric",
-    "rate_IH_series",
-    "h_heston",
-    "marginal_J1",
-    "marginal_J2",
-]
+from ._record import Record
+from ._sinc import COS_SERIES, SINC_D1_SERIES, SINC_D2_SERIES, SINC_SERIES, horner
+
+__all__ = ["LegendrePoint", "legendre_point", "rate_IH_numeric", "rate_IH_series", "h_heston", "marginal_J1",
+           "marginal_J2"]
 
 
 # Names of retired layers that the benchmark tracer (perfbench/tracing.py)
@@ -50,8 +45,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class LegendrePoint:
+class LegendrePoint(Record):
     """Result of the Legendre-Fenchel maximisation: I_H(x, y) as ``value``
     with its rounding error ``noise``, its gradient (theta, phi) and, for a
     certified maximiser, its Hessian (I_xx, I_xy, I_yy) (None otherwise)."""
@@ -74,22 +68,7 @@ def _warm_start(eps_x: float, eps_y: float, sigma: float) -> float:
             - 2.2 * eps_y**2) / (sigma * sigma)
 
 
-# Taylor coefficients in v = -u of f(u) = cos(sqrt u), g(u) = sin(sqrt u)/sqrt u
-# and of g', g'' (d/du); 12 terms leave a truncation error below 1e-18 for
-# |u| <= 1, where the closed forms of g' and g'' lose digits to cancellation
-_SERIES_TERMS = 12
-_COS_SERIES = tuple(1.0 / math.factorial(2 * k) for k in range(_SERIES_TERMS))
-_SINC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(_SERIES_TERMS))
-_SINC_D1_SERIES = tuple(-(k + 1) / math.factorial(2 * k + 3) for k in range(_SERIES_TERMS))
-_SINC_D2_SERIES = tuple((k + 2) * (k + 1) / math.factorial(2 * k + 5) for k in range(_SERIES_TERMS))
 _EPS = 2.0**-52
-
-
-def _horner(coeffs: tuple, v: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * v + c
-    return acc
 
 
 def _profile_terms(u: float):
@@ -109,10 +88,10 @@ def _profile_terms(u: float):
     """
     sech = 1.0
     if abs(u) <= 1.0:
-        f = _horner(_COS_SERIES, -u)
-        g = _horner(_SINC_SERIES, -u)
-        g1 = _horner(_SINC_D1_SERIES, -u)
-        g2 = _horner(_SINC_D2_SERIES, -u)
+        f = horner(COS_SERIES, -u)
+        g = horner(SINC_SERIES, -u)
+        g1 = horner(SINC_D1_SERIES, -u)
+        g2 = horner(SINC_D2_SERIES, -u)
     else:
         if u > 0.0:
             c = math.sqrt(u)
@@ -240,9 +219,9 @@ def legendre_point(x: float, y: float, sigma: float) -> LegendrePoint:
     c = k1 - m1 / sqrt_y
     hessian = (-1.0 / curv, -c / curv, c * (-c / curv) + m / (2.0 * a * y * sqrt_y)) if converged else None
     # the sup includes (0, 0) where the objective vanishes
-    return LegendrePoint(x=x, y=y, sigma=sigma, value=max(value, 0.0), theta=theta,
-                         phi=(k - m / sqrt_y) / a, iterations=iters, converged=converged,
-                         noise=noise, hessian=hessian)
+    # positional: the solvers build one per objective evaluation
+    return LegendrePoint(x, y, sigma, max(value, 0.0), theta, (k - m / sqrt_y) / a, iters, converged,
+                         noise, hessian)
 
 
 def rate_IH_numeric(x: float, y: float, sigma: float) -> float:

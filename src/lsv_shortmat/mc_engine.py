@@ -40,32 +40,20 @@ import operator
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .black_scholes import OptionQuote, black_vega, implied_vol
 from .model import LsvModel, vix_spot
 
-__all__ = [
-    "McConfig",
-    "McSamples",
-    "PriceEstimate",
-    "SmilePoint",
-    "simulate_paths",
-    "terminal_values",
-    "price",
-    "vix_exact_meanrev",
-    "proxy_error_bounds",
-    "smile_from_mc",
-    "default_strike_grid",
-]
+__all__ = ["McConfig", "McSamples", "PriceEstimate", "SmilePoint", "simulate_paths", "terminal_values",
+           "price", "vix_exact_meanrev", "proxy_error_bounds", "smile_from_mc", "default_strike_grid"]
 
 _BLOCK = 16384
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(Record):
     """Simulation size, horizon and seeding."""
 
     n_paths: int
@@ -93,8 +81,7 @@ class McConfig:
             raise ValueError("maturity must be positive and finite")
 
 
-@dataclass(frozen=True)
-class McSamples:
+class McSamples(Record):
     """Terminal spot/variance samples plus provenance.
 
     With antithetic sampling the arrays hold the plain paths first and their
@@ -111,8 +98,7 @@ class McSamples:
     terminal_s_aux: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class PriceEstimate:
+class PriceEstimate(Record):
     value: float
     std_error: float
     n: int
@@ -446,8 +432,7 @@ def proxy_error_bounds(model: LsvModel, tau: float) -> tuple[float, float]:
     return c1, c2
 
 
-@dataclass(frozen=True)
-class SmilePoint:
+class SmilePoint(Record):
     """One strike of an MC implied-vol smile; skip_reason is set (and the vol
     fields are NaN) when the price cannot be inverted."""
 

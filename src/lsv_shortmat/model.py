@@ -40,14 +40,17 @@ log-variance y, w = y - log v0 and log u = log(z / v0):
 Every spec class also gives the constants of the VIX-proxy error bound
 (``proxy_bounds()``, for a drift ``proxy_bound()``), raising ValueError where
 the spec is unbounded.  The JSON layout of a model is read and written from
-the dataclass fields alone, with one ``{kind: class}`` table per spec kind
-(:data:`_KINDS`).
+the record fields alone (``_fields`` and ``_defaults``), with one
+``{kind: class}`` table per spec kind (:data:`_KINDS`).
 
-All spec objects are frozen dataclasses: they validate on construction and
-their methods are pure, so everything here is safe to share across threads.
-numpy is imported by the array methods alone (``eta``, ``dv_drift``, the
-Taylor-spec quadrature, the tanh ``proxy_bounds`` and ``variance_step``),
-so reading a model and the scalar formulas leave it unloaded.
+All spec objects are immutable records (:class:`._record.Record`): they
+validate on construction and their methods are pure, so everything here is
+safe to share across threads.  numpy is imported by the array methods alone
+(``eta``, ``dv_drift``, the Taylor-spec quadrature, the tanh
+``proxy_bounds`` and ``variance_step``), and each vol-of-vol family's
+transform module by the first ``path_rate`` of that family, so reading a
+model and the scalar formulas leave numpy and both transform modules
+unloaded.
 """
 
 from __future__ import annotations
@@ -56,33 +59,14 @@ import functools
 import json
 import math
 import reprlib
-from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Union
 
-from . import heston_rate
-from .hartman_watson import hw_F_derivatives
+from ._record import Record
 
-__all__ = [
-    "TanhLocalVol",
-    "TaylorLocalVol",
-    "ConstantLocalVol",
-    "LocalVolSpec",
-    "ZeroDrift",
-    "ConstantDrift",
-    "MeanRevertingDrift",
-    "DriftSpec",
-    "LognormalVolOfVol",
-    "SquareRootVolOfVol",
-    "VolOfVolSpec",
-    "LsvModel",
-    "eta_eval",
-    "eta_log_coeffs",
-    "vix_spot",
-    "check_moment_condition",
-    "model_from_dict",
-    "model_to_dict",
-    "load_model",
-]
+__all__ = ["TanhLocalVol", "TaylorLocalVol", "ConstantLocalVol", "LocalVolSpec", "ZeroDrift", "ConstantDrift",
+           "MeanRevertingDrift", "DriftSpec", "LognormalVolOfVol", "SquareRootVolOfVol", "VolOfVolSpec",
+           "LsvModel", "eta_eval", "eta_log_coeffs", "vix_spot", "check_moment_condition", "model_from_dict",
+           "model_to_dict", "load_model"]
 
 @functools.cache
 def _gl_rule():
@@ -112,8 +96,7 @@ def _gl_adaptive(f, a: float, b: float, rel_tol: float = 1e-10, depth: int = 0) 
     return _gl_adaptive(f, a, mid, rel_tol, depth + 1) + _gl_adaptive(f, mid, b, rel_tol, depth + 1)
 
 
-@dataclass(frozen=True)
-class TanhLocalVol:
+class TanhLocalVol(Record):
     """Bounded local volatility eta(s) = f0 + f1 * tanh(log(s/s0) - x0).
 
     Requires f0 > |f1| so that eta stays strictly positive.
@@ -188,8 +171,7 @@ class TanhLocalVol:
         return abs(f1), f0 + abs(f1), float(np.max(np.abs(poly(ts)), initial=0.0))
 
 
-@dataclass(frozen=True)
-class TaylorLocalVol:
+class TaylorLocalVol(Record):
     """Local volatility as a cubic polynomial in log-moneyness.
 
     eta(s) = eta0 + eta1*k + eta2*k^2 + eta3*k^3 with k = log(s/s0).
@@ -238,8 +220,7 @@ class TaylorLocalVol:
         raise ValueError("taylor local vol is unbounded; no finite proxy bounds")
 
 
-@dataclass(frozen=True)
-class ConstantLocalVol:
+class ConstantLocalVol(Record):
     """eta(s) = 1: pure stochastic volatility dynamics (scale V0 for
     another level)."""
 
@@ -264,8 +245,7 @@ class ConstantLocalVol:
 LocalVolSpec = Union[TanhLocalVol, TaylorLocalVol, ConstantLocalVol]
 
 
-@dataclass(frozen=True)
-class ZeroDrift:
+class ZeroDrift(Record):
     """Driftless variance factor."""
 
     def dv_drift(self, v, out):
@@ -278,8 +258,7 @@ class ZeroDrift:
         return 0.0
 
 
-@dataclass(frozen=True)
-class ConstantDrift:
+class ConstantDrift(Record):
     """dV/V drift equal to a constant mu (per year)."""
 
     mu: float
@@ -296,8 +275,7 @@ class ConstantDrift:
         return abs(self.mu)
 
 
-@dataclass(frozen=True)
-class MeanRevertingDrift:
+class MeanRevertingDrift(Record):
     """Drift mu(V) V = a (b - V): mean reversion at speed a towards level b."""
 
     a: float
@@ -324,6 +302,8 @@ DriftSpec = Union[ZeroDrift, ConstantDrift, MeanRevertingDrift]
 
 
 _EPS = 2.0**-52
+# the transform module of each vol-of-vol family, bound by its first path_rate
+_hartman_watson = _heston_rate = None
 
 
 def _euler_step(spec, v, v_pos, scale, z, dt: float, work):
@@ -343,12 +323,11 @@ def _euler_step(spec, v, v_pos, scale, z, dt: float, work):
     return np.maximum(v, 0.0, out=v_pos)
 
 
-@dataclass(frozen=True)
-class LognormalVolOfVol:
+class LognormalVolOfVol(Record):
     """Variance diffusion dV/V = sigma dZ + drift: lognormal (SABR-type) factor."""
 
     sigma: float
-    drift: DriftSpec = field(default_factory=ZeroDrift)
+    drift: DriftSpec = ZeroDrift()
 
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
@@ -364,11 +343,15 @@ class LognormalVolOfVol:
         I = 8 F(r) + 4 (e^{-log u} + e^{w - log u}) - 4 pi^2 and r = v/u.
 
         F enters through L = log r = w/2 - log u, with dF/dL = r F' and
-        d^2F/dL^2 = r F' + r^2 F'' (:func:`hw_F_derivatives`).  Returns
-        (H, rounding error, (H_log_u, H_w), (H_log_u_log_u, H_log_u_w, H_ww)).
+        d^2F/dL^2 = r F' + r^2 F'' (:func:`.hartman_watson.hw_F_derivatives`).
+        Returns (H, rounding error, (H_log_u, H_w),
+        (H_log_u_log_u, H_log_u_w, H_ww)).
         """
+        global _hartman_watson
+        if _hartman_watson is None:
+            from . import hartman_watson as _hartman_watson
         r = math.exp(0.5 * w - log_u)
-        f, f1, f2 = hw_F_derivatives(r)
+        f, f1, f2 = _hartman_watson.hw_F_derivatives(r)
         f_l = r * f1
         f_ll = f_l + r * r * f2
         e1 = math.exp(-log_u)
@@ -420,12 +403,11 @@ class LognormalVolOfVol:
         return self.sigma, self.drift.proxy_bound()
 
 
-@dataclass(frozen=True)
-class SquareRootVolOfVol:
+class SquareRootVolOfVol(Record):
     """Variance diffusion dV = sigma sqrt(V) dZ + drift terms: Heston-type factor."""
 
     sigma: float
-    drift: DriftSpec = field(default_factory=ZeroDrift)
+    drift: DriftSpec = ZeroDrift()
 
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
@@ -441,9 +423,12 @@ class SquareRootVolOfVol:
         :meth:`LognormalVolOfVol.path_rate`, read off the point of
         :func:`heston_rate.legendre_point` (gradient (theta, phi)), or None
         when the transform does not certify its maximiser."""
+        global _heston_rate
+        if _heston_rate is None:
+            from . import heston_rate as _heston_rate
         x = math.exp(log_u)
         y = math.exp(w)
-        pt = heston_rate.legendre_point(x, y, self.sigma)
+        pt = _heston_rate.legendre_point(x, y, self.sigma)
         if not pt.converged:
             return None
         i_x, i_y = pt.theta, pt.phi
@@ -480,8 +465,7 @@ class SquareRootVolOfVol:
 VolOfVolSpec = Union[LognormalVolOfVol, SquareRootVolOfVol]
 
 
-@dataclass(frozen=True)
-class LsvModel:
+class LsvModel(Record):
     """Full model state: spot, spot variance, correlation, carry, and the two
     volatility specifications."""
 
@@ -553,39 +537,39 @@ def _object(d, where: str) -> dict:
 
 def _read(cls, d: dict, path: str):
     """``cls`` from the JSON object ``d`` whose keys sit under ``path``: each
-    dataclass field from the key of its name, a spec field (a key of
+    record field from the key of its name, a spec field (a key of
     :data:`_KINDS`) by its ``kind`` and any other field as a float from a
     JSON number (not true/false, not a string).  Only a
     field with a default may be left out; any other malformed input raises
     ValueError naming its key."""
-    names = [f.name for f in fields(cls)]
+    names = list(cls._fields)
     unknown = sorted(d.keys() - set(names))
     if unknown:
         raise ValueError(f"unknown key {path}{unknown[0]}; {cls.__name__} takes {names}")
     kwargs = {}
-    for f in fields(cls):
-        key, value = path + f.name, d.get(f.name)
-        if f.name not in d:
-            if f.default is MISSING and f.default_factory is MISSING:
+    for name in names:
+        key, value = path + name, d.get(name)
+        if name not in d:
+            if name not in cls._defaults:
                 raise ValueError(f"missing key {key}")
-        elif f.name in _KINDS:
-            spec, table = _object(value, key), _KINDS[f.name]
+        elif name in _KINDS:
+            spec, table = _object(value, key), _KINDS[name]
             kind = spec.pop("kind", None)
             try:
                 kind_cls = table[kind]
             except (KeyError, TypeError):
                 raise ValueError(f"{key}.kind must be one of {sorted(table)}, got {reprlib.repr(kind)}") from None
-            kwargs[f.name] = _read(kind_cls, spec, key + ".")
+            kwargs[name] = _read(kind_cls, spec, key + ".")
         else:
             try:
                 # float() would read true as 1.0 and "0.25" as 0.25
                 if type(value) in (bool, str):
                     raise TypeError
-                kwargs[f.name] = float(value)
+                kwargs[name] = float(value)
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{key} must be a number, got {reprlib.repr(value)}") from None
             # json reads NaN and Infinity, and the spec checks' comparisons let NaN through
-            if not math.isfinite(kwargs[f.name]):
+            if not math.isfinite(kwargs[name]):
                 raise ValueError(f"{key} must be finite, got {reprlib.repr(value)}")
     return cls(**kwargs)
 
@@ -593,9 +577,9 @@ def _read(cls, d: dict, path: str):
 def _write(obj) -> dict:
     """The JSON object :func:`_read` reads back to ``obj``."""
     out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        out[f.name] = {"kind": _KIND_OF[type(value)], **_write(value)} if f.name in _KINDS else value
+    for name in obj._fields:
+        value = getattr(obj, name)
+        out[name] = {"kind": _KIND_OF[type(value)], **_write(value)} if name in _KINDS else value
     return out
 
 

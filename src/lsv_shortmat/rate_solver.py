@@ -35,8 +35,8 @@ gives the rate (``variance_rate``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .model import (
     ConstantLocalVol,
     LocalVolSpec,
@@ -47,16 +47,8 @@ from .model import (
     vix_spot,
 )
 
-__all__ = [
-    "RatePoint",
-    "integral_IS",
-    "vol_integral_Q",
-    "european_rate",
-    "vix_rate",
-    "stochvol_vix_rate",
-    "sabr_rate_closed",
-    "rate_to_impvol",
-]
+__all__ = ["RatePoint", "integral_IS", "vol_integral_Q", "european_rate", "vix_rate", "stochvol_vix_rate",
+           "sabr_rate_closed", "rate_to_impvol"]
 
 
 # Names of retired layers that the benchmark tracer (perfbench/tracing.py)
@@ -81,8 +73,7 @@ _MAX_EVALS = 60
 _EPS = 2.0**-52
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(Record):
     """Rate-function value at one strike with minimiser and diagnostics;
     ``iterations`` counts objective evaluations."""
 

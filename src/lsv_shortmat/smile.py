@@ -23,8 +23,8 @@ price limits for both products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .model import (
     LognormalVolOfVol,
     LsvModel,
@@ -32,28 +32,16 @@ from .model import (
     eta_log_coeffs,
 )
 
-__all__ = [
-    "SmileExpansion",
-    "VixMapping",
-    "vix_mapping",
-    "constant_drift_factor",
-    "european_expansion_sabr_type",
-    "vix_expansion_sabr_type",
-    "vix_convexity_numerator_coeffs",
-    "vix_atm_bounds",
-    "european_expansion_heston_type",
-    "vix_expansion_heston_type",
-    "meanrev_lognormal_vix_smile",
-    "heston_vix_smile",
-    "atm_price_limit_european",
-    "atm_price_limit_vix",
-]
+__all__ = ["SmileExpansion", "VixMapping", "vix_mapping", "constant_drift_factor",
+           "european_expansion_sabr_type", "vix_expansion_sabr_type", "vix_convexity_numerator_coeffs",
+           "vix_atm_bounds", "european_expansion_heston_type", "vix_expansion_heston_type",
+           "meanrev_lognormal_vix_smile", "heston_vix_smile", "atm_price_limit_european",
+           "atm_price_limit_vix"]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class SmileExpansion:
+class SmileExpansion(Record):
     """ATM level, skew and convexity of an asymptotic smile.
 
     convexity is None where no closed form exists (VIX smile of the
@@ -73,8 +61,7 @@ class SmileExpansion:
         return out
 
 
-@dataclass(frozen=True)
-class VixMapping:
+class VixMapping(Record):
     """Affine map VIX^2 = alpha * V_T + beta induced by the variance drift."""
 
     alpha: float

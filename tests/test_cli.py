@@ -1,14 +1,17 @@
 import csv
+import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from lsv_shortmat import cli, heston_rate, rate_solver
 from lsv_shortmat.cli import main
-from lsv_shortmat.model import model_from_dict
+from lsv_shortmat.model import load_model, model_from_dict
 from lsv_shortmat.rate_solver import sabr_rate_closed
+from lsv_shortmat.smile import SmileExpansion
 
 TABLE_MODEL = {
     "s0": 1.0, "v0": 0.1, "rho": 0.0, "r": 0.0, "q": 0.0,
@@ -423,3 +426,65 @@ def test_log_moneyness_grid_is_numpy_linspace():
     for kmin, kmax, count in cases:
         grid = cli._log_moneyness_grid(kmin, kmax, count)
         assert np.array(grid).tobytes() == np.linspace(kmin, kmax, count).tobytes(), (kmin, kmax, count)
+
+
+MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+
+# SHA-256 of the CSV each command writes, captured at 58931d9, while the
+# records were dataclasses and the CSV went through the csv module: the
+# plain records and the joined rows leave every byte as it was
+PINNED_OUTPUT = {
+    ("table1",): "2ded60806c256f7892a45116ea6bbea93c9239422387adbb0156571033398acd",
+    ("smile", "tanh_lognormal_rho_m07", "european"): "00aef919bc0f8e2ceaa27b7c1be7629ac5d815b2b712148c856a98f98ba4858e",
+    ("smile", "tanh_lognormal_rho_m07", "vix"): "cbc700c557b8b4aad80f578ca538a55e9645bb8073363bb4fc93a48cd354da7c",
+    ("rate", "tanh_lognormal_rho_m07", "european"): "ed196e0b9fb7fcc5aaa6d4709e4578a846ce2ddff285d45185a04bc88a124c2e",
+    ("rate", "tanh_lognormal_rho_m07", "vix"): "a8247591d678ae9c4c912a0747f97ff94e3a31a804cea5dbbbb0160034d99dae",
+    ("smile", "tanh_sqrt_rho_m07", "european"): "cacb71af26ebd6ff1ce82b1315fa455a57fc95ec1212e0d6994b98488e29ff00",
+    ("smile", "tanh_sqrt_rho_m07", "vix"): "be6a01e0d456a2a2df76fa508bcbf7eaba528bf2dd5a31aadc5f158765fe641d",
+    ("rate", "tanh_sqrt_rho_m07", "european"): "4dd1fd1bf1f21164de78e266bc10c226ef7640781e7bea28adfdcf7b6b31d618",
+    ("rate", "tanh_sqrt_rho_m07", "vix"): "75f66718942d461bda4867af238647a5da6d5d45cdecb07745efb3f5546320e1",
+    ("smile", "constant_lognormal_rho_m07", "european"): "9c62dd2fdc84985d281af2570783c15c1107cbc384dc65f6cb68205284c6389e",
+    ("smile", "constant_lognormal_rho_m07", "vix"): "3e9d22ceb61896316e226095b127d29d9285788cf7b7e7d518f29785eb4a2313",
+    ("rate", "constant_lognormal_rho_m07", "european"): "a1534ed062ae3a6e93959a424a8f8e92b0ceba9ec12f881cef12b00713377e75",
+    ("rate", "constant_lognormal_rho_m07", "vix"): "0244673fd13ad1f6136e6cbf7391ac9e9ac1443b9819fe9b9dbf27852b6ab004",
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_OUTPUT))
+def test_output_bytes_pinned(run, capsys):
+    command, *model = run
+    argv = [command]
+    if model:
+        argv += ["--model", str(MODELS_DIR / f"{model[0]}.json"), "--product", model[1], "--kcount", "25"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUT[run]
+
+
+class TestNonPositiveExpansion:
+    """Where the truncated expansion is not positive it is no vol, and its
+    column prints nan; the expansion itself stays the paper's polynomial."""
+
+    def test_smile(self, capsys):
+        path = str(MODELS_DIR / "tanh_sqrt_rho_m07.json")
+        code, out, _ = run_cli(["smile", "--model", path, "--product", "vix",
+                                "--kmin=-3", "--kmax=3", "--kcount", "5"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[1] for r in rows] == ["-3", "-1.5", "0", "1.5", "3"]
+        assert rows[-1][2] == "nan"
+        assert all(float(r[2]) > 0.0 for r in rows[:-1])
+        expansion = cli._expansion_for(load_model(path), "vix")
+        assert expansion.evaluate(3.0) == pytest.approx(-0.3416166019, abs=1e-10)
+
+    def test_compare(self, model_file, capsys, monkeypatch):
+        # an expansion that turns negative inside the Monte Carlo strike range
+        monkeypatch.setattr(cli, "_expansion_for", lambda model, product: SmileExpansion(0.316, -5.0, 0.0))
+        code, out, _ = run_cli(["compare", "--model", model_file, "--paths", "4096", "--steps", "10",
+                                "--kmin=-0.1", "--kmax", "0.1", "--kcount", "3"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [float(r[2]) for r in rows[:2]] == pytest.approx([0.816, 0.316])
+        iv_expansion, iv_rate, mc_iv, mc_se, diff, z = rows[2][2:]
+        assert (iv_expansion, diff, z) == ("nan", "nan", "nan")
+        assert all(math.isfinite(float(x)) for x in (iv_rate, mc_iv, mc_se))

@@ -14,7 +14,7 @@ from lsv_shortmat.hartman_watson import (
     rate_I,
     solve_f_branch,
 )
-from lsv_shortmat.heston_rate import _SINC_D1_SERIES, _horner
+from lsv_shortmat._sinc import SINC_D1_SERIES, horner
 
 PI2_HALF = math.pi**2 / 2.0
 
@@ -274,7 +274,7 @@ def reference_hw_F_derivatives(rho):
     else:
         d = math.pi - root
         u, f = d * d, math.cos(d)
-    rho_g1 = rho * _horner(_SINC_D1_SERIES, -u) if abs(u) <= 1.0 else (rho * f - 1.0) / (2.0 * u)
+    rho_g1 = rho * horner(SINC_D1_SERIES, -u) if abs(u) <= 1.0 else (rho * f - 1.0) / (2.0 * u)
     return value, -f, -0.5 / (rho * rho * rho_g1)
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -271,8 +270,13 @@ class TestVixRate:
         # the closed form's minimiser against the general solver on a
         # near-flat tanh eta, which takes the two-variable path
         base = load_model(str(MODELS_DIR / f"{name}.json"))
-        exact = vix_rate(replace(base, local_vol=ConstantLocalVol()), math.sqrt(base.v0) * math.exp(k))
-        flat = replace(base, local_vol=TanhLocalVol(1.0, 1e-9))
+
+        def with_local_vol(local_vol):
+            return LsvModel(s0=base.s0, v0=base.v0, rho=base.rho, local_vol=local_vol,
+                            vol_of_vol=base.vol_of_vol, r=base.r, q=base.q)
+
+        exact = vix_rate(with_local_vol(ConstantLocalVol()), math.sqrt(base.v0) * math.exp(k))
+        flat = with_local_vol(TanhLocalVol(1.0, 1e-9))
         general = vix_rate(flat, vix_spot(flat) * math.exp(k))
         assert exact.iterations == 0 and general.iterations > 0 and general.converged
         assert exact.minimizer_z == pytest.approx(general.minimizer_z, rel=1e-8)

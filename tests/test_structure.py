@@ -23,8 +23,10 @@ count, so no caller passes one.  numpy is the one runtime dependency, and
 only the Monte Carlo engine imports it at module level: the package, its
 model files and the analytic commands load neither numpy nor the thread
 pool, and the package still exports every name it did but the retired
-eta^2 inverse and cumulant oracles.  No module imports scipy, so no CLI run
-loads it.  The names of retired layers that the benchmark tracer still
+eta^2 inverse and cumulant oracles.  No module imports ``dataclasses``, the
+CLI writes its CSV without ``csv``, and an analytic command loads the
+transform module of its own vol-of-vol family alone.  No module imports
+scipy, so no CLI run loads it.  The names of retired layers that the benchmark tracer still
 rebinds resolve to None on their modules, and only while the tracer reads
 them.
 """
@@ -272,6 +274,60 @@ def test_analytic_commands_load_no_numpy(tmp_path):
     analytic, after_mc = json.loads(_fresh_interpreter(ANALYTIC_CLI_IMPORTS, *paths, cwd=tmp_path))
     assert analytic == []
     assert after_mc == ["numpy", "concurrent.futures"]
+
+
+# in one fresh interpreter: the CLI imported and every model file given
+# read, then smile and rate for both products on each; prints the watched
+# modules loaded after the reads and after the commands
+CLI_FAMILY_IMPORTS = """
+import contextlib, io, json, sys
+import lsv_shortmat.cli as cli
+from lsv_shortmat.model import load_model
+
+WATCHED = ("dataclasses", "inspect", "csv", "lsv_shortmat.black_scholes",
+           "lsv_shortmat.hartman_watson", "lsv_shortmat.heston_rate")
+
+def loaded():
+    return [name for name in WATCHED if name in sys.modules]
+
+models = sys.argv[1:]
+for path in models:
+    load_model(path)
+after_read = loaded()
+for path in models:
+    for command in ("smile", "rate"):
+        for product in ("european", "vix"):
+            argv = [command, "--model", path, "--product", product, "--kcount", "3"]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"{argv} failed")
+print(json.dumps([after_read, loaded()]))
+"""
+
+
+def test_cli_import_and_model_reads_load_no_optional_module(tmp_path):
+    paths = _model_files(tmp_path, "tanh_lognormal", "tanh_square_root")
+    after_read, _ = json.loads(_fresh_interpreter(CLI_FAMILY_IMPORTS, *paths, cwd=tmp_path))
+    assert after_read == []
+
+
+@pytest.mark.parametrize("name, family_module", [("tanh_lognormal", "lsv_shortmat.hartman_watson"),
+                                                 ("tanh_square_root", "lsv_shortmat.heston_rate")])
+def test_analytic_commands_load_only_their_family_module(name, family_module, tmp_path):
+    # a lognormal model never loads the square-root transform, nor the reverse
+    _, after_commands = json.loads(_fresh_interpreter(CLI_FAMILY_IMPORTS, *_model_files(tmp_path, name),
+                                                      cwd=tmp_path))
+    assert after_commands == [family_module]
+
+
+def test_no_module_imports_dataclasses():
+    # the records derive from _record.Record, whose definitions cost no
+    # dataclasses import (with inspect) at start-up
+    importers = [f"{path.name}:{node.lineno}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if any(m.split(".")[0] == "dataclasses" for m in _imported_modules(node))]
+    assert not importers, importers
 
 
 TRACED_RETIRED = {

@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 _LAZY_EXPORTS = {
     "model": ("ConstantDrift", "ConstantLocalVol", "LognormalVolOfVol", "LsvModel", "MeanRevertingDrift",
               "SquareRootVolOfVol", "TanhLocalVol", "TaylorLocalVol", "ZeroDrift", "check_moment_condition",
-              "eta_eval", "eta_log_coeffs", "load_model", "model_from_dict", "model_to_dict", "vix_spot"),
+              "eta_log_coeffs", "load_model", "model_from_dict", "model_to_dict", "vix_spot"),
     "rate_solver": ("RatePoint", "european_rate", "integral_IS", "rate_to_impvol", "sabr_rate_closed",
-                    "stochvol_vix_rate", "vix_rate", "vol_integral_Q"),
+                    "stochvol_vix_rate", "vix_rate"),
     "smile": ("SmileExpansion", "VixMapping", "atm_price_limit_european", "atm_price_limit_vix",
               "constant_drift_factor", "european_expansion_heston_type", "european_expansion_sabr_type",
               "heston_vix_smile", "meanrev_lognormal_vix_smile", "vix_atm_bounds", "vix_expansion_heston_type",

@@ -8,18 +8,18 @@ Taylor polynomial in log-moneyness, or held constant (pure stochastic vol).
 
 Each local-vol spec class owns its formulas, all in log-moneyness k = log(s/s0):
 
-* ``eta(k, out=None)``       - eta at an ndarray (or a float) of k, by numpy;
-  with ``out`` (an ndarray of k's shape) it is written there with no
-  temporaries, bit for bit the values without ``out``;
+* ``eta(k, out=None)``       - eta at an ndarray (or a float) of k, by numpy
+  in place with no temporaries: into ``out`` (an ndarray of k's shape), or
+  else into a new array of k's shape (0-d for a float k);
 * ``eta_derivatives(k)``     - eta and its first three derivatives at a
   float k, in plain ``math``: the one scalar eta, which also gives the
-  Taylor coefficients at the money (:func:`eta_log_coeffs`);
+  Taylor coefficients at the money (:func:`eta_log_coeffs`, whose eta0
+  :func:`vix_spot` reads);
 * ``inv_eta_integral(L)``    - the integral of 1/eta over k in [0, L].
 
-The module-level helpers (:func:`eta_eval`, :func:`eta_log_coeffs`)
-delegate to them.  Each drift spec class gives its dV drift at an ndarray
-v, ``dv_drift(v, out)`` (0, or mu v or a (b - v) written into ``out``), and
-``constant_mu()``, the mu of dV/V if it is constant, else None.
+Each drift spec class gives its dV drift at an ndarray v, ``dv_drift(v,
+out)`` (0, or mu v or a (b - v) written into ``out``), and ``constant_mu()``,
+the mu of dV/V if it is constant, else None.
 
 Each vol-of-vol spec class owns the rest of the factor's maths, in terminal
 log-variance y, w = y - log v0 and log u = log(z / v0):
@@ -65,7 +65,7 @@ from ._record import Record
 
 __all__ = ["TanhLocalVol", "TaylorLocalVol", "ConstantLocalVol", "LocalVolSpec", "ZeroDrift", "ConstantDrift",
            "MeanRevertingDrift", "DriftSpec", "LognormalVolOfVol", "SquareRootVolOfVol", "VolOfVolSpec",
-           "LsvModel", "eta_eval", "eta_log_coeffs", "vix_spot", "check_moment_condition", "model_from_dict",
+           "LsvModel", "eta_log_coeffs", "vix_spot", "check_moment_condition", "model_from_dict",
            "model_to_dict", "load_model"]
 
 @functools.cache
@@ -114,7 +114,7 @@ class TanhLocalVol(Record):
         import numpy as np
 
         if out is None:
-            return self.f0 + self.f1 * np.tanh(k - self.x0)
+            out = np.empty(np.shape(k))
         # k - 0.0 is k bit for bit, so x0 = 0 skips the pass
         np.tanh(k if self.x0 == 0.0 else np.subtract(k, self.x0, out=out), out=out)
         np.multiply(out, self.f1, out=out)
@@ -189,10 +189,10 @@ class TaylorLocalVol(Record):
             raise ValueError(f"taylor local vol requires eta0 > 0, got {self.eta0}")
 
     def eta(self, k, out=None):
-        if out is None:
-            return self.eta0 + k * (self.eta1 + k * (self.eta2 + k * self.eta3))
         import numpy as np
 
+        if out is None:
+            out = np.empty(np.shape(k))
         np.multiply(k, self.eta3, out=out)
         np.add(out, self.eta2, out=out)
         np.multiply(out, k, out=out)
@@ -201,7 +201,8 @@ class TaylorLocalVol(Record):
         return np.add(out, self.eta0, out=out)
 
     def eta_derivatives(self, k: float) -> tuple[float, float, float, float]:
-        return (self.eta(k), self.eta1 + k * (2.0 * self.eta2 + 3.0 * k * self.eta3),
+        return (self.eta0 + k * (self.eta1 + k * (self.eta2 + k * self.eta3)),
+                self.eta1 + k * (2.0 * self.eta2 + 3.0 * k * self.eta3),
                 2.0 * self.eta2 + 6.0 * k * self.eta3, 6.0 * self.eta3)
 
     def inv_eta_integral(self, L: float) -> float:
@@ -228,7 +229,7 @@ class ConstantLocalVol(Record):
         import numpy as np
 
         if out is None:
-            return np.ones_like(k, dtype=float)[()]
+            out = np.empty(np.shape(k))
         out.fill(1.0)
         return out
 
@@ -486,25 +487,16 @@ class LsvModel(Record):
             raise ValueError("rho must lie in [-1, 1]")
 
 
-def eta_eval(spec: LocalVolSpec, s: float, s0: float) -> float:
-    """Evaluate the local volatility function at spot s (with reference s0)."""
-    if s <= 0.0:
-        raise ValueError("spot must be strictly positive")
-    return spec.eta_derivatives(math.log(s / s0))[0]
-
-
-def eta_log_coeffs(spec: LocalVolSpec, order: int = 3) -> list[float]:
-    """Taylor coefficients of eta in powers of log(s/s0), up to the cubic:
-    the derivatives of eta at the money over n!."""
-    if order not in (0, 1, 2, 3):
-        raise ValueError("order must be one of 0, 1, 2, 3")
+def eta_log_coeffs(spec: LocalVolSpec) -> list[float]:
+    """The four Taylor coefficients [eta0, eta1, eta2, eta3] of eta in powers
+    of log(s/s0): the derivatives of eta at the money over n!."""
     eta, d1, d2, d3 = spec.eta_derivatives(0.0)
-    return [eta, d1, d2 / 2.0, d3 / 6.0][: order + 1]
+    return [eta, d1, d2 / 2.0, d3 / 6.0]
 
 
 def vix_spot(model: LsvModel) -> float:
     """Zero-maturity VIX level eta(s0) * sqrt(v0)."""
-    return eta_eval(model.local_vol, model.s0, model.s0) * math.sqrt(model.v0)
+    return eta_log_coeffs(model.local_vol)[0] * math.sqrt(model.v0)
 
 
 def check_moment_condition(rho: float, p: float) -> bool:

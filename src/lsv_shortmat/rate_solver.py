@@ -47,7 +47,7 @@ from .model import (
     vix_spot,
 )
 
-__all__ = ["RatePoint", "integral_IS", "vol_integral_Q", "european_rate", "vix_rate", "stochvol_vix_rate",
+__all__ = ["RatePoint", "integral_IS", "european_rate", "vix_rate", "stochvol_vix_rate",
            "sabr_rate_closed", "rate_to_impvol"]
 
 
@@ -101,14 +101,6 @@ def integral_IS(spec: LocalVolSpec, s0: float, z: float) -> float:
     if z <= 0.0:
         raise ValueError("moneyness ratio must be positive")
     return spec.inv_eta_integral(math.log(z))
-
-
-def vol_integral_Q(spec: VolOfVolSpec, v0: float, y: float) -> float:
-    """Variance-leg integral from v0 to e^y of dx / (sqrt(x) sigma(x)), in
-    the spec's closed form (``variance_leg``)."""
-    if v0 <= 0.0:
-        raise ValueError("v0 must be positive")
-    return spec.variance_leg(y, v0)[0]
 
 
 def rate_to_impvol(rate: float, log_moneyness: float) -> float:

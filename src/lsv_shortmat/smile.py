@@ -14,10 +14,12 @@ polynomial in sigma whose coefficients are transcribed in
 :func:`vix_convexity_numerator_coeffs`; a double-entry copy of that table
 lives in the test suite to guard against transcription slips.
 
-The module also carries the explicit VIX smiles of the mean-reverting
-lognormal and square-root stochastic-vol models (through the affine mapping
-VIX^2 = alpha(tau) V_T + beta(tau)) and the square-root-of-maturity ATM
-price limits for both products.
+The ATM VIX level is written once, as a sum of squares that cannot
+cancel, for the VIX expansion, its range over rho (:func:`vix_atm_bounds`)
+and the VIX price limit.  The module also carries the explicit VIX smiles
+of the mean-reverting lognormal and square-root stochastic-vol models
+(through the affine mapping VIX^2 = alpha(tau) V_T + beta(tau)) and the
+square-root-of-maturity ATM price limits for both products.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .model import (
     LsvModel,
     SquareRootVolOfVol,
     eta_log_coeffs,
+    vix_spot,
 )
 
 __all__ = ["SmileExpansion", "VixMapping", "vix_mapping", "constant_drift_factor",
@@ -74,20 +77,6 @@ class VixMapping(Record):
             raise ValueError("beta must be nonnegative")
 
 
-def vix_mapping(a: float, b: float, tau: float) -> VixMapping:
-    """Mapping coefficients for mean reversion at speed a towards level b
-    over an averaging window tau: alpha = (1 - e^{-a tau})/(a tau),
-    beta = b (1 - alpha); a -> 0 gives the identity mapping."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    x = a * tau
-    if abs(x) < 1e-12:
-        alpha = 1.0
-    else:
-        alpha = -math.expm1(-x) / x
-    return VixMapping(alpha=alpha, beta=b * (1.0 - alpha))
-
-
 def constant_drift_factor(mu: float, tau: float) -> float:
     """VIX^2 scale factor (e^{mu tau} - 1)/(mu tau) of a constant-drift factor."""
     if tau <= 0.0:
@@ -96,6 +85,15 @@ def constant_drift_factor(mu: float, tau: float) -> float:
     if abs(x) < 1e-12:
         return 1.0
     return math.expm1(x) / x
+
+
+def vix_mapping(a: float, b: float, tau: float) -> VixMapping:
+    """Mapping coefficients for mean reversion at speed a towards level b
+    over an averaging window tau: alpha = (1 - e^{-a tau})/(a tau), the
+    constant-drift factor at mu = -a, and beta = b (1 - alpha); a -> 0
+    gives the identity mapping."""
+    alpha = constant_drift_factor(-a, tau)
+    return VixMapping(alpha=alpha, beta=b * (1.0 - alpha))
 
 
 def _require(model: LsvModel, family) -> tuple[float, float]:
@@ -112,7 +110,7 @@ def _require(model: LsvModel, family) -> tuple[float, float]:
 
 def _european_expansion(model: LsvModel, family) -> SmileExpansion:
     sigma, e = _require(model, family)
-    eta0, eta1, eta2, _ = eta_log_coeffs(model.local_vol, 3)
+    eta0, eta1, eta2, _ = eta_log_coeffs(model.local_vol)
     v0 = model.v0
     sv0 = math.sqrt(v0)
     rho = model.rho
@@ -167,18 +165,31 @@ def vix_convexity_numerator_coeffs(eta0: float, eta1: float, eta2: float, eta3: 
     return [k0, k1, k2, k3, k4, k5, k6, k7]
 
 
+def _vix_atm_level(model: LsvModel, rho: float) -> float:
+    """ATM VIX vol (1/2) sqrt(sigma^2 + 4 eta1 rho sigma sqrt(V0) + 4 eta1^2 V0)
+    of either family at correlation rho.  sigma = sigma(V0) is the vol of vol
+    of dV/V at V0 (``sigma_at``): sigma for the lognormal family and
+    sigma/sqrt(V0) for the square-root family.  The level is taken as a sum
+    of two squares, which cannot cancel where sigma = 2 |eta1| sqrt(V0) and
+    |rho| -> 1; (1 - rho)(1 + rho) keeps the digits 1 - rho^2 loses there."""
+    sigma = model.vol_of_vol.sigma_at(model.v0)
+    eta1 = eta_log_coeffs(model.local_vol)[1]
+    sv0 = math.sqrt(model.v0)
+    return math.hypot(0.5 * sigma + eta1 * rho * sv0, eta1 * sv0 * math.sqrt((1.0 - rho) * (1.0 + rho)))
+
+
 def _vix_expansion(model: LsvModel, family) -> SmileExpansion:
     """The VIX level and skew of either family, and the convexity from the
     numerator table of the lognormal family (None for the other)."""
     sigma, e = _require(model, family)
-    eta0, eta1, eta2, eta3 = eta_log_coeffs(model.local_vol, 3)
+    eta0, eta1, eta2, eta3 = eta_log_coeffs(model.local_vol)
     v0 = model.v0
     sv0 = math.sqrt(v0)
     rho = model.rho
-    d = sigma * sigma + 4.0 * eta1 * rho * sigma * sv0 + 4.0 * eta1 * eta1 * v0
-    if d <= 0.0:  # |rho| = 1 and sigma = 2 |eta1| sqrt(V0), up to rounding: no level, no skew
+    atm = _vix_atm_level(model, rho)
+    d = 4.0 * atm * atm
+    if d <= 0.0:  # |rho| = 1 and sigma = 2 |eta1| sqrt(V0): no level, no skew
         return SmileExpansion(0.0, math.nan, math.nan if family is LognormalVolOfVol else None)
-    atm = 0.5 * math.sqrt(d)
     w = (sigma * sigma * eta1
          + 2.0 * rho * sigma * sv0 * (eta1 * eta1 + 2.0 * eta0 * eta2)
          + 8.0 * eta0 * eta1 * eta2 * v0)
@@ -214,12 +225,7 @@ def vix_expansion_heston_type(model: LsvModel) -> SmileExpansion:
 def vix_atm_bounds(model: LsvModel) -> tuple[float, float]:
     """Range of the ATM VIX vol of either family as the correlation sweeps
     [-1, 1]: its square is affine in rho, so the ends are at rho = -+1."""
-    sigma = model.vol_of_vol.sigma_at(model.v0)
-    _, eta1 = eta_log_coeffs(model.local_vol, 1)
-    sv0 = math.sqrt(model.v0)
-    a = abs(0.5 * sigma - eta1 * sv0)
-    b = abs(0.5 * sigma + eta1 * sv0)
-    return (min(a, b), max(a, b))
+    return tuple(sorted(_vix_atm_level(model, rho) for rho in (-1.0, 1.0)))
 
 
 def meanrev_lognormal_vix_smile(a: float, b: float, sigma: float, v0: float,
@@ -271,22 +277,11 @@ def heston_vix_smile(a: float, b: float, sigma: float, v0: float,
 
 def atm_price_limit_european(model: LsvModel) -> float:
     """Limit of C(S0, T)/sqrt(T) as T -> 0: eta(S0) S0 sqrt(V0) / sqrt(2 pi)."""
-    eta0 = eta_log_coeffs(model.local_vol, 0)[0]
+    eta0 = eta_log_coeffs(model.local_vol)[0]
     return eta0 * model.s0 * math.sqrt(model.v0) / _SQRT_2PI
 
 
 def atm_price_limit_vix(model: LsvModel) -> float:
-    """Limit of the ATM VIX option price over sqrt(T) as T -> 0.
-
-    sigma(V0) is the vol of vol of dV/V at V0 (``sigma_at`` on the
-    vol-of-vol spec): sigma for the lognormal family, sigma/sqrt(V0) for
-    the square-root family.
-    """
-    eta0, eta1 = eta_log_coeffs(model.local_vol, 1)
-    v0 = model.v0
-    rho = model.rho
-    sig_v0 = model.vol_of_vol.sigma_at(v0)
-    # eta'(S0) S0 = eta1, so the local-vol leg is eta1 * eta0 * V0
-    first = eta0 * 0.5 * sig_v0 * math.sqrt(v0) + eta1 * eta0 * v0 * rho
-    second = eta1 * eta0 * v0 * math.sqrt(max(0.0, 1.0 - rho * rho))
-    return math.sqrt(first * first + second * second) / _SQRT_2PI
+    """Limit of the ATM VIX option price over sqrt(T) as T -> 0: the VIX
+    spot eta(S0) sqrt(V0) times the ATM VIX vol over sqrt(2 pi)."""
+    return vix_spot(model) * _vix_atm_level(model, model.rho) / _SQRT_2PI

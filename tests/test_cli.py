@@ -461,6 +461,31 @@ def test_output_bytes_pinned(run, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUT[run]
 
 
+# SHA-256 of `smile --product vix` on a wide and a near-money grid, captured
+# at 7f50b7e, before the ATM VIX level became one sum of squares.  On these
+# grids the expansion column is what prints: below |k| = 1e-4 the rate
+# column repeats it
+VIX_GRIDS = {"3/61": ["--kmin=-3", "--kmax=3", "--kcount", "61"],
+             "1e-3/21": ["--kmin=-0.001", "--kmax=0.001", "--kcount", "21"]}
+PINNED_VIX_GRIDS = {
+    ("constant_lognormal_rho_m07", "3/61"): "da7b9c6a2a5ef92473e40f8ef5636defbb68cf034a8e9cb0d957af625c8b867d",
+    ("constant_lognormal_rho_m07", "1e-3/21"): "7163b00334ea02aedba25962235d8ae73134223a0690ae8420727a0700c3e46a",
+    ("tanh_lognormal_rho_m07", "3/61"): "04126b9c29bef728e9dba776b590fc3d11b68da69f419fe5c54837b8f801ca36",
+    ("tanh_lognormal_rho_m07", "1e-3/21"): "f33c60288ad8baa9f3e3bc655087bb254034210f6c569399f67299cf94f7177a",
+    ("tanh_sqrt_rho_m07", "3/61"): "8cb652d58740ea5d2e892e437524a798b371c1f2d12830cd4b7b2685f125c66f",
+    ("tanh_sqrt_rho_m07", "1e-3/21"): "a5e4029e60d9f636a2f74eb00f8327c55d4e065b6a98e76653bb237d984aa698",
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_VIX_GRIDS))
+def test_vix_grid_bytes_pinned(run, capsys):
+    model, grid = run
+    code, out, _ = run_cli(["smile", "--model", str(MODELS_DIR / f"{model}.json"), "--product", "vix",
+                            *VIX_GRIDS[grid]], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VIX_GRIDS[run]
+
+
 class TestNonPositiveExpansion:
     """Where the truncated expansion is not positive it is no vol, and its
     column prints nan; the expansion itself stays the paper's polynomial."""

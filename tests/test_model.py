@@ -26,7 +26,6 @@ from lsv_shortmat.model import (
     VolOfVolSpec,
     ZeroDrift,
     check_moment_condition,
-    eta_eval,
     eta_log_coeffs,
     load_model,
     model_from_dict,
@@ -51,46 +50,68 @@ def table_model(rho=-0.7, **kw):
     return LsvModel(**base)
 
 
-class TestEtaEval:
+def scalar_eta(spec, k):
+    """eta at a float log-moneyness k by the spec's scalar formulas."""
+    return spec.eta_derivatives(k)[0]
+
+
+ETA_SPECS = [
+    TANH,
+    TanhLocalVol(1.2, 0.3, -0.7),
+    TaylorLocalVol(eta0=0.8, eta1=0.2, eta2=-0.1, eta3=0.05),
+    ConstantLocalVol(),
+]
+
+
+class TestEtaValues:
     def test_tanh_at_spot(self):
-        assert eta_eval(TANH, 1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert scalar_eta(TANH, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert float(TANH.eta(0.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_constant(self):
-        assert eta_eval(ConstantLocalVol(), 17.3, 1.0) == 1.0
+        assert scalar_eta(ConstantLocalVol(), math.log(17.3)) == 1.0
+        assert ConstantLocalVol().eta(math.log(17.3)) == 1.0
 
     def test_tanh_one_log_unit(self):
         # 1 - 0.5 tanh(1)
         expected = 1.0 - 0.5 * math.tanh(1.0)
         assert expected == pytest.approx(0.6192029220221175, abs=1e-12)
-        assert eta_eval(TANH, math.e, 1.0) == pytest.approx(expected, abs=1e-15)
+        assert scalar_eta(TANH, 1.0) == pytest.approx(expected, abs=1e-15)
 
     def test_taylor(self):
         spec = TaylorLocalVol(eta0=1.0, eta1=-0.5, eta2=0.1, eta3=0.02)
         k = 0.3
         expected = 1.0 - 0.5 * k + 0.1 * k * k + 0.02 * k**3
-        assert eta_eval(spec, math.exp(k), 1.0) == pytest.approx(expected, abs=1e-14)
+        assert scalar_eta(spec, k) == pytest.approx(expected, abs=1e-14)
+        assert float(spec.eta(k)) == pytest.approx(expected, abs=1e-14)
 
-    def test_nonpositive_spot(self):
-        with pytest.raises(ValueError):
-            eta_eval(TANH, 0.0, 1.0)
-
-    @pytest.mark.parametrize("spec", [
-        TANH,
-        TanhLocalVol(1.2, 0.3, -0.7),
-        TaylorLocalVol(eta0=0.8, eta1=0.2, eta2=-0.1, eta3=0.05),
-        ConstantLocalVol(),
-    ])
+    @pytest.mark.parametrize("spec", ETA_SPECS)
     def test_vectorised_matches_scalar(self, spec):
         ks = np.linspace(-2.0, 2.0, 9)
         vals = spec.eta(ks)
         assert vals.shape == ks.shape
         for k, v in zip(ks, vals):
-            assert v == pytest.approx(eta_eval(spec, math.exp(k), 1.0), rel=1e-15)
+            assert v == pytest.approx(scalar_eta(spec, k), rel=1e-15)
+
+    @pytest.mark.parametrize("spec", ETA_SPECS)
+    def test_one_writing_with_and_without_out(self, spec):
+        # without ``out`` eta runs the ``out=`` sequence on a new array of
+        # k's shape: the same bits, a fresh float array, 0-d for a float k
+        ks = np.linspace(-3.0, 3.0, 13).reshape(13, 1)
+        out = np.full(ks.shape, np.nan)
+        assert spec.eta(ks, out=out) is out
+        fresh = spec.eta(ks)
+        assert fresh.dtype == np.float64 and fresh.shape == ks.shape
+        assert np.array_equal(fresh, out)
+        point = spec.eta(0.3)
+        assert isinstance(point, np.ndarray) and point.shape == ()
+        assert point == spec.eta(np.array([0.3]))[0]
+        assert spec.eta(np.arange(-2, 3)).tolist() == spec.eta(np.arange(-2.0, 3.0)).tolist()
 
 
 class TestScalarEta:
-    """The scalar eta of eta_eval and vix_spot (``eta_derivatives``, plain
-    math) against the ndarray ``eta`` (numpy), to 2 ulp."""
+    """The scalar eta of vix_spot and the expansions (``eta_derivatives``,
+    plain math) against the ndarray ``eta`` (numpy), to 2 ulp."""
 
     KS = [0.0, 1e-8, -1e-8, 0.3, -0.3, 5.0, -5.0, 40.0, -40.0]
 
@@ -105,33 +126,27 @@ class TestScalarEta:
             got = spec.eta_derivatives(k)[0]
             assert type(got) is float
             assert abs(got - want) <= 2.0 * math.ulp(want), (k, got, want)
-            assert eta_eval(spec, math.exp(k), 1.0) == spec.eta_derivatives(math.log(math.exp(k)))[0]
 
 
 class TestEtaLogCoeffs:
     def test_tanh_centered(self):
         # eta = f0 + f1 (k - k^3/3 + ...), exact at x0 = 0
-        assert eta_log_coeffs(TANH, 3) == [1.0, -0.5, 0.0, 1.0 / 6.0]
+        assert eta_log_coeffs(TANH) == [1.0, -0.5, 0.0, 1.0 / 6.0]
 
     def test_constant(self):
-        assert eta_log_coeffs(ConstantLocalVol(), 3) == [1.0, 0.0, 0.0, 0.0]
+        assert eta_log_coeffs(ConstantLocalVol()) == [1.0, 0.0, 0.0, 0.0]
 
     def test_taylor_coefficients_to_one_ulp(self):
         # 6 eta3 / 6 need not round back to eta3
         coeffs = (0.8, 0.2, -0.1, 0.05)
-        got = eta_log_coeffs(TaylorLocalVol(*coeffs), 3)
+        got = eta_log_coeffs(TaylorLocalVol(*coeffs))
         assert all(abs(g - c) <= math.ulp(c) for g, c in zip(got, coeffs)), got
 
     @pytest.mark.parametrize("x0", [-800.0, -400.0, 400.0, 800.0])
     def test_tanh_far_centre(self, x0):
         # cosh(x0)^2 overflows beyond |x0| = 355; eta is flat at f0 -+ f1 there
-        coeffs = eta_log_coeffs(TanhLocalVol(1.0, 0.3, x0), 3)
+        coeffs = eta_log_coeffs(TanhLocalVol(1.0, 0.3, x0))
         assert coeffs == [pytest.approx(1.0 + 0.3 * math.copysign(1.0, -x0), abs=1e-15), 0.0, 0.0, 0.0]
-
-    def test_order_cap(self):
-        assert len(eta_log_coeffs(TANH, 1)) == 2
-        with pytest.raises(ValueError):
-            eta_log_coeffs(TANH, 4)
 
     @pytest.mark.parametrize("spec", [
         TANH,
@@ -142,11 +157,11 @@ class TestEtaLogCoeffs:
     def test_matches_finite_differences(self, spec):
         # centered stencils for the first three derivatives of eta(e^k) at k=0
         h = 1e-3
-        f = [eta_eval(spec, math.exp(i * h), 1.0) for i in range(-3, 4)]
+        f = [scalar_eta(spec, i * h) for i in range(-3, 4)]
         d1 = (f[4] - f[2]) / (2 * h)
         d2 = (f[4] - 2 * f[3] + f[2]) / h**2
         d3 = (f[5] - 2 * f[4] + 2 * f[2] - f[1]) / (2 * h**3)
-        coeffs = eta_log_coeffs(spec, 3)
+        coeffs = eta_log_coeffs(spec)
         assert coeffs[0] == pytest.approx(f[3], abs=1e-12)
         assert coeffs[1] == pytest.approx(d1, abs=1e-6)
         assert coeffs[2] == pytest.approx(d2 / 2.0, abs=1e-6)
@@ -188,14 +203,13 @@ class TestEtaSqInverse:
         assert tanh_eta_sq_log_inverse(TANH, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_forward_then_invert(self):
-        w = eta_eval(TANH, math.e, 1.0) ** 2
+        w = scalar_eta(TANH, 1.0) ** 2
         assert tanh_eta_sq_log_inverse(TANH, w) == pytest.approx(1.0, rel=1e-10)
 
     @pytest.mark.parametrize("spec", [TANH, TanhLocalVol(1.1, 0.4, 0.3)])
     def test_round_trip_grid(self, spec):
-        s0 = 1.3
         for k in np.linspace(-3.0, 3.0, 41):
-            w = eta_eval(spec, s0 * math.exp(k), s0) ** 2
+            w = scalar_eta(spec, k) ** 2
             assert tanh_eta_sq_log_inverse(spec, w) == pytest.approx(k, abs=1e-10)
 
     def test_out_of_range(self):
@@ -218,7 +232,7 @@ class TestEtaSqInverse:
         for w in ws:
             k = tanh_eta_sq_log_inverse(spec, w)
             assert float(spec.eta(k)) ** 2 == pytest.approx(w, rel=1e-13)
-            assert eta_eval(spec, 1.3 * math.exp(k), 1.3) ** 2 == pytest.approx(w, rel=1e-13)
+            assert scalar_eta(spec, k) ** 2 == pytest.approx(w, rel=1e-13)
 
     def test_closed_form_matches_root_finding(self):
         # the Brent root of eta(k) = sqrt(w), independent of the atanh form
@@ -242,9 +256,14 @@ class TestVixSpot:
         assert expected == pytest.approx(0.246211715726001, abs=1e-12)
         assert vix_spot(model) == pytest.approx(expected, abs=1e-15)
 
-    def test_identity_with_eta_eval(self):
-        model = table_model(v0=0.07)
-        assert vix_spot(model) == eta_eval(model.local_vol, model.s0, model.s0) * math.sqrt(model.v0)
+    @pytest.mark.parametrize("s0", [1.0, 0.37, 1.3, 2500.0])
+    @pytest.mark.parametrize("spec", ETA_SPECS)
+    def test_identity_with_the_scalar_eta(self, spec, s0):
+        # eta at the money, log(s0 / s0) = 0.0 exactly, by the spec's scalar
+        # formulas and no other writing
+        model = table_model(v0=0.07, s0=s0, local_vol=spec)
+        assert vix_spot(model) == scalar_eta(spec, math.log(s0 / s0)) * math.sqrt(model.v0)
+        assert vix_spot(model) == eta_log_coeffs(spec)[0] * math.sqrt(model.v0)
 
 
 class TestMomentCondition:

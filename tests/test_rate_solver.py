@@ -22,7 +22,6 @@ from lsv_shortmat.model import (
     TanhLocalVol,
     TaylorLocalVol,
     ZeroDrift,
-    eta_eval,
     load_model,
     vix_spot,
 )
@@ -33,7 +32,6 @@ from lsv_shortmat.rate_solver import (
     sabr_rate_closed,
     stochvol_vix_rate,
     vix_rate,
-    vol_integral_Q,
 )
 from lsv_shortmat.smile import (
     european_expansion_heston_type,
@@ -67,7 +65,7 @@ class TestIntegralIS:
 
     def test_against_scipy_quad(self):
         for z in (0.2, 0.7, 1.3, math.exp(0.1), 5.0):
-            oracle, _ = quad(lambda t: 1.0 / eta_eval(TANH, math.exp(t), 1.0), 0.0, math.log(z),
+            oracle, _ = quad(lambda t: 1.0 / TANH.eta_derivatives(t)[0], 0.0, math.log(z),
                              epsabs=1e-13, epsrel=1e-13)
             assert integral_IS(TANH, 1.0, z) == pytest.approx(oracle, abs=1e-10)
 
@@ -131,23 +129,23 @@ class TestIntegralIS:
 
 class TestVolIntegralQ:
     def test_zero_at_start(self):
-        assert vol_integral_Q(LognormalVolOfVol(2.0), 0.1, math.log(0.1)) == pytest.approx(0.0, abs=1e-15)
+        assert LognormalVolOfVol(2.0).variance_leg(math.log(0.1), 0.1)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_lognormal_closed_form(self):
-        val = vol_integral_Q(LognormalVolOfVol(2.0), 0.1, math.log(0.4))
+        val = LognormalVolOfVol(2.0).variance_leg(math.log(0.4), 0.1)[0]
         assert val == pytest.approx(math.sqrt(0.4) - math.sqrt(0.1), rel=1e-12)
         assert val == pytest.approx(0.31622777, abs=1e-7)
 
     def test_square_root_closed_form(self):
-        assert vol_integral_Q(SquareRootVolOfVol(1.0), 1.0, math.log(2.0)) == pytest.approx(1.0, rel=1e-12)
+        assert SquareRootVolOfVol(1.0).variance_leg(math.log(2.0), 1.0)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_against_quadrature(self):
         # lognormal: sigma(x) = sigma; square-root: sigma(x) = sigma/sqrt(x)
         v0, y = 0.2, math.log(0.35)
         lo, _ = quad(lambda x: 1.0 / (math.sqrt(x) * 1.7), v0, math.exp(y))
-        assert vol_integral_Q(LognormalVolOfVol(1.7), v0, y) == pytest.approx(lo, rel=1e-9)
+        assert LognormalVolOfVol(1.7).variance_leg(y, v0)[0] == pytest.approx(lo, rel=1e-9)
         sr, _ = quad(lambda x: 1.0 / (math.sqrt(x) * (0.8 / math.sqrt(x))), v0, math.exp(y))
-        assert vol_integral_Q(SquareRootVolOfVol(0.8), v0, y) == pytest.approx(sr, rel=1e-9)
+        assert SquareRootVolOfVol(0.8).variance_leg(y, v0)[0] == pytest.approx(sr, rel=1e-9)
 
 
 class TestEuropeanRate:
@@ -471,7 +469,7 @@ class TestVixBandEdges:
             dj_dw = math.log(v / v0) / vol.sigma**2
         else:
             dj_dw = 2.0 * math.sqrt(v) * (math.sqrt(v) - math.sqrt(v0)) / vol.sigma**2
-        k_star = f0 * rho * vol_integral_Q(vol, v0, math.log(v))
+        k_star = f0 * rho * vol.variance_leg(math.log(v), v0)[0]
         slope = -2.0 * dj_dw * math.tanh(k_star - x0) / f0
         assert 0.05 < abs(slope) < 0.2
         model = LsvModel(s0=1.0, v0=v0, rho=rho, local_vol=TanhLocalVol(f0, f1, x0), vol_of_vol=vol)
@@ -518,8 +516,8 @@ class TestVixBandEdges:
 def _vix_curve_oracle(model, strike):
     """The VIX rate by brute force over (log u, k) on the constraint curve:
     Nelder-Mead and polish from nine starts on the value functions
-    h_lognormal / h_heston, integral_IS and vol_integral_Q, with eta(k) <= 0
-    or a raising integral_IS scored as +inf."""
+    h_lognormal / h_heston, integral_IS and the spec's ``variance_leg``,
+    with eta(k) <= 0 or a raising integral_IS scored as +inf."""
     spec, vol = model.local_vol, model.vol_of_vol
     h_fn = h_lognormal if isinstance(vol, LognormalVolOfVol) else h_heston
     v0, rho = model.v0, model.rho
@@ -533,7 +531,7 @@ def _vix_curve_oracle(model, strike):
         except ValueError:
             return math.inf
         y, z = math.log(strike * strike / (eta * eta)), v0 * math.exp(log_u)
-        num = i_s - rho * vol_integral_Q(vol, v0, y)
+        num = i_s - rho * vol.variance_leg(y, v0)[0]
         return num * num / (2.0 * (1.0 - rho * rho) * z) + h_fn(y, z, v0, vol.sigma)
 
     starts = [(log_u, k) for log_u in (-0.5, 0.0, 0.5) for k in (-1.0, -0.25, 0.5)]
@@ -635,8 +633,8 @@ def _objective(model, product, log_moneyness):
 
 def _value_objective(model, product, log_moneyness):
     """The objective's value over (log u, w), w = y - log v0, built from the
-    public value functions alone: h_lognormal / h_heston, vol_integral_Q and
-    integral_IS, for VIX options up to the spot level that the tanh
+    public value functions alone: h_lognormal / h_heston, the spec's
+    ``variance_leg`` and integral_IS, for VIX options up to the spot level that the tanh
     closed-form inverse gives for eta^2 = K^2 e^{-y}.  Independent of the
     solver's parametrisation of the VIX constraint curve."""
     vol = model.vol_of_vol
@@ -654,7 +652,7 @@ def _value_objective(model, product, log_moneyness):
 
     def objective(log_u, w):
         z, y = v0 * math.exp(log_u), log_v0 + w
-        num = spot(y) - rho * vol_integral_Q(vol, v0, y)
+        num = spot(y) - rho * vol.variance_leg(y, v0)[0]
         return num * num / (2.0 * (1.0 - rho * rho) * z) + h_fn(y, z, v0, vol.sigma)
 
     return objective
@@ -760,7 +758,7 @@ def _replaced_rate(model, product, log_moneyness):
     starts = [np.zeros(2)]
     if isinstance(vol, LognormalVolOfVol):
         sv0, rho = math.sqrt(model.v0), model.rho
-        eta0, eta1 = model_mod.eta_log_coeffs(model.local_vol, 1)
+        eta0, eta1, _, _ = model_mod.eta_log_coeffs(model.local_vol)
         if product == "vix":
             d = vol.sigma + 2.0 * rho * eta1 * sv0
             a = vol.sigma * d / (d * d + 2.0 * (1.0 - rho * rho) * eta1 * eta1 * model.v0)

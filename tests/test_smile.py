@@ -191,6 +191,100 @@ class TestVixLevelVanishes:
         assert math.isnan(exp.skew) and math.isnan(exp.convexity)
 
 
+EPS = 2.0**-52
+VIX_EXPANSIONS = {LognormalVolOfVol: vix_expansion_sabr_type, SquareRootVolOfVol: vix_expansion_heston_type}
+
+
+def _vol_of_vol(family, sigma_v0, v0):
+    """The spec of the family whose sigma(V0) is sigma_v0, up to rounding."""
+    return family(sigma_v0) if family is LognormalVolOfVol else family(sigma_v0 * math.sqrt(v0))
+
+
+def _random_models(family, seed, n):
+    """Seeded random models of the family on a tanh local vol, as a uniform
+    correlation and the other fields."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        f1, x0 = rng.uniform(-0.9, 0.9), rng.uniform(-1.0, 1.0)
+        yield rng.uniform(-1.0, 1.0), dict(s0=rng.uniform(0.5, 2.0), v0=rng.uniform(0.01, 1.0),
+                                           local_vol=TanhLocalVol(1.0, f1, x0),
+                                           vol_of_vol=family(rng.uniform(0.1, 3.0)))
+
+
+class TestVixAtmLevelAccuracy:
+    """The ATM VIX level (1/2) sqrt(sigma^2 + 4 eta1 rho sigma sqrt(V0) +
+    4 eta1^2 V0) against mpmath where the sum under that root cancels:
+    sigma(V0) = 2 |eta1| sqrt(V0) (1 + delta) and |rho| at or near 1.  The
+    error is measured on the scale sigma(V0)/2 + |eta1| sqrt(V0) of the two
+    terms whose difference the level can be."""
+
+    DELTAS = (0.0, 1e-14, -1e-14, 1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4, 0.1, -0.1)
+
+    def corner_models(self, family, seed, n):
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            v0 = 10.0 ** rng.uniform(-3.0, 0.5)
+            eta1 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 0.3)
+            delta = self.DELTAS[rng.integers(len(self.DELTAS))]
+            sign = rng.choice((-1.0, 1.0))
+            rho = (sign, sign * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0)), rng.uniform(-1.0, 1.0))[i % 3]
+            sigma_v0 = 2.0 * abs(eta1) * math.sqrt(v0) * (1.0 + delta)
+            local_vol = TaylorLocalVol(rng.uniform(0.5, 1.5), eta1, *rng.uniform(-1.0, 1.0, size=2))
+            yield LsvModel(s0=1.0, v0=v0, rho=rho, local_vol=local_vol,
+                           vol_of_vol=_vol_of_vol(family, sigma_v0, v0))
+
+    @pytest.mark.parametrize("family", [LognormalVolOfVol, SquareRootVolOfVol])
+    def test_against_mpmath(self, family):
+        mp = pytest.importorskip("mpmath")
+        # the worst level error in units of eps * scale, and the worst price
+        # limit error over its bound: the VIX spot times the level's error
+        # plus two roundings, over sqrt(2 pi)
+        worst_level = worst_limit = 0.0
+        with mp.workdps(50):
+            for model in self.corner_models(family, 2025, 3000):
+                sigma, eta1 = model.vol_of_vol.sigma_at(model.v0), eta_log_coeffs(model.local_vol)[1]
+                s, e, r, sv0 = mp.mpf(sigma), mp.mpf(eta1), mp.mpf(model.rho), mp.sqrt(model.v0)
+                exact = mp.sqrt(s * s + 4 * e * r * s * sv0 + 4 * e * e * sv0 * sv0) / 2
+                scale = 0.5 * sigma + abs(eta1) * math.sqrt(model.v0)
+                error = abs(VIX_EXPANSIONS[family](model).atm - exact) / (EPS * scale)
+                worst_level = max(worst_level, float(error))
+                spot = vix_spot(model)
+                limit = spot * exact / mp.sqrt(2 * mp.pi)
+                bound = EPS * spot * (4.0 * scale + 2.0 * float(exact)) / math.sqrt(2.0 * math.pi)
+                worst_limit = max(worst_limit, float(abs(atm_price_limit_vix(model) - limit) / bound))
+        assert worst_level <= 4.0
+        assert worst_limit <= 1.0
+
+
+class TestOneVixAtmLevel:
+    """The VIX expansion, its range over rho and the VIX price limit read
+    one ATM level."""
+
+    @pytest.mark.parametrize("family", [LognormalVolOfVol, SquareRootVolOfVol])
+    def test_bounds_are_the_levels_at_full_correlation(self, family):
+        expansion = VIX_EXPANSIONS[family]
+        for rho, base in _random_models(family, 31, 500):
+            ends = sorted(expansion(LsvModel(rho=end, **base)).atm for end in (-1.0, 1.0))
+            assert vix_atm_bounds(LsvModel(rho=rho, **base)) == tuple(ends)
+
+    @pytest.mark.parametrize("family", [LognormalVolOfVol, SquareRootVolOfVol])
+    def test_price_limit_is_the_spot_times_the_level(self, family):
+        expansion = VIX_EXPANSIONS[family]
+        for rho, base in _random_models(family, 37, 500):
+            model = LsvModel(rho=rho, **base)
+            want = vix_spot(model) * expansion(model).atm / math.sqrt(2.0 * math.pi)
+            assert abs(atm_price_limit_vix(model) - want) <= 2.0 * math.ulp(want)
+
+    def test_mapping_is_the_constant_drift_factor_at_minus_a(self):
+        rng = np.random.default_rng(41)
+        speeds = [0.0, 1e-15, 1e-13, 1e-12, 1e-11, *(10.0 ** rng.uniform(-10.0, 2.0, size=300))]
+        for a in speeds:
+            tau, b = rng.uniform(1.0 / 365.0, 1.0), rng.uniform(0.01, 0.5)
+            m = vix_mapping(a, b, tau)
+            assert m.alpha == constant_drift_factor(-a, tau)
+            assert m.beta == b * (1.0 - m.alpha)
+
+
 class TestEuropeanHestonType:
     def test_pure_heston_coefficients(self):
         # eta = 1 limit: skew rho sigma/(4 sqrt(V0)), convexity

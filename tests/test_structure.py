@@ -146,14 +146,15 @@ def test_only_the_mc_engine_imports_numpy_on_import():
 
 
 # every name the package exported when it imported mc_engine eagerly, less
-# the eta^2 inverse and the cumulant oracles that no command reached
+# the eta^2 inverse, the cumulant oracles, the eta_eval relay and
+# vol_integral_Q, which no command reached
 PACKAGE_EXPORTS = [
     "ConstantDrift", "ConstantLocalVol", "FBranchSolution", "LognormalVolOfVol",
     "LsvModel", "McConfig", "McSamples", "MeanRevertingDrift", "OptionQuote", "PriceEstimate",
     "RatePoint", "SmileExpansion", "SmilePoint", "SquareRootVolOfVol", "TanhLocalVol",
     "TaylorLocalVol", "VixMapping", "ZeroDrift", "atm_price_limit_european", "atm_price_limit_vix",
     "black_price", "black_vega", "check_moment_condition", "constant_drift_factor",
-    "default_strike_grid", "eta_eval", "eta_log_coeffs",
+    "default_strike_grid", "eta_log_coeffs",
     "european_expansion_heston_type", "european_expansion_sabr_type", "european_rate", "h_heston",
     "h_lognormal", "heston_vix_smile", "hw_F", "hw_F_series", "implied_vol", "integral_IS",
     "legendre_point", "load_model", "marginal_J1", "marginal_J2", "meanrev_lognormal_vix_smile",
@@ -161,7 +162,6 @@ PACKAGE_EXPORTS = [
     "rate_IH_series", "rate_to_impvol", "sabr_rate_closed", "simulate_paths", "smile_from_mc",
     "solve_f_branch", "stochvol_vix_rate", "terminal_values", "vix_atm_bounds", "vix_exact_meanrev",
     "vix_expansion_heston_type", "vix_expansion_sabr_type", "vix_mapping", "vix_rate", "vix_spot",
-    "vol_integral_Q",
 ]
 
 
@@ -170,6 +170,14 @@ def test_package_keeps_its_exports():
     exec(f"from lsv_shortmat import {', '.join(PACKAGE_EXPORTS)}", namespace)
     assert all(namespace[name] is getattr(lsv_shortmat, name) for name in PACKAGE_EXPORTS)
     assert not set(PACKAGE_EXPORTS) - set(dir(lsv_shortmat))
+
+
+def test_package_exports_exactly_these_names():
+    lazy = {name for names in lsv_shortmat._LAZY_EXPORTS.values() for name in names}
+    assert lazy == set(PACKAGE_EXPORTS)
+    for name in ("eta_eval", "vol_integral_Q"):
+        with pytest.raises(AttributeError):
+            getattr(lsv_shortmat, name)
 
 
 def test_mc_exports_resolve_to_the_engine():

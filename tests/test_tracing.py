@@ -32,8 +32,10 @@ def test_instrument_enters_and_restores():
 
 
 def test_traced_vix_smile_records_its_solves(capsys):
-    # the tracer rebinds rate_solver.eta_sq_inverse and integral_IS, which
-    # only it reads on the VIX path; a VIX smile must still run under it
+    # the tracer rebinds rate_solver.eta_sq_inverse and integral_IS, and the
+    # VIX path reads neither: the first is a retired name that resolves to
+    # None, and the VIX leg integrates 1/eta through the spec.  A VIX smile
+    # must still run under the tracer
     tracing = _load_tracing()
     from lsv_shortmat import cli
 

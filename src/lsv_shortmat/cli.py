@@ -5,12 +5,11 @@ Subcommands:
 * ``table1``  - closed-form smile parameters of the bounded-tanh benchmark
   model on the three benchmark correlations.
 * ``smile``   - asymptotic implied vol per strike, from the quadratic
-  expansion and from the full rate-function solve.  For |log-moneyness|
-  below 1e-4 the rate column (here and in ``compare``) repeats the
-  expansion, which is more accurate there than |k| / sqrt(2 J) from a
-  solved J ~ k^2.  A strike whose rate solve is not certified
-  (``converged`` false) prints nan there, and a strike where the truncated
-  expansion is not positive, which is no vol, prints nan for it.
+  expansion and from the rate-function solve: |k| / sqrt(2 J) at k != 0
+  (J within 6.2e-16 of mpmath for 1e-8 <= |k| <= 0.3 on the constant-eta
+  lognormal model), the ATM level at k = 0.  That column (here and in
+  ``compare``) is nan where the solve is not certified or J is no positive
+  normal float; the expansion's is nan where it is not positive, no vol.
 * ``rate``    - rate-function values and minimiser diagnostics per strike.
 * ``mc``      - Monte Carlo implied-vol smile with error bands.
 * ``compare`` - asymptotics and Monte Carlo joined, with z-scores.
@@ -52,10 +51,6 @@ _DEF_PATHS = 100_000
 _DEF_STEPS = 200
 _DEF_SEED = 12345
 _DEF_MATURITY = {"european": 1.0 / 12.0, "vix": 1.0 / 52.0}
-# Below this |log-moneyness| the iv_rate column takes the quadratic expansion:
-# J ~ k^2 is then so small that the solver's absolute error in J dominates
-# |k| / sqrt(2 J), while the expansion is off by O(k^3) only
-_NEAR_MONEY = 1e-4
 # the |log-moneyness| from which exp(k) or exp(-k) overflows; below it
 # exp(k) is a finite positive float
 _MAX_ABS_K = math.log(sys.float_info.max)
@@ -154,11 +149,12 @@ def _expansion_vol(expansion: SmileExpansion, log_m: float) -> float:
 
 
 def _iv_rate_column(model: LsvModel, product: str, expansion: SmileExpansion, strike: float, log_m: float) -> float:
-    """The rate-solver vol, or nan where the solve is not certified."""
-    if abs(log_m) < _NEAR_MONEY:
+    """The rate-solver vol, the expansion's ATM level at k = 0, or nan where
+    the solve is not certified or J is no positive normal float."""
+    if log_m == 0.0:
         return _expansion_vol(expansion, log_m)
     pt = _rate_point(model, product, strike)
-    return rate_to_impvol(pt.rate, log_m) if pt.converged else math.nan
+    return rate_to_impvol(pt.rate, log_m) if pt.converged and pt.rate >= sys.float_info.min else math.nan
 
 
 # ---------------------------------------------------------------------------

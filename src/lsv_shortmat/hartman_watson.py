@@ -24,8 +24,8 @@ from ._record import Record
 from ._roots import newton_bracketed
 from ._sinc import SINC_D1_SERIES, horner
 
-__all__ = ["FBranchSolution", "solve_f_branch", "hw_F", "hw_F_derivatives", "hw_F_series", "rate_I",
-           "h_lognormal"]
+__all__ = ["FBranchSolution", "solve_f_branch", "hw_F", "hw_F_derivatives", "hw_F_deviation", "hw_F_series",
+           "rate_I", "h_lognormal"]
 
 _PI2_HALF = math.pi ** 2 / 2.0
 
@@ -37,6 +37,10 @@ _PI2_HALF = math.pi ** 2 / 2.0
 # |L| <= 0.3.
 _F_SERIES_COEFFS = (_PI2_HALF - 1.0, -1.0, 1.0, 2 / 15, 19 / 525, 22 / 2625, 4742 / 3031875,
                     43636 / 197071875, 146287 / 6897515625, 68146 / 57984609375)
+# D = F - F(1) + L = L^2 (1 + 2 L / 15 + ...) to L^11 (1e-18 off at |L| = 0.15), dD/dL over L and d^2D/dL^2
+_DEV_SERIES = _F_SERIES_COEFFS[2:] + (6740719066 / 38598324999609375, 1477499396 / 17544693181640625)
+_DEV_D1_SERIES = tuple(n * c for n, c in enumerate(_DEV_SERIES, 2))
+_DEV_D2_SERIES = tuple(n * (n - 1) * c for n, c in enumerate(_DEV_SERIES, 2))
 
 
 class FBranchSolution(Record):
@@ -107,6 +111,18 @@ def hw_F_derivatives(rho: float) -> tuple[float, float, float]:
     rho_g1 = rho * horner(SINC_D1_SERIES, -u) if abs(u) <= 1.0 else (rho * f - 1.0) / (2.0 * u)
     den = rho * rho * rho_g1
     return value, -f, -0.5 / den if den else math.inf
+
+
+def hw_F_deviation(L: float) -> tuple[float, float, float, float]:
+    """D = F(e^L) - F(1) + L (F beyond its tangent at rho = 1), dD/dL = 1 + rho F',
+    d^2D/dL^2 = rho F' + rho^2 F'' and the size of the terms D sums: from the series
+    for |L| <= 0.15, where the difference cancels, else :func:`hw_F_derivatives`."""
+    if abs(L) <= 0.15:
+        d = L * L * horner(_DEV_SERIES, L)
+        return d, L * horner(_DEV_D1_SERIES, L), horner(_DEV_D2_SERIES, L), abs(d)
+    rho = math.exp(L)
+    f, f1, f2 = hw_F_derivatives(rho)
+    return (f - _F_SERIES_COEFFS[0]) + L, 1.0 + rho * f1, rho * (f1 + rho * f2), abs(f) + _F_SERIES_COEFFS[0] + abs(L)
 
 
 def hw_F_series(rho: float) -> float:

@@ -24,12 +24,12 @@ the mu of dV/V if it is constant, else None.
 Each vol-of-vol spec class owns the rest of the factor's maths, in terminal
 log-variance y, w = y - log v0 and log u = log(z / v0):
 
-* ``variance_leg(y, v0)``    - the variance-leg integral Q(y) and its first
-  two y-derivatives;
+* ``variance_leg(w, v0)``    - the variance-leg integral Q and its first
+  two w-derivatives;
 * ``path_rate(log_u, w, v0)`` - the variance-path rate function H with its
   gradient, Hessian and rounding error in (log u, w);
-* ``variance_rate(v, v0)``   - the stochastic-vol rate of reaching variance v;
-* ``mean_variance(v, v0)``   - the time-averaged variance along the path
+* ``variance_rate(w, v0)``   - the stochastic-vol rate of reaching v0 e^w;
+* ``mean_variance(w, v0)``   - the time-averaged variance along the path
   that attains that rate;
 * ``sigma_at(v0)``           - the vol of vol sigma(V0) of dV/V at V0;
 * ``variance_step(v, v_pos, z, dt, sqrt_v_pos, work)`` - one Monte Carlo
@@ -307,6 +307,15 @@ _EPS = 2.0**-52
 _hartman_watson = _heston_rate = None
 
 
+def _expm1_parts(x: float) -> tuple[float, float]:
+    """(e^x - 1, e^x - 1 - x), the second by its Taylor series where it cancels."""
+    em1 = math.expm1(x)
+    if abs(x) > 0.2:
+        return em1, em1 - x
+    return em1, x * x * (1 / 2 + x * (1 / 6 + x * (1 / 24 + x * (1 / 120 + x * (1 / 720 + x * (
+        1 / 5040 + x * (1 / 40320 + x * (1 / 362880 + x * (1 / 3628800 + x / 39916800)))))))))
+
+
 def _euler_step(spec, v, v_pos, scale, z, dt: float, work):
     """Full-truncation Euler step of V in place:
     v <- v + drift(V+) dt + sigma scale sqrt(dt) z, then V+ = max(v, 0) into
@@ -334,48 +343,44 @@ class LognormalVolOfVol(Record):
         if self.sigma <= 0.0:
             raise ValueError("vol-of-vol sigma must be positive")
 
-    def variance_leg(self, y: float, v0: float) -> tuple[float, float, float]:
-        """Q = 2 (e^{y/2} - sqrt(v0)) / sigma and its y-derivatives."""
-        e = math.exp(0.5 * y) / self.sigma
-        return 2.0 * e - 2.0 * math.sqrt(v0) / self.sigma, e, 0.5 * e
+    def variance_leg(self, w: float, v0: float) -> tuple[float, float, float]:
+        """Q = 2 (e^{y/2} - sqrt(v0)) / sigma = 2 sqrt(v0) expm1(w/2) / sigma and its w-derivatives."""
+        c = math.sqrt(v0) / self.sigma
+        return 2.0 * c * math.expm1(0.5 * w), c * math.exp(0.5 * w), 0.5 * c * math.exp(0.5 * w)
 
     def path_rate(self, log_u: float, w: float, v0: float):
         """H = I(u, v) / (2 sigma^2) at u = e^{log u}, v = e^{w/2}, with
         I = 8 F(r) + 4 (e^{-log u} + e^{w - log u}) - 4 pi^2 and r = v/u.
 
-        F enters through L = log r = w/2 - log u, with dF/dL = r F' and
-        d^2F/dL^2 = r F' + r^2 F'' (:func:`.hartman_watson.hw_F_derivatives`).
-        Returns (H, rounding error, (H_log_u, H_w),
-        (H_log_u_log_u, H_log_u_w, H_ww)).
+        With L = log r = w/2 - log u and phi(x) = e^x - 1 - x the first-order
+        parts cancel against F(1) = pi^2/2 - 1: I = 8 D(L) + 4 (phi(-log u) +
+        phi(w - log u)), D = F - F(1) + L (:func:`.hartman_watson.hw_F_deviation`),
+        every term of second order in (log u, w).  Returns (H, rounding error,
+        (H_log_u, H_w), (H_log_u_log_u, H_log_u_w, H_ww)).
         """
         global _hartman_watson
         if _hartman_watson is None:
             from . import hartman_watson as _hartman_watson
-        r = math.exp(0.5 * w - log_u)
-        f, f1, f2 = _hartman_watson.hw_F_derivatives(r)
-        f_l = r * f1
-        f_ll = f_l + r * r * f2
-        e1 = math.exp(-log_u)
-        e2 = math.exp(w - log_u)
+        d, d1, d2, d_size = _hartman_watson.hw_F_deviation(0.5 * w - log_u)
+        m1, p1 = _expm1_parts(-log_u)
+        m2, p2 = _expm1_parts(w - log_u)
+        e1, e2 = 1.0 + m1, 1.0 + m2
         scale = 0.5 / (self.sigma * self.sigma)
-        value = scale * (8.0 * f + 4.0 * (e1 + e2) - 4.0 * math.pi**2)
-        noise = 4.0 * _EPS * scale * (8.0 * abs(f) + 4.0 * (e1 + e2) + 4.0 * math.pi**2)
-        grad = (scale * (-8.0 * f_l - 4.0 * (e1 + e2)), scale * (4.0 * f_l + 4.0 * e2))
-        hess = (scale * (8.0 * f_ll + 4.0 * (e1 + e2)), scale * (-4.0 * f_ll - 4.0 * e2),
-                scale * (2.0 * f_ll + 4.0 * e2))
+        value = scale * (8.0 * d + 4.0 * (p1 + p2))
+        noise = 4.0 * _EPS * scale * (8.0 * d_size + 4.0 * (p1 + p2))
+        grad = (scale * (-8.0 * d1 - 4.0 * (m1 + m2)), scale * (4.0 * d1 + 4.0 * m2))
+        hess = (scale * (8.0 * d2 + 4.0 * (e1 + e2)), scale * (-4.0 * d2 - 4.0 * e2),
+                scale * (2.0 * d2 + 4.0 * e2))
         return value, noise, grad, hess
 
-    def variance_rate(self, v: float, v0: float) -> float:
-        """J = (1/2) (integral of dx / (x sigma(x)) from v0 to v)^2
-        = log^2(v / v0) / (2 sigma^2)."""
-        return math.log(v / v0) ** 2 / (2.0 * self.sigma * self.sigma)
+    def variance_rate(self, w: float, v0: float) -> float:
+        """J = (1/2) (integral of dx / (x sigma(x)) from v0 to v0 e^w)^2 = w^2 / (2 sigma^2)."""
+        return w * w / (2.0 * self.sigma * self.sigma)
 
-    def mean_variance(self, v: float, v0: float) -> float:
-        """Time average v0 (r - 1) / log r, r = v / v0, of the path
-        V_t = v0 r^t that attains :meth:`variance_rate` (log V linear in t);
-        v0 where r rounds to 1."""
-        r = v / v0
-        return v0 if r == 1.0 else v0 * (r - 1.0) / math.log(r)
+    def mean_variance(self, w: float, v0: float) -> float:
+        """Time average v0 (e^w - 1) / w of the path V_t = v0 e^{w t} that
+        attains :meth:`variance_rate` (log V linear in t); v0 at w = 0."""
+        return v0 if w == 0.0 else v0 * math.expm1(w) / w
 
     def sigma_at(self, v0: float) -> float:
         return self.sigma
@@ -414,38 +419,35 @@ class SquareRootVolOfVol(Record):
         if self.sigma <= 0.0:
             raise ValueError("vol-of-vol sigma must be positive")
 
-    def variance_leg(self, y: float, v0: float) -> tuple[float, float, float]:
-        """Q = (e^y - v0) / sigma and its y-derivatives."""
-        e = math.exp(y) / self.sigma
-        return e - v0 / self.sigma, e, e
+    def variance_leg(self, w: float, v0: float) -> tuple[float, float, float]:
+        """Q = (e^y - v0) / sigma = v0 expm1(w) / sigma and its w-derivatives."""
+        c = v0 / self.sigma
+        return c * math.expm1(w), c * math.exp(w), c * math.exp(w)
 
     def path_rate(self, log_u: float, w: float, v0: float):
         """H = v0 I_H(x, y) at x = e^{log u}, y = e^w, in the layout of
         :meth:`LognormalVolOfVol.path_rate`, read off the point of
-        :func:`heston_rate.legendre_point` (gradient (theta, phi)), or None
-        when the transform does not certify its maximiser."""
+        :func:`heston_rate.legendre_point` at (log u, w) (gradient (theta, phi)),
+        or None when the transform does not certify its maximiser."""
         global _heston_rate
         if _heston_rate is None:
             from . import heston_rate as _heston_rate
-        x = math.exp(log_u)
-        y = math.exp(w)
-        pt = _heston_rate.legendre_point(x, y, self.sigma)
+        pt = _heston_rate.legendre_point(log_u, w, self.sigma)
         if not pt.converged:
             return None
-        i_x, i_y = pt.theta, pt.phi
+        x, y, i_x, i_y = pt.x, pt.y, pt.theta, pt.phi
         i_xx, i_xy, i_yy = pt.hessian
         return (v0 * pt.value, v0 * pt.noise, (v0 * x * i_x, v0 * y * i_y),
                 (v0 * x * (i_x + x * i_xx), v0 * x * y * i_xy, v0 * y * (i_y + y * i_yy)))
 
-    def variance_rate(self, v: float, v0: float) -> float:
-        """J = 2 (sqrt(v) - sqrt(v0))^2 / sigma^2, as for the lognormal factor."""
-        return 2.0 * (math.sqrt(v) - math.sqrt(v0)) ** 2 / (self.sigma * self.sigma)
+    def variance_rate(self, w: float, v0: float) -> float:
+        """J = 2 (sqrt(v) - sqrt(v0))^2 / sigma^2 = 2 v0 expm1(w/2)^2 / sigma^2."""
+        return 2.0 * v0 * math.expm1(0.5 * w) ** 2 / (self.sigma * self.sigma)
 
-    def mean_variance(self, v: float, v0: float) -> float:
-        """Time average (v0 + sqrt(v0 v) + v) / 3 of the path that attains
-        :meth:`variance_rate` (sqrt(V) linear in t); v0 where v / v0 rounds
-        to 1."""
-        return v0 if v / v0 == 1.0 else (v0 + math.sqrt(v0 * v) + v) / 3.0
+    def mean_variance(self, w: float, v0: float) -> float:
+        """Time average (v0 + sqrt(v0 v) + v) / 3 = v0 (1 + e^{w/2} + e^w) / 3 of
+        the path that attains :meth:`variance_rate` (sqrt(V) linear in t)."""
+        return v0 * ((1.0 + math.exp(0.5 * w) + math.exp(w)) / 3.0)
 
     def sigma_at(self, v0: float) -> float:
         return self.sigma / math.sqrt(v0)

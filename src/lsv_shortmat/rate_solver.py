@@ -23,8 +23,8 @@ VIX curve, and the vol-of-vol spec supplies Q and H with their derivatives
 (see :mod:`model`).  Both factors share the objective's quadratic model at
 the flat path p = 0, and its minimiser is the start (:func:`_start`).
 ``converged`` certifies a positive-definite Hessian with a Newton decrement
-below the objective's rounding error (see :func:`_minimize`); at |rho| = 1
-the objective is undefined and no point is certified (:func:`_solve`).
+below the objective's rounding error or 1e-12 of its value
+(:func:`_minimize`); at |rho| = 1 no point is certified (:func:`_solve`).
 
 Closed forms cover the special cases: lognormal stochastic vol (where the
 two-variable problem collapses to an explicit expression) and VIX options
@@ -38,9 +38,7 @@ import math
 
 from ._record import Record
 from .model import (
-    ConstantLocalVol,
     LocalVolSpec,
-    LognormalVolOfVol,
     LsvModel,
     VolOfVolSpec,
     eta_log_coeffs,
@@ -122,17 +120,16 @@ def _rate_objective(model: LsvModel, leg):
 
     ``leg(s)`` returns (w, w', w'', I_S, I_S', I_S''): w = y - log v0 and
     the spot integral with their first two s-derivatives, or None where s
-    is outside the leg's domain.  With N = I_S - rho Q(y) and
+    is outside the leg's domain.  With N = I_S - rho Q(w) and
     T = N^2 e^{-log u} / (2 (1 - rho^2) v0), the objective is T + H; the
     chain rule through w(s) gives its derivatives from those of N, and H's
-    come from the vol-of-vol spec.  The returned function gives
-    (value, rounding error, gradient, Hessian as (h_uu, h_us, h_ss)), or
-    None when s is outside the leg's domain, w outside the search box or H
-    cannot be certified.
+    come from the vol-of-vol spec, each to its own relative precision.  The
+    returned function gives (value, rounding error, gradient, Hessian as
+    (h_uu, h_us, h_ss)), or None when s is outside the leg's domain, w
+    outside the search box or H cannot be certified.
     """
     vol = model.vol_of_vol
     v0, rho = model.v0, model.rho
-    log_v0 = math.log(v0)
     c = 0.5 / ((1.0 - rho * rho) * v0)
 
     def evaluate(log_u: float, s: float):
@@ -144,7 +141,7 @@ def _rate_objective(model: LsvModel, leg):
         if h is None:
             return None
         h_val, h_noise, (h_u, h_w), (h_uu, h_uw, h_ww) = h
-        q, q1, q2 = vol.variance_leg(log_v0 + w, v0)
+        q, q1, q2 = vol.variance_leg(w, v0)
         n, n1, n2 = i_s - rho * q, i_s1 - rho * (q1 * w1), i_s2 - rho * (q2 * w1 * w1 + q1 * w2)
         e = c * math.exp(-log_u)
         t = e * n * n
@@ -218,9 +215,10 @@ def _minimize(evaluate, start):
     step that reached it.  The solve stops, converged, at the first point
     with a positive-definite Hessian whose Newton decrement g' H^-1 g (the
     gradient scaled by the inverse curvature: twice the decrease a Newton
-    step predicts) is below the objective's rounding error.  It also stops,
-    not converged, after _MAX_EVALS evaluations or where the start is
-    undefined.
+    step predicts) is below the objective's rounding error or 1e-12 of its
+    value; it returns the quadratic model's minimum, one Newton step on,
+    exact to third order in that step.  It also stops, not converged, after
+    _MAX_EVALS evaluations or where the start is undefined.
 
     Returns (p, value, evaluations, converged, boundary_hit).
     """
@@ -233,15 +231,15 @@ def _minimize(evaluate, start):
     if cur is None:
         return p, math.nan, evals, False, False
     radius = _RADIUS0
-    converged = False
     while True:
         value, noise, g, h = cur
         det = h[0] * h[2] - h[1] * h[1]
         if h[0] > 0.0 and det > 0.0:
-            decrement = (h[2] * g[0] * g[0] - 2.0 * h[1] * g[0] * g[1] + h[0] * g[1] * g[1]) / det
-            if decrement <= noise:
-                converged = True
-                break
+            newton = ((h[1] * g[1] - h[2] * g[0]) / det, (h[1] * g[0] - h[0] * g[1]) / det)
+            decrement = -(g[0] * newton[0] + g[1] * newton[1])
+            if decrement <= max(noise, 1e-12 * value):
+                return ((p[0] + newton[0], p[1] + newton[1]), value - 0.5 * decrement, evals, True,
+                        margin(p) < 1e-6)
         if evals >= _MAX_EVALS:
             break
         reach = min(radius, _EDGE_FRACTION * margin(p))
@@ -261,7 +259,7 @@ def _minimize(evaluate, start):
             radius = max(radius, 2.0 * length)
         if ratio >= 0.1:
             p, cur = cand, trial
-    return p, cur[0], evals, converged, margin(p) < 1e-6
+    return p, cur[0], evals, False, margin(p) < 1e-6
 
 
 def _start(model: LsvModel, leg) -> tuple[float, float]:
@@ -301,8 +299,7 @@ def _solve(model: LsvModel, strike: float, reference: float, make_leg, exact=Non
     p, value, evals, converged, boundary_hit = _minimize(_rate_objective(model, leg), _start(model, leg))
     spot = leg(p[1])
     y = math.log(model.v0) + spot[0] if spot else math.nan
-    # J is a sum of nonnegative terms, but near the money its rounding error exceeds it
-    return RatePoint(strike, max(value, 0.0), y, model.v0 * math.exp(p[0]), evals, converged, boundary_hit)
+    return RatePoint(strike, value, y, model.v0 * math.exp(p[0]), evals, converged, boundary_hit)
 
 
 def european_rate(model: LsvModel, strike: float) -> RatePoint:
@@ -317,18 +314,24 @@ def european_rate(model: LsvModel, strike: float) -> RatePoint:
 
 def _vix_leg(model: LsvModel, strike: float):
     """The VIX constraint curve eta(k)^2 V_T = K^2 over the spot level k:
-    w = log(K^2 / (v0 eta^2)), w' = -2 eta'/eta and
-    w'' = 2 (eta'/eta)^2 - 2 eta''/eta; I_S is the integral of 1/eta up to k,
-    with I_S' = 1/eta and I_S'' = -eta'/eta^2.  None where eta(k) <= 0."""
+    w = log(K^2 / (v0 eta^2)) = 2 log(K / VIX0) - 2 log1p((eta - eta0)/eta0),
+    w' = -2 eta'/eta and w'' = 2 (eta'/eta)^2 - 2 eta''/eta; I_S is the
+    integral of 1/eta up to k, I_S' = 1/eta and I_S'' = -eta'/eta^2; None
+    where eta(k) <= 0.  For |k| <= 0.01, where eta - eta0 would cancel to an
+    error of eps in w = O(k), it is the two-point Taylor rule on eta' (eta',
+    eta'', eta''' at 0 and k), exact to O(k^7)."""
     spec = model.local_vol
-    log_k2_v0 = math.log(strike * strike / model.v0)
+    two_log_m = 2.0 * math.log(strike / vix_spot(model))
+    eta0, a1, a2, a3 = spec.eta_derivatives(0.0)
 
     def leg(k: float):
-        eta, eta1, eta2, _ = spec.eta_derivatives(k)
+        eta, eta1, eta2, eta3 = spec.eta_derivatives(k)
         if not eta > 0.0:
             return None
+        d_eta = (k * (0.5 * (a1 + eta1) + k * (0.1 * (a2 - eta2) + k * (a3 + eta3) / 120.0)) if abs(k) <= 0.01
+                 else eta - eta0)
         r1 = eta1 / eta
-        return (log_k2_v0 - 2.0 * math.log(eta), -2.0 * r1, 2.0 * (r1 * r1 - eta2 / eta),
+        return (two_log_m - 2.0 * math.log1p(d_eta / eta0), -2.0 * r1, 2.0 * (r1 * r1 - eta2 / eta),
                 spec.inv_eta_integral(k), 1.0 / eta, -r1 / eta)
 
     return leg
@@ -351,9 +354,9 @@ def vix_rate(model: LsvModel, strike: float) -> RatePoint:
     exact = None
     if eta1 == eta2 == eta3 == 0.0:
         def exact():
-            vol, v = model.vol_of_vol, strike * strike / (eta0 * eta0)
-            return RatePoint(strike, vol.variance_rate(v, model.v0), 2.0 * math.log(strike / eta0),
-                             vol.mean_variance(v, model.v0), 0, True)
+            vol, w = model.vol_of_vol, 2.0 * math.log(strike / vix_spot(model))  # log(v / v0)
+            return RatePoint(strike, vol.variance_rate(w, model.v0), 2.0 * math.log(strike / eta0),
+                             vol.mean_variance(w, model.v0), 0, True)
 
     return _solve(model, strike, vix_spot(model), lambda: _vix_leg(model, strike), exact)
 
@@ -374,29 +377,30 @@ def stochvol_vix_rate(spec: VolOfVolSpec, v0: float, strike: float, mapping=None
     k2 = strike * strike
     if k2 <= beta:
         raise ValueError(f"strike^2 = {k2} not above the mapping floor beta = {beta}")
-    return spec.variance_rate((k2 - beta) / alpha, v0)
+    return spec.variance_rate(math.log((k2 - beta) / (alpha * v0)), v0)
 
 
 def sabr_rate_closed(model: LsvModel, strike: float) -> float:
     """Closed-form European rate for lognormal stochastic vol (eta = 1).
 
-    With zeta = (sigma/2) log(K/S0) / sqrt(V0),
+    With zeta = (sigma/2) log(K/S0) / sqrt(V0), S = sqrt(1 + zeta (2 rho + zeta)),
 
-        J(K) = (2 / sigma^2) * log^2( (sqrt(1 + 2 rho zeta + zeta^2)
-                                       + zeta + rho) / (1 + rho) ),
+        J(K) = (2 / sigma^2) * log^2( (S + zeta + rho) / (1 + rho) ),
 
     which matches the two-variable minimisation to solver precision and
     reproduces the classical lognormal-SABR smile via
-    :func:`rate_to_impvol`.
+    :func:`rate_to_impvol`; the log is log1p(zeta (S + 1 + 2 rho + zeta) /
+    ((S + 1)(1 + rho))), which does not cancel as zeta -> 0.
     """
-    if not isinstance(model.vol_of_vol, LognormalVolOfVol):
-        raise ValueError("closed form requires lognormal vol-of-vol")
-    if not isinstance(model.local_vol, ConstantLocalVol):
-        raise ValueError("closed form requires constant local vol")
-    if abs(model.rho) >= 1.0:
+    vol, v0, rho = model.vol_of_vol, model.v0, model.rho
+    _, q1, q2 = vol.variance_leg(0.0, v0)
+    # elasticity 0 of sigma(V) (1/2 - Q''/Q') and eta flat at 1
+    if q2 != 0.5 * q1 or eta_log_coeffs(model.local_vol) != [1.0, 0.0, 0.0, 0.0]:
+        raise ValueError("closed form requires lognormal vol-of-vol and constant local vol eta = 1")
+    if abs(rho) >= 1.0:
         raise ValueError("|rho| = 1 not supported")
-    sigma = model.vol_of_vol.sigma
-    zeta = (sigma / 2.0) * math.log(strike / model.s0) / math.sqrt(model.v0)
-    rho = model.rho
-    core = math.log((math.sqrt(1.0 + 2.0 * rho * zeta + zeta * zeta) + zeta + rho) / (1.0 + rho))
+    sigma = vol.sigma_at(v0)
+    zeta = (sigma / 2.0) * math.log(strike / model.s0) / math.sqrt(v0)
+    s1 = math.sqrt(1.0 + zeta * (2.0 * rho + zeta)) + 1.0
+    core = math.log1p(zeta * (s1 + 2.0 * rho + zeta) / (s1 * (1.0 + rho)))
     return 2.0 / (sigma * sigma) * core * core

@@ -98,13 +98,13 @@ def vix_mapping(a: float, b: float, tau: float) -> VixMapping:
 
 def _require(model: LsvModel, family) -> tuple[float, float]:
     """sigma(V0) and its elasticity e = V0 sigma'(V0) / sigma(V0) for a model
-    of the given family.  In y = log V the variance leg has
-    Q' = sqrt(V) / sigma(V), so e = 1/2 - Q''/Q': exactly 0 for the
-    lognormal family and -1/2 for the square-root family."""
+    of the given family.  In w = log(V / V0) the variance leg has
+    Q' = sqrt(V) / sigma(V), so e = 1/2 - Q''/Q' at w = 0: exactly 0 for
+    the lognormal family and -1/2 for the square-root family."""
     if not isinstance(model.vol_of_vol, family):
         raise ValueError(f"expansion requires {family.__name__}, got {type(model.vol_of_vol).__name__}")
     v0 = model.v0
-    _, q1, q2 = model.vol_of_vol.variance_leg(math.log(v0), v0)
+    _, q1, q2 = model.vol_of_vol.variance_leg(0.0, v0)
     return model.vol_of_vol.sigma_at(v0), 0.5 - q2 / q1
 
 

@@ -98,3 +98,49 @@ def boundary_theta_c(phi: float, sigma: float) -> float:
     # g(pi/2) = -sigma phi: the root lies below pi/2 for phi > 0, above for phi < 0
     c_star = newton_bracketed(g, gp, 0.5 * math.pi, lo, hi)
     return 2.0 * c_star * c_star / (sigma * sigma)
+
+
+def sabr_rate_mp(model, strike: float, dps: int = 50) -> float:
+    """The lognormal stochastic-vol European rate of
+    :func:`lsv_shortmat.rate_solver.sabr_rate_closed` in mpmath at ``dps``
+    digits, from the float log-moneyness log(K/S0) taken as exact:
+    J = (2/sigma^2) log^2((S + zeta + rho)/(1 + rho)), S^2 = 1 + 2 rho zeta +
+    zeta^2, zeta = (sigma/2) log(K/S0)/sqrt(V0), in the form that cancels
+    near the money, which the digits carry."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        sigma, rho = mp.mpf(model.vol_of_vol.sigma), mp.mpf(model.rho)
+        zeta = sigma / 2 * mp.mpf(math.log(strike / model.s0)) / mp.sqrt(model.v0)
+        s = mp.sqrt(1 + 2 * rho * zeta + zeta * zeta)
+        return float(2 / sigma**2 * mp.log((s + zeta + rho) / (1 + rho)) ** 2)
+
+
+def legendre_sup_mp(log_x: float, log_y: float, sigma: float, dps: int = 50) -> tuple[float, float]:
+    """(sup, argmax) over theta of the square-root transform's profile
+    G(theta) = theta x + ((1 + y) k(u) - 2 sqrt(y) m(u)) / a, a = sigma^2/2,
+    u = a theta, k = sqrt(u) cot(sqrt u), m = sqrt(u) / sin(sqrt u), at
+    x = e^{log_x}, y = e^{log_y}, in mpmath at ``dps`` digits: G in its O(1)
+    terms, which the digits carry through their cancellation near the flat
+    path, maximised by Newton on its numerical derivative from the leading
+    order theta = 6 (2 log x - log y) / sigma^2."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a = mp.mpf(sigma) ** 2 / 2
+        x, y = mp.exp(mp.mpf(log_x)), mp.exp(mp.mpf(log_y))
+
+        def profile(theta):
+            u = a * theta
+            if u > 0:
+                s = mp.sqrt(u)
+                k, m = s * mp.cot(s), s / mp.sin(s)
+            elif u < 0:
+                r = mp.sqrt(-u)
+                k, m = r * mp.coth(r), r / mp.sinh(r)
+            else:
+                k = m = mp.mpf(1)
+            return theta * x + ((1 + y) * k - 2 * mp.sqrt(y) * m) / a
+
+        theta = mp.findroot(lambda t: mp.diff(profile, t), 6 * (2 * mp.mpf(log_x) - mp.mpf(log_y)) / sigma**2)
+        return float(profile(theta)), float(theta)

@@ -10,7 +10,7 @@ import pytest
 from lsv_shortmat import cli, heston_rate, rate_solver
 from lsv_shortmat.cli import main
 from lsv_shortmat.model import load_model, model_from_dict
-from lsv_shortmat.rate_solver import sabr_rate_closed
+from lsv_shortmat.rate_solver import rate_to_impvol, sabr_rate_closed
 from lsv_shortmat.smile import SmileExpansion
 
 TABLE_MODEL = {
@@ -18,6 +18,8 @@ TABLE_MODEL = {
     "local_vol": {"kind": "tanh", "f0": 1.0, "f1": -0.5, "x0": 0.0},
     "vol_of_vol": {"kind": "lognormal", "sigma": 2.0, "drift": {"kind": "zero"}},
 }
+
+MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 
 
 @pytest.fixture
@@ -100,8 +102,8 @@ class TestSmile:
 
     @pytest.mark.parametrize("k", [1e-6, 4.7e-6, 1e-5, 9e-5])
     def test_near_money_rate_column_matches_sabr_closed_form(self, k, tmp_path, capsys):
-        # |k| / sqrt(2 J) from a solved J ~ k^2 is off by up to 1e-5 here;
-        # the column switches to the expansion below |k| = 1e-4
+        # the column is |k| / sqrt(2 J) from the solve at every k != 0, with
+        # J ~ k^2 to its relative precision (TestNearMoneyRateColumn)
         cfg = dict(TABLE_MODEL, rho=-0.7, local_vol={"kind": "constant"})
         path = tmp_path / "sabr.json"
         path.write_text(json.dumps(cfg))
@@ -207,6 +209,54 @@ class TestRate:
         assert rates[2] == pytest.approx(0.0, abs=1e-9)  # ATM
         assert rates[0] > 0 and rates[-1] > 0
         assert all(r[6] == "true" for r in rows)
+
+
+class TestNearMoneyRateColumn:
+    """Every k != 0 prints the solve, never the expansion, and the solve
+    keeps J ~ k^2 to its relative precision: for 1e-8 <= |k| <= 1e-5 its vol
+    |k| / sqrt(2 J) meets the quadratic expansion, whose O(k^3) truncation
+    is below 1e-12 there.  The square-root VIX expansion lacks the smile's
+    k^2 term (about 0.19 k^2 on these models), so there the bound is
+    0.25 k^2 + 1e-12."""
+
+    KS = [sign * a for a in (1e-8, 1e-7, 1e-6, 1e-5) for sign in (-1.0, 1.0)]
+
+    @pytest.mark.parametrize("product", ["european", "vix"])
+    @pytest.mark.parametrize("name", sorted(p.stem for p in MODELS_DIR.glob("*.json")))
+    def test_solve_meets_the_expansion(self, name, product):
+        model = load_model(str(MODELS_DIR / f"{name}.json"))
+        expansion = cli._expansion_for(model, product)
+        reference = cli._reference_level(model, product)
+        square_root_vix = product == "vix" and type(model.vol_of_vol).__name__ == "SquareRootVolOfVol"
+        for k in self.KS:
+            strike = reference * math.exp(k)
+            log_m = math.log(strike / reference)
+            pt = cli._rate_point(model, product, strike)
+            assert pt.converged, k
+            vol = rate_to_impvol(pt.rate, log_m)
+            tol = 1e-12 + (0.25 * log_m * log_m if square_root_vix else 0.0)
+            assert abs(vol - expansion.evaluate(log_m)) <= tol, (k, vol, expansion.evaluate(log_m))
+            assert cli._iv_rate_column(model, product, expansion, strike, log_m) == vol
+
+    def test_strikes_rounding_to_the_money(self, model_file, capsys):
+        # exp(+-1e-200) is 1.0: every row is at the money and prints the ATM level
+        code, out, _ = run_cli(["smile", "--model", model_file, "--kmin=-1e-200", "--kmax=1e-200",
+                                "--kcount", "3"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[1] for r in rows] == ["0"] * 3 and all(r[3] == r[2] for r in rows)
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-310, -1e-20, math.nan])
+    def test_rate_that_is_no_positive_normal_float(self, rate, model_file, capsys, monkeypatch):
+        # |k| / sqrt(2 J) needs a positive normal J: anything else prints nan
+        def solve(model, strike):
+            return rate_solver.RatePoint(strike, rate, 0.0, 0.1, 1, True)
+
+        monkeypatch.setattr(cli, "european_rate", solve)
+        code, out, _ = run_cli(["smile", "--model", model_file, "--kcount", "3"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[3] for r in rows] == ["nan", rows[1][2], "nan"]
 
 
 class TestUncertifiedSolves:
@@ -428,24 +478,24 @@ def test_log_moneyness_grid_is_numpy_linspace():
         assert np.array(grid).tobytes() == np.linspace(kmin, kmax, count).tobytes(), (kmin, kmax, count)
 
 
-MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
-
 # SHA-256 of the CSV each command writes, captured at 58931d9, while the
 # records were dataclasses and the CSV went through the csv module: the
-# plain records and the joined rows leave every byte as it was
+# plain records and the joined rows leave every byte as it was.  The rate
+# rows were captured again when the objective went to deviation form, which
+# moved their iteration counts and minimiser digits
 PINNED_OUTPUT = {
     ("table1",): "2ded60806c256f7892a45116ea6bbea93c9239422387adbb0156571033398acd",
     ("smile", "tanh_lognormal_rho_m07", "european"): "00aef919bc0f8e2ceaa27b7c1be7629ac5d815b2b712148c856a98f98ba4858e",
     ("smile", "tanh_lognormal_rho_m07", "vix"): "cbc700c557b8b4aad80f578ca538a55e9645bb8073363bb4fc93a48cd354da7c",
-    ("rate", "tanh_lognormal_rho_m07", "european"): "ed196e0b9fb7fcc5aaa6d4709e4578a846ce2ddff285d45185a04bc88a124c2e",
-    ("rate", "tanh_lognormal_rho_m07", "vix"): "a8247591d678ae9c4c912a0747f97ff94e3a31a804cea5dbbbb0160034d99dae",
+    ("rate", "tanh_lognormal_rho_m07", "european"): "e35e6b7d054fdd27928269c16d86e46938e60cbd161636feda26121d53719756",
+    ("rate", "tanh_lognormal_rho_m07", "vix"): "256c669816b221911df66522d7c25417153585a550825732d4c16b8d45dbbfff",
     ("smile", "tanh_sqrt_rho_m07", "european"): "cacb71af26ebd6ff1ce82b1315fa455a57fc95ec1212e0d6994b98488e29ff00",
     ("smile", "tanh_sqrt_rho_m07", "vix"): "be6a01e0d456a2a2df76fa508bcbf7eaba528bf2dd5a31aadc5f158765fe641d",
-    ("rate", "tanh_sqrt_rho_m07", "european"): "4dd1fd1bf1f21164de78e266bc10c226ef7640781e7bea28adfdcf7b6b31d618",
-    ("rate", "tanh_sqrt_rho_m07", "vix"): "75f66718942d461bda4867af238647a5da6d5d45cdecb07745efb3f5546320e1",
+    ("rate", "tanh_sqrt_rho_m07", "european"): "501fb28783a7d88a3b11b3d05c1a6e84157ed26324dff9ca6d53bb5d194947e1",
+    ("rate", "tanh_sqrt_rho_m07", "vix"): "5f05c64796e37671b61c1433df5e3aafe3574835cad9acdf23a3b99886e46268",
     ("smile", "constant_lognormal_rho_m07", "european"): "9c62dd2fdc84985d281af2570783c15c1107cbc384dc65f6cb68205284c6389e",
     ("smile", "constant_lognormal_rho_m07", "vix"): "3e9d22ceb61896316e226095b127d29d9285788cf7b7e7d518f29785eb4a2313",
-    ("rate", "constant_lognormal_rho_m07", "european"): "a1534ed062ae3a6e93959a424a8f8e92b0ceba9ec12f881cef12b00713377e75",
+    ("rate", "constant_lognormal_rho_m07", "european"): "96a5b27d9316a557e965316355c08db4e605d8c14c3b1e025f601d3bb0daf382",
     ("rate", "constant_lognormal_rho_m07", "vix"): "0244673fd13ad1f6136e6cbf7391ac9e9ac1443b9819fe9b9dbf27852b6ab004",
 }
 
@@ -462,18 +512,20 @@ def test_output_bytes_pinned(run, capsys):
 
 
 # SHA-256 of `smile --product vix` on a wide and a near-money grid, captured
-# at 7f50b7e, before the ATM VIX level became one sum of squares.  On these
-# grids the expansion column is what prints: below |k| = 1e-4 the rate
-# column repeats it
+# at 7f50b7e, before the ATM VIX level became one sum of squares.  The
+# near-money grids of the tanh models were captured again when the rate
+# column became the solve at every k != 0: rows below |k| = 1e-4 print the
+# solve instead of the expansion, and the solves at 1e-4 <= |k| <= 1e-3
+# moved from about 1e-8 off the expansion onto it
 VIX_GRIDS = {"3/61": ["--kmin=-3", "--kmax=3", "--kcount", "61"],
              "1e-3/21": ["--kmin=-0.001", "--kmax=0.001", "--kcount", "21"]}
 PINNED_VIX_GRIDS = {
     ("constant_lognormal_rho_m07", "3/61"): "da7b9c6a2a5ef92473e40f8ef5636defbb68cf034a8e9cb0d957af625c8b867d",
     ("constant_lognormal_rho_m07", "1e-3/21"): "7163b00334ea02aedba25962235d8ae73134223a0690ae8420727a0700c3e46a",
     ("tanh_lognormal_rho_m07", "3/61"): "04126b9c29bef728e9dba776b590fc3d11b68da69f419fe5c54837b8f801ca36",
-    ("tanh_lognormal_rho_m07", "1e-3/21"): "f33c60288ad8baa9f3e3bc655087bb254034210f6c569399f67299cf94f7177a",
+    ("tanh_lognormal_rho_m07", "1e-3/21"): "29abacfe11e6099b37abffa74ed7de14647a04d22bf504909c438d43d0cbc71a",
     ("tanh_sqrt_rho_m07", "3/61"): "8cb652d58740ea5d2e892e437524a798b371c1f2d12830cd4b7b2685f125c66f",
-    ("tanh_sqrt_rho_m07", "1e-3/21"): "a5e4029e60d9f636a2f74eb00f8327c55d4e065b6a98e76653bb237d984aa698",
+    ("tanh_sqrt_rho_m07", "1e-3/21"): "db806d7639bac280e490ac25f5d86a8cf822ddec23dab5bd75da30da50ccfa1d",
 }
 
 

@@ -10,11 +10,13 @@ from lsv_shortmat.hartman_watson import (
     h_lognormal,
     hw_F,
     hw_F_derivatives,
+    hw_F_deviation,
     hw_F_series,
     rate_I,
     solve_f_branch,
 )
 from lsv_shortmat._sinc import SINC_D1_SERIES, horner
+from lsv_shortmat.model import LognormalVolOfVol
 
 PI2_HALF = math.pi**2 / 2.0
 
@@ -196,6 +198,57 @@ def _mp_hw_F(mp, rho):
     d = mp.findroot(lambda t: rho * mp.sin(t) - t, min(mp.sqrt(6 * (rho - 1) / rho), 3))
     y = mp.pi - d
     return -(y**2) / 2 + rho * mp.cos(y) + mp.pi * y
+
+
+class TestFDeviation:
+    """D = F(e^L) - F(1) + L and its two L-derivatives keep their relative
+    precision as L -> 0, where F - F(1) + L cancels: against mpmath at 50
+    digits on both sides of the series switch at |L| = 0.15, where the
+    root solve leaves an absolute rounding error of about 1e-15 (5e-14 of
+    D) and the series' truncation is far below it."""
+
+    @pytest.mark.parametrize("L", [s * m for m in (1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.149, 0.151, 0.3, 2.0, 10.0)
+                                   for s in (1, -1)])
+    def test_against_mpmath(self, L):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            def dev(x):
+                return _mp_hw_F(mp, mp.exp(x)) - (mp.pi**2 / 2 - 1) + x
+
+            ref = (dev(mp.mpf(L)), mp.diff(dev, mp.mpf(L)), mp.diff(dev, mp.mpf(L), 2))
+        d, d1, d2, size = hw_F_deviation(L)
+        assert abs(d - ref[0]) <= 1e-13 * abs(ref[0]) and size >= abs(d), (L, d, float(ref[0]), size)
+        assert abs(d1 - ref[1]) <= 1e-13 * abs(ref[1]), (L, d1, float(ref[1]))
+        assert abs(d2 - ref[2]) <= 1e-13 * abs(ref[2]), (L, d2, float(ref[2]))
+
+
+class TestLognormalPathRate:
+    """The lognormal path rate in deviation form against the O(1) form it
+    replaced, I = 8 F(r) + 4 (e^{-log u} + e^{w - log u}) - 4 pi^2 with F and
+    its r-derivatives from :func:`hw_F_derivatives`, across the solver's box
+    |log u|, |w| <= 10 and on both sides of each series switch: equal within
+    the O(1) form's own rounding, which is absolute."""
+
+    GRID = (-10.0, -3.0, -0.4, -0.21, -0.19, -0.05, 0.0, 1e-6, 0.05, 0.19, 0.21, 0.4, 3.0, 10.0)
+
+    def test_against_the_order_one_form(self):
+        sigma = 1.3
+        scale = 0.5 / sigma**2
+        for log_u in self.GRID:
+            for w in self.GRID:
+                value, noise, grad, hess = LognormalVolOfVol(sigma).path_rate(log_u, w, 0.1)
+                r = math.exp(0.5 * w - log_u)
+                f, f1, f2 = hw_F_derivatives(r)
+                f_l, e1, e2 = r * f1, math.exp(-log_u), math.exp(w - log_u)
+                f_ll = f_l + r * r * f2
+                want = (scale * (8.0 * f + 4.0 * (e1 + e2) - 4.0 * math.pi**2),
+                        scale * (-8.0 * f_l - 4.0 * (e1 + e2)), scale * (4.0 * f_l + 4.0 * e2),
+                        scale * (8.0 * f_ll + 4.0 * (e1 + e2)), scale * (-4.0 * f_ll - 4.0 * e2),
+                        scale * (2.0 * f_ll + 4.0 * e2))
+                size = scale * (8.0 * abs(f) + 4.0 * (e1 + e2) + 4.0 * math.pi**2 + 8.0 * abs(f_ll))
+                for got, ref in zip((value, *grad, *hess), want):
+                    assert abs(got - ref) <= 1e-14 * size, (log_u, w, got, ref)
+                assert noise <= 1e-14 * size and (value > 0.0 if (log_u, w) != (0.0, 0.0) else value == 0.0)
 
 
 class TestFDerivatives:

@@ -19,7 +19,7 @@ from lsv_shortmat.heston_rate import (
 )
 from lsv_shortmat.model import SquareRootVolOfVol, load_model, vix_spot
 from lsv_shortmat.rate_solver import european_rate, vix_rate
-from oracles import boundary_theta_c, cumulant
+from oracles import boundary_theta_c, cumulant, legendre_sup_mp
 
 MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 GRID_SIGMAS = (0.5, 1.0, 2.0)
@@ -140,7 +140,7 @@ class TestLegendreTransform:
 
     def test_duality_at_maximizer(self):
         x, y, sigma = math.exp(0.1), math.exp(-0.05), 1.0
-        pt = legendre_point(x, y, sigma)
+        pt = legendre_point(0.1, -0.05, sigma)
         assert pt.converged
         h = 1e-5
         d_theta = (cumulant(pt.theta + h, pt.phi, sigma).value - cumulant(pt.theta - h, pt.phi, sigma).value) / (2 * h)
@@ -152,11 +152,12 @@ class TestLegendreTransform:
         with pytest.raises(ValueError):
             rate_IH_numeric(-1.0, 1.0, 1.0)
 
-    @pytest.mark.parametrize("x,y,sigma", [(1.0, 0.0, 1.0), (math.inf, 1.0, 1.0),
-                                           (1.0, math.nan, 1.0), (1.0, 1.0, 0.0)])
-    def test_non_finite_or_degenerate_inputs(self, x, y, sigma):
+    # legendre_point takes (log x, log y)
+    @pytest.mark.parametrize("log_x,log_y,sigma", [(0.0, -math.inf, 1.0), (math.inf, 0.0, 1.0),
+                                                   (0.0, math.nan, 1.0), (710.0, 0.0, 1.0), (0.0, 0.0, 0.0)])
+    def test_non_finite_or_degenerate_inputs(self, log_x, log_y, sigma):
         with pytest.raises(ValueError):
-            legendre_point(x, y, sigma)
+            legendre_point(log_x, log_y, sigma)
 
 
 class TestSeriesValues:
@@ -303,6 +304,29 @@ class TestProfileTermsOracle:
             for name, g, r in zip(("k", "k'", "k''", "m", "m'", "m''"), got, ref):
                 assert abs(g - r) <= 1e-9 * abs(r), (name, u, g, float(r))
 
+    @pytest.mark.parametrize("u", [
+        1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4, 0.5, -0.5, 0.999, 1.001, -0.999, -1.001,
+        3.0, -3.0, 9.0, -40.0, -2500.0,
+    ])
+    def test_deviation_parts_against_mpmath(self, u):
+        # k - 1 + u/3 and m - 1 - u/6, O(u^2), with their first derivatives,
+        # to their own relative precision on both sides of the series switch
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            def k_dev(v):
+                s = mp.sqrt(mp.mpc(v))
+                return mp.re(s * mp.cot(s)) - 1 + mp.mpf(v) / 3
+
+            def m_dev(v):
+                s = mp.sqrt(mp.mpc(v))
+                return mp.re(s / mp.sin(s)) - 1 - mp.mpf(v) / 6
+
+            ref = [k_dev(u), mp.diff(k_dev, u), m_dev(u), mp.diff(m_dev, u)]
+            got = _profile_terms(u)[6:]
+            assert len(got) == 4
+            for name, g, r in zip(("k~", "k~'", "m~", "m~'"), got, ref):
+                assert abs(g - r) <= 1e-12 * abs(r), (name, u, g, float(r))
+
     def test_domain_edge(self):
         assert _profile_terms(math.pi**2) is None
         assert _profile_terms(math.pi**2 * (1.0 - 1e-12)) is not None
@@ -320,11 +344,40 @@ class TestLegendreOracle:
             x = mp.diff(lambda t: _mp_cumulant(mp, t, phi0, sigma), theta0)
             y = mp.diff(lambda p: _mp_cumulant(mp, theta0, p, sigma), phi0)
             value = theta0 * x + phi0 * y - _mp_cumulant(mp, theta0, phi0, sigma)
-            pt = legendre_point(float(x), float(y), sigma)
+            pt = legendre_point(float(mp.log(x)), float(mp.log(y)), sigma)
             assert pt.converged
             assert abs(pt.theta - theta0) <= 1e-9 * max(1.0, abs(theta0))
             assert abs(pt.phi - phi0) <= 1e-9 * max(1.0, abs(phi0))
             assert abs(pt.value - value) <= 1e-9 * abs(value)
+
+
+class TestFlatPathAccuracy:
+    """legendre_point sums the profile G in deviation form about the flat
+    path (log x, log y) = 0, so I_H ~ p^2 and its rounding error keep their
+    relative precision as p -> 0: against the sup of G in its O(1) terms at
+    50 digits, for |log x| and |log y| from 1e-8 to 0.3."""
+
+    MAGNITUDES = (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3)
+
+    @pytest.mark.parametrize("sigma", GRID_SIGMAS)
+    def test_against_mpmath_sup(self, sigma):
+        pytest.importorskip("mpmath")
+        for mx in self.MAGNITUDES:
+            for my in self.MAGNITUDES:
+                for log_x, log_y in ((mx, my), (mx, -my), (-mx, my), (-mx, -my)):
+                    want, theta = legendre_sup_mp(log_x, log_y, sigma)
+                    pt = legendre_point(log_x, log_y, sigma)
+                    assert pt.converged, (log_x, log_y, sigma)
+                    assert abs(pt.value - want) <= 1e-12 * want, (log_x, log_y, sigma, pt.value, want)
+                    assert pt.noise <= 1e-12 * want, (log_x, log_y, sigma, pt.noise, want)
+                    assert abs(pt.theta - theta) <= 1e-8 * abs(theta), (log_x, log_y, sigma)
+
+    def test_quartic_series_near_the_flat_path(self):
+        # rate_IH_series is off by O(p^5): relative O(p^3) of I_H
+        for log_x, log_y in ((1e-4, -3e-5), (-2e-3, 1e-3), (5e-3, 5e-3)):
+            want = rate_IH_series(log_x, log_y, 1.0)
+            assert legendre_point(log_x, log_y, 1.0).value == pytest.approx(want, rel=50.0 * max(
+                abs(log_x), abs(log_y)) ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +405,10 @@ def _replaced_fd_grad_hess(f, p, fp, h):
     return g, H
 
 
-def _replaced_legendre_point(x, y, sigma):
-    """Newton on a 9-point stencil of cumulant values, Nelder-Mead fallback."""
+def _replaced_legendre_point(log_x, log_y, sigma):
+    """Newton on a 9-point stencil of cumulant values, Nelder-Mead fallback,
+    at x = e^{log_x}, y = e^{log_y}."""
+    x, y = math.exp(log_x), math.exp(log_y)
 
     def f(p):
         cp = cumulant(p[0], p[1], sigma)
@@ -404,7 +459,7 @@ def _replaced_legendre_point(x, y, sigma):
     # rounding error and Hessian at this path's own theta, from the profile
     # terms by the implicit differentiation of legendre_point
     theta, a, sqrt_y = float(p[0]), 0.5 * sigma * sigma, math.sqrt(y)
-    k, k1, k2, m, m1, m2 = _profile_terms(a * theta)
+    k, k1, k2, m, m1, m2, *_ = _profile_terms(a * theta)
     noise = 4.0 * heston_rate._EPS * (abs(theta * x) + ((1.0 + y) * abs(k) + 2.0 * sqrt_y * abs(m)) / a)
     hessian = None
     if converged:
@@ -429,7 +484,7 @@ class TestReplacedPathRegression:
             for ex in self.LOG_GRID:
                 for ey in self.LOG_GRID:
                     x, y = math.exp(ex), math.exp(ey)
-                    old = _replaced_legendre_point(x, y, sigma)
+                    old = _replaced_legendre_point(ex, ey, sigma)
                     if not old.converged:
                         continue
                     compared += 1
@@ -454,7 +509,7 @@ class TestConvergenceCertificate:
             for ex in np.linspace(-2.0, 2.0, 17):
                 for ey in np.linspace(-2.0, 2.0, 17):
                     x, y = math.exp(ex), math.exp(ey)
-                    pt = legendre_point(x, y, sigma)
+                    pt = legendre_point(math.log(x), math.log(y), sigma)
                     assert pt.converged, (ex, ey, sigma, pt)
                     assert rate_IH_numeric(x, y, sigma) == pt.value
 
@@ -482,9 +537,9 @@ class TestConvergenceCertificate:
         # there is no fallback: an uncertified maximiser is returned as Newton
         # left it, flagged, and every caller that needs a certificate refuses it
         x, y = math.exp(0.7), math.exp(-0.4)
-        newton = legendre_point(x, y, 1.0)
+        newton = legendre_point(0.7, -0.4, 1.0)
         monkeypatch.setattr(heston_rate, "_GRAD_TOL", 0.0)
-        pt = legendre_point(x, y, 1.0)
+        pt = legendre_point(0.7, -0.4, 1.0)
         assert newton.converged and not pt.converged
         assert pt.value == pytest.approx(newton.value, rel=1e-12)
         with pytest.raises(RuntimeError):
@@ -501,7 +556,7 @@ class TestDanskin:
         # outer rate minimisation needs
         x, y = math.exp(ex), math.exp(ey)
         assert max(abs(ex), abs(ey)) > 0.25
-        pt = legendre_point(x, y, sigma)
+        pt = legendre_point(ex, ey, sigma)
         hx, hy = 1e-5 * x, 1e-5 * y
         d_x = (rate_IH_numeric(x + hx, y, sigma) - rate_IH_numeric(x - hx, y, sigma)) / (2 * hx)
         d_y = (rate_IH_numeric(x, y + hy, sigma) - rate_IH_numeric(x, y - hy, sigma)) / (2 * hy)
@@ -517,10 +572,10 @@ class TestDanskin:
         # grad^2 I_H from implicit differentiation of the profile against
         # central differences of the Danskin gradient (theta*, phi*)
         x, y = math.exp(ex), math.exp(ey)
-        i_xx, i_xy, i_yy = legendre_point(x, y, sigma).hessian
+        i_xx, i_xy, i_yy = legendre_point(ex, ey, sigma).hessian
         hx, hy = 1e-5 * x, 1e-5 * y
-        up_x, dn_x = legendre_point(x + hx, y, sigma), legendre_point(x - hx, y, sigma)
-        up_y, dn_y = legendre_point(x, y + hy, sigma), legendre_point(x, y - hy, sigma)
+        up_x, dn_x = legendre_point(math.log(x + hx), ey, sigma), legendre_point(math.log(x - hx), ey, sigma)
+        up_y, dn_y = legendre_point(ex, math.log(y + hy), sigma), legendre_point(ex, math.log(y - hy), sigma)
         scale = max(abs(i_xx), abs(i_xy), abs(i_yy))
         for fd, exact in [((up_x.theta - dn_x.theta) / (2 * hx), i_xx),
                           ((up_x.phi - dn_x.phi) / (2 * hx), i_xy),

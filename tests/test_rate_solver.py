@@ -39,7 +39,7 @@ from lsv_shortmat.smile import (
     vix_expansion_heston_type,
     vix_expansion_sabr_type,
 )
-from oracles import tanh_eta_sq_log_inverse
+from oracles import sabr_rate_mp, tanh_eta_sq_log_inverse
 
 TANH = TanhLocalVol(1.0, -0.5, 0.0)
 
@@ -128,11 +128,13 @@ class TestIntegralIS:
 
 
 class TestVolIntegralQ:
+    # variance_leg takes w = y - log v0
     def test_zero_at_start(self):
-        assert LognormalVolOfVol(2.0).variance_leg(math.log(0.1), 0.1)[0] == pytest.approx(0.0, abs=1e-15)
+        assert LognormalVolOfVol(2.0).variance_leg(0.0, 0.1)[0] == 0.0
+        assert SquareRootVolOfVol(1.0).variance_leg(0.0, 0.1)[0] == 0.0
 
     def test_lognormal_closed_form(self):
-        val = LognormalVolOfVol(2.0).variance_leg(math.log(0.4), 0.1)[0]
+        val = LognormalVolOfVol(2.0).variance_leg(math.log(0.4 / 0.1), 0.1)[0]
         assert val == pytest.approx(math.sqrt(0.4) - math.sqrt(0.1), rel=1e-12)
         assert val == pytest.approx(0.31622777, abs=1e-7)
 
@@ -143,9 +145,9 @@ class TestVolIntegralQ:
         # lognormal: sigma(x) = sigma; square-root: sigma(x) = sigma/sqrt(x)
         v0, y = 0.2, math.log(0.35)
         lo, _ = quad(lambda x: 1.0 / (math.sqrt(x) * 1.7), v0, math.exp(y))
-        assert LognormalVolOfVol(1.7).variance_leg(y, v0)[0] == pytest.approx(lo, rel=1e-9)
+        assert LognormalVolOfVol(1.7).variance_leg(y - math.log(v0), v0)[0] == pytest.approx(lo, rel=1e-9)
         sr, _ = quad(lambda x: 1.0 / (math.sqrt(x) * (0.8 / math.sqrt(x))), v0, math.exp(y))
-        assert SquareRootVolOfVol(0.8).variance_leg(y, v0)[0] == pytest.approx(sr, rel=1e-9)
+        assert SquareRootVolOfVol(0.8).variance_leg(y - math.log(v0), v0)[0] == pytest.approx(sr, rel=1e-9)
 
 
 class TestEuropeanRate:
@@ -282,8 +284,9 @@ class TestVixRate:
 
     @pytest.mark.parametrize("vol_of_vol", [LognormalVolOfVol(2.0), SquareRootVolOfVol(1.0)])
     def test_constant_eta_minimizer_at_the_money_limit(self, vol_of_vol):
-        assert vol_of_vol.mean_variance(0.1, 0.1) == 0.1
-        assert vol_of_vol.mean_variance(0.1 * (1.0 + 1e-12), 0.1) == pytest.approx(0.1, rel=1e-12)
+        # mean_variance takes w = log(v / v0)
+        assert vol_of_vol.mean_variance(0.0, 0.1) == 0.1
+        assert vol_of_vol.mean_variance(math.log1p(1e-12), 0.1) == pytest.approx(0.1, rel=1e-12)
 
     @pytest.mark.parametrize("rho", [1.0, -1.0])
     def test_constant_eta_at_full_correlation(self, rho):
@@ -372,6 +375,20 @@ class TestSabrClosedForm:
     def test_requires_lognormal_and_flat_eta(self):
         with pytest.raises(ValueError):
             sabr_rate_closed(table_model(0.0), 1.1)
+
+    def test_guards_read_the_formula_inputs(self):
+        # elasticity 0 from variance_leg and eta flat at 1 from its Taylor
+        # coefficients, whatever the spec classes
+        want = sabr_rate_closed(sabr_model(-0.5), 1.1)
+        for flat in (TaylorLocalVol(1.0), TanhLocalVol(1.0, 0.0)):
+            model = LsvModel(s0=1.0, v0=0.1, rho=-0.5, local_vol=flat, vol_of_vol=LognormalVolOfVol(2.0))
+            assert sabr_rate_closed(model, 1.1) == want
+        for local_vol, vol_of_vol in ((TaylorLocalVol(1.1), LognormalVolOfVol(2.0)),
+                                      (TaylorLocalVol(1.0, 0.0, 0.1), LognormalVolOfVol(2.0)),
+                                      (ConstantLocalVol(), SquareRootVolOfVol(1.0))):
+            model = LsvModel(s0=1.0, v0=0.1, rho=-0.5, local_vol=local_vol, vol_of_vol=vol_of_vol)
+            with pytest.raises(ValueError):
+                sabr_rate_closed(model, 1.1)
 
 
 def heston_rate_oracle(rho, sigma, v0, x):
@@ -464,12 +481,12 @@ class TestVixBandEdges:
         v0, rho, f0, x0 = 0.3691, 0.5918, 1.9268, -0.48315
         strike = f0 * math.sqrt(v0) * math.exp(0.3354)
         v = (strike / f0) ** 2
-        j0 = vol.variance_rate(v, v0)
+        j0 = vol.variance_rate(math.log(v / v0), v0)
         if isinstance(vol, LognormalVolOfVol):
             dj_dw = math.log(v / v0) / vol.sigma**2
         else:
             dj_dw = 2.0 * math.sqrt(v) * (math.sqrt(v) - math.sqrt(v0)) / vol.sigma**2
-        k_star = f0 * rho * vol.variance_leg(math.log(v), v0)[0]
+        k_star = f0 * rho * vol.variance_leg(math.log(v / v0), v0)[0]
         slope = -2.0 * dj_dw * math.tanh(k_star - x0) / f0
         assert 0.05 < abs(slope) < 0.2
         model = LsvModel(s0=1.0, v0=v0, rho=rho, local_vol=TanhLocalVol(f0, f1, x0), vol_of_vol=vol)
@@ -531,7 +548,7 @@ def _vix_curve_oracle(model, strike):
         except ValueError:
             return math.inf
         y, z = math.log(strike * strike / (eta * eta)), v0 * math.exp(log_u)
-        num = i_s - rho * vol.variance_leg(y, v0)[0]
+        num = i_s - rho * vol.variance_leg(y - math.log(v0), v0)[0]
         return num * num / (2.0 * (1.0 - rho * rho) * z) + h_fn(y, z, v0, vol.sigma)
 
     starts = [(log_u, k) for log_u in (-0.5, 0.0, 0.5) for k in (-1.0, -0.25, 0.5)]
@@ -652,7 +669,7 @@ def _value_objective(model, product, log_moneyness):
 
     def objective(log_u, w):
         z, y = v0 * math.exp(log_u), log_v0 + w
-        num = spot(y) - rho * vol.variance_leg(y, v0)[0]
+        num = spot(y) - rho * vol.variance_leg(w, v0)[0]
         return num * num / (2.0 * (1.0 - rho * rho) * z) + h_fn(y, z, v0, vol.sigma)
 
     return objective
@@ -862,9 +879,8 @@ class TestSingleSolver:
 
 class TestNearMoney:
     def test_absolute_accuracy_floor(self):
-        # J itself is good to about 1e-14 absolute near the money, where J is
-        # O(k^2) and so its relative error grows like 1/k^2 (about 1e-8 at
-        # |k| = 1e-4); the floor is pinned, not the relative error
+        # J is good to 1e-14 absolute on the whole grid; its relative
+        # precision at the money is pinned by TestRelativeAccuracyAtTheMoney
         model = load_model(str(MODELS_DIR / "constant_lognormal_rho_m07.json"))
         for a in np.geomspace(1e-4, 0.3, 81):
             for k in (-a, a):
@@ -872,6 +888,34 @@ class TestNearMoney:
                 pt = european_rate(model, strike)
                 assert pt.converged, k
                 assert abs(pt.rate - sabr_rate_closed(model, strike)) <= 1e-14, k
+
+
+class TestRelativeAccuracyAtTheMoney:
+    """The objective's terms are each of their own order about the flat
+    path, so J ~ k^2 keeps its relative precision at the money: the solve,
+    the closed form and mpmath agree to 1e-12 relative down to |k| = 1e-8."""
+
+    KS = [sign * a for a in np.geomspace(1e-8, 0.3, 29) for sign in (-1.0, 1.0)]
+
+    def test_rate_against_mpmath_and_closed_form(self):
+        model = load_model(str(MODELS_DIR / "constant_lognormal_rho_m07.json"))
+        for k in self.KS:
+            strike = math.exp(k)
+            pt = european_rate(model, strike)
+            want = sabr_rate_mp(model, strike)
+            assert pt.converged, k
+            assert abs(pt.rate - want) <= 1e-12 * want, (k, pt.rate, want)
+            assert abs(sabr_rate_closed(model, strike) - want) <= 1e-12 * want, k
+
+    def test_closed_form_against_mpmath(self):
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            rho, sigma, v0 = rng.uniform(-0.99, 0.99), rng.uniform(0.2, 3.0), rng.uniform(0.01, 1.0)
+            zeta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, 0.0)
+            model = sabr_model(rho, sigma, v0)
+            strike = math.exp(2.0 * zeta * math.sqrt(v0) / sigma)
+            want = sabr_rate_mp(model, strike)
+            assert abs(sabr_rate_closed(model, strike) - want) <= 5e-14 * want, (rho, sigma, v0, zeta)
 
 
 class TestEvaluationBudget:
@@ -908,7 +952,7 @@ class TestStart:
         assert value == pytest.approx(0.0, abs=1e-14 * scale)
         assert grad == pytest.approx((0.0, 0.0), abs=1e-14 * scale)
         assert hess == pytest.approx((12.0 * scale, -6.0 * scale, 4.0 * scale), rel=1e-14, abs=0.0)
-        slope = vol.variance_leg(math.log(v0), v0)[1]
+        slope = vol.variance_leg(0.0, v0)[1]
         assert slope == pytest.approx(math.sqrt(v0) / vol.sigma_at(v0), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("name", ["tanh_lognormal_rho_m07", "tanh_lognormal_rho_0", "tanh_lognormal_rho_p07",

@@ -183,7 +183,8 @@ class TestVixLevelVanishes:
         assert vix_atm_bounds(table_model(rho, vol_of_vol=LognormalVolOfVol(1.0), **base))[0] == 0.0
 
     def test_rounds_below_zero(self):
-        # d evaluates to -2.8e-17 here, where the square root used to raise
+        # the difference form of the squared level d evaluated to -2.8e-17 here,
+        # where the square root used to raise; the sum of squares gives 0.0
         sigma = 2 * 0.7 * math.sqrt(0.1)
         exp = vix_expansion_sabr_type(table_model(1.0, local_vol=TanhLocalVol(1.0, -0.7, 0.0),
                                                   vol_of_vol=LognormalVolOfVol(sigma)))

@@ -47,9 +47,8 @@ from lsv_shortmat import hartman_watson, heston_rate, mc_engine, model, rate_sol
 
 PACKAGE = Path(model.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-# the remaining sites: cli._expansion_for, smile._require and the two input
-# guards of rate_solver.sabr_rate_closed
-MAX_ISINSTANCE = 4
+# the remaining sites: cli._expansion_for and smile._require
+MAX_ISINSTANCE = 2
 
 # scipy root finders the package solver replaces
 FOREIGN_ROOT_FINDERS = {"brentq", "bisect", "newton", "root_scalar"}

@@ -14,6 +14,11 @@ Subcommands:
 * ``mc``      - Monte Carlo implied-vol smile with error bands.
 * ``compare`` - asymptotics and Monte Carlo joined, with z-scores.
 
+``mc`` and ``compare`` simulate --paths paths as --paths / 2 antithetic
+pairs: a path and its mirror image on the negated draws.  Each error band
+(``std_error``, ``iv_low``/``iv_high``, and the band ``z_score`` divides by)
+comes from the pair means, one independent sample per pair.
+
 Model parameters come from a JSON file (--model); run parameters are flags.
 The effective configuration is echoed to stderr for reproducibility.  Output
 is RFC-4180 CSV with '.' decimals, written to --out or stdout; no field
@@ -131,6 +136,8 @@ def _write_csv(header, rows, out_path: str | None) -> None:
 
 def _echo_config(args, model: LsvModel | None) -> None:
     eff = {k: v for k, v in vars(args).items() if k not in ("func",)}
+    if "paths" in args:
+        eff.update(antithetic=True, pairs=args.paths // 2)
     if model is not None:
         eff["model"] = model_to_dict(model)
     print(json.dumps({"effective_config": eff}, sort_keys=True), file=sys.stderr)
@@ -214,7 +221,9 @@ def _mc_smile(args, model: LsvModel):
     """The MC smile on the --kmin/--kmax grid, else on the sample-quantile grid."""
     _bind_mc_engine()
     maturity = args.maturity if args.maturity is not None else _DEF_MATURITY[args.product]
-    config = McConfig(n_paths=args.paths, n_steps=args.steps, maturity=maturity, seed=args.seed)
+    # --paths counts simulated paths, drawn as mirrored pairs
+    config = McConfig(n_paths=args.paths // 2, n_steps=args.steps, maturity=maturity, seed=args.seed,
+                      antithetic=True)
     samples = simulate_paths(model, config)
     if args.kmin is not None:
         strikes = _strike_grid(args, _reference_level(model, args.product))
@@ -285,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         parent.add_argument("--kmax", type=float, default=kmax, help="highest log-moneyness")
 
     mc = argparse.ArgumentParser(add_help=False, parents=[quantile_range])
-    mc.add_argument("--paths", type=int, default=_DEF_PATHS)
+    mc.add_argument("--paths", type=int, default=_DEF_PATHS,
+                    help="simulated paths, an even count of at least 4, drawn as antithetic pairs")
     mc.add_argument("--steps", type=int, default=_DEF_STEPS)
     mc.add_argument("--seed", type=int, default=_DEF_SEED)
     mc.add_argument("--maturity", type=float, default=None,
@@ -310,7 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the strike range is checked before a model is read or a path simulated
+    # the path count and the strike range are checked before a model is
+    # read or a path simulated
+    if "paths" in args and (args.paths < 4 or args.paths % 2):
+        # two pairs are the fewest whose pair means give a standard error
+        parser.error("--paths must be an even count of at least 4")
     if "kcount" in args:
         if args.kcount < 1:
             parser.error("--kcount must be at least 1")

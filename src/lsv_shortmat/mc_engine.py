@@ -188,6 +188,12 @@ class _Stepper:
     exactly while x = eta^2 V+ is zero or at least 2^-1021 (halving is
     exact above the subnormals).  sqrt(V+) is taken once per step and
     shared by the asset and the variance step.
+
+    The mirrored row of an antithetic pair steps on -z and -b without
+    drawing or combining them again: it negates z in place for the variance
+    step and takes its partner's dw with the sign moved into the sums, as
+    x + (-y) is x - y and rounding is symmetric in sign, so its values are
+    bit for bit those of the negated draws.
     """
 
     def __init__(self, model: LsvModel, config: McConfig, aux_const_vol: float | None,
@@ -222,22 +228,28 @@ class _Stepper:
                 if zb is None:
                     raise ring.error
             z, b = zb
-            for i, row in enumerate(block.rows):
-                if i:
-                    # the mirrored row steps on the negated draws of the plain one
-                    np.negative(zb, out=zb)
-                self._step(row, z, b)
+            dw = self.dw
+            np.multiply(z, self.model.rho, out=self.tmp)
+            np.multiply(b, self.rho_perp, out=dw)
+            np.add(self.tmp, dw, out=dw)
+            np.multiply(dw, self.sq_dt, out=dw)
+            plain, *mirrored = block.rows
+            self._step(plain, z, np.add)
+            for row in mirrored:
+                # the partner steps on -z and -dw: z is negated for the
+                # variance step, and dw enters by subtraction
+                np.negative(z, out=z)
+                self._step(row, z, np.subtract)
             if ring is not None:
                 ring.free.put(zb)
         return block
 
-    def _step(self, row: _Row, z: np.ndarray, b: np.ndarray) -> None:
+    def _step(self, row: _Row, z: np.ndarray, shift) -> None:
+        """Step one row on the increments dw of this step, which enter
+        through ``shift``: np.add for the plain row, np.subtract for its
+        mirrored partner."""
         model, dt = self.model, self.dt
         eta, tmp, sqrt_v, dw = self.eta, self.tmp, self.sqrt_v, self.dw
-        np.multiply(z, model.rho, out=tmp)
-        np.multiply(b, self.rho_perp, out=dw)
-        np.add(tmp, dw, out=dw)
-        np.multiply(dw, self.sq_dt, out=dw)
         model.local_vol.eta(row.log_m, out=eta)
         np.sqrt(row.v_pos, out=sqrt_v)
         np.multiply(eta, eta, out=tmp)
@@ -246,11 +258,11 @@ class _Stepper:
         np.subtract(self.carry, tmp, out=tmp)
         np.multiply(eta, sqrt_v, out=eta)
         np.multiply(eta, dw, out=eta)
-        np.add(tmp, eta, out=tmp)
+        shift(tmp, eta, out=tmp)
         np.add(row.log_m, tmp, out=row.log_m)
         if row.log_aux is not None:
             np.multiply(dw, self.aux_const_vol, out=tmp)
-            np.add(tmp, self.aux_drift, out=tmp)
+            shift(self.aux_drift, tmp, out=tmp)
             np.add(row.log_aux, tmp, out=row.log_aux)
         row.v_pos = model.vol_of_vol.variance_step(row.v, row.v_pos, z, dt, sqrt_v, tmp)
 
@@ -357,8 +369,9 @@ def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | Non
                      terminal_s_aux=aux.reshape(-1) if aux is not None else None)
 
 
-def _underlying(samples: McSamples, product: str) -> tuple[np.ndarray, float, float]:
-    """(per-path terminal values, forward, reference level) of the product.
+def _underlying(samples: McSamples, product: str) -> tuple[np.ndarray, float, float, bool]:
+    """(per-path terminal values, forward, reference level, whether the
+    forward is their sample mean) of the product.
 
     European options are written on S_T and quote off the exact carry
     forward S0 e^{(r-q)T}, which is also their reference level.  VIX options
@@ -369,11 +382,11 @@ def _underlying(samples: McSamples, product: str) -> tuple[np.ndarray, float, fl
     model = samples.model
     if product == "european":
         forward = model.s0 * math.exp((model.r - model.q) * samples.config.maturity)
-        return samples.terminal_s, forward, forward
+        return samples.terminal_s, forward, forward, False
     if product == "vix":
         log_m = np.log(samples.terminal_s / model.s0)
         values = model.local_vol.eta(log_m) * np.sqrt(samples.terminal_v)
-        return values, float(values.mean()), vix_spot(model)
+        return values, float(values.mean()), vix_spot(model), True
     raise ValueError("product must be 'european' or 'vix'")
 
 
@@ -383,16 +396,28 @@ def terminal_values(samples: McSamples, product: str) -> np.ndarray:
     return _underlying(samples, product)[0]
 
 
-def _payoff_estimate(values: np.ndarray, strike: float, is_call: bool, antithetic: bool) -> PriceEstimate:
-    """Undiscounted mean payoff with its standard error; antithetic samples
-    are reduced to per-pair averages so the error bar reflects the paired
-    estimator."""
+def _payoff_samples(values: np.ndarray, strike: float, is_call: bool, antithetic: bool,
+                    hedge: float = 0.0) -> np.ndarray:
+    """The independent samples of the undiscounted payoff less ``hedge``
+    units of the underlying: one per path, or per pair average for
+    antithetic samples, so that an error bar reflects the paired estimator."""
     payoff = np.maximum(values - strike, 0.0) if is_call else np.maximum(strike - values, 0.0)
+    if hedge:
+        payoff -= hedge * values
     if antithetic:
         half = payoff.size // 2
         payoff = 0.5 * (payoff[:half] + payoff[half:])
-    n = payoff.size
-    return PriceEstimate(float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(n)), n)
+    return payoff
+
+
+def _standard_error(samples: np.ndarray) -> float:
+    return float(samples.std(ddof=1) / math.sqrt(samples.size))
+
+
+def _payoff_estimate(values: np.ndarray, strike: float, is_call: bool, antithetic: bool) -> PriceEstimate:
+    """Undiscounted mean payoff with its standard error."""
+    payoff = _payoff_samples(values, strike, is_call, antithetic)
+    return PriceEstimate(float(payoff.mean()), _standard_error(payoff), payoff.size)
 
 
 def price(samples: McSamples, product: str, strike: float, is_call: bool) -> PriceEstimate:
@@ -463,14 +488,18 @@ def smile_from_mc(samples: McSamples, strikes, product: str) -> list[SmilePoint]
 
     Each product inverts against its forward (see :func:`_underlying`).
     OTM sides are priced (call above the forward, put below) and the
-    standard error is pushed through to vol space via the Black vega.
-    Strikes whose price falls outside the arbitrage band are returned with a
-    skip reason instead of a vol.
+    standard error is pushed through to vol space via the Black vega.  Where
+    the forward is the sample mean of the same values, the vol moves with
+    the payoff less delta units of them (delta = dC/dF at the quoted vol),
+    so the band is the standard error of that difference.  Strikes whose
+    price falls outside the arbitrage band are returned with a skip reason
+    instead of a vol.
     """
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
     if strikes.size == 0:
         return []
-    values, forward, reference = _underlying(samples, product)
+    values, forward, reference, sampled_forward = _underlying(samples, product)
+    antithetic = samples.config.antithetic
     t = samples.config.maturity
     lo_q, hi_q = np.quantile(values, [0.01, 0.99])
     undiscount = math.exp(samples.model.r * t)
@@ -478,7 +507,7 @@ def smile_from_mc(samples: McSamples, strikes, product: str) -> list[SmilePoint]
     out: list[SmilePoint] = []
     for k in strikes:
         is_call = bool(k >= forward)
-        est = _payoff_estimate(values, k, is_call, samples.config.antithetic)
+        est = _payoff_estimate(values, k, is_call, antithetic)
         log_m = math.log(k / reference)
         vol = band = math.nan
         reason = None if lo_q <= k <= hi_q else "strike outside the [1%, 99%] sample quantile range"
@@ -490,7 +519,15 @@ def smile_from_mc(samples: McSamples, strikes, product: str) -> list[SmilePoint]
                 reason = str(exc)
         if reason is None:
             vega = black_vega(forward, float(k), vol, t)
-            band = est.std_error / vega if vega > 0.0 else math.nan
+            error = est.std_error
+            if sampled_forward and vega > 0.0:
+                stdev = vol * math.sqrt(t)
+                d1 = math.log(forward / k) / stdev + 0.5 * stdev
+                # dC/dF of the Black price: N(d1) for a call, -N(-d1) for a put
+                sign = 1.0 if is_call else -1.0
+                delta = sign * 0.5 * math.erfc(-sign * d1 / math.sqrt(2.0))
+                error = _standard_error(_payoff_samples(values, k, is_call, antithetic, delta))
+            band = error / vega if vega > 0.0 else math.nan
         out.append(SmilePoint(strike=float(k), log_moneyness=log_m,
                               price=est.value / undiscount, std_error=est.std_error / undiscount,
                               implied_vol=vol, iv_low=vol - band, iv_high=vol + band,

@@ -389,8 +389,12 @@ def sabr_rate_closed(model: LsvModel, strike: float) -> float:
 
     which matches the two-variable minimisation to solver precision and
     reproduces the classical lognormal-SABR smile via
-    :func:`rate_to_impvol`; the log is log1p(zeta (S + 1 + 2 rho + zeta) /
-    ((S + 1)(1 + rho))), which does not cancel as zeta -> 0.
+    :func:`rate_to_impvol`; the log is log1p(zeta (S + c) / ((S + 1)(1 + rho)))
+    with c = 1 + 2 rho + zeta, which does not cancel as zeta -> 0.  Nor does
+    anything cancel as rho -> -1: S^2 is summed as (zeta + rho)^2 +
+    (1 - rho)(1 + rho), and where c < 0 the sum S + c is taken as its
+    conjugate -2 (1 + rho)(2 rho + zeta) / (S - c), whose factor 1 + rho
+    cancels the denominator's.
     """
     vol, v0, rho = model.vol_of_vol, model.v0, model.rho
     _, q1, q2 = vol.variance_leg(0.0, v0)
@@ -401,6 +405,10 @@ def sabr_rate_closed(model: LsvModel, strike: float) -> float:
         raise ValueError("|rho| = 1 not supported")
     sigma = vol.sigma_at(v0)
     zeta = (sigma / 2.0) * math.log(strike / model.s0) / math.sqrt(v0)
-    s1 = math.sqrt(1.0 + zeta * (2.0 * rho + zeta)) + 1.0
-    core = math.log1p(zeta * (s1 + 2.0 * rho + zeta) / (s1 * (1.0 + rho)))
+    s = math.sqrt((zeta + rho) ** 2 + (1.0 - rho) * (1.0 + rho))
+    c = 1.0 + 2.0 * rho + zeta
+    if c < 0.0:
+        core = math.log1p(-2.0 * zeta * (2.0 * rho + zeta) / ((s + 1.0) * (s - c)))
+    else:
+        core = math.log1p(zeta * (s + c) / ((s + 1.0) * (1.0 + rho)))
     return 2.0 / (sigma * sigma) * core * core

@@ -144,3 +144,12 @@ def legendre_sup_mp(log_x: float, log_y: float, sigma: float, dps: int = 50) -> 
 
         theta = mp.findroot(lambda t: mp.diff(profile, t), 6 * (2 * mp.mpf(log_x) - mp.mpf(log_y)) / sigma**2)
         return float(profile(theta)), float(theta)
+
+
+def lognormal_vix_law(v0: float, sigma: float, mu: float, maturity: float) -> tuple[float, float]:
+    """(forward, Black vol) of the VIX proxy eta0 sqrt(V_T) with eta = 1 and
+    a lognormal variance factor of constant drift mu.  V_T = v0 exp((mu -
+    sigma^2/2) T + sigma W_T) is lognormal, so sqrt(V_T) is lognormal with vol
+    sigma/2 and mean sqrt(v0) exp(mu T/2 - sigma^2 T/8): a VIX call or put
+    has the Black price of that forward and vol at every strike."""
+    return math.sqrt(v0) * math.exp(0.5 * mu * maturity - sigma * sigma * maturity / 8.0), 0.5 * sigma

@@ -240,6 +240,7 @@ def test_criterion_5_hartman_watson_suite():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_mc_vs_asymptotics():
     start = time.perf_counter()
     failures = []
@@ -285,6 +286,7 @@ def test_criterion_6_mc_vs_asymptotics():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_atm_sqrt_t_limits():
     model = table_model(0.0)
     limit_e = atm_price_limit_european(model)  # 0.1261566

@@ -412,6 +412,40 @@ class TestMcAndCompare:
         err = capsys.readouterr().err
         assert message in err and "effective_config" not in err
 
+    @pytest.mark.parametrize("command", ["mc", "compare"])
+    @pytest.mark.parametrize("paths", ["2", "3", "5"])
+    def test_paths_must_make_two_pairs(self, command, paths, model_file, capsys, monkeypatch):
+        # --paths counts simulated paths, drawn as pairs: an odd count has no
+        # pairing, and one pair gives no standard error
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the path count was checked")
+
+        monkeypatch.setattr(cli, "simulate_paths", must_not_run)
+        monkeypatch.setattr(cli, "load_model", must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", model_file, "--paths", paths, "--kcount", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--paths must be an even count of at least 4" in err and "effective_config" not in err
+
+    def test_paths_are_antithetic_pairs(self, model_file, capsys):
+        from lsv_shortmat.mc_engine import McConfig, simulate_paths, smile_from_mc
+
+        code, out, err = run_cli(["mc", "--model", model_file, "--paths", "4096", "--steps", "5", "--seed", "3",
+                                  "--kmin=-0.05", "--kmax", "0.05", "--kcount", "3"], capsys)
+        assert code == 0
+        echoed = json.loads(err.splitlines()[0])["effective_config"]
+        assert (echoed["paths"], echoed["pairs"], echoed["antithetic"]) == (4096, 2048, True)
+        samples = simulate_paths(model_from_dict(TABLE_MODEL), McConfig(2048, 5, 1.0 / 12.0, 3, antithetic=True))
+        points = smile_from_mc(samples, [math.exp(k) for k in (-0.05, 0.0, 0.05)], "european")
+        _, rows = parse_csv(out)
+        assert [r[3:] for r in rows] == [[f"{x:.10g}" for x in (p.std_error, p.implied_vol, p.iv_low, p.iv_high)]
+                                         for p in points]
+        # two pairs are the fewest that give a band
+        code, out, _ = run_cli(["mc", "--model", model_file, "--paths", "4", "--steps", "1",
+                                "--kmin=-0.01", "--kmax", "0.01", "--kcount", "2"], capsys)
+        assert code == 0
+
     @pytest.mark.parametrize("command", ["smile", "rate", "mc"])
     def test_strike_past_the_floats_fails_loudly(self, command, tmp_path, capsys):
         # each |k| is in range, but s0 e^k overflows

@@ -16,10 +16,13 @@ part, the optional control-variate track) that a fused step advances in
 place, in buffers each worker allocates once: no array is allocated per
 step.  The step runs the model's expressions as ``out=`` ufuncs in numpy's
 own evaluation order, so its values are bit for bit those of the plain
-expressions; one draw per step drives both rows of an antithetic pair.  The
-n_blocks x n_steps block-steps are cut into one contiguous range per worker
-(a wrap-around split), so a block may be started on one worker and finished
-on the next; each block still takes its steps in order from its own stream.
+expressions; one draw per step drives both rows of an antithetic pair.  A
+ragged last block holds and steps only its own paths, though each of its
+steps still draws a whole block of normals, so that its stream is that of a
+full block.  The n_blocks x n_steps block-steps are cut into one contiguous
+range per worker (a wrap-around split) at equal shares of their cost, so a
+block may be started on one worker and finished on the next; each block
+still takes its steps in order from its own stream.
 When there are more CPUs than blocks, each block has a worker to itself,
 and a spare CPU becomes a drawer for one block: it fills that block's
 normals from the block's own generator into a ring of two buffers, a step
@@ -51,6 +54,12 @@ __all__ = ["McConfig", "McSamples", "PriceEstimate", "SmilePoint", "simulate_pat
            "price", "vix_exact_meanrev", "proxy_error_bounds", "smile_from_mc", "default_strike_grid"]
 
 _BLOCK = 16384
+# the cost of one block-step's draws, 2 x _BLOCK Philox normals, in
+# full-width row-steps of arithmetic: on a 2-core Xeon the draws took 577 us
+# against 148 us per row-step on a tanh-lognormal model and 157 us under
+# square-root Euler.  The split of the work over workers rests on it, which
+# never moves a byte, so a wrong value costs only balance.
+_DRAW_COST = 4
 
 
 class McConfig(Record):
@@ -108,15 +117,15 @@ class _Row:
     """One sampling row of a block (its plain paths, or their mirrored
     partners) between steps: log-moneyness, variance, the positive part the
     coefficients see (v itself once an exact variance step has run) and the
-    optional control-variate log-spot."""
+    optional control-variate log-spot, each as wide as the block."""
 
     __slots__ = ("log_m", "v", "v_pos", "log_aux")
 
-    def __init__(self, v0: float, aux: bool) -> None:
-        self.log_m = np.zeros(_BLOCK)
-        self.v = np.full(_BLOCK, v0)
-        self.v_pos = np.full(_BLOCK, v0)
-        self.log_aux = np.zeros(_BLOCK) if aux else None
+    def __init__(self, v0: float, aux: bool, width: int) -> None:
+        self.log_m = np.zeros(width)
+        self.v = np.full(width, v0)
+        self.v_pos = np.full(width, v0)
+        self.log_aux = np.zeros(width) if aux else None
 
 
 def _generator(seed: int, index: int) -> np.random.Generator:
@@ -158,17 +167,19 @@ class _Ring:
 
 
 class _Block:
-    """A path block part-way through its steps: its sampling rows and the
-    source of its draws, either the block's own Philox generator or a ring
-    that a drawer fills from it.  A block may be started on one worker and
-    finished on another."""
+    """A path block part-way through its steps: its width (_BLOCK, or fewer
+    paths in a ragged last block), its sampling rows and the source of its
+    draws, either the block's own Philox generator or a ring that a drawer
+    fills from it.  A block may be started on one worker and finished on
+    another."""
 
-    __slots__ = ("index", "rng", "ring", "rows")
+    __slots__ = ("index", "width", "rng", "ring", "rows")
 
     def __init__(self, index: int, config: McConfig, v0: float, aux: bool, ring: _Ring | None) -> None:
         self.index, self.ring = index, ring
+        self.width = min(_BLOCK, config.n_paths - index * _BLOCK)
         self.rng = _generator(config.seed, index) if ring is None else None
-        self.rows = [_Row(v0, aux) for _ in range(2 if config.antithetic else 1)]
+        self.rows = [_Row(v0, aux, self.width) for _ in range(2 if config.antithetic else 1)]
 
 
 class _Stepper:
@@ -194,6 +205,12 @@ class _Stepper:
     step and takes its partner's dw with the sign moved into the sums, as
     x + (-y) is x - y and rounding is symmetric in sign, so its values are
     bit for bit those of the negated draws.
+
+    Each step draws a whole (2, _BLOCK) block of normals, as the ziggurat
+    takes a varying number of Philox words per normal, but runs its maps on
+    the first ``block.width`` columns of the draws and the buffers alone.
+    Every map is elementwise, so a column's values do not depend on the
+    width.
     """
 
     def __init__(self, model: LsvModel, config: McConfig, aux_const_vol: float | None,
@@ -210,14 +227,17 @@ class _Stepper:
         # the draw buffer of the blocks this worker draws for itself, made
         # on the first such step: a ring-fed block brings its own buffers
         self.zb = None
-        self.eta, self.tmp, self.sqrt_v, self.dw = (np.empty(_BLOCK) for _ in range(4))
+        self.buffers = [np.empty(_BLOCK) for _ in range(4)]
 
     def start(self, index: int) -> _Block:
         ring = self.rings[index] if index < len(self.rings) else None
         return _Block(index, self.config, self.model.v0, self.aux_const_vol is not None, ring)
 
     def advance(self, block: _Block, steps: int) -> _Block:
-        ring = block.ring
+        ring, width = block.ring, block.width
+        # eta, a temporary, sqrt(V+) and dw, at the block's width
+        work = [a[:width] for a in self.buffers]
+        _, tmp, _, dw = work
         for _ in range(steps):
             if ring is None:
                 if self.zb is None:
@@ -227,29 +247,29 @@ class _Stepper:
                 zb = ring.full.get()
                 if zb is None:
                     raise ring.error
-            z, b = zb
-            dw = self.dw
-            np.multiply(z, self.model.rho, out=self.tmp)
+            z, b = zb[0, :width], zb[1, :width]
+            np.multiply(z, self.model.rho, out=tmp)
             np.multiply(b, self.rho_perp, out=dw)
-            np.add(self.tmp, dw, out=dw)
+            np.add(tmp, dw, out=dw)
             np.multiply(dw, self.sq_dt, out=dw)
             plain, *mirrored = block.rows
-            self._step(plain, z, np.add)
+            self._step(plain, z, work, np.add)
             for row in mirrored:
                 # the partner steps on -z and -dw: z is negated for the
                 # variance step, and dw enters by subtraction
                 np.negative(z, out=z)
-                self._step(row, z, np.subtract)
+                self._step(row, z, work, np.subtract)
             if ring is not None:
                 ring.free.put(zb)
         return block
 
-    def _step(self, row: _Row, z: np.ndarray, shift) -> None:
+    def _step(self, row: _Row, z: np.ndarray, work: list[np.ndarray], shift) -> None:
         """Step one row on the increments dw of this step, which enter
         through ``shift``: np.add for the plain row, np.subtract for its
-        mirrored partner."""
+        mirrored partner.  ``work`` holds eta, a temporary, sqrt(V+) and
+        dw, all as wide as the row."""
         model, dt = self.model, self.dt
-        eta, tmp, sqrt_v, dw = self.eta, self.tmp, self.sqrt_v, self.dw
+        eta, tmp, sqrt_v, dw = work
         model.local_vol.eta(row.log_m, out=eta)
         np.sqrt(row.v_pos, out=sqrt_v)
         np.multiply(eta, eta, out=tmp)
@@ -268,19 +288,19 @@ class _Stepper:
 
     def finish(self, block: _Block) -> None:
         """Write a block that has taken every step into its columns of the
-        (rows, n_paths) outputs.  Each map runs over the whole block before
-        the last block is trimmed, so no value depends on the block's width."""
+        (rows, n_paths) outputs, which its rows are exactly as wide as."""
         s_out, v_out, aux_out = self.outputs
         lo = block.index * _BLOCK
-        width = min(_BLOCK, self.config.n_paths - lo)
-        cols = slice(lo, lo + width)
-        tmp, s0 = self.tmp, self.model.s0
+        cols = slice(lo, lo + block.width)
+        s0 = self.model.s0
         for r, row in enumerate(block.rows):
             # a path truncated at 0 ends at 1e-300; exact steps stay positive
-            v_out[r, cols] = np.maximum(row.v_pos, 1e-300, out=tmp)[:width]
-            s_out[r, cols] = np.multiply(np.exp(row.log_m, out=tmp), s0, out=tmp)[:width]
+            np.maximum(row.v_pos, 1e-300, out=v_out[r, cols])
+            s = s_out[r, cols]
+            np.multiply(np.exp(row.log_m, out=s), s0, out=s)
             if aux_out is not None:
-                aux_out[r, cols] = np.multiply(np.exp(row.log_aux, out=tmp), s0, out=tmp)[:width]
+                aux = aux_out[r, cols]
+                np.multiply(np.exp(row.log_aux, out=aux), s0, out=aux)
 
 
 def _worker_count() -> int:
@@ -289,6 +309,37 @@ def _worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _cuts(n_paths: int, n_steps: int, rows: int, steppers: int) -> list[int]:
+    """The bounds of the stepping workers' shares of the block-major
+    sequence of block-steps: worker w runs block-steps [cuts[w], cuts[w + 1]).
+
+    While blocks outnumber the workers, the shares are of equal cost.  A
+    block-step costs its draws, _DRAW_COST row-steps, plus ``rows``
+    row-steps at the block's width, so a ragged last block costs less per
+    step than a full one.  Cut w falls at the last block-step by which at
+    most w / steppers of the total cost is spent, so each share is within
+    one block-step of its due; with full blocks only, cut w is
+    w n_blocks n_steps // steppers.  Otherwise each block has a worker to
+    itself."""
+    n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
+    if n_blocks <= steppers:
+        return [w * n_steps for w in range(steppers + 1)]
+    # costs in column-steps, so that the arithmetic is exact
+    full = (_DRAW_COST + rows) * _BLOCK
+    last = _DRAW_COST * _BLOCK + rows * (n_paths - (n_blocks - 1) * _BLOCK)
+    head = (n_blocks - 1) * n_steps  # the block-steps of the full blocks
+    total = head * full + n_steps * last
+    cuts = []
+    for w in range(steppers + 1):
+        # the cut's cost times steppers may not exceed w total
+        spend = w * total
+        if spend <= head * full * steppers:
+            cuts.append(spend // (steppers * full))
+        else:
+            cuts.append(head + (spend - head * full * steppers) // (steppers * last))
+    return cuts
 
 
 def _run_share(stepper: _Stepper, lo: int, hi: int, handoff: list[queue.SimpleQueue], worker: int) -> None:
@@ -322,11 +373,12 @@ def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | Non
 
     The n_blocks x n_steps block-steps are split into one contiguous range
     per stepping worker of a thread pool, one per usable CPU and at most one
-    per block; a block cut by a range boundary is started on one worker and
-    finished on the next.  CPUs beyond the blocks become drawers, at most
-    one per block (so the pool is min(cpus, 2 n_blocks)): a drawer fills its
-    block's normals from the block's generator a step ahead of the block's
-    worker.  Hand-overs go through queues under the exit rule of the module
+    per block, at equal shares of their cost (:func:`_cuts`), in which a
+    ragged last block, stepped at its own width, counts for less; a block
+    cut by a range boundary is started on one worker and finished on the
+    next.  CPUs beyond the blocks become drawers, at most one per block (so
+    the pool is min(cpus, 2 n_blocks)): a drawer fills its block's normals
+    from the block's generator a step ahead of the block's worker.  Hand-overs go through queues under the exit rule of the module
     docstring, so a failed task ends the run with its error rather than
     leaving another waiting.  Every block takes its draws in order from its
     own stream and its steps in order, so the output is bit-identical for
@@ -343,14 +395,14 @@ def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | Non
     steppers = min(cpus, n_blocks)
     # with a CPU spare, worker w steps block w alone and ring w feeds it
     rings = [_Ring(config.seed, index, config.n_steps) for index in range(min(cpus, 2 * n_blocks) - steppers)]
-    total = n_blocks * config.n_steps
+    cuts = _cuts(config.n_paths, config.n_steps, shape[0], steppers)
     # queue w carries the block that worker w - 1 starts and worker w finishes
     handoff = [queue.SimpleQueue() for _ in range(steppers + 1)]
 
     def work(w: int) -> None:
         try:
             stepper = _Stepper(model, config, aux_const_vol, s, v, aux, rings)
-            _run_share(stepper, w * total // steppers, (w + 1) * total // steppers, handoff, w)
+            _run_share(stepper, cuts[w], cuts[w + 1], handoff, w)
         finally:
             # the exit rule: a None behind whatever this worker handed over
             handoff[w + 1].put(None)

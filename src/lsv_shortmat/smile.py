@@ -165,17 +165,26 @@ def vix_convexity_numerator_coeffs(eta0: float, eta1: float, eta2: float, eta3: 
     return [k0, k1, k2, k3, k4, k5, k6, k7]
 
 
-def _vix_atm_level(model: LsvModel, rho: float) -> float:
-    """ATM VIX vol (1/2) sqrt(sigma^2 + 4 eta1 rho sigma sqrt(V0) + 4 eta1^2 V0)
+def _vix_atm_legs(model: LsvModel, rho: float) -> tuple[float, float, float]:
+    """(A, B, sqrt(1 - rho^2)) with A = sigma/2 + eta1 rho sqrt(V0) and
+    B = eta1 sqrt(V0) sqrt(1 - rho^2), the legs of the ATM VIX vol
+    (1/2) sqrt(sigma^2 + 4 eta1 rho sigma sqrt(V0) + 4 eta1^2 V0) = hypot(A, B)
     of either family at correlation rho.  sigma = sigma(V0) is the vol of vol
     of dV/V at V0 (``sigma_at``): sigma for the lognormal family and
-    sigma/sqrt(V0) for the square-root family.  The level is taken as a sum
-    of two squares, which cannot cancel where sigma = 2 |eta1| sqrt(V0) and
-    |rho| -> 1; (1 - rho)(1 + rho) keeps the digits 1 - rho^2 loses there."""
+    sigma/sqrt(V0) for the square-root family.  A sum of two squares cannot
+    cancel where sigma = 2 |eta1| sqrt(V0) and |rho| -> 1;
+    (1 - rho)(1 + rho) keeps the digits 1 - rho^2 loses there."""
     sigma = model.vol_of_vol.sigma_at(model.v0)
     eta1 = eta_log_coeffs(model.local_vol)[1]
     sv0 = math.sqrt(model.v0)
-    return math.hypot(0.5 * sigma + eta1 * rho * sv0, eta1 * sv0 * math.sqrt((1.0 - rho) * (1.0 + rho)))
+    rho_perp = math.sqrt((1.0 - rho) * (1.0 + rho))
+    return 0.5 * sigma + eta1 * rho * sv0, eta1 * sv0 * rho_perp, rho_perp
+
+
+def _vix_atm_level(model: LsvModel, rho: float) -> float:
+    """ATM VIX vol of either family at correlation rho (:func:`_vix_atm_legs`)."""
+    leg_a, leg_b, _ = _vix_atm_legs(model, rho)
+    return math.hypot(leg_a, leg_b)
 
 
 def _vix_expansion(model: LsvModel, family) -> SmileExpansion:
@@ -186,15 +195,19 @@ def _vix_expansion(model: LsvModel, family) -> SmileExpansion:
     v0 = model.v0
     sv0 = math.sqrt(v0)
     rho = model.rho
-    atm = _vix_atm_level(model, rho)
+    leg_a, leg_b, rho_perp = _vix_atm_legs(model, rho)
+    atm = math.hypot(leg_a, leg_b)
     d = 4.0 * atm * atm
     if d <= 0.0:  # |rho| = 1 and sigma = 2 |eta1| sqrt(V0): no level, no skew
         return SmileExpansion(0.0, math.nan, math.nan if family is LognormalVolOfVol else None)
     w = (sigma * sigma * eta1
          + 2.0 * rho * sigma * sv0 * (eta1 * eta1 + 2.0 * eta0 * eta2)
          + 8.0 * eta0 * eta1 * eta2 * v0)
-    b = sigma * (sigma + 2.0 * rho * eta1 * sv0)
-    skew = 0.5 * sv0 * (rho * sigma + 2.0 * eta1 * sv0) / d**1.5 * w + 0.5 * e * b * b / d**1.5
+    # rho sigma + 2 eta1 sqrt(V0) = 2 (rho A + sqrt(1 - rho^2) B) and
+    # b = sigma (sigma + 2 rho eta1 sqrt(V0)) = 2 sigma A: both factors, which
+    # vanish with d, read the level's own rounded legs
+    b = 2.0 * sigma * leg_a
+    skew = sv0 * (rho * leg_a + rho_perp * leg_b) / d**1.5 * w + 0.5 * e * b * b / d**1.5
     conv = None
     if family is LognormalVolOfVol:
         coeffs = vix_convexity_numerator_coeffs(eta0, eta1, eta2, eta3, rho, v0)

@@ -153,3 +153,31 @@ def lognormal_vix_law(v0: float, sigma: float, mu: float, maturity: float) -> tu
     sigma/2 and mean sqrt(v0) exp(mu T/2 - sigma^2 T/8): a VIX call or put
     has the Black price of that forward and vol at every strike."""
     return math.sqrt(v0) * math.exp(0.5 * mu * maturity - sigma * sigma * maturity / 8.0), 0.5 * sigma
+
+
+def square_root_variance_law(v0: float, sigma: float, a: float, b: float, maturity: float):
+    """The exact law of V_T for the square-root factor
+    dV = a (b - V) dt + sigma sqrt(V) dW from V_0 = v0, as a frozen
+    ``scipy.stats`` distribution: V_T = c chi'^2(d, lam), a noncentral
+    chi-square of d = 4ab / sigma^2 degrees of freedom and noncentrality
+    lam = e^{-aT} v0 / c, scaled by c = sigma^2 (1 - e^{-aT}) / (4a)
+    (Glasserman, Monte Carlo Methods in Financial Engineering, section 3.4)."""
+    from scipy import stats
+
+    c = sigma * sigma * -math.expm1(-a * maturity) / (4.0 * a)
+    return stats.ncx2(4.0 * a * b / (sigma * sigma), math.exp(-a * maturity) * v0 / c, scale=c)
+
+
+def sqrt_option_price(law, strike: float, is_call: bool) -> float:
+    """Undiscounted price of a call or put struck at K on sqrt(X), X drawn
+    from ``law``: the integral of P(sqrt(X) > y) over [K, inf) for the call,
+    of P(sqrt(X) <= y) over [0, K] for the put.  Both integrands are smooth
+    where the density of X need not be: a noncentral chi-square density with
+    fewer than 2 degrees of freedom is unbounded at 0."""
+    from scipy import integrate
+
+    if is_call:
+        value, _ = integrate.quad(lambda y: law.sf(y * y), strike, math.inf, epsabs=0.0, epsrel=1e-11, limit=200)
+    else:
+        value, _ = integrate.quad(lambda y: law.cdf(y * y), 0.0, strike, epsabs=0.0, epsrel=1e-11, limit=200)
+    return value

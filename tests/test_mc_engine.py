@@ -375,6 +375,35 @@ class TestFusedStepOracle:
         _on_cpus(monkeypatch, cpus)
         assert _engine_bytes(model, config, aux_const_vol) == _oracle_paths(model, config, aux_const_vol)
 
+    @pytest.mark.parametrize("vol_of_vol", sorted(ORACLE_VOLS_OF_VOL))
+    @pytest.mark.parametrize("antithetic, aux_const_vol", [(False, None), (True, None), (False, 0.2), (True, 0.3)])
+    def test_ragged_block_steps_only_its_width(self, monkeypatch, vol_of_vol, antithetic, aux_const_vol):
+        # every array a step hands to eta and to the variance step is as
+        # wide as its block: 77 columns in the ragged last one
+        model = table_model(-0.6, vol_of_vol=ORACLE_VOLS_OF_VOL[vol_of_vol])
+        spec = type(model.vol_of_vol)
+        eta, variance_step = TanhLocalVol.eta, spec.variance_step
+        sizes = []
+
+        def eta_spy(self, k, out=None):
+            sizes.append({k.size, out.size})
+            return eta(self, k, out=out)
+
+        def variance_step_spy(self, *args):
+            sizes.append({a.size for a in args if isinstance(a, np.ndarray)})
+            return variance_step(self, *args)
+
+        monkeypatch.setattr(TanhLocalVol, "eta", eta_spy)
+        monkeypatch.setattr(spec, "variance_step", variance_step_spy)
+        _on_cpus(monkeypatch, 2)
+        n_steps, rows = 3, 2 if antithetic else 1
+        simulate_paths(model, McConfig(2 * mc_engine._BLOCK + 77, n_steps, 0.1, 5, antithetic), aux_const_vol)
+        assert all(len(call) == 1 for call in sizes)
+        widths = [call.pop() for call in sizes]
+        # two calls per row and step: two full blocks and the ragged one
+        per_block = 2 * rows * n_steps
+        assert sorted(widths) == [77] * per_block + [mc_engine._BLOCK] * (2 * per_block)
+
     def test_failed_head_releases_the_next_worker(self):
         _in_child(60, self.failed_head_releases_the_next_worker)
 
@@ -467,6 +496,58 @@ class TestFusedStepOracle:
         assert threading.active_count() == threads
 
 
+class TestCostSplit:
+    """The stepping workers' shares of the block-steps (``_cuts``)."""
+
+    @staticmethod
+    def share_costs(n_paths, n_steps, rows, cuts):
+        # each block-step priced on its own: its draws, then its rows at the
+        # block's width, in columns
+        block = mc_engine._BLOCK
+        cost = [mc_engine._DRAW_COST * block + rows * min(block, n_paths - (p // n_steps) * block)
+                for p in range(cuts[-1])]
+        return [sum(cost[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+    @pytest.mark.parametrize("blocks, n_steps, rows, steppers", [
+        (3, 3, 1, 2), (7, 2, 1, 2), (4, 200, 2, 2), (9, 2, 2, 4), (5, 3, 2, 3), (9, 1, 1, 8), (10, 7, 2, 3),
+    ])
+    def test_full_blocks_cut_by_count(self, blocks, n_steps, rows, steppers):
+        total = blocks * n_steps
+        cuts = mc_engine._cuts(blocks * mc_engine._BLOCK, n_steps, rows, steppers)
+        assert cuts == [w * total // steppers for w in range(steppers + 1)]
+
+    def test_cli_default_shares_cost_alike(self):
+        # 50,000 pairs of 200 steps on 2 workers: 3 full blocks and one of
+        # 848 pairs.  Cut by count, between blocks 1 and 2, the second share
+        # would cost about 16% less than the first
+        n_paths, n_steps, rows = 50_000, 200, 2
+        cuts = mc_engine._cuts(n_paths, n_steps, rows, 2)
+        first, second = self.share_costs(n_paths, n_steps, rows, cuts)
+        assert cuts[0] == 0 and cuts[-1] == 4 * n_steps
+        assert abs(first - second) <= (mc_engine._DRAW_COST + rows) * mc_engine._BLOCK
+
+    @pytest.mark.parametrize("n_paths, n_steps, rows, steppers", [
+        (2 * 16384 + 77, 3, 2, 2), (4 * 16384 + 77, 3, 1, 2), (4 * 16384 + 77, 3, 2, 3), (40_001, 25, 2, 2),
+        (8 * 16384 + 1, 2, 2, 4), (8 * 16384 + 1, 2, 1, 8), (12 * 16384 + 5000, 50, 2, 5), (3 * 16384 + 1, 1, 1, 2),
+    ])
+    def test_shares_within_a_block_step_of_their_due(self, n_paths, n_steps, rows, steppers):
+        # while blocks outnumber the workers, a share costs its due, a
+        # steppers-th of the whole, to within one full block-step, and holds
+        # at least a block's worth of steps
+        cuts = mc_engine._cuts(n_paths, n_steps, rows, steppers)
+        costs = self.share_costs(n_paths, n_steps, rows, cuts)
+        step = (mc_engine._DRAW_COST + rows) * mc_engine._BLOCK
+        assert all(hi - lo >= n_steps for lo, hi in zip(cuts, cuts[1:])), cuts
+        assert all(abs(steppers * cost - sum(costs)) < steppers * step for cost in costs), (cuts, costs)
+
+    @pytest.mark.parametrize("n_paths, n_steps, rows", [(100, 7, 1), (16384, 6, 2), (2 * 16384 + 9, 4, 2),
+                                                        (5 * 16384 - 1, 3, 1)])
+    def test_no_block_is_cut_while_workers_suffice(self, n_paths, n_steps, rows):
+        # a worker per block, so that a drawer can feed block w's worker w
+        blocks = (n_paths + mc_engine._BLOCK - 1) // mc_engine._BLOCK
+        assert mc_engine._cuts(n_paths, n_steps, rows, blocks) == [w * n_steps for w in range(blocks + 1)]
+
+
 class TestWorkingSet:
     @staticmethod
     def _peak_bytes(model, config, aux_const_vol=None):
@@ -479,21 +560,23 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("cpus, blocks, antithetic, aux_const_vol, arrays", [
+    @pytest.mark.parametrize("cpus, n_paths, antithetic, aux_const_vol, arrays", [
         # 6 worker buffers (two draw rows, eta, one temporary, sqrt(V+),
         # dw) and 3 per row (log-moneyness, V, V+)
-        (1, 2, False, None, 9),
+        (1, 2 * mc_engine._BLOCK, False, None, 9),
         # the mirrored row reuses the negated draws; 4 arrays per row with log_aux
-        (1, 2, True, 0.3, 14),
+        (1, 2 * mc_engine._BLOCK, True, 0.3, 14),
         # a drawer's ring of two draw buffers stands in for the worker's own
         # one: 2 arrays more
-        (2, 1, False, None, 11),
+        (2, mc_engine._BLOCK, False, None, 11),
+        # a full block and a ragged one of 77 paths, a worker each: 6 buffers
+        # per worker, and 3 rows at each block's width
+        (2, mc_engine._BLOCK + 77, False, None, 12 + 3 + 3 * 77 / mc_engine._BLOCK),
     ])
-    def test_peak_is_flat_in_steps(self, monkeypatch, cpus, blocks, antithetic, aux_const_vol, arrays):
+    def test_peak_is_flat_in_steps(self, monkeypatch, cpus, n_paths, antithetic, aux_const_vol, arrays):
         _on_cpus(monkeypatch, cpus)
         model = table_model(-0.7, vol_of_vol=ORACLE_VOLS_OF_VOL["square-root"])
         block_bytes = mc_engine._BLOCK * 8
-        n_paths = blocks * mc_engine._BLOCK
         outputs = (3 if aux_const_vol else 2) * (2 if antithetic else 1) * n_paths * 8
         peaks = [self._peak_bytes(model, McConfig(n_paths, n_steps, 0.1, 3, antithetic), aux_const_vol)
                  for n_steps in (5, 200)]

@@ -256,6 +256,39 @@ class TestVixAtmLevelAccuracy:
         assert worst_level <= 4.0
         assert worst_limit <= 1.0
 
+    @pytest.mark.parametrize("family", [LognormalVolOfVol, SquareRootVolOfVol])
+    def test_skew_against_mpmath(self, family):
+        # the skew sqrt(V0) (rho A + sqrt(1 - rho^2) B) w / d^1.5 + e b^2 / (2 d^1.5)
+        # in the level's legs A and B, with b = 2 sigma A and d = 4 (A^2 + B^2),
+        # against the same formula at 60 digits.  Its scale is that formula
+        # with every term in absolute value: the legs cancel in this corner,
+        # and so does w, so the skew is known to no better than eps times its
+        # scale.  The worst error measured was 4.3 (lognormal) and 4.4
+        # (square-root) units of it.
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mp.workdps(60):
+            for model in self.corner_models(family, 2025, 3000):
+                expansion = VIX_EXPANSIONS[family](model)
+                skew = expansion.skew
+                if math.isnan(skew):
+                    # no level, so no skew: A = B = 0 in floating point
+                    assert expansion.atm == 0.0
+                    continue
+                sigma, e = smile._require(model, family)
+                eta0, eta1, eta2, _ = (mp.mpf(c) for c in eta_log_coeffs(model.local_vol))
+                s, rho, v0 = mp.mpf(sigma), mp.mpf(model.rho), mp.mpf(model.v0)
+                sv0, rho_perp = mp.sqrt(v0), mp.sqrt((1 - rho) * (1 + rho))
+                leg_a, leg_b = s / 2 + eta1 * rho * sv0, eta1 * sv0 * rho_perp
+                d = 4 * (leg_a**2 + leg_b**2)
+                w_terms = (s * s * eta1, 2 * rho * s * sv0 * eta1 * eta1, 4 * rho * s * sv0 * eta0 * eta2,
+                           8 * eta0 * eta1 * eta2 * v0)
+                exact = (sv0 * (rho * leg_a + rho_perp * leg_b) * sum(w_terms) + 2 * e * (s * leg_a) ** 2) / d**1.5
+                scale = (sv0 * (abs(rho * leg_a) + abs(rho_perp * leg_b)) * sum(abs(t) for t in w_terms)
+                         + 2 * abs(e) * (s * leg_a) ** 2) / d**1.5
+                worst = max(worst, float(abs(skew - exact) / (EPS * scale)))
+        assert worst <= 8.0
+
 
 class TestOneVixAtmLevel:
     """The VIX expansion, its range over rho and the VIX price limit read

@@ -37,6 +37,7 @@ from .model import (
     LognormalVolOfVol,
     LsvModel,
     TanhLocalVol,
+    elasticity,
     load_model,
     model_to_dict,
     vix_spot,
@@ -75,7 +76,7 @@ COMPARE_HEADER = ["strike", "log_moneyness", "iv_expansion", "iv_rate",
 
 
 def _expansion_for(model: LsvModel, product: str) -> SmileExpansion:
-    lognormal = isinstance(model.vol_of_vol, LognormalVolOfVol)
+    lognormal = elasticity(model.vol_of_vol, model.v0) == 0.0
     if product == "european":
         return european_expansion_sabr_type(model) if lognormal else european_expansion_heston_type(model)
     return vix_expansion_sabr_type(model) if lognormal else vix_expansion_heston_type(model)

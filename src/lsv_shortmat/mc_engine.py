@@ -426,15 +426,15 @@ def _underlying(samples: McSamples, product: str) -> tuple[np.ndarray, float, fl
     forward is their sample mean) of the product.
 
     European options are written on S_T and quote off the exact carry
-    forward S0 e^{(r-q)T}, which is also their reference level.  VIX options
-    are written on the short-horizon proxy eta(S_T) sqrt(V_T); it has no
-    closed-form forward, so they quote off its sample mean, with the VIX spot
-    as reference level.  This is the one place that tells the products apart.
+    forward S0 e^{(r-q)T}, with S0 as reference level, as in the rate solver.
+    VIX options are written on the short-horizon proxy eta(S_T) sqrt(V_T); it
+    has no closed-form forward, so they quote off its sample mean, with the VIX
+    spot as reference level.  This is the one place that tells the products apart.
     """
     model = samples.model
     if product == "european":
         forward = model.s0 * math.exp((model.r - model.q) * samples.config.maturity)
-        return samples.terminal_s, forward, forward, False
+        return samples.terminal_s, forward, model.s0, False
     if product == "vix":
         log_m = np.log(samples.terminal_s / model.s0)
         values = model.local_vol.eta(log_m) * np.sqrt(samples.terminal_v)
@@ -448,28 +448,26 @@ def terminal_values(samples: McSamples, product: str) -> np.ndarray:
     return _underlying(samples, product)[0]
 
 
-def _payoff_samples(values: np.ndarray, strike: float, is_call: bool, antithetic: bool,
-                    hedge: float = 0.0) -> np.ndarray:
-    """The independent samples of the undiscounted payoff less ``hedge``
-    units of the underlying: one per path, or per pair average for
-    antithetic samples, so that an error bar reflects the paired estimator."""
-    payoff = np.maximum(values - strike, 0.0) if is_call else np.maximum(strike - values, 0.0)
-    if hedge:
-        payoff -= hedge * values
-    if antithetic:
-        half = payoff.size // 2
-        payoff = 0.5 * (payoff[:half] + payoff[half:])
-    return payoff
+def _payoff(values: np.ndarray, strike: float, is_call: bool) -> np.ndarray:
+    """The undiscounted payoff of each path."""
+    return np.maximum(values - strike, 0.0) if is_call else np.maximum(strike - values, 0.0)
+
+
+def _payoff_samples(payoff: np.ndarray, antithetic: bool) -> np.ndarray:
+    """The independent samples of a per-path payoff: itself, or its pair averages
+    for antithetic samples, so that an error bar reflects the paired estimator."""
+    half = payoff.size // 2
+    return 0.5 * (payoff[:half] + payoff[half:]) if antithetic else payoff
 
 
 def _standard_error(samples: np.ndarray) -> float:
     return float(samples.std(ddof=1) / math.sqrt(samples.size))
 
 
-def _payoff_estimate(values: np.ndarray, strike: float, is_call: bool, antithetic: bool) -> PriceEstimate:
+def _payoff_estimate(payoff: np.ndarray, antithetic: bool) -> PriceEstimate:
     """Undiscounted mean payoff with its standard error."""
-    payoff = _payoff_samples(values, strike, is_call, antithetic)
-    return PriceEstimate(float(payoff.mean()), _standard_error(payoff), payoff.size)
+    samples = _payoff_samples(payoff, antithetic)
+    return PriceEstimate(float(samples.mean()), _standard_error(samples), samples.size)
 
 
 def price(samples: McSamples, product: str, strike: float, is_call: bool) -> PriceEstimate:
@@ -477,7 +475,7 @@ def price(samples: McSamples, product: str, strike: float, is_call: bool) -> Pri
     the model rate over the simulated maturity."""
     if strike < 0.0:
         raise ValueError("strike must be nonnegative")
-    est = _payoff_estimate(terminal_values(samples, product), strike, is_call, samples.config.antithetic)
+    est = _payoff_estimate(_payoff(terminal_values(samples, product), strike, is_call), samples.config.antithetic)
     discount = math.exp(-samples.model.r * samples.config.maturity)
     return PriceEstimate(discount * est.value, discount * est.std_error, est.n)
 
@@ -543,9 +541,10 @@ def smile_from_mc(samples: McSamples, strikes, product: str) -> list[SmilePoint]
     standard error is pushed through to vol space via the Black vega.  Where
     the forward is the sample mean of the same values, the vol moves with
     the payoff less delta units of them (delta = dC/dF at the quoted vol),
-    so the band is the standard error of that difference.  Strikes whose
-    price falls outside the arbitrage band are returned with a skip reason
-    instead of a vol.
+    so the band is the standard error of that difference, taken from the
+    strike's one payoff array.  Log-moneyness is on the reference level.
+    Strikes whose price falls outside the arbitrage band are returned with a
+    skip reason instead of a vol.
     """
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
     if strikes.size == 0:
@@ -559,7 +558,8 @@ def smile_from_mc(samples: McSamples, strikes, product: str) -> list[SmilePoint]
     out: list[SmilePoint] = []
     for k in strikes:
         is_call = bool(k >= forward)
-        est = _payoff_estimate(values, k, is_call, antithetic)
+        payoff = _payoff(values, k, is_call)
+        est = _payoff_estimate(payoff, antithetic)
         log_m = math.log(k / reference)
         vol = band = math.nan
         reason = None if lo_q <= k <= hi_q else "strike outside the [1%, 99%] sample quantile range"
@@ -578,7 +578,8 @@ def smile_from_mc(samples: McSamples, strikes, product: str) -> list[SmilePoint]
                 # dC/dF of the Black price: N(d1) for a call, -N(-d1) for a put
                 sign = 1.0 if is_call else -1.0
                 delta = sign * 0.5 * math.erfc(-sign * d1 / math.sqrt(2.0))
-                error = _standard_error(_payoff_samples(values, k, is_call, antithetic, delta))
+                payoff -= delta * values
+                error = _standard_error(_payoff_samples(payoff, antithetic))
             band = error / vega if vega > 0.0 else math.nan
         out.append(SmilePoint(strike=float(k), log_moneyness=log_m,
                               price=est.value / undiscount, std_error=est.std_error / undiscount,

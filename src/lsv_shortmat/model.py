@@ -25,7 +25,7 @@ Each vol-of-vol spec class owns the rest of the factor's maths, in terminal
 log-variance y, w = y - log v0 and log u = log(z / v0):
 
 * ``variance_leg(w, v0)``    - the variance-leg integral Q and its first
-  two w-derivatives;
+  two w-derivatives (whose ratio gives the family, :func:`elasticity`);
 * ``path_rate(log_u, w, v0)`` - the variance-path rate function H with its
   gradient, Hessian and rounding error in (log u, w);
 * ``variance_rate(w, v0)``   - the stochastic-vol rate of reaching v0 e^w;
@@ -65,8 +65,8 @@ from ._record import Record
 
 __all__ = ["TanhLocalVol", "TaylorLocalVol", "ConstantLocalVol", "LocalVolSpec", "ZeroDrift", "ConstantDrift",
            "MeanRevertingDrift", "DriftSpec", "LognormalVolOfVol", "SquareRootVolOfVol", "VolOfVolSpec",
-           "LsvModel", "eta_log_coeffs", "vix_spot", "check_moment_condition", "model_from_dict",
-           "model_to_dict", "load_model"]
+           "LsvModel", "eta_log_coeffs", "vix_spot", "elasticity", "check_moment_condition",
+           "model_from_dict", "model_to_dict", "load_model"]
 
 @functools.cache
 def _gl_rule():
@@ -499,6 +499,13 @@ def eta_log_coeffs(spec: LocalVolSpec) -> list[float]:
 def vix_spot(model: LsvModel) -> float:
     """Zero-maturity VIX level eta(s0) * sqrt(v0)."""
     return eta_log_coeffs(model.local_vol)[0] * math.sqrt(model.v0)
+
+
+def elasticity(spec: VolOfVolSpec, v0: float) -> float:
+    """The family as a value: e = V0 sigma'(V0) / sigma(V0) = 1/2 - Q''/Q' of the
+    variance leg (Q' = sqrt(V) / sigma(V)) at w = 0, exactly 0 lognormal and -1/2 square-root."""
+    _, q1, q2 = spec.variance_leg(0.0, v0)
+    return 0.5 - q2 / q1
 
 
 def check_moment_condition(rho: float, p: float) -> bool:

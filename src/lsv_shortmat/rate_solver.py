@@ -29,7 +29,7 @@ below the objective's rounding error or 1e-12 of its value
 Closed forms cover the special cases: lognormal stochastic vol (where the
 two-variable problem collapses to an explicit expression) and VIX options
 under a constant eta or an affine VIX^2 mapping, where the vol-of-vol spec
-gives the rate (``variance_rate``).
+gives the rate (``variance_rate``) at the variance the strike pins (:func:`vix_log_variance`).
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ from .model import (
     LocalVolSpec,
     LsvModel,
     VolOfVolSpec,
+    elasticity,
     eta_log_coeffs,
     vix_spot,
 )
 
-__all__ = ["RatePoint", "integral_IS", "european_rate", "vix_rate", "stochvol_vix_rate",
+__all__ = ["RatePoint", "integral_IS", "european_rate", "vix_rate", "vix_log_variance", "stochvol_vix_rate",
            "sabr_rate_closed", "rate_to_impvol"]
 
 
@@ -345,20 +346,29 @@ def vix_rate(model: LsvModel, strike: float) -> RatePoint:
     where eta(k) <= 0 the objective is undefined and the solver steps back.
     Where eta', eta'' and eta''' at the money are exactly 0 (:func:`eta_log_coeffs`),
     eta is flat at eta0 to double precision near the money (pure stochastic
-    volatility when eta0 = 1): the VIX eta0 sqrt(V_T) pins the terminal
-    variance at K^2/eta0^2 and leaves the spot free, so the rate is the
-    vol-of-vol spec's ``variance_rate``, for every rho, and the minimiser's
+    volatility when eta0 = 1): the VIX eta0 sqrt(V_T) pins the terminal variance
+    (:func:`vix_log_variance`, alpha = eta0^2, beta = 0) and leaves the spot
+    free, so the rate is the vol-of-vol spec's ``variance_rate``, for every rho, and the minimiser's
     time-averaged variance its ``mean_variance``.
     """
     eta0, eta1, eta2, eta3 = eta_log_coeffs(model.local_vol)
     exact = None
     if eta1 == eta2 == eta3 == 0.0:
         def exact():
-            vol, w = model.vol_of_vol, 2.0 * math.log(strike / vix_spot(model))  # log(v / v0)
+            vol, spot = model.vol_of_vol, vix_spot(model)
+            w = vix_log_variance(math.log(strike / spot), spot * spot, 0.0)
             return RatePoint(strike, vol.variance_rate(w, model.v0), 2.0 * math.log(strike / eta0),
                              vol.mean_variance(w, model.v0), 0, True)
 
     return _solve(model, strike, vix_spot(model), lambda: _vix_leg(model, strike), exact)
+
+
+def vix_log_variance(z: float, alpha_v0: float, beta: float) -> float:
+    """w = log(v / v0) of the variance v that VIX^2 = alpha V_T + beta pins at a
+    strike K = F e^z above the floor (K^2 > beta), F^2 = alpha v0 + beta:
+    2z + log1p(-beta expm1(-2z) / (alpha v0)), which does not cancel near the
+    money and is exactly 2z for beta = 0."""
+    return 2.0 * z if beta == 0.0 else 2.0 * z + math.log1p(-beta * math.expm1(-2.0 * z) / alpha_v0)
 
 
 def stochvol_vix_rate(spec: VolOfVolSpec, v0: float, strike: float, mapping=None) -> float:
@@ -366,18 +376,18 @@ def stochvol_vix_rate(spec: VolOfVolSpec, v0: float, strike: float, mapping=None
 
     ``mapping`` is any object with ``alpha``/``beta`` attributes (see
     :class:`lsv_shortmat.smile.VixMapping`); None means the identity mapping.
-    J is the spec's ``variance_rate`` at the variance F^{-1}(K^2) that the
-    strike pins.
+    J is the spec's ``variance_rate`` at the variance the strike pins
+    (:func:`vix_log_variance`).
     """
     alpha, beta = (1.0, 0.0) if mapping is None else (mapping.alpha, mapping.beta)
     if strike <= 0.0 or v0 <= 0.0:
         raise ValueError("strike and v0 must be positive")
     if alpha <= 0.0:
         raise ValueError("mapping slope alpha must be positive")
-    k2 = strike * strike
-    if k2 <= beta:
-        raise ValueError(f"strike^2 = {k2} not above the mapping floor beta = {beta}")
-    return spec.variance_rate(math.log((k2 - beta) / (alpha * v0)), v0)
+    if strike * strike <= beta:
+        raise ValueError(f"strike^2 = {strike * strike} not above the mapping floor beta = {beta}")
+    z = math.log(strike / math.sqrt(alpha * v0 + beta))
+    return spec.variance_rate(vix_log_variance(z, alpha * v0, beta), v0)
 
 
 def sabr_rate_closed(model: LsvModel, strike: float) -> float:
@@ -397,9 +407,8 @@ def sabr_rate_closed(model: LsvModel, strike: float) -> float:
     cancels the denominator's.
     """
     vol, v0, rho = model.vol_of_vol, model.v0, model.rho
-    _, q1, q2 = vol.variance_leg(0.0, v0)
-    # elasticity 0 of sigma(V) (1/2 - Q''/Q') and eta flat at 1
-    if q2 != 0.5 * q1 or eta_log_coeffs(model.local_vol) != [1.0, 0.0, 0.0, 0.0]:
+    # sigma(V) of elasticity 0 and eta flat at 1
+    if elasticity(vol, v0) != 0.0 or eta_log_coeffs(model.local_vol) != [1.0, 0.0, 0.0, 0.0]:
         raise ValueError("closed form requires lognormal vol-of-vol and constant local vol eta = 1")
     if abs(rho) >= 1.0:
         raise ValueError("|rho| = 1 not supported")

@@ -8,7 +8,8 @@ second order in log-moneyness,
 around the money (spot S0 for European options, eta(S0) sqrt(V0) for VIX
 options).  One formula per product serves both families: it reads the vol
 of vol only through sigma(V0) and its elasticity e = V0 sigma'(V0)/sigma(V0)
-(0 lognormal, -1/2 square-root), so the families differ only by e.  The VIX
+(0 lognormal, -1/2 square-root, :func:`.model.elasticity`), so the families
+differ only by e, and the family is checked and chosen by that value.  The VIX
 convexity is known for the lognormal family alone: a long degree-7
 polynomial in sigma whose coefficients are transcribed in
 :func:`vix_convexity_numerator_coeffs`; a double-entry copy of that table
@@ -17,9 +18,9 @@ lives in the test suite to guard against transcription slips.
 The ATM VIX level is written once, as a sum of squares that cannot
 cancel, for the VIX expansion, its range over rho (:func:`vix_atm_bounds`)
 and the VIX price limit.  The module also carries the explicit VIX smiles
-of the mean-reverting lognormal and square-root stochastic-vol models
-(through the affine mapping VIX^2 = alpha(tau) V_T + beta(tau)) and the
-square-root-of-maturity ATM price limits for both products.
+of the mean-reverting lognormal and square-root stochastic-vol models, one
+core through the affine mapping VIX^2 = alpha(tau) V_T + beta(tau) and the
+spec's ``variance_rate``, and the square-root-of-maturity ATM price limits.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ from .model import (
     LognormalVolOfVol,
     LsvModel,
     SquareRootVolOfVol,
+    elasticity,
     eta_log_coeffs,
     vix_spot,
 )
+from .rate_solver import rate_to_impvol, vix_log_variance
 
 __all__ = ["SmileExpansion", "VixMapping", "vix_mapping", "constant_drift_factor",
            "european_expansion_sabr_type", "vix_expansion_sabr_type", "vix_convexity_numerator_coeffs",
@@ -42,6 +45,8 @@ __all__ = ["SmileExpansion", "VixMapping", "vix_mapping", "constant_drift_factor
            "atm_price_limit_vix"]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# the elasticity of sigma(V) (:func:`.model.elasticity`) of each family
+_SABR_TYPE, _HESTON_TYPE = 0.0, -0.5
 
 
 class SmileExpansion(Record):
@@ -96,24 +101,20 @@ def vix_mapping(a: float, b: float, tau: float) -> VixMapping:
     return VixMapping(alpha=alpha, beta=b * (1.0 - alpha))
 
 
-def _require(model: LsvModel, family) -> tuple[float, float]:
+def _require(model: LsvModel, family: float) -> tuple[float, float]:
     """sigma(V0) and its elasticity e = V0 sigma'(V0) / sigma(V0) for a model
-    of the given family.  In w = log(V / V0) the variance leg has
-    Q' = sqrt(V) / sigma(V), so e = 1/2 - Q''/Q' at w = 0: exactly 0 for
-    the lognormal family and -1/2 for the square-root family."""
-    if not isinstance(model.vol_of_vol, family):
-        raise ValueError(f"expansion requires {family.__name__}, got {type(model.vol_of_vol).__name__}")
-    v0 = model.v0
-    _, q1, q2 = model.vol_of_vol.variance_leg(0.0, v0)
-    return model.vol_of_vol.sigma_at(v0), 0.5 - q2 / q1
+    of the family whose elasticity is ``family``; ValueError for another."""
+    e = elasticity(model.vol_of_vol, model.v0)
+    if e != family:
+        raise ValueError(f"expansion requires a vol of vol of elasticity {family}, got {e}")
+    return model.vol_of_vol.sigma_at(model.v0), e
 
 
-def _european_expansion(model: LsvModel, family) -> SmileExpansion:
+def _european_expansion(model: LsvModel, family: float) -> SmileExpansion:
     sigma, e = _require(model, family)
     eta0, eta1, eta2, _ = eta_log_coeffs(model.local_vol)
-    v0 = model.v0
+    v0, rho = model.v0, model.rho
     sv0 = math.sqrt(v0)
-    rho = model.rho
     atm = eta0 * sv0
     skew = 0.25 * (rho * sigma + 2.0 * eta1 * sv0)
     conv = ((2.0 - (3.0 - 4.0 * e) * rho * rho) * sigma * sigma
@@ -123,12 +124,12 @@ def _european_expansion(model: LsvModel, family) -> SmileExpansion:
 
 def european_expansion_sabr_type(model: LsvModel) -> SmileExpansion:
     """European smile expansion for the lognormal vol-of-vol family."""
-    return _european_expansion(model, LognormalVolOfVol)
+    return _european_expansion(model, _SABR_TYPE)
 
 
 def european_expansion_heston_type(model: LsvModel) -> SmileExpansion:
     """European smile expansion for the square-root vol-of-vol family."""
-    return _european_expansion(model, SquareRootVolOfVol)
+    return _european_expansion(model, _HESTON_TYPE)
 
 
 def vix_convexity_numerator_coeffs(eta0: float, eta1: float, eta2: float, eta3: float,
@@ -181,25 +182,18 @@ def _vix_atm_legs(model: LsvModel, rho: float) -> tuple[float, float, float]:
     return 0.5 * sigma + eta1 * rho * sv0, eta1 * sv0 * rho_perp, rho_perp
 
 
-def _vix_atm_level(model: LsvModel, rho: float) -> float:
-    """ATM VIX vol of either family at correlation rho (:func:`_vix_atm_legs`)."""
-    leg_a, leg_b, _ = _vix_atm_legs(model, rho)
-    return math.hypot(leg_a, leg_b)
-
-
-def _vix_expansion(model: LsvModel, family) -> SmileExpansion:
+def _vix_expansion(model: LsvModel, family: float) -> SmileExpansion:
     """The VIX level and skew of either family, and the convexity from the
     numerator table of the lognormal family (None for the other)."""
     sigma, e = _require(model, family)
     eta0, eta1, eta2, eta3 = eta_log_coeffs(model.local_vol)
-    v0 = model.v0
+    v0, rho = model.v0, model.rho
     sv0 = math.sqrt(v0)
-    rho = model.rho
     leg_a, leg_b, rho_perp = _vix_atm_legs(model, rho)
     atm = math.hypot(leg_a, leg_b)
     d = 4.0 * atm * atm
     if d <= 0.0:  # |rho| = 1 and sigma = 2 |eta1| sqrt(V0): no level, no skew
-        return SmileExpansion(0.0, math.nan, math.nan if family is LognormalVolOfVol else None)
+        return SmileExpansion(0.0, math.nan, math.nan if e == 0.0 else None)
     w = (sigma * sigma * eta1
          + 2.0 * rho * sigma * sv0 * (eta1 * eta1 + 2.0 * eta0 * eta2)
          + 8.0 * eta0 * eta1 * eta2 * v0)
@@ -209,7 +203,7 @@ def _vix_expansion(model: LsvModel, family) -> SmileExpansion:
     b = 2.0 * sigma * leg_a
     skew = sv0 * (rho * leg_a + rho_perp * leg_b) / d**1.5 * w + 0.5 * e * b * b / d**1.5
     conv = None
-    if family is LognormalVolOfVol:
+    if e == 0.0:
         coeffs = vix_convexity_numerator_coeffs(eta0, eta1, eta2, eta3, rho, v0)
         k_vix = 0.0
         for i in reversed(range(8)):
@@ -219,73 +213,60 @@ def _vix_expansion(model: LsvModel, family) -> SmileExpansion:
 
 
 def vix_expansion_sabr_type(model: LsvModel) -> SmileExpansion:
-    """VIX smile expansion for the lognormal vol-of-vol family.
-
-    The value returned in the convexity slot is the true quadratic
-    coefficient of the smile: it matches a quadratic fit of the full
-    rate-function smile (some widely circulated reference values for this
-    quantity carry a spurious extra factor sqrt(V0)).
-    """
-    return _vix_expansion(model, LognormalVolOfVol)
+    """VIX smile expansion for the lognormal vol-of-vol family.  Its convexity
+    is the true quadratic coefficient of the smile, which a quadratic fit of the
+    rate-function smile matches (some widely circulated reference values for it
+    carry a spurious extra factor sqrt(V0))."""
+    return _vix_expansion(model, _SABR_TYPE)
 
 
 def vix_expansion_heston_type(model: LsvModel) -> SmileExpansion:
     """VIX smile expansion for the square-root family; no closed-form
     convexity is available, so it is reported as None."""
-    return _vix_expansion(model, SquareRootVolOfVol)
+    return _vix_expansion(model, _HESTON_TYPE)
 
 
 def vix_atm_bounds(model: LsvModel) -> tuple[float, float]:
     """Range of the ATM VIX vol of either family as the correlation sweeps
     [-1, 1]: its square is affine in rho, so the ends are at rho = -+1."""
-    return tuple(sorted(_vix_atm_level(model, rho) for rho in (-1.0, 1.0)))
+    return tuple(sorted(math.hypot(*_vix_atm_legs(model, rho)[:2]) for rho in (-1.0, 1.0)))
+
+
+def _stochvol_vix_smile(spec, v0: float, mapping: VixMapping, strike: float) -> float:
+    """Asymptotic VIX implied vol of either family under VIX^2 = alpha V_T + beta,
+    forward F = sqrt(alpha v0 + beta): |z| / sqrt(2 J) in z = log(K/F), J the
+    spec's ``variance_rate`` at the variance the strike pins (``vix_log_variance``),
+    and sigma(V0) alpha v0 / (2 F^2) at the money.  The VIX is bounded below by
+    sqrt(beta), so the vol vanishes (0) for K <= sqrt(beta).  Supported while J
+    is a normal float: for the square-root family, J ~ v0 z^2 / sigma^2 near
+    the money asks v0 / sigma^2 >= 1e-275 at the strikes one ulp off F."""
+    if v0 <= 0.0:
+        raise ValueError("v0 must be positive")
+    alpha_v0, beta = mapping.alpha * v0, mapping.beta
+    if strike * strike <= beta:
+        return 0.0
+    f2 = alpha_v0 + beta
+    z = math.log(strike / math.sqrt(f2))
+    if z == 0.0:
+        return 0.5 * spec.sigma_at(v0) * alpha_v0 / f2
+    return rate_to_impvol(spec.variance_rate(vix_log_variance(z, alpha_v0, beta), v0), z)
 
 
 def meanrev_lognormal_vix_smile(a: float, b: float, sigma: float, v0: float,
                                 tau: float, strike: float) -> float:
-    """Asymptotic VIX implied vol in the mean-reverting lognormal model.
-
-    The smile is sigma |log(K/F)| / |log((K^2 - beta)/(alpha v0))| with
-    forward F = sqrt(alpha v0 + beta); at the money the limit is
-    (sigma/2) alpha v0 / (alpha v0 + beta).  The VIX is bounded below by
-    sqrt(beta), so the implied vol vanishes (returns 0) for K <= sqrt(beta).
-    """
-    if sigma <= 0.0 or v0 <= 0.0:
-        raise ValueError("sigma and v0 must be positive")
-    m = vix_mapping(a, b, tau)
-    if strike * strike <= m.beta:
-        return 0.0
-    f = math.sqrt(m.alpha * v0 + m.beta)
-    z = math.log(strike / f)
-    if z == 0.0:
-        return 0.5 * sigma * m.alpha * v0 / (m.alpha * v0 + m.beta)
-    # (K^2 - beta)/(alpha v0) = 1 + F^2 (e^{2z} - 1)/(alpha v0): no cancellation near the money
-    denom = math.log1p(f * f * math.expm1(2.0 * z) / (m.alpha * v0))
-    return sigma * abs(z) / abs(denom)
+    """Asymptotic VIX implied vol in the mean-reverting lognormal model
+    (:func:`_stochvol_vix_smile`, mapping :func:`vix_mapping`): away from
+    the floor sigma |log(K/F)| / |log((K^2 - beta)/(alpha v0))|."""
+    return _stochvol_vix_smile(LognormalVolOfVol(sigma), v0, vix_mapping(a, b, tau), strike)
 
 
 def heston_vix_smile(a: float, b: float, sigma: float, v0: float,
                      tau: float, strike: float) -> float:
-    """Asymptotic VIX implied vol in the mean-reverting square-root model.
-
-    (sigma/2) log(K/F) / (sqrt((K^2 - beta)/alpha) - sqrt(v0)) with forward
-    F = sqrt(alpha v0 + beta); for the identity mapping this is exactly
-    sigma/(2 sqrt(v0)) * z/(e^z - 1) in z = log(K/sqrt(v0)).
-    """
-    if sigma <= 0.0 or v0 <= 0.0:
-        raise ValueError("sigma and v0 must be positive")
-    m = vix_mapping(a, b, tau)
-    if strike * strike <= m.beta:
-        raise ValueError(f"strike^2 must exceed the VIX floor beta = {m.beta}")
-    f = math.sqrt(m.alpha * v0 + m.beta)
-    z = math.log(strike / f)
-    if z == 0.0:
-        # 0/0 at the money; l'Hopital on z and the denominator in K
-        return 0.5 * sigma * m.alpha * math.sqrt(v0) / (m.alpha * v0 + m.beta)
-    # the difference of roots over their sum, with K^2 - beta - alpha v0 = F^2 (e^{2z} - 1)
-    root = math.sqrt((strike * strike - m.beta) / m.alpha)
-    denom = f * f * math.expm1(2.0 * z) / m.alpha / (root + math.sqrt(v0))
-    return 0.5 * sigma * z / denom
+    """Asymptotic VIX implied vol in the mean-reverting square-root model
+    (:func:`_stochvol_vix_smile`, mapping :func:`vix_mapping`): away from the
+    floor (sigma/2) |log(K/F)| / |sqrt((K^2 - beta)/alpha) - sqrt(v0)|, for
+    the identity mapping sigma/(2 sqrt(v0)) z/(e^z - 1)."""
+    return _stochvol_vix_smile(SquareRootVolOfVol(sigma), v0, vix_mapping(a, b, tau), strike)
 
 
 def atm_price_limit_european(model: LsvModel) -> float:
@@ -297,4 +278,4 @@ def atm_price_limit_european(model: LsvModel) -> float:
 def atm_price_limit_vix(model: LsvModel) -> float:
     """Limit of the ATM VIX option price over sqrt(T) as T -> 0: the VIX
     spot eta(S0) sqrt(V0) times the ATM VIX vol over sqrt(2 pi)."""
-    return vix_spot(model) * _vix_atm_level(model, model.rho) / _SQRT_2PI
+    return vix_spot(model) * math.hypot(*_vix_atm_legs(model, model.rho)[:2]) / _SQRT_2PI

@@ -4,6 +4,12 @@ The VIX solve runs over the spot level, so nothing in the package inverts
 eta^2; the square-root transform works on the Moebius profile of the
 cumulant Lambda, so nothing evaluates Lambda or its domain edge.  The tests
 still check the solver and the transform against these independent forms.
+
+The corner harness (:func:`corner_models`) draws the models where the
+closed-form ATM coefficients cancel, for the tests that hold each
+coefficient to a stated multiple of eps times its scale: the same formula
+with every term in absolute value (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 3), evaluated in mpmath on the same float inputs.
 """
 
 from __future__ import annotations
@@ -11,8 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from lsv_shortmat._roots import newton_bracketed
-from lsv_shortmat.model import TanhLocalVol
+from lsv_shortmat.model import LognormalVolOfVol, LsvModel, TanhLocalVol, TaylorLocalVol, elasticity
+
+EPS = 2.0**-52
+# relative offsets of sigma(V0) from 2 |eta1| sqrt(V0), where the ATM VIX level cancels
+CORNER_DELTAS = (0.0, 1e-14, -1e-14, 1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4, 0.1, -0.1)
 
 
 def tanh_eta_sq_log_inverse(spec: TanhLocalVol, w: float) -> float:
@@ -181,3 +193,59 @@ def sqrt_option_price(law, strike: float, is_call: bool) -> float:
     else:
         value, _ = integrate.quad(lambda y: law.cdf(y * y), 0.0, strike, epsabs=0.0, epsrel=1e-11, limit=200)
     return value
+
+
+def vol_of_vol_at(family, sigma_v0: float, v0: float):
+    """The spec of the family whose sigma(V0) is sigma_v0, up to rounding."""
+    return family(sigma_v0) if family is LognormalVolOfVol else family(sigma_v0 * math.sqrt(v0))
+
+
+def corner_models(family, seed: int, n: int, cancel_european_convexity: bool = False):
+    """``n`` seeded models of the vol-of-vol ``family`` on a Taylor local vol,
+    in the corners where the ATM coefficients cancel: v0 = 10^U(-3, 0.5),
+    eta1 = +-10^U(-2, 0.3), sigma(V0) = 2 |eta1| sqrt(V0) (1 + delta) with delta
+    from :data:`CORNER_DELTAS`, and rho in turn exactly +-1, within 10^U(-16, 0)
+    of it, or uniform on [-1, 1].  With ``cancel_european_convexity`` every
+    other draw takes the eta2 at which the European convexity numerator
+    (2 - (3 - 4e) rho^2) sigma(V0)^2 + 4 (4 eta0 eta2 - eta1^2) V0 vanishes."""
+    e = elasticity(family(1.0), 1.0)
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        v0 = 10.0 ** rng.uniform(-3.0, 0.5)
+        eta1 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 0.3)
+        delta = CORNER_DELTAS[rng.integers(len(CORNER_DELTAS))]
+        sign = rng.choice((-1.0, 1.0))
+        rho = (sign, sign * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0)), rng.uniform(-1.0, 1.0))[i % 3]
+        sigma_v0 = 2.0 * abs(eta1) * math.sqrt(v0) * (1.0 + delta)
+        eta0 = rng.uniform(0.5, 1.5)
+        eta2, eta3 = rng.uniform(-1.0, 1.0, size=2)
+        if cancel_european_convexity and i % 2:
+            eta2 = (4.0 * eta1 * eta1 * v0 - (2.0 - (3.0 - 4.0 * e) * rho * rho) * sigma_v0**2) / (16.0 * eta0 * v0)
+        yield LsvModel(s0=1.0, v0=v0, rho=rho, local_vol=TaylorLocalVol(eta0, eta1, eta2, eta3),
+                       vol_of_vol=vol_of_vol_at(family, sigma_v0, v0))
+
+
+def vix_convexity_numerator_terms(eta0, eta1, eta2, eta3, rho, v0):
+    """The lognormal VIX convexity numerator as eight (prefactor, summands)
+    pairs, sum_i sigma^i prefactor_i sum(summands_i), in whatever number type
+    the inputs are: an independent transcription of
+    :func:`lsv_shortmat.smile.vix_convexity_numerator_coeffs` in which every
+    difference is split into its summands, so that the absolute values of the
+    summands give the numerator's scale."""
+    e0, e1, e2, e3, r, v = eta0, eta1, eta2, eta3, rho, v0
+    r2, sv = r * r, v**0.5
+    return [
+        (256 * e0 * e1**4 * v**3 * sv, [e1**2 * e2, -3 * e0 * e2**2, 3 * e0 * e1 * e3]),
+        (128 * e0 * e1**3 * r * v**3, [15 * e0 * e1 * e3, -12 * e0 * e2**2, 5 * e1**2 * e2]),
+        (16 * e1**2 * v**2 * sv, [12 * e0**2 * e1 * e3 * (9 * r2 + 1), 24 * e0**2 * e2**2,
+                                  -96 * e0**2 * e2**2 * r2, 60 * e0 * e1**2 * e2 * r2, -8 * e0 * e1**2 * e2,
+                                  2 * e1**4, -3 * e1**4 * r2]),
+        (16 * e1 * r * v**2, [6 * e0**2 * e1 * e3 * (7 * r2 + 3), 24 * e0**2 * e2**2, -48 * e0**2 * e2**2 * r2,
+                              4 * e0 * e1**2 * e2 * (8 * r2 + 3), -e1**4 * r2]),
+        (4 * v * sv, [12 * e0**2 * e1 * e3 * r2 * (2 * r2 + 3), 24 * e0**2 * e2**2 * r2,
+                      -36 * e0**2 * e2**2 * r2 * r2, 4 * e0 * e1**2 * e2 * (5 * r2 * r2 + 12 * r2 + 6),
+                      -e1**4 * r2 * r2, 6 * e1**4 * r2, -3 * e1**4]),
+        (4 * r * v, [6 * e0**2 * e3 * r2, 2 * e0 * e1 * e2 * (4 * r2 + 9), e1**3 * (r2 + 3)]),
+        (sv, [12 * e0 * e2 * r2, e1**2 * (3 * r2 + 4)]),
+        (1, [e1 * r]),
+    ]

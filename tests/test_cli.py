@@ -497,6 +497,35 @@ class TestMcAndCompare:
         assert len(rows) == 7
 
 
+class TestEuropeanRowsQuoteOnSpot:
+    """With r != q the carry forward S0 e^{(r-q)T} is not S0, yet European
+    rows of mc and compare quote log(K/S0), as smile and the rate solver do."""
+
+    ARGS = ["--kmin=-0.05", "--kmax", "0.05", "--kcount", "11"]
+    MC_ARGS = ["--paths", "20000", "--steps", "50"]
+
+    @pytest.fixture
+    def carry_file(self, tmp_path):
+        cfg = json.loads((MODELS_DIR / "tanh_lognormal_rho_m07.json").read_text())
+        cfg["r"] = 0.05
+        path = tmp_path / "carry.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    def test_compare_rate_column_is_the_smile_one(self, carry_file, capsys):
+        _, smiled = parse_csv(run_cli(["smile", "--model", carry_file] + self.ARGS, capsys)[1])
+        _, compared = parse_csv(run_cli(["compare", "--model", carry_file] + self.MC_ARGS + self.ARGS, capsys)[1])
+        # strike, log_moneyness, iv_expansion and iv_rate
+        assert [row[:4] for row in compared] == [row[:4] for row in smiled]
+        assert all(math.isfinite(float(row[3])) for row in compared)
+
+    def test_mc_prints_the_requested_grid(self, carry_file, capsys):
+        _, rows = parse_csv(run_cli(["mc", "--model", carry_file] + self.MC_ARGS + self.ARGS, capsys)[1])
+        grid = cli._log_moneyness_grid(-0.05, 0.05, 11)
+        assert len(rows) == len(grid)
+        assert all(abs(float(row[1]) - k) <= 1e-15 for row, k in zip(rows, grid))
+
+
 def test_log_moneyness_grid_is_numpy_linspace():
     # the CLI spaces strikes without numpy; its grid must be linspace's, bit for bit
     np = pytest.importorskip("numpy")

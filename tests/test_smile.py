@@ -14,7 +14,7 @@ from lsv_shortmat.model import (
     eta_log_coeffs,
     vix_spot,
 )
-from lsv_shortmat.rate_solver import european_rate, rate_to_impvol, vix_rate
+from lsv_shortmat.rate_solver import european_rate, rate_to_impvol, vix_log_variance, vix_rate
 from lsv_shortmat.smile import (
     atm_price_limit_european,
     atm_price_limit_vix,
@@ -29,6 +29,7 @@ from lsv_shortmat.smile import (
     vix_expansion_sabr_type,
     vix_mapping,
 )
+from oracles import EPS, corner_models, vix_convexity_numerator_terms
 
 TANH = TanhLocalVol(1.0, -0.5, 0.0)
 
@@ -192,13 +193,11 @@ class TestVixLevelVanishes:
         assert math.isnan(exp.skew) and math.isnan(exp.convexity)
 
 
-EPS = 2.0**-52
+EUROPEAN_EXPANSIONS = {LognormalVolOfVol: european_expansion_sabr_type,
+                       SquareRootVolOfVol: european_expansion_heston_type}
 VIX_EXPANSIONS = {LognormalVolOfVol: vix_expansion_sabr_type, SquareRootVolOfVol: vix_expansion_heston_type}
-
-
-def _vol_of_vol(family, sigma_v0, v0):
-    """The spec of the family whose sigma(V0) is sigma_v0, up to rounding."""
-    return family(sigma_v0) if family is LognormalVolOfVol else family(sigma_v0 * math.sqrt(v0))
+# the elasticity of sigma(V) that smile._require checks for each family
+ELASTICITY = {LognormalVolOfVol: 0.0, SquareRootVolOfVol: -0.5}
 
 
 def _random_models(family, seed, n):
@@ -217,22 +216,8 @@ class TestVixAtmLevelAccuracy:
     4 eta1^2 V0) against mpmath where the sum under that root cancels:
     sigma(V0) = 2 |eta1| sqrt(V0) (1 + delta) and |rho| at or near 1.  The
     error is measured on the scale sigma(V0)/2 + |eta1| sqrt(V0) of the two
-    terms whose difference the level can be."""
-
-    DELTAS = (0.0, 1e-14, -1e-14, 1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4, 0.1, -0.1)
-
-    def corner_models(self, family, seed, n):
-        rng = np.random.default_rng(seed)
-        for i in range(n):
-            v0 = 10.0 ** rng.uniform(-3.0, 0.5)
-            eta1 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 0.3)
-            delta = self.DELTAS[rng.integers(len(self.DELTAS))]
-            sign = rng.choice((-1.0, 1.0))
-            rho = (sign, sign * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0)), rng.uniform(-1.0, 1.0))[i % 3]
-            sigma_v0 = 2.0 * abs(eta1) * math.sqrt(v0) * (1.0 + delta)
-            local_vol = TaylorLocalVol(rng.uniform(0.5, 1.5), eta1, *rng.uniform(-1.0, 1.0, size=2))
-            yield LsvModel(s0=1.0, v0=v0, rho=rho, local_vol=local_vol,
-                           vol_of_vol=_vol_of_vol(family, sigma_v0, v0))
+    terms whose difference the level can be (corners from
+    :func:`oracles.corner_models`)."""
 
     @pytest.mark.parametrize("family", [LognormalVolOfVol, SquareRootVolOfVol])
     def test_against_mpmath(self, family):
@@ -242,7 +227,7 @@ class TestVixAtmLevelAccuracy:
         # plus two roundings, over sqrt(2 pi)
         worst_level = worst_limit = 0.0
         with mp.workdps(50):
-            for model in self.corner_models(family, 2025, 3000):
+            for model in corner_models(family, 2025, 3000):
                 sigma, eta1 = model.vol_of_vol.sigma_at(model.v0), eta_log_coeffs(model.local_vol)[1]
                 s, e, r, sv0 = mp.mpf(sigma), mp.mpf(eta1), mp.mpf(model.rho), mp.sqrt(model.v0)
                 exact = mp.sqrt(s * s + 4 * e * r * s * sv0 + 4 * e * e * sv0 * sv0) / 2
@@ -268,14 +253,14 @@ class TestVixAtmLevelAccuracy:
         mp = pytest.importorskip("mpmath")
         worst = 0.0
         with mp.workdps(60):
-            for model in self.corner_models(family, 2025, 3000):
+            for model in corner_models(family, 2025, 3000):
                 expansion = VIX_EXPANSIONS[family](model)
                 skew = expansion.skew
                 if math.isnan(skew):
                     # no level, so no skew: A = B = 0 in floating point
                     assert expansion.atm == 0.0
                     continue
-                sigma, e = smile._require(model, family)
+                sigma, e = smile._require(model, ELASTICITY[family])
                 eta0, eta1, eta2, _ = (mp.mpf(c) for c in eta_log_coeffs(model.local_vol))
                 s, rho, v0 = mp.mpf(sigma), mp.mpf(model.rho), mp.mpf(model.v0)
                 sv0, rho_perp = mp.sqrt(v0), mp.sqrt((1 - rho) * (1 + rho))
@@ -288,6 +273,68 @@ class TestVixAtmLevelAccuracy:
                          + 2 * abs(e) * (s * leg_a) ** 2) / d**1.5
                 worst = max(worst, float(abs(skew - exact) / (EPS * scale)))
         assert worst <= 8.0
+
+
+class TestCoefficientAccuracy:
+    """The European skew and convexity of both families and the lognormal VIX
+    convexity against mpmath (60 digits) on the same float inputs, over the
+    corners of :func:`oracles.corner_models`, half of them with eta2 set to
+    cancel the European convexity numerator.  Each error is measured in units
+    of eps times the coefficient's scale: the formula with every term in
+    absolute value.  Where a numerator cancels, the relative error is bounded
+    by nothing but that scale: it is the conditioning of the inputs."""
+
+    @pytest.mark.parametrize("family", [LognormalVolOfVol, SquareRootVolOfVol])
+    def test_european_against_mpmath(self, family):
+        # worst measured: 1.10 / 1.10 units (skew) and 2.08 / 2.05 units
+        # (convexity), lognormal / square-root
+        mp = pytest.importorskip("mpmath")
+        worst_skew = worst_conv = 0.0
+        with mp.workdps(60):
+            for model in corner_models(family, 2026, 6000, cancel_european_convexity=True):
+                expansion = EUROPEAN_EXPANSIONS[family](model)
+                sigma, e = smile._require(model, ELASTICITY[family])
+                eta0, eta1, eta2, _ = (mp.mpf(c) for c in eta_log_coeffs(model.local_vol))
+                s, rho, v0 = mp.mpf(sigma), mp.mpf(model.rho), mp.mpf(model.v0)
+                sv0 = mp.sqrt(v0)
+                skew_terms = (rho * s / 4, eta1 * sv0 / 2)
+                conv_terms = (2 * s * s, -(3 - 4 * e) * rho * rho * s * s, 16 * eta0 * eta2 * v0, -4 * eta1 * eta1 * v0)
+                den = 48 * eta0 * sv0
+                worst_skew = max(worst_skew, float(abs(expansion.skew - sum(skew_terms))
+                                                   / (EPS * sum(abs(t) for t in skew_terms))))
+                worst_conv = max(worst_conv, float(abs(expansion.convexity - sum(conv_terms) / den)
+                                                   / (EPS * sum(abs(t) for t in conv_terms) / den)))
+        assert worst_skew <= 4.0
+        assert worst_conv <= 4.0
+
+    def test_vix_convexity_against_mpmath(self):
+        # sqrt(V0)/6 K(sigma)/d^3.5 with the numerator K split into its
+        # summands (oracles.vix_convexity_numerator_terms) and
+        # d = sigma^2 + 4 eta1 rho sigma sqrt(V0) + 4 eta1^2 V0, the squared
+        # level times 4.  The scale is K's summands in absolute value over
+        # d^3.5, plus 3.5 |convexity| d_abs / d for the power of d, d_abs
+        # being d's terms in absolute value.  Worst measured: 2.22 units
+        # (10.0 units of the numerator's part of the scale alone, where
+        # d^3.5 carries the rounding of a d that does not cancel).
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mp.workdps(60):
+            for model in corner_models(LognormalVolOfVol, 2026, 6000, cancel_european_convexity=True):
+                conv = vix_expansion_sabr_type(model).convexity
+                if math.isnan(conv):
+                    continue  # no level: d = 0 in floating point
+                eta = [mp.mpf(c) for c in eta_log_coeffs(model.local_vol)]
+                s, rho, v0 = mp.mpf(model.vol_of_vol.sigma_at(model.v0)), mp.mpf(model.rho), mp.mpf(model.v0)
+                sv0, eta1 = mp.sqrt(v0), eta[1]
+                terms = vix_convexity_numerator_terms(*eta, rho, v0)
+                numerator = sum(pre * s**i * sum(parts) for i, (pre, parts) in enumerate(terms))
+                numerator_abs = sum(abs(pre) * s**i * sum(map(abs, parts)) for i, (pre, parts) in enumerate(terms))
+                d = s * s + 4 * eta1 * rho * s * sv0 + 4 * eta1 * eta1 * v0
+                d_abs = s * s + 4 * abs(eta1 * rho * s) * sv0 + 4 * eta1 * eta1 * v0
+                exact = sv0 / 6 * numerator / d**3.5
+                scale = sv0 / 6 * numerator_abs / d**3.5 + abs(exact) * mp.mpf(3.5) * d_abs / d
+                worst = max(worst, float(abs(conv - exact) / (EPS * scale)))
+        assert worst <= 4.0
 
 
 class TestOneVixAtmLevel:
@@ -456,7 +503,7 @@ class TestOneFormulaPerProduct:
     def test_elasticity_is_exact(self, v0, sigma):
         for family, elasticity in ((LognormalVolOfVol, 0.0), (SquareRootVolOfVol, -0.5)):
             model = table_model(0.0, v0=v0, vol_of_vol=family(sigma))
-            sigma_v0, e = smile._require(model, family)
+            sigma_v0, e = smile._require(model, elasticity)
             assert sigma_v0 == model.vol_of_vol.sigma_at(v0)
             assert e == elasticity
 
@@ -530,6 +577,139 @@ class TestExplicitVixSmilesNearTheMoney:
         for z in [s * 10.0**e for e in range(-14, -5) for s in (1, -1)]:
             got = smile(a, b, sigma, v0, tau, f * math.exp(z))
             assert abs(got / atm - 1.0) / abs(z) <= 1.0, z
+
+
+def _parent_meanrev_lognormal_vix_smile(a, b, sigma, v0, tau, strike):
+    # the lognormal twin before both smiles read one core: 0 at the floor
+    m = vix_mapping(a, b, tau)
+    if strike * strike <= m.beta:
+        return 0.0
+    f = math.sqrt(m.alpha * v0 + m.beta)
+    z = math.log(strike / f)
+    if z == 0.0:
+        return 0.5 * sigma * m.alpha * v0 / (m.alpha * v0 + m.beta)
+    return sigma * abs(z) / abs(math.log1p(f * f * math.expm1(2.0 * z) / (m.alpha * v0)))
+
+
+def _parent_heston_vix_smile(a, b, sigma, v0, tau, strike):
+    # the square-root twin before both smiles read one core; it raised at the floor
+    m = vix_mapping(a, b, tau)
+    f = math.sqrt(m.alpha * v0 + m.beta)
+    z = math.log(strike / f)
+    if z == 0.0:
+        return 0.5 * sigma * m.alpha * math.sqrt(v0) / (m.alpha * v0 + m.beta)
+    root = math.sqrt((strike * strike - m.beta) / m.alpha)
+    return 0.5 * sigma * z / (f * f * math.expm1(2.0 * z) / m.alpha / (root + math.sqrt(v0)))
+
+
+def _exact_stochvol_vix_smile(mp, family, sigma, v0, mapping, strike):
+    """|z| / sqrt(2 J) in mpmath on the float inputs, J the family's rate of
+    reaching the variance (K^2 - beta) / alpha from v0."""
+    alpha, beta, k = mp.mpf(mapping.alpha), mp.mpf(mapping.beta), mp.mpf(strike)
+    z = mp.log(k / mp.sqrt(alpha * v0 + beta))
+    v = (k * k - beta) / alpha
+    if family is LognormalVolOfVol:
+        return sigma * abs(z) / abs(mp.log(v / v0))
+    return sigma * abs(z) / (2 * abs(mp.sqrt(v) - mp.sqrt(v0)))
+
+
+def _smile_sweep(seed, n):
+    """(a, b, sigma, v0, tau, strike) draws: strikes F e^z with |z| from
+    1e-14 to 3 on either side of the forward F, and every tenth below the
+    floor sqrt(beta)."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        a, b, sigma = rng.uniform(0.0, 8.0), rng.uniform(0.005, 0.5), rng.uniform(0.1, 3.0)
+        v0, tau = 10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(1.0 / 365.0, 0.25)
+        m = vix_mapping(a, b, tau)
+        if i % 10 == 0:
+            strike = math.sqrt(m.beta) * rng.uniform(0.0, 1.0)
+        else:
+            z = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, math.log10(3.0))
+            strike = math.sqrt(m.alpha * v0 + m.beta) * math.exp(z)
+        yield a, b, sigma, v0, tau, strike
+
+
+class TestOneStochvolVixSmile:
+    """Both stochastic-vol VIX smiles are one core in the spec, the mapping
+    and the VIX-to-variance map (rate_solver.vix_log_variance)."""
+
+    SMILES = {LognormalVolOfVol: (meanrev_lognormal_vix_smile, _parent_meanrev_lognormal_vix_smile),
+              SquareRootVolOfVol: (heston_vix_smile, _parent_heston_vix_smile)}
+
+    @pytest.mark.parametrize("family", [LognormalVolOfVol, SquareRootVolOfVol])
+    def test_each_smile_is_the_one_core(self, family):
+        public = self.SMILES[family][0]
+        for a, b, sigma, v0, tau, strike in _smile_sweep(5, 2000):
+            core = smile._stochvol_vix_smile(family(sigma), v0, vix_mapping(a, b, tau), strike)
+            assert public(a, b, sigma, v0, tau, strike) == core
+
+    @pytest.mark.parametrize("family", [LognormalVolOfVol, SquareRootVolOfVol])
+    def test_matches_the_twin_formulas(self, family):
+        # within 1e-13 relative of the per-family formulas the core replaced
+        # or, where they differ by more, within 8 eps of mpmath; the floor
+        # aside, where only the lognormal twin returned 0
+        mp = pytest.importorskip("mpmath")
+        public, parent = self.SMILES[family]
+        with mp.workdps(60):
+            for a, b, sigma, v0, tau, strike in _smile_sweep(6, 5000):
+                m = vix_mapping(a, b, tau)
+                got = public(a, b, sigma, v0, tau, strike)
+                if strike * strike <= m.beta:
+                    assert got == 0.0
+                    continue
+                want = parent(a, b, sigma, v0, tau, strike)
+                if abs(got - want) > 1e-13 * abs(want):
+                    exact = _exact_stochvol_vix_smile(mp, family, sigma, v0, m, strike)
+                    assert abs(got - exact) <= 8 * EPS * exact, (a, b, sigma, v0, tau, strike)
+
+    def test_square_root_floor_is_zero_vol(self):
+        # the square-root smile used to raise below the floor; both now vanish there
+        a, b = 5.0, 0.09
+        m = vix_mapping(a, b, 30 / 365)
+        for strike in (0.9 * math.sqrt(m.beta), math.sqrt(m.beta), 1e-300):
+            assert heston_vix_smile(a, b, 1.0, 0.1, 30 / 365, strike) == 0.0
+            assert meanrev_lognormal_vix_smile(a, b, 1.0, 0.1, 30 / 365, strike) == 0.0
+
+
+    def test_square_root_domain_edge(self):
+        # J ~ v0 z^2 / sigma^2 stays a normal float down to v0 / sigma^2 = 1e-275
+        # at the strikes one ulp off the forward, where the smile is its ATM level
+        v0 = 1e-275
+        f = math.sqrt(v0)  # the identity mapping
+        atm = heston_vix_smile(0.0, v0, 1.0, v0, 1e-12, f)
+        for strike in (math.nextafter(f, 0.0), math.nextafter(f, 1.0)):
+            assert heston_vix_smile(0.0, v0, 1.0, v0, 1e-12, strike) == pytest.approx(atm, rel=1e-15)
+
+
+class TestVixLogVariance:
+    """w = log((K^2 - beta) / (alpha v0)) at K = F e^z, F^2 = alpha v0 + beta."""
+
+    def test_against_mpmath_away_from_the_floor(self):
+        # alpha v0 in [1e-4, 3.2], beta 0 or in [1e-6, 1], |z| in [1e-16, 3.2],
+        # K^2 - beta >= 1e-2 K^2; worst measured 2.6 eps over 3 x 30,000
+        # draws.  Nearer the floor log1p's argument nears -1 and magnifies
+        # its own rounding: 38 eps at K^2 - beta >= 1e-3 K^2, the
+        # conditioning of w there, not of the formula.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(29)
+        worst, n = 0.0, 0
+        with mp.workdps(60):
+            while n < 20000:
+                alpha_v0 = 10.0 ** rng.uniform(-4.0, math.log10(3.2))
+                beta = 0.0 if rng.uniform() < 0.2 else 10.0 ** rng.uniform(-6.0, 0.0)
+                z = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, math.log10(3.2))
+                k2 = (mp.mpf(alpha_v0) + beta) * mp.exp(2 * mp.mpf(z))
+                if k2 - beta < mp.mpf(1e-2) * k2:
+                    continue
+                exact = mp.log((k2 - beta) / alpha_v0)
+                worst = max(worst, float(abs(vix_log_variance(z, alpha_v0, beta) - exact) / abs(exact)))
+                n += 1
+        assert worst <= 8 * EPS
+
+    def test_exactly_twice_z_without_a_floor(self):
+        for z in (-700.0, -1e-300, -0.3, 0.0, 1e-16, 2.5, 700.0):
+            assert vix_log_variance(z, 0.04, 0.0) == 2.0 * z
 
 
 class TestVixMapping:

@@ -1,8 +1,10 @@
 """Structural ratchets on the package source.
 
 Each spec class owns its formulas, so callers dispatch on the class rather
-than test its type.  The number of ``isinstance`` calls may only fall, the
-smile expansions read the vol of vol only through ``sigma_at`` and
+than test its type.  No module calls ``isinstance`` or compares anything
+with a spec class (``is``, ``is not``, ``==``, ``!=``): the one value that
+tells the vol-of-vol families apart is read off the spec
+(``model.elasticity``).  The smile expansions read the vol of vol only through ``sigma_at`` and
 ``variance_leg``, never its ``sigma`` field, and every spec class exposes
 the same methods as the others of its kind, so a new spec cannot quietly
 need a type ladder in a caller.  The local-vol
@@ -47,8 +49,8 @@ from lsv_shortmat import hartman_watson, heston_rate, mc_engine, model, rate_sol
 
 PACKAGE = Path(model.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-# the remaining sites: cli._expansion_for and smile._require
-MAX_ISINSTANCE = 2
+# the family is read by value (model.elasticity), so no site remains
+MAX_ISINSTANCE = 0
 
 # scipy root finders the package solver replaces
 FOREIGN_ROOT_FINDERS = {"brentq", "bisect", "newton", "root_scalar"}
@@ -68,6 +70,34 @@ def test_isinstance_sites():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
     ]
     assert len(sites) <= MAX_ISINSTANCE, sites
+
+
+def _class_comparisons(tree) -> list[int]:
+    """Lines of ``tree`` that compare a spec class by name with is, is not, == or !=."""
+    spec_classes = {cls.__name__ for union in SPEC_KINDS.values() for cls in typing.get_args(union)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                   and any(isinstance(side, ast.Name) and side.id in spec_classes for side in pair)
+                   for op, pair in zip(node.ops, zip(operands, operands[1:]))):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_comparison_with_a_spec_class():
+    sites = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _class_comparisons(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not sites, sites
+
+
+@pytest.mark.parametrize("source", ["family is LognormalVolOfVol", "type(v) is not SquareRootVolOfVol",
+                                    "type(v) == TanhLocalVol", "ZeroDrift != type(d)",
+                                    "0 < x is LognormalVolOfVol"])
+def test_class_comparison_guard_sees_every_form(source):
+    # the guard above flags each of these, so its passing run means none is in src/
+    assert _class_comparisons(ast.parse(source)) == [1]
 
 
 def test_smile_reads_the_vol_of_vol_through_the_spec():

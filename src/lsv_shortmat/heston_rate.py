@@ -19,8 +19,13 @@ Lambda is a Moebius function of phi, so the best phi at fixed theta is
 explicit and the transform reduces to a concave maximisation over theta
 alone, with closed-form slope and curvature; Newton ascent from the series
 warm start solves it and certifies the maximiser it finds (see
-:func:`legendre_point`).  The variance-path rate function for a factor
-started at v0 is the rescaling  H(y, z) = v0 * I_H(z/v0, e^y/v0).
+:func:`legendre_point`).  The rate solver runs no such ascent: stationarity
+in theta makes x an explicit, increasing function of u = a theta at fixed y,
+so :func:`profile_rate` takes the maximiser as its argument and reads I_H,
+its derivatives and log x with its derivatives (the solver's chart) off one
+profile evaluation; :func:`legendre_point` is its oracle.  The variance-path
+rate function for a factor started at v0 is the rescaling
+H(y, z) = v0 * I_H(z/v0, e^y/v0).
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ import math
 from ._record import Record
 from ._sinc import K_DEV_SERIES, M_DEV_SERIES, SINC_D1_SERIES, SINC_D2_SERIES, SINC_SERIES
 
-__all__ = ["LegendrePoint", "legendre_point", "rate_IH_numeric", "rate_IH_series", "h_heston", "marginal_J1",
-           "marginal_J2"]
+__all__ = ["LegendrePoint", "legendre_point", "profile_rate", "rate_IH_numeric", "rate_IH_series", "h_heston",
+           "marginal_J1", "marginal_J2"]
 
 
 # Names of retired layers that the benchmark tracer (perfbench/tracing.py)
@@ -161,8 +166,7 @@ def legendre_point(log_x: float, log_y: float, sigma: float) -> LegendrePoint:
     stationary point, |G'| <= 1e-9 max(1, x, y) with G'' < 0 (then the
     Hessian in (theta, phi) is negative definite, as Lambda_phi_phi =
     2 a g / D^3 > 0).  There is no fallback: :func:`rate_IH_numeric` raises
-    on an uncertified point and the square-root ``path_rate``
-    (:mod:`lsv_shortmat.model`) reports it as None.
+    on an uncertified point.
 
     The derivatives of I_H come from the last evaluation's terms: by
     Danskin's theorem the gradient is (theta*, phi*), and the Hessian is its
@@ -226,9 +230,67 @@ def legendre_point(log_x: float, log_y: float, sigma: float) -> LegendrePoint:
     hessian = (-1.0 / curv, -c / curv, c * (-c / curv) + m / (2.0 * a * y * sqrt_y)) if converged else None
     u = a * theta
     # the sup includes (0, 0) where the objective vanishes
-    # positional: the solvers build one per objective evaluation
     return LegendrePoint(x, y, sigma, max(value, 0.0), theta, ((ds - u / 6.0 - md) / sqrt_y - u / 3.0 + kd) / a,
                          iters, converged, noise, hessian)
+
+
+def profile_rate(u: float, log_y: float, sigma: float):
+    """I_H in (log x, log y) at the x whose maximiser is theta = u/a (a = sigma^2/2),
+    from one :func:`_profile_terms` evaluation: no inner maximisation.
+
+    The stationarity of G (see :func:`legendre_point`) gives that x as an
+    explicit function of u at fixed y,
+
+        x = 2 sqrt(y) m'(u) - (1 + y) k'(u),
+        x - 1 = ((y - 1) + (sqrt(y) - 1))/3 + 2 sqrt(y) m~'(u) - (1 + y) k~'(u),
+
+    increasing in u (dx/du = -G''/a > 0) from 0 as u -> -inf to inf as
+    sqrt(u) -> pi.  At (x, y) theta is the maximiser, so I_H = G(theta),
+    its gradient (theta, phi*), its Hessian and its rounding error are
+    :func:`legendre_point`'s formulas at the same terms, in the same
+    deviation form.  Returns (I_H, rounding error, gradient, Hessian,
+    chart) with the gradient (I_lx, I_ly) and Hessian (I_lxlx, I_lxly,
+    I_lyly) in (log x, log y), and the chart (log x, d log x/du,
+    d log x/d log y); None for sqrt(u) >= pi, or where rounding leaves
+    x <= 0 or G'' >= 0.
+    """
+    terms = _profile_terms(u)
+    if terms is None:
+        return None
+    k, k1, k2, m, m1, m2, kd, kd1, md, md1 = terms
+    a = 0.5 * sigma * sigma
+    dy, ds = math.expm1(log_y), math.expm1(0.5 * log_y)
+    y, sqrt_y = 1.0 + dy, 1.0 + ds
+    wk, wm = 1.0 + y, 2.0 * sqrt_y
+    lin = wm * md1 - wk * kd1
+    dx = (dy + ds) / 3.0 + lin
+    curv = a * (wk * k2 - wm * m2)
+    if not (dx > -1.0 and curv < 0.0):
+        return None
+    x, theta = 1.0 + dx, u / a
+    value = (u * lin + ds * ds + wk * kd - wm * md) / a
+    size = wk * abs(kd) + wm * abs(md)
+    if abs(u) > 1.0:
+        # beyond the series (|u| > 1), k~ and m~ carry the rounding of k and m
+        size += wk * (abs(k) + 1.0) + wm * (abs(m) + 1.0)
+    noise = 4.0 * _EPS * (abs(theta) * (abs(dx) + (abs(dy) + abs(ds)) / 3.0) + (ds * ds + size) / a)
+    phi = ((ds - u / 6.0 - md) / sqrt_y - u / 3.0 + kd) / a
+    c = k1 - m1 / sqrt_y
+    i_xy = -c / curv
+    i_yy = c * i_xy + m / (2.0 * a * y * sqrt_y)
+    return (max(value, 0.0), noise, (x * theta, y * phi),
+            (x * (theta - x / curv), x * y * i_xy, y * (phi + y * i_yy)),
+            (math.log1p(dx), -curv / (a * x), -c * y / x))
+
+
+# the largest start :func:`profile_start` gives, (pi/2)^2
+_U_START_MAX = 0.25 * math.pi**2
+
+
+def profile_start(log_x: float, log_y: float, sigma: float) -> float:
+    """The u of :func:`profile_rate` whose x lies near e^{log_x}: a times the
+    series warm start, held inside sqrt(u) < pi."""
+    return min(0.5 * sigma * sigma * _warm_start(log_x, log_y, sigma), _U_START_MAX)
 
 
 def rate_IH_numeric(x: float, y: float, sigma: float) -> float:

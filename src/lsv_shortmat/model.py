@@ -26,8 +26,11 @@ log-variance y, w = y - log v0 and log u = log(z / v0):
 
 * ``variance_leg(w, v0)``    - the variance-leg integral Q and its first
   two w-derivatives (whose ratio gives the family, :func:`elasticity`);
-* ``path_rate(log_u, w, v0)`` - the variance-path rate function H with its
-  gradient, Hessian and rounding error in (log u, w);
+* ``path_rate(t, w, v0)``    - the variance-path rate function H with its
+  gradient, Hessian and rounding error in (log u, w), at the family's own
+  iterate t, and the chart (log u, d log u/dt, d log u/dw): t is log u for
+  the lognormal family and the Legendre maximiser for the square-root one;
+* ``path_iterate(log_u, w)`` - the iterate t to start from near (log u, w);
 * ``variance_rate(w, v0)``   - the stochastic-vol rate of reaching v0 e^w;
 * ``mean_variance(w, v0)``   - the time-averaged variance along the path
   that attains that rate;
@@ -371,7 +374,11 @@ class LognormalVolOfVol(Record):
         grad = (scale * (-8.0 * d1 - 4.0 * (m1 + m2)), scale * (4.0 * d1 + 4.0 * m2))
         hess = (scale * (8.0 * d2 + 4.0 * (e1 + e2)), scale * (-4.0 * d2 - 4.0 * e2),
                 scale * (2.0 * d2 + 4.0 * e2))
-        return value, noise, grad, hess
+        return value, noise, grad, hess, (log_u, 1.0, 0.0)
+
+    def path_iterate(self, log_u: float, w: float) -> float:
+        """The point :meth:`path_rate` reads for (log u, w): log u itself."""
+        return log_u
 
     def variance_rate(self, w: float, v0: float) -> float:
         """J = (1/2) (integral of dx / (x sigma(x)) from v0 to v0 e^w)^2 = w^2 / (2 sigma^2)."""
@@ -424,21 +431,27 @@ class SquareRootVolOfVol(Record):
         c = v0 / self.sigma
         return c * math.expm1(w), c * math.exp(w), c * math.exp(w)
 
-    def path_rate(self, log_u: float, w: float, v0: float):
-        """H = v0 I_H(x, y) at x = e^{log u}, y = e^w, in the layout of
-        :meth:`LognormalVolOfVol.path_rate`, read off the point of
-        :func:`heston_rate.legendre_point` at (log u, w) (gradient (theta, phi)),
-        or None when the transform does not certify its maximiser."""
+    def path_rate(self, u: float, w: float, v0: float):
+        """H = v0 I_H(x, y) at y = e^w and the x whose Legendre maximiser is
+        theta = u/a, a = sigma^2/2 (:func:`heston_rate.profile_rate`): the
+        layout of :meth:`LognormalVolOfVol.path_rate`, in (log u, w) with
+        log u = log x, and the chart (log x, d log x/du, d log x/dw); None
+        for sqrt(u) >= pi."""
         global _heston_rate
         if _heston_rate is None:
             from . import heston_rate as _heston_rate
-        pt = _heston_rate.legendre_point(log_u, w, self.sigma)
-        if not pt.converged:
+        pt = _heston_rate.profile_rate(u, w, self.sigma)
+        if pt is None:
             return None
-        x, y, i_x, i_y = pt.x, pt.y, pt.theta, pt.phi
-        i_xx, i_xy, i_yy = pt.hessian
-        return (v0 * pt.value, v0 * pt.noise, (v0 * x * i_x, v0 * y * i_y),
-                (v0 * x * (i_x + x * i_xx), v0 * x * y * i_xy, v0 * y * (i_y + y * i_yy)))
+        value, noise, (g_x, g_y), (h_xx, h_xy, h_yy), chart = pt
+        return v0 * value, v0 * noise, (v0 * g_x, v0 * g_y), (v0 * h_xx, v0 * h_xy, v0 * h_yy), chart
+
+    def path_iterate(self, log_u: float, w: float) -> float:
+        """The u whose :meth:`path_rate` lands near (log u, w) (:func:`heston_rate.profile_start`)."""
+        global _heston_rate
+        if _heston_rate is None:
+            from . import heston_rate as _heston_rate
+        return _heston_rate.profile_start(log_u, w, self.sigma)
 
     def variance_rate(self, w: float, v0: float) -> float:
         """J = 2 (sqrt(v) - sqrt(v0))^2 / sigma^2 = 2 v0 expm1(w/2)^2 / sigma^2."""

@@ -20,8 +20,13 @@ trust-region Newton method on (log u, s), u = z/v0, with the exact gradient
 and Hessian of the objective; s is w = y - log v0 for European options and
 k for VIX options.  The local-vol spec supplies eta, eta' and eta'' for the
 VIX curve, and the vol-of-vol spec supplies Q and H with their derivatives
-(see :mod:`model`).  Both factors share the objective's quadratic model at
-the flat path p = 0, and its minimiser is the start (:func:`_start`).
+(see :mod:`model`) at its own iterate t in place of log u, with the chart
+that maps t to log u: t is log u itself for the lognormal factor and the
+Legendre maximiser u = a theta for the square-root one, which then gives H
+with no nested transform (:func:`heston_rate.profile_rate`).  The trust
+region works in (log u, s) and moves the iterate by the chart.  Both
+factors share the objective's quadratic model at the flat path p = 0, and
+its minimiser is the start (:func:`_start`).
 ``converged`` certifies a positive-definite Hessian with a Newton decrement
 below the objective's rounding error or 1e-12 of its value
 (:func:`_minimize`); at |rho| = 1 no point is certified (:func:`_solve`).
@@ -117,39 +122,50 @@ def rate_to_impvol(rate: float, log_moneyness: float) -> float:
 
 
 def _rate_objective(model: LsvModel, leg):
-    """The rate objective in p = (log u, s), u = z/v0.
+    """The rate objective at the iterate (t, s), in p = (log u, s), u = z/v0.
 
     ``leg(s)`` returns (w, w', w'', I_S, I_S', I_S''): w = y - log v0 and
     the spot integral with their first two s-derivatives, or None where s
-    is outside the leg's domain.  With N = I_S - rho Q(w) and
-    T = N^2 e^{-log u} / (2 (1 - rho^2) v0), the objective is T + H; the
-    chain rule through w(s) gives its derivatives from those of N, and H's
-    come from the vol-of-vol spec, each to its own relative precision.  The
-    returned function gives (value, rounding error, gradient, Hessian as
-    (h_uu, h_us, h_ss)), or None when s is outside the leg's domain, w
-    outside the search box or H cannot be certified.
+    is outside the leg's domain.  The vol-of-vol spec's ``path_rate(t, w,
+    v0)`` gives H with its derivatives in (log u, w), each to its own
+    relative precision, and its chart: the log u its iterate t maps to
+    (t itself for a lognormal factor, the Legendre maximiser for a
+    square-root one) with d log u/dt and d log u/dw.  With
+    N = I_S - rho Q(w) and T = N^2 e^{-log u} / (2 (1 - rho^2) v0), the
+    objective is T + H; the chain rule through w(s) gives its derivatives
+    from those of N.  The returned function, ``evaluate(t, s)`` or, at the
+    spec's iterate near a given log u (``path_iterate``),
+    ``evaluate(None, s, log_u)``, gives (value, rounding error, gradient,
+    Hessian as (h_uu, h_us, h_ss), (t, log u, d log u/dt, d log u/ds)), or
+    None when s is outside the leg's domain, w or log u outside the search
+    box, or t outside the spec's domain.
     """
     vol = model.vol_of_vol
     v0, rho = model.v0, model.rho
     c = 0.5 / ((1.0 - rho * rho) * v0)
 
-    def evaluate(log_u: float, s: float):
+    def evaluate(t: float, s: float, at_log_u: float | None = None):
         spot = leg(s)
         if spot is None or not abs(spot[0]) <= _BOX:
             return None
         w, w1, w2, i_s, i_s1, i_s2 = spot
-        h = vol.path_rate(log_u, w, v0)
+        if at_log_u is not None:
+            t = vol.path_iterate(at_log_u, w)
+        h = vol.path_rate(t, w, v0)
         if h is None:
             return None
-        h_val, h_noise, (h_u, h_w), (h_uu, h_uw, h_ww) = h
+        h_val, h_noise, (h_u, h_w), (h_uu, h_uw, h_ww), (log_u, log_u_t, log_u_w) = h
+        if not abs(log_u) <= _BOX:
+            return None
         q, q1, q2 = vol.variance_leg(w, v0)
         n, n1, n2 = i_s - rho * q, i_s1 - rho * (q1 * w1), i_s2 - rho * (q2 * w1 * w1 + q1 * w2)
         e = c * math.exp(-log_u)
-        t = e * n * n
+        big_t = e * n * n
         t_s = 2.0 * e * n * n1
         noise = 4.0 * _EPS * e * (abs(i_s) + abs(rho * q)) ** 2 + h_noise
-        return (t + h_val, noise, (h_u - t, h_w * w1 + t_s),
-                (h_uu + t, h_uw * w1 - t_s, h_ww * w1 * w1 + h_w * w2 + 2.0 * e * (n1 * n1 + n * n2)))
+        return (big_t + h_val, noise, (h_u - big_t, h_w * w1 + t_s),
+                (h_uu + big_t, h_uw * w1 - t_s, h_ww * w1 * w1 + h_w * w2 + 2.0 * e * (n1 * n1 + n * n2)),
+                (t, log_u, log_u_t, log_u_w * w1))
 
     return evaluate
 
@@ -208,8 +224,13 @@ def _minimize(evaluate, start):
 
     |log u|, |s| <= _BOX; the search starts from ``start`` (:func:`_start`,
     within _RADIUS0 of the flat path) with the trust radius _RADIUS0, and
-    the step radius is capped at 0.9 times the distance to the box's edge,
-    so no trial point leaves it.  A step is accepted when the objective
+    the step radius is capped at 0.9 times the distance to the box's edge.
+    ``evaluate`` runs at the spec's iterate (t, s), and a step moves t by
+    the chart of :func:`_rate_objective` to first order,
+    t += (delta log u - d log u/ds delta s) / (d log u/dt): exactly for the
+    lognormal factor, whose chart is the identity, and for the square-root
+    one to where the ratio test judges the landing point, which
+    ``evaluate`` rejects (None) outside the box.  A step is accepted when the objective
     falls by at least a tenth of the model's prediction, allowing for
     rounding; the radius shrinks to a quarter of a poor step, or of a step
     to a point where the objective is undefined, and doubles after a good
@@ -227,13 +248,14 @@ def _minimize(evaluate, start):
     def margin(p) -> float:
         return _BOX - max(abs(p[0]), abs(p[1]))
 
-    p, cur = start, evaluate(*start)
+    s, cur = start[1], evaluate(None, start[1], start[0])
     evals = 1
     if cur is None:
-        return p, math.nan, evals, False, False
+        return start, math.nan, evals, False, False
     radius = _RADIUS0
     while True:
-        value, noise, g, h = cur
+        value, noise, g, h, (t, log_u, log_u_t, log_u_s) = cur
+        p = (log_u, s)
         det = h[0] * h[2] - h[1] * h[1]
         if h[0] > 0.0 and det > 0.0:
             newton = ((h[1] * g[1] - h[2] * g[0]) / det, (h[1] * g[0] - h[0] * g[1]) / det)
@@ -249,7 +271,8 @@ def _minimize(evaluate, start):
         step, pred = _trust_step(g, h, reach)
         if not pred > 0.0:
             break
-        cand = (p[0] + step[0], p[1] + step[1])
+        # the iterate of the step, to first order through the chart
+        cand = (t + (step[0] - log_u_s * step[1]) / log_u_t, s + step[1])
         trial = evaluate(*cand)
         evals += 1
         ratio = -math.inf if trial is None else (value - trial[0] + noise + trial[1]) / pred
@@ -259,7 +282,7 @@ def _minimize(evaluate, start):
         elif ratio > 0.75 and length >= 0.99 * reach:
             radius = max(radius, 2.0 * length)
         if ratio >= 0.1:
-            p, cur = cand, trial
+            s, cur = cand[1], trial
     return p, cur[0], evals, False, margin(p) < 1e-6
 
 

@@ -26,6 +26,7 @@ spec's ``variance_rate``, and the square-root-of-maturity ATM price limits.
 from __future__ import annotations
 
 import math
+import sys
 
 from ._record import Record
 from .model import (
@@ -238,8 +239,9 @@ def _stochvol_vix_smile(spec, v0: float, mapping: VixMapping, strike: float) -> 
     spec's ``variance_rate`` at the variance the strike pins (``vix_log_variance``),
     and sigma(V0) alpha v0 / (2 F^2) at the money.  The VIX is bounded below by
     sqrt(beta), so the vol vanishes (0) for K <= sqrt(beta).  Supported while J
-    is a normal float: for the square-root family, J ~ v0 z^2 / sigma^2 near
-    the money asks v0 / sigma^2 >= 1e-275 at the strikes one ulp off F."""
+    is a normal float, and nan where it is not, as in the CLI's rate column:
+    for the square-root family, J ~ v0 z^2 / sigma^2 near the money asks
+    v0 / sigma^2 >= 1e-275 at the strikes one ulp off F."""
     if v0 <= 0.0:
         raise ValueError("v0 must be positive")
     alpha_v0, beta = mapping.alpha * v0, mapping.beta
@@ -249,7 +251,9 @@ def _stochvol_vix_smile(spec, v0: float, mapping: VixMapping, strike: float) -> 
     z = math.log(strike / math.sqrt(f2))
     if z == 0.0:
         return 0.5 * spec.sigma_at(v0) * alpha_v0 / f2
-    return rate_to_impvol(spec.variance_rate(vix_log_variance(z, alpha_v0, beta), v0), z)
+    rate = spec.variance_rate(vix_log_variance(z, alpha_v0, beta), v0)
+    # a subnormal J has lost its relative precision
+    return rate_to_impvol(rate, z) if rate >= sys.float_info.min else math.nan
 
 
 def meanrev_lognormal_vix_smile(a: float, b: float, sigma: float, v0: float,

@@ -2,8 +2,11 @@
 
 The VIX solve runs over the spot level, so nothing in the package inverts
 eta^2; the square-root transform works on the Moebius profile of the
-cumulant Lambda, so nothing evaluates Lambda or its domain edge.  The tests
-still check the solver and the transform against these independent forms.
+cumulant Lambda, so nothing evaluates Lambda or its domain edge; and the
+square-root objective reads the transform's maximiser as its own iterate, so
+no solve runs the transform (:func:`transform_path_rate` keeps that path).
+The tests still check the solver and the transform against these
+independent forms.
 
 The corner harness (:func:`corner_models`) draws the models where the
 closed-form ATM coefficients cancel, for the tests that hold each
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lsv_shortmat import heston_rate
 from lsv_shortmat._roots import newton_bracketed
 from lsv_shortmat.model import LognormalVolOfVol, LsvModel, TanhLocalVol, TaylorLocalVol, elasticity
 
@@ -110,6 +114,28 @@ def boundary_theta_c(phi: float, sigma: float) -> float:
     # g(pi/2) = -sigma phi: the root lies below pi/2 for phi > 0, above for phi < 0
     c_star = newton_bracketed(g, gp, 0.5 * math.pi, lo, hi)
     return 2.0 * c_star * c_star / (sigma * sigma)
+
+
+def transform_path_rate(spec, log_u: float, w: float, v0: float):
+    """The square-root ``path_rate`` by the numeric Legendre transform, which
+    the package evaluated before its iterate carried the maximiser: H = v0
+    I_H(x, y) at x = e^{log u}, y = e^w, read off
+    :func:`lsv_shortmat.heston_rate.legendre_point` (gradient (theta, phi)),
+    None where the transform does not certify its maximiser.  Its iterate is
+    log u itself, so the chart is the identity, and the solver runs on it
+    with :func:`transform_path_iterate`."""
+    pt = heston_rate.legendre_point(log_u, w, spec.sigma)
+    if not pt.converged:
+        return None
+    x, y, i_x, i_y = pt.x, pt.y, pt.theta, pt.phi
+    i_xx, i_xy, i_yy = pt.hessian
+    return (v0 * pt.value, v0 * pt.noise, (v0 * x * i_x, v0 * y * i_y),
+            (v0 * x * (i_x + x * i_xx), v0 * x * y * i_xy, v0 * y * (i_y + y * i_yy)), (log_u, 1.0, 0.0))
+
+
+def transform_path_iterate(spec, log_u: float, w: float) -> float:
+    """The iterate of :func:`transform_path_rate`: log u."""
+    return log_u
 
 
 def sabr_rate_mp(model, strike: float, dps: int = 50) -> float:

@@ -236,7 +236,8 @@ class TestLognormalPathRate:
         scale = 0.5 / sigma**2
         for log_u in self.GRID:
             for w in self.GRID:
-                value, noise, grad, hess = LognormalVolOfVol(sigma).path_rate(log_u, w, 0.1)
+                value, noise, grad, hess, chart = LognormalVolOfVol(sigma).path_rate(log_u, w, 0.1)
+                assert chart == (log_u, 1.0, 0.0)
                 r = math.exp(0.5 * w - log_u)
                 f, f1, f2 = hw_F_derivatives(r)
                 f_l, e1, e2 = r * f1, math.exp(-log_u), math.exp(w - log_u)

@@ -14,12 +14,13 @@ from lsv_shortmat.heston_rate import (
     legendre_point,
     marginal_J1,
     marginal_J2,
+    profile_rate,
     rate_IH_numeric,
     rate_IH_series,
 )
 from lsv_shortmat.model import SquareRootVolOfVol, load_model, vix_spot
 from lsv_shortmat.rate_solver import european_rate, vix_rate
-from oracles import boundary_theta_c, cumulant, legendre_sup_mp
+from oracles import boundary_theta_c, cumulant, legendre_sup_mp, transform_path_iterate, transform_path_rate
 
 MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 GRID_SIGMAS = (0.5, 1.0, 2.0)
@@ -498,6 +499,10 @@ class TestReplacedPathRegression:
         cases = [(european_rate, model.s0), (vix_rate, vix_spot(model))]
         ks = (-0.3, -0.15, -0.05, -0.01, 0.01, 0.05, 0.15, 0.3)
         new = [solve(model, ref * math.exp(k)).rate for solve, ref in cases for k in ks]
+        # the solver on the transform path (tests/oracles.py), with the
+        # replaced transform inside it
+        monkeypatch.setattr(SquareRootVolOfVol, "path_rate", transform_path_rate)
+        monkeypatch.setattr(SquareRootVolOfVol, "path_iterate", transform_path_iterate)
         monkeypatch.setattr(heston_rate, "legendre_point", _replaced_legendre_point)
         old = [solve(model, ref * math.exp(k)).rate for solve, ref in cases for k in ks]
         assert np.max(np.abs(np.subtract(new, old))) <= 1e-12
@@ -516,16 +521,17 @@ class TestConvergenceCertificate:
     @pytest.mark.parametrize("name", ["tanh_sqrt_rho_m07", "tanh_sqrt_rho_0"])
     @pytest.mark.parametrize("product", ["european", "vix"])
     def test_smile_needs_no_nelder_mead(self, name, product, monkeypatch, tmp_path):
-        # there is no fallback to run: every transform along the smile must
-        # certify its maximiser
+        # there is no fallback to run: every path-rate evaluation along the
+        # smile must be defined, its maximiser exact by construction
         certified = []
+        path_rate = SquareRootVolOfVol.path_rate
 
         def recording(*args):
-            pt = legendre_point(*args)
-            certified.append(pt.converged)
-            return pt
+            h = path_rate(*args)
+            certified.append(h is not None)
+            return h
 
-        monkeypatch.setattr(heston_rate, "legendre_point", recording)
+        monkeypatch.setattr(SquareRootVolOfVol, "path_rate", recording)
         out = tmp_path / "smile.csv"
         argv = ["smile", "--model", str(MODELS_DIR / f"{name}.json"), "--product", product,
                 "--kmin", "-0.3", "--kmax", "0.3", "--kcount", "25", "--out", str(out)]
@@ -584,14 +590,18 @@ class TestDanskin:
             assert abs(fd - exact) <= 1e-6 * scale, (fd, exact)
 
     def test_uncertified_transform_gives_none(self, monkeypatch):
-        monkeypatch.setattr(heston_rate, "_GRAD_TOL", 0.0)
+        # the profile is undefined from sqrt(u) = pi on, and an evaluation
+        # whose terms give no concave profile (G'' >= 0) is not certified
+        assert SquareRootVolOfVol(1.0).path_rate(math.pi**2, -0.4, 1.0) is None
+        k, k1, _, m, m1, _, *rest = _profile_terms(0.7)
+        monkeypatch.setattr(heston_rate, "_profile_terms", lambda u: (k, k1, 0.0, m, m1, 0.0, *rest))
         assert SquareRootVolOfVol(1.0).path_rate(0.7, -0.4, 1.0) is None
 
     @pytest.mark.parametrize("ex,ey,sigma", [(0.5, 0.1, 1.0), (-1.2, -0.4, 2.0), (0.05, -0.02, 1.0)])
     def test_one_profile_evaluation_per_point(self, ex, ey, sigma, monkeypatch):
-        # the derivatives are read off the transform's last evaluation: a
-        # square-root path_rate call evaluates the profile kernel exactly as
-        # often as the legendre_point call inside it
+        # the iterate is the maximiser u = a theta: a square-root path_rate
+        # call evaluates the profile kernel exactly once and runs no transform
+        u = 0.5 * sigma * sigma * legendre_point(ex, ey, sigma).theta
         calls = {"terms": 0}
         inner = []
 
@@ -600,13 +610,66 @@ class TestDanskin:
             return _profile_terms(u)
 
         def counting_point(*args):
-            before = calls["terms"]
-            pt = legendre_point(*args)
-            inner.append(calls["terms"] - before)
-            return pt
+            inner.append(args)
+            return legendre_point(*args)
 
         monkeypatch.setattr(heston_rate, "_profile_terms", counting_terms)
         monkeypatch.setattr(heston_rate, "legendre_point", counting_point)
-        assert SquareRootVolOfVol(sigma).path_rate(ex, ey, 1.0) is not None
-        assert len(inner) == 1 and inner[0] > 0
-        assert calls["terms"] == inner[0]
+        h = SquareRootVolOfVol(sigma).path_rate(u, ey, 1.0)
+        assert h is not None and h[4][0] == pytest.approx(ex, abs=1e-12)
+        assert inner == []
+        assert calls["terms"] == 1
+
+
+class TestProfileRate:
+    """profile_rate reads I_H and its derivatives off one profile evaluation
+    at the maximiser u = a theta; legendre_point, which solves for that
+    maximiser at a given x, is its oracle at the same (log x, log y)."""
+
+    U_RANGES = {"negative": (-60.0, -1.0), "series": (-1.0, 1.0), "positive": (1.0, math.pi**2 * (1.0 - 1e-6))}
+
+    @pytest.mark.parametrize("region", sorted(U_RANGES))
+    def test_against_legendre_point(self, region, monkeypatch):
+        # legendre_point's early stop (slope <= 1e-13 max(1, x, y)) leaves
+        # theta good only to 1e-13 / |G''|, coarse where G'' is small (u << 0);
+        # without it Newton stops after the step that brings its decrement
+        # below the rounding error, which leaves theta good to rounding
+        monkeypatch.setattr(heston_rate, "_GRAD_STOP", 0.0)
+        rng = np.random.default_rng(30)
+        lo, hi = self.U_RANGES[region]
+        compared = 0
+        for _ in range(1000):
+            u, log_y, sigma = rng.uniform(lo, hi), rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-1.0, math.log10(3.0))
+            value, noise, grad, hess, (log_x, dlx_du, dlx_dly) = profile_rate(u, log_y, sigma)
+            if abs(log_x) > 10.0:
+                continue
+            pt = legendre_point(log_x, log_y, sigma)
+            assert pt.converged
+            x, y = pt.x, pt.y
+            i_xx, i_xy, i_yy = pt.hessian
+            want = ((pt.value,), (x * pt.theta, y * pt.phi),
+                    (x * (pt.theta + x * i_xx), x * y * i_xy, y * (pt.phi + y * i_yy)))
+            scale = (1.0 + abs(u)) * max(1.0, x, y) / (sigma * sigma)
+            for got_part, want_part in zip(((value,), grad, hess), want):
+                for g, w in zip(got_part, want_part):
+                    assert abs(g - w) <= 1e-13 * scale, (u, log_y, sigma, g, w)
+            assert pt.theta == pytest.approx(u / (0.5 * sigma * sigma), rel=1e-12, abs=1e-13 * scale)
+            assert 0.0 < noise <= 1e-12 * scale
+            compared += 1
+        assert compared >= 900
+
+    @pytest.mark.parametrize("u,log_y,sigma", [(-20.0, 0.4, 0.7), (-0.3, -0.2, 1.5), (0.2, 0.1, 0.3), (6.0, -1.0, 2.5)])
+    def test_chart_derivatives(self, u, log_y, sigma):
+        # d log x/du and d log x/d log y against central differences
+        chart = profile_rate(u, log_y, sigma)[4]
+        h = 1e-6
+        d_u = (profile_rate(u + h, log_y, sigma)[4][0] - profile_rate(u - h, log_y, sigma)[4][0]) / (2 * h)
+        d_y = (profile_rate(u, log_y + h, sigma)[4][0] - profile_rate(u, log_y - h, sigma)[4][0]) / (2 * h)
+        assert d_u == pytest.approx(chart[1], rel=1e-7)
+        assert d_y == pytest.approx(chart[2], rel=1e-7, abs=1e-9)
+
+    def test_flat_path(self):
+        # u = 0 at y = 1 is the flat path x = 1, where I_H and its gradient vanish
+        value, _, grad, hess, chart = profile_rate(0.0, 0.0, 1.0)
+        assert (value, grad, chart[0]) == (0.0, (0.0, 0.0), 0.0)
+        assert hess == pytest.approx((12.0, -6.0, 4.0), rel=1e-14)

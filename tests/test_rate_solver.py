@@ -39,7 +39,7 @@ from lsv_shortmat.smile import (
     vix_expansion_heston_type,
     vix_expansion_sabr_type,
 )
-from oracles import sabr_rate_mp, tanh_eta_sq_log_inverse
+from oracles import sabr_rate_mp, tanh_eta_sq_log_inverse, transform_path_iterate, transform_path_rate
 
 TANH = TanhLocalVol(1.0, -0.5, 0.0)
 
@@ -667,9 +667,22 @@ def _leg(model, product, log_moneyness):
 
 
 def _objective(model, product, log_moneyness):
-    """The solver's objective for one strike, over (log u, s) with the leg
-    of :func:`_leg`."""
+    """The solver's objective for one strike, at the iterate (t, s) with the
+    leg of :func:`_leg`."""
     return rate_solver._rate_objective(model, _leg(model, product, log_moneyness))
+
+
+def _at(evaluate, log_u, s):
+    """``evaluate`` at the model point (log u, s): its iterate, found by
+    Newton on the chart from the spec's start (``path_iterate``), to rounding."""
+    cur = evaluate(None, s, log_u)
+    for _ in range(20):
+        t, got = cur[4][:2]
+        if got == log_u:
+            break
+        cur = evaluate(t + (log_u - got) / cur[4][2], s)
+    assert abs(cur[4][1] - log_u) <= 1e-15 * max(1.0, abs(log_u))
+    return cur
 
 
 def _value_objective(model, product, log_moneyness):
@@ -720,14 +733,15 @@ class TestObjectiveDerivatives:
     @pytest.mark.parametrize("product", ["european", "vix"])
     @pytest.mark.parametrize("p", [(0.15, -0.2), (-0.1, 0.3)])
     def test_against_central_differences(self, vol_of_vol, product, p):
+        # in the model coordinates (log u, s), whatever the spec's iterate
         model = table_model(-0.6, vol_of_vol=vol_of_vol)
         evaluate = _objective(model, product, 0.2)
-        value, noise, grad, (h_uu, h_uw, h_ww) = evaluate(*p)
+        value, noise, grad, (h_uu, h_uw, h_ww), _ = _at(evaluate, *p)
         assert 0.0 < noise <= 1e-13 * max(1.0, value)
         h = 1e-5
         shifted = {}
         for d in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
-            shifted[d] = evaluate(p[0] + d[0], p[1] + d[1])
+            shifted[d] = _at(evaluate, p[0] + d[0], p[1] + d[1])
         fd_grad = ((shifted[(h, 0.0)][0] - shifted[(-h, 0.0)][0]) / (2 * h),
                    (shifted[(0.0, h)][0] - shifted[(0.0, -h)][0]) / (2 * h))
         for fd, exact in zip(fd_grad, grad):
@@ -870,7 +884,9 @@ class TestTrustRegionSweep:
         # away; the solver itself starts from the quadratic model's minimiser
         model = table_model(-0.9, vol_of_vol=SquareRootVolOfVol(1.0))
         evaluate = _objective(model, "european", k)
-        _, _, _, (h_uu, h_uw, h_ww) = evaluate(0.0, 0.0)
+        # the iterate (0, 0) is the flat path for either factor
+        _, _, _, (h_uu, h_uw, h_ww), chart = evaluate(0.0, 0.0)
+        assert chart[1] == 0.0
         assert h_uu * h_ww - h_uw * h_uw < 0.0
         _, _, evals, converged, _ = rate_solver._minimize(evaluate, (0.0, 0.0))
         assert converged and evals <= 12
@@ -893,10 +909,10 @@ class TestSingleSolver:
                 assert pt.converged, (path.stem, product, k)
 
     def test_uncertified_inner_transform_is_reported(self, monkeypatch):
-        # a square-root transform that cannot certify its maximiser makes the
-        # solve report converged=False instead of raising mid-objective
+        # a square-root path rate that cannot be evaluated makes the solve
+        # report converged=False instead of raising mid-objective
         model = table_model(-0.7, vol_of_vol=SquareRootVolOfVol(1.0))
-        monkeypatch.setattr(heston_rate, "_GRAD_TOL", 0.0)
+        monkeypatch.setattr(heston_rate, "_profile_terms", lambda u: None)
         for pt in (european_rate(model, math.exp(0.2)), vix_rate(model, vix_spot(model) * math.exp(0.2))):
             assert not pt.converged
 
@@ -960,6 +976,46 @@ class TestEvaluationBudget:
         assert sum(counts.values()) <= self.BUDGET, counts
 
 
+SQRT_MODEL_FILES = [path for path in MODEL_FILES if isinstance(load_model(str(path)).vol_of_vol, SquareRootVolOfVol)]
+
+
+class TestSquareRootIterate:
+    """The square-root iterate is the Legendre maximiser u = a theta, so one
+    profile evaluation serves each objective evaluation; the solve on the
+    transform path it replaced (tests/oracles.py) is its oracle."""
+
+    @pytest.mark.parametrize("product", ["european", "vix"])
+    def test_one_profile_evaluation_per_objective_evaluation(self, product, monkeypatch):
+        calls = {"terms": 0}
+        profile_terms = heston_rate._profile_terms
+
+        def counting(u):
+            calls["terms"] += 1
+            return profile_terms(u)
+
+        monkeypatch.setattr(heston_rate, "_profile_terms", counting)
+        model = load_model(str(MODELS_DIR / "tanh_sqrt_rho_m07.json"))
+        for k in (-0.3, -0.1, 0.02, 0.15, 0.3):
+            calls["terms"] = 0
+            pt = _solve(model, product, k)
+            assert pt.converged and pt.iterations > 0
+            # at most one more for the start
+            assert pt.iterations <= calls["terms"] <= pt.iterations + 1, (k, pt.iterations, calls)
+
+    @pytest.mark.parametrize("path", SQRT_MODEL_FILES, ids=lambda p: p.stem)
+    @pytest.mark.parametrize("product", ["european", "vix"])
+    def test_rates_match_the_transform_path(self, path, product, monkeypatch):
+        model = load_model(str(path))
+        ks = [sign * a for a in np.geomspace(1e-8, 0.3, 15) for sign in (-1.0, 1.0)]
+        new = [_solve(model, product, k) for k in ks]
+        monkeypatch.setattr(SquareRootVolOfVol, "path_rate", transform_path_rate)
+        monkeypatch.setattr(SquareRootVolOfVol, "path_iterate", transform_path_iterate)
+        old = [_solve(model, product, k) for k in ks]
+        for k, a, b in zip(ks, new, old):
+            assert a.converged and b.converged, k
+            assert abs(a.rate - b.rate) <= 1e-13 * b.rate, (k, a.rate, b.rate)
+
+
 class TestStart:
     """The solver starts from the minimiser of the objective's quadratic
     model at the flat path (:func:`rate_solver._start`), which rests on H and
@@ -972,7 +1028,9 @@ class TestStart:
     def test_flat_path_model(self, family, drift, v0):
         vol = family(0.8, drift)
         scale = vol.sigma_at(v0) ** -2
-        value, _, grad, hess = vol.path_rate(0.0, 0.0, v0)
+        # the iterate 0 is the flat path, log u = w = 0, for either factor
+        value, _, grad, hess, chart = vol.path_rate(0.0, 0.0, v0)
+        assert chart[0] == 0.0
         assert value == pytest.approx(0.0, abs=1e-14 * scale)
         assert grad == pytest.approx((0.0, 0.0), abs=1e-14 * scale)
         assert hess == pytest.approx((12.0 * scale, -6.0 * scale, 4.0 * scale), rel=1e-14, abs=0.0)

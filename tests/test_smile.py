@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -306,6 +307,24 @@ class TestCoefficientAccuracy:
                                                    / (EPS * sum(abs(t) for t in conv_terms) / den)))
         assert worst_skew <= 4.0
         assert worst_conv <= 4.0
+
+    @pytest.mark.parametrize("family", [LognormalVolOfVol, SquareRootVolOfVol])
+    def test_european_atm_price_limit_against_mpmath(self, family):
+        # eta(S0) S0 sqrt(V0) / sqrt(2 pi), a product that cancels nowhere,
+        # so its scale is its value; the corners draw v0 over 3.5 decades
+        # and s0 is moved off 1 to bring it into the product.  Worst
+        # measured: 1.83 units for either family
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        with mp.workdps(60):
+            for model in corner_models(family, 2026, 6000):
+                model = LsvModel(10.0 ** rng.uniform(-2.0, 3.0), model.v0, model.rho, model.local_vol,
+                                 model.vol_of_vol)
+                eta0 = mp.mpf(eta_log_coeffs(model.local_vol)[0])
+                exact = eta0 * mp.mpf(model.s0) * mp.sqrt(mp.mpf(model.v0)) / mp.sqrt(2 * mp.pi)
+                worst = max(worst, float(abs(atm_price_limit_european(model) - exact) / (EPS * exact)))
+        assert worst <= 4.0
 
     def test_vix_convexity_against_mpmath(self):
         # sqrt(V0)/6 K(sigma)/d^3.5 with the numerator K split into its
@@ -680,6 +699,18 @@ class TestOneStochvolVixSmile:
         atm = heston_vix_smile(0.0, v0, 1.0, v0, 1e-12, f)
         for strike in (math.nextafter(f, 0.0), math.nextafter(f, 1.0)):
             assert heston_vix_smile(0.0, v0, 1.0, v0, 1e-12, strike) == pytest.approx(atm, rel=1e-15)
+
+    def test_square_root_below_the_domain_is_nan(self):
+        # at v0 / sigma^2 = 1e-290, J one ulp off the forward is subnormal
+        # (about 1e-322) and gave a vol 1.04e-3 below the ATM level; it is
+        # flagged as nan, and the ATM level itself is still the expansion's
+        v0 = 1e-290
+        f = math.sqrt(v0)
+        w = 2.0 * math.log(math.nextafter(f, 1.0) / f)
+        assert SquareRootVolOfVol(1.0).variance_rate(w, v0) < sys.float_info.min
+        for strike in (math.nextafter(f, 0.0), math.nextafter(f, 1.0)):
+            assert math.isnan(heston_vix_smile(0.0, v0, 1.0, v0, 1e-12, strike))
+        assert heston_vix_smile(0.0, v0, 1.0, v0, 1e-12, f) == pytest.approx(0.5 / math.sqrt(v0), rel=1e-15)
 
 
 class TestVixLogVariance:

@@ -30,7 +30,9 @@ CLI writes its CSV without ``csv``, and an analytic command loads the
 transform module of its own vol-of-vol family alone.  No module imports
 scipy, so no CLI run loads it.  The names of retired layers that the benchmark tracer still
 rebinds resolve to None on their modules, and only while the tracer reads
-them.
+them.  No function of the model or the rate solver names the numeric
+Legendre transform: the square-root objective reads the transform's
+maximiser as its iterate, with no nested solve.
 """
 
 import ast
@@ -98,6 +100,42 @@ def test_no_comparison_with_a_spec_class():
 def test_class_comparison_guard_sees_every_form(source):
     # the guard above flags each of these, so its passing run means none is in src/
     assert _class_comparisons(ast.parse(source)) == [1]
+
+
+def _transform_names(tree) -> list[int]:
+    """Lines where a function of ``tree`` names ``legendre_point``: by name,
+    as an attribute, in an import or as a string (for ``getattr``)."""
+    lines = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Name) and node.id == "legendre_point"
+                        or isinstance(node, ast.Attribute) and node.attr == "legendre_point"
+                        or isinstance(node, ast.ImportFrom) and any(a.name == "legendre_point" for a in node.names)
+                        or isinstance(node, ast.Constant) and node.value == "legendre_point"):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_objective_runs_no_transform():
+    # the square-root iterate is the transform's maximiser, so no objective
+    # evaluation runs the nested Newton solve of heston_rate.legendre_point
+    sites = [f"{name}:{line}" for name in ("model.py", "rate_solver.py")
+             for line in _transform_names(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))]
+    assert not sites, sites
+
+
+@pytest.mark.parametrize("source", [
+    "def f(u, w):\n    return _heston_rate.legendre_point(u, w, 1.0)",
+    "def f(u, w):\n    return legendre_point(u, w, 1.0)",
+    "def f():\n    from .heston_rate import legendre_point",
+    "def f(m):\n    return getattr(m, 'legendre_point')",
+    "class S:\n    def path_rate(self, u, w, v0):\n        return heston_rate.legendre_point(u, w, self.sigma)",
+    "g = lambda u, w: legendre_point(u, w, 1.0)",
+])
+def test_transform_guard_sees_every_form(source):
+    # the guard above flags each of these, so its passing run means none is in model.py or rate_solver.py
+    assert len(_transform_names(ast.parse(source))) == 1
 
 
 def test_smile_reads_the_vol_of_vol_through_the_spec():

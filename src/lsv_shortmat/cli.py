@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc = argparse.ArgumentParser(add_help=False, parents=[quantile_range])
     mc.add_argument("--paths", type=int, default=_DEF_PATHS,
                     help="simulated paths, an even count of at least 4, drawn as antithetic pairs")
-    mc.add_argument("--steps", type=int, default=_DEF_STEPS)
+    mc.add_argument("--steps", type=int, default=_DEF_STEPS, help="time steps per path, at least 1")
     mc.add_argument("--seed", type=int, default=_DEF_SEED)
     mc.add_argument("--maturity", type=float, default=None,
                     help="years; defaults to 1/12 (european) or 1/52 (vix)")
@@ -321,11 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the path count and the strike range are checked before a model is
-    # read or a path simulated
+    # the path and step counts and the strike range are checked before a
+    # model is read or a path simulated
     if "paths" in args and (args.paths < 4 or args.paths % 2):
         # two pairs are the fewest whose pair means give a standard error
         parser.error("--paths must be an even count of at least 4")
+    if "steps" in args and args.steps < 1:
+        parser.error("--steps must be at least 1")
     if "kcount" in args:
         if args.kcount < 1:
             parser.error("--kcount must be at least 1")

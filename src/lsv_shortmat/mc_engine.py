@@ -6,28 +6,32 @@ vol-of-vol is lognormal with zero or constant drift, by full-truncation
 Euler otherwise, which the sample metadata flags as approximate.  The asset
 is stepped by log-Euler with the correlated driver.
 
-Randomness is organised in fixed-size path blocks, each drawn from its own
-counter-based Philox stream keyed by (seed, block index).  Path i therefore
-depends only on the seed and its own index - never on n_paths - and blocks
-may be generated on any number of workers with bit-identical results.
+Randomness is organised in fixed-size path blocks.  Each step of a block
+draws two rows of normals (z, then b), and row r of step j of block b is
+its own counter-based Philox substream: key (seed mod 2^64) 2^64 + b,
+counter (j << 192) | (r << 128).  Path i therefore depends only on the seed
+and its own index - never on n_paths - and blocks may be generated on any
+number of workers with bit-identical results.
 
-A block is a state (its generator, log-moneyness, variance and its positive
-part, the optional control-variate track) that a fused step advances in
-place, in buffers each worker allocates once: no array is allocated per
-step.  The step runs the model's expressions as ``out=`` ufuncs in numpy's
-own evaluation order, so its values are bit for bit those of the plain
-expressions; one draw per step drives both rows of an antithetic pair.  A
-ragged last block holds and steps only its own paths, though each of its
-steps still draws a whole block of normals, so that its stream is that of a
-full block.  The n_blocks x n_steps block-steps are cut into one contiguous
-range per worker (a wrap-around split) at equal shares of their cost, so a
-block may be started on one worker and finished on the next; each block
-still takes its steps in order from its own stream.
+A block is a state (its step count, log-moneyness, variance and its
+positive part, the optional control-variate track) that a fused step
+advances in place, in buffers each worker allocates once at the width of
+the widest block it steps: no array is allocated per step.  The step runs
+the model's expressions as ``out=`` ufuncs in numpy's own evaluation order,
+so its values are bit for bit those of the plain expressions; one draw per
+step drives both rows of an antithetic pair.  A ragged last block holds,
+draws and steps only its own paths.  The n_blocks x n_steps block-steps are
+cut into one contiguous range per worker (a wrap-around split) at equal
+shares of their cost, so a block may be started on one worker and finished
+on the next; the block carries its step count, from which the next worker
+keys its draws.
 When there are more CPUs than blocks, each block has a worker to itself,
 and a spare CPU becomes a drawer for one block: it fills that block's
-normals from the block's own generator into a ring of two buffers, a step
+normals from the block's substreams into a ring of two buffers, a step
 ahead of the block's worker, which then only does the arithmetic.  The
-generator and the order of its draws are the same, so the bytes are too.
+substreams are the same, so the bytes are too.  Each worker and each
+drawer owns one Philox generator, which it re-keys before every row it
+draws.
 
 Workers hand over part-done blocks and draw buffers through
 ``queue.SimpleQueue`` alone, and every task has one exit rule: a stepper
@@ -54,11 +58,12 @@ __all__ = ["McConfig", "McSamples", "PriceEstimate", "SmilePoint", "simulate_pat
            "price", "vix_exact_meanrev", "proxy_error_bounds", "smile_from_mc", "default_strike_grid"]
 
 _BLOCK = 16384
-# the cost of one block-step's draws, 2 x _BLOCK Philox normals, in
-# full-width row-steps of arithmetic: on a 2-core Xeon the draws took 577 us
-# against 148 us per row-step on a tanh-lognormal model and 157 us under
-# square-root Euler.  The split of the work over workers rests on it, which
-# never moves a byte, so a wrong value costs only balance.
+# the cost of one column's draws, its 2 Philox normals, in row-steps of
+# arithmetic of one column: on a 2-core Xeon the two rows of a 16384-wide
+# block-step took 490-550 us against 112-156 us per row-step on a
+# tanh-lognormal model and under square-root Euler.  A block-step then
+# costs (_DRAW_COST + rows) times its width, so the split of the work over
+# workers (_cuts) follows the widths, not this value, and moves no byte.
 _DRAW_COST = 4
 
 
@@ -128,38 +133,54 @@ class _Row:
         self.log_aux = np.zeros(width) if aux else None
 
 
-def _generator(seed: int, index: int) -> np.random.Generator:
-    """The Philox stream of path block ``index``."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) % (1 << 64)) * (1 << 64) + index))
+def _width(n_paths: int, index: int) -> int:
+    """The path count of block ``index``: _BLOCK, or fewer in a ragged last block."""
+    return min(_BLOCK, n_paths - index * _BLOCK)
+
+
+def _draw(rng: np.random.Generator, seed: int, block: int, step: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, the (2, w) draws of step ``step`` of path block
+    ``block``, and return it: row r takes the first w normals of the
+    Philox substream with key (seed mod 2^64) 2^64 + block and counter
+    (step << 192) | (r << 128), into which ``rng``, the caller's own
+    generator, is re-keyed.  A block so draws for its own paths only, and
+    a column's draws do not depend on the block's width."""
+    key = [block, int(seed) % (1 << 64)]
+    for row, normals in enumerate(out):
+        # the state of a new Philox(key=key, counter=counter), in 64-bit
+        # words low first; assigning it costs a fifth of building one
+        rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, row, step], "key": key},
+                                   "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=normals)
+    return out
 
 
 class _Ring:
     """The draws of one block, filled ahead by a drawer and taken in order by
-    the block's stepper, in two (2, _BLOCK) buffers that pass between them
-    through two queues, ``free`` and ``full``.  ``None`` in a queue ends the
-    wait on the other side: the stepper puts it on ``free`` when it is done
-    with the block, finished or failed, and the drawer then stops; the drawer
-    puts it on ``full`` when its draws fail, and the stepper then re-raises
-    the drawer's error."""
+    the block's stepper, in two (2, width) buffers that pass between them
+    through two queues, ``free`` and ``full``.  The drawer owns the ring's
+    generator.  ``None`` in a queue ends the wait on the other side: the
+    stepper puts it on ``free`` when it is done with the block, finished or
+    failed, and the drawer then stops; the drawer puts it on ``full`` when
+    its draws fail, and the stepper then re-raises the drawer's error."""
 
-    def __init__(self, seed: int, index: int, n_steps: int) -> None:
-        self.index, self.n_steps = index, n_steps
-        self.rng = _generator(seed, index)
+    def __init__(self, config: McConfig, index: int) -> None:
+        self.seed, self.index, self.n_steps = config.seed, index, config.n_steps
+        self.rng = np.random.Generator(np.random.Philox(key=0))
         self.free, self.full = queue.SimpleQueue(), queue.SimpleQueue()
         self.error: BaseException | None = None
         for _ in range(2):
-            self.free.put(np.empty((2, _BLOCK)))
+            self.free.put(np.empty((2, _width(config.n_paths, index))))
 
     def fill(self) -> None:
         """The drawer: one step's draws per free buffer, n_steps in all."""
         try:
-            for _ in range(self.n_steps):
+            for step in range(self.n_steps):
                 zb = self.free.get()
                 if zb is None:
                     return
                 # the fill releases the GIL, so it overlaps the stepper's arithmetic
-                self.rng.standard_normal(out=zb)
-                self.full.put(zb)
+                self.full.put(_draw(self.rng, self.seed, self.index, step, zb))
         except BaseException as exc:
             self.error = exc
             self.full.put(None)
@@ -168,17 +189,15 @@ class _Ring:
 
 class _Block:
     """A path block part-way through its steps: its width (_BLOCK, or fewer
-    paths in a ragged last block), its sampling rows and the source of its
-    draws, either the block's own Philox generator or a ring that a drawer
-    fills from it.  A block may be started on one worker and finished on
-    another."""
+    paths in a ragged last block), the steps it has taken, its sampling
+    rows and, when a drawer fills its draws, its ring.  A block may be
+    started on one worker and finished on another."""
 
-    __slots__ = ("index", "width", "rng", "ring", "rows")
+    __slots__ = ("index", "width", "step", "ring", "rows")
 
     def __init__(self, index: int, config: McConfig, v0: float, aux: bool, ring: _Ring | None) -> None:
-        self.index, self.ring = index, ring
-        self.width = min(_BLOCK, config.n_paths - index * _BLOCK)
-        self.rng = _generator(config.seed, index) if ring is None else None
+        self.index, self.ring, self.step = index, ring, 0
+        self.width = _width(config.n_paths, index)
         self.rows = [_Row(v0, aux, self.width) for _ in range(2 if config.antithetic else 1)]
 
 
@@ -206,18 +225,20 @@ class _Stepper:
     x + (-y) is x - y and rounding is symmetric in sign, so its values are
     bit for bit those of the negated draws.
 
-    Each step draws a whole (2, _BLOCK) block of normals, as the ziggurat
-    takes a varying number of Philox words per normal, but runs its maps on
-    the first ``block.width`` columns of the draws and the buffers alone.
-    Every map is elementwise, so a column's values do not depend on the
-    width.
+    Each step draws the block's own ``block.width`` columns of each row
+    (:func:`_draw`) and runs its maps on that many columns of the buffers,
+    which are as wide as the widest block the stepper steps.  Every map is
+    elementwise and every row of draws its own substream, so a column's
+    values do not depend on the width.
     """
 
     def __init__(self, model: LsvModel, config: McConfig, aux_const_vol: float | None,
-                 s_out: np.ndarray, v_out: np.ndarray, aux_out: np.ndarray | None, rings: list[_Ring]) -> None:
+                 s_out: np.ndarray, v_out: np.ndarray, aux_out: np.ndarray | None, rings: list[_Ring],
+                 width: int) -> None:
         self.model, self.config, self.aux_const_vol = model, config, aux_const_vol
         self.outputs = (s_out, v_out, aux_out)
-        self.rings = rings
+        self.rings, self.width = rings, width
+        self.rng = np.random.Generator(np.random.Philox(key=0))
         self.dt = config.maturity / config.n_steps
         self.sq_dt = math.sqrt(self.dt)
         self.rho_perp = math.sqrt(1.0 - model.rho * model.rho)
@@ -227,7 +248,7 @@ class _Stepper:
         # the draw buffer of the blocks this worker draws for itself, made
         # on the first such step: a ring-fed block brings its own buffers
         self.zb = None
-        self.buffers = [np.empty(_BLOCK) for _ in range(4)]
+        self.buffers = [np.empty(width) for _ in range(4)]
 
     def start(self, index: int) -> _Block:
         ring = self.rings[index] if index < len(self.rings) else None
@@ -241,13 +262,14 @@ class _Stepper:
         for _ in range(steps):
             if ring is None:
                 if self.zb is None:
-                    self.zb = np.empty((2, _BLOCK))
-                zb = block.rng.standard_normal(out=self.zb)
+                    self.zb = np.empty((2, self.width))
+                zb = _draw(self.rng, self.config.seed, block.index, block.step, self.zb[:, :width])
             else:
                 zb = ring.full.get()
                 if zb is None:
                     raise ring.error
-            z, b = zb[0, :width], zb[1, :width]
+            block.step += 1
+            z, b = zb
             np.multiply(z, self.model.rho, out=tmp)
             np.multiply(b, self.rho_perp, out=dw)
             np.add(tmp, dw, out=dw)
@@ -317,18 +339,18 @@ def _cuts(n_paths: int, n_steps: int, rows: int, steppers: int) -> list[int]:
 
     While blocks outnumber the workers, the shares are of equal cost.  A
     block-step costs its draws, _DRAW_COST row-steps, plus ``rows``
-    row-steps at the block's width, so a ragged last block costs less per
-    step than a full one.  Cut w falls at the last block-step by which at
-    most w / steppers of the total cost is spent, so each share is within
-    one block-step of its due; with full blocks only, cut w is
-    w n_blocks n_steps // steppers.  Otherwise each block has a worker to
-    itself."""
+    row-steps, all at the block's width, so a ragged last block costs less
+    per step than a full one, in proportion to its width.  Cut w falls at
+    the last block-step by which at most w / steppers of the total cost is
+    spent, so each share is within one block-step of its due; with full
+    blocks only, cut w is w n_blocks n_steps // steppers.  Otherwise each
+    block has a worker to itself."""
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
     if n_blocks <= steppers:
         return [w * n_steps for w in range(steppers + 1)]
     # costs in column-steps, so that the arithmetic is exact
     full = (_DRAW_COST + rows) * _BLOCK
-    last = _DRAW_COST * _BLOCK + rows * (n_paths - (n_blocks - 1) * _BLOCK)
+    last = (_DRAW_COST + rows) * _width(n_paths, n_blocks - 1)
     head = (n_blocks - 1) * n_steps  # the block-steps of the full blocks
     total = head * full + n_steps * last
     cuts = []
@@ -378,13 +400,14 @@ def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | Non
     cut by a range boundary is started on one worker and finished on the
     next.  CPUs beyond the blocks become drawers, at most one per block (so
     the pool is min(cpus, 2 n_blocks)): a drawer fills its block's normals
-    from the block's generator a step ahead of the block's worker.  Hand-overs go through queues under the exit rule of the module
+    from the block's substreams a step ahead of the block's worker.
+    Hand-overs go through queues under the exit rule of the module
     docstring, so a failed task ends the run with its error rather than
-    leaving another waiting.  Every block takes its draws in order from its
-    own stream and its steps in order, so the output is bit-identical for
-    any CPU count.  ``aux_const_vol`` additionally evolves a constant-vol
-    GBM from the same Brownian increments (a control variate with known
-    Black price).
+    leaving another waiting.  Every block-step draws from its own
+    substreams and every block takes its steps in order, so the output is
+    bit-identical for any CPU count.  ``aux_const_vol`` additionally
+    evolves a constant-vol GBM from the same Brownian increments (a control
+    variate with known Black price).
     """
     n_blocks = (config.n_paths + _BLOCK - 1) // _BLOCK
     # the plain paths first, their antithetic partners second
@@ -394,14 +417,16 @@ def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | Non
     cpus = _worker_count()
     steppers = min(cpus, n_blocks)
     # with a CPU spare, worker w steps block w alone and ring w feeds it
-    rings = [_Ring(config.seed, index, config.n_steps) for index in range(min(cpus, 2 * n_blocks) - steppers)]
+    rings = [_Ring(config, index) for index in range(min(cpus, 2 * n_blocks) - steppers)]
     cuts = _cuts(config.n_paths, config.n_steps, shape[0], steppers)
     # queue w carries the block that worker w - 1 starts and worker w finishes
     handoff = [queue.SimpleQueue() for _ in range(steppers + 1)]
 
     def work(w: int) -> None:
         try:
-            stepper = _Stepper(model, config, aux_const_vol, s, v, aux, rings)
+            # the first block of a share is its widest
+            width = _width(config.n_paths, cuts[w] // config.n_steps)
+            stepper = _Stepper(model, config, aux_const_vol, s, v, aux, rings, width)
             _run_share(stepper, cuts[w], cuts[w + 1], handoff, w)
         finally:
             # the exit rule: a None behind whatever this worker handed over

@@ -428,6 +428,20 @@ class TestMcAndCompare:
         err = capsys.readouterr().err
         assert "--paths must be an even count of at least 4" in err and "effective_config" not in err
 
+    @pytest.mark.parametrize("command", ["mc", "compare"])
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_must_be_positive(self, command, steps, model_file, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the step count was checked")
+
+        monkeypatch.setattr(cli, "simulate_paths", must_not_run)
+        monkeypatch.setattr(cli, "load_model", must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", model_file, "--steps", steps, "--kcount", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--steps must be at least 1" in err and "effective_config" not in err
+
     def test_paths_are_antithetic_pairs(self, model_file, capsys):
         from lsv_shortmat.mc_engine import McConfig, simulate_paths, smile_from_mc
 

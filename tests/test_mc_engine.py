@@ -100,12 +100,24 @@ class TestSimulatePaths:
         assert a.terminal_s.tobytes() == b.terminal_s.tobytes()
         assert a.terminal_v.tobytes() == b.terminal_v.tobytes()
 
-    def test_path_prefix_independent_of_n_paths(self):
+    @pytest.mark.parametrize("small, large, antithetic, aux_const_vol", [
+        (1_000, 30_000, False, None),
+        # the prefix ends inside block 1, which the larger run's two workers
+        # split; each sample holds its rows, plain and mirrored, one after
+        # the other
+        (16384 + 5_000, 40_001, True, 0.3),
+    ])
+    def test_path_prefix_independent_of_n_paths(self, monkeypatch, small, large, antithetic, aux_const_vol):
         model = table_model(0.0)
-        small = simulate_paths(model, McConfig(n_paths=1_000, n_steps=20, maturity=0.1, seed=5))
-        large = simulate_paths(model, McConfig(n_paths=30_000, n_steps=20, maturity=0.1, seed=5))
-        np.testing.assert_array_equal(small.terminal_s, large.terminal_s[:1_000])
-        np.testing.assert_array_equal(small.terminal_v, large.terminal_v[:1_000])
+        _on_cpus(monkeypatch, 2)
+        runs = [simulate_paths(model, McConfig(n, 20, 0.1, 5, antithetic), aux_const_vol) for n in (small, large)]
+        if antithetic:
+            cut = mc_engine._cuts(large, 20, 2, 2)[1]
+            assert cut // 20 == 1 and cut % 20, cut
+        rows = 2 if antithetic else 1
+        for name in ("terminal_s", "terminal_v") + (("terminal_s_aux",) if aux_const_vol else ()):
+            a, b = (getattr(run, name) for run in runs)
+            np.testing.assert_array_equal(a.reshape(rows, small), b.reshape(rows, large)[:, :small])
 
     @staticmethod
     def _sample_bytes(samples):
@@ -183,13 +195,13 @@ class TestSimulatePaths:
 
     def test_sample_digest_pinned(self):
         # sha256 of a small ragged antithetic run with a control variate, as
-        # the block-list gather produced it before blocks wrote in place
+        # _oracle_paths gives it on the per-step Philox substreams
         model = table_model(0.3)
         config = McConfig(n_paths=20_001, n_steps=5, maturity=0.1, seed=11, antithetic=True)
         digest = hashlib.sha256()
         for chunk in self._sample_bytes(simulate_paths(model, config, aux_const_vol=0.3)):
             digest.update(chunk)
-        assert digest.hexdigest() == "a9cb0722313b7135bf981a5da4f57f5fb615fb1164f487e1530b8c28d7924f83"
+        assert digest.hexdigest() == "943036b02aa0e3d309861689cc2684a2ffaac06d75d789b09df879386ecfceca"
 
     def test_antithetic_layout(self):
         model = table_model(0.0)
@@ -285,8 +297,10 @@ def _oracle_variance_step(vv, v, v_pos, z, dt):
 
 def _oracle_paths(model, config, aux_const_vol=None):
     """The engine's step as plain numpy expressions, each block and each
-    antithetic row from a fresh generator, one block after another: the
-    oracle that the fused, buffered and scheduled step must match bit for bit."""
+    antithetic row on its own, one block after another, every (step, draw
+    row) from a newly built generator on its Philox substream: the oracle
+    that the fused, buffered and scheduled step and its re-keyed generators
+    must match bit for bit."""
     block = mc_engine._BLOCK
     rows = 2 if config.antithetic else 1
     s, v_out = np.empty((rows, config.n_paths)), np.empty((rows, config.n_paths))
@@ -301,14 +315,12 @@ def _oracle_paths(model, config, aux_const_vol=None):
         cols = slice(bi * block, min((bi + 1) * block, config.n_paths))
         width = cols.stop - cols.start
         for row, sign in enumerate((1.0, -1.0)[:rows]):
-            rng = np.random.Generator(np.random.Philox(key=key))
-            log_m = np.zeros(block)
-            v = v_pos = np.full(block, model.v0)
-            log_aux = np.zeros(block)
-            for _ in range(config.n_steps):
-                zb = rng.standard_normal((2, block))
-                z = sign * zb[0]
-                b = sign * zb[1]
+            log_m = np.zeros(width)
+            v = v_pos = np.full(width, model.v0)
+            log_aux = np.zeros(width)
+            for j in range(config.n_steps):
+                z, b = (sign * np.random.Generator(np.random.Philox(key=key, counter=(j << 192) | (r << 128)))
+                        .standard_normal(width) for r in (0, 1))
                 dw = sq_dt * (rho * z + rho_perp * b)
                 eta = model.local_vol.eta(log_m)
                 loc_var = eta * eta * v_pos
@@ -316,10 +328,10 @@ def _oracle_paths(model, config, aux_const_vol=None):
                 if aux is not None:
                     log_aux += carry - 0.5 * aux_const_vol**2 * dt + aux_const_vol * dw
                 v, v_pos = _oracle_variance_step(model.vol_of_vol, v, v_pos, z, dt)
-            v_out[row, cols] = np.maximum(v_pos, 1e-300)[:width]
-            s[row, cols] = (model.s0 * np.exp(log_m))[:width]
+            v_out[row, cols] = np.maximum(v_pos, 1e-300)
+            s[row, cols] = model.s0 * np.exp(log_m)
             if aux is not None:
-                aux[row, cols] = (model.s0 * np.exp(log_aux))[:width]
+                aux[row, cols] = model.s0 * np.exp(log_aux)
     return [a.reshape(-1).tobytes() if a is not None else None for a in (s, v_out, aux)]
 
 
@@ -354,7 +366,7 @@ class TestFusedStepOracle:
                             r=0.03, q=0.01)
         config = McConfig(**ORACLE_CONFIG, antithetic=antithetic)
         expected = _oracle_paths(model, config, aux_const_vol)
-        for cpus in (1, 2, 3, 8):
+        for cpus in (1, 2, 3, 4, 8):
             _on_cpus(monkeypatch, cpus)
             assert _engine_bytes(model, config, aux_const_vol) == expected, cpus
 
@@ -403,6 +415,25 @@ class TestFusedStepOracle:
         # two calls per row and step: two full blocks and the ragged one
         per_block = 2 * rows * n_steps
         assert sorted(widths) == [77] * per_block + [mc_engine._BLOCK] * (2 * per_block)
+
+    @pytest.mark.parametrize("n_paths, n_steps", [
+        (77, 3),  # one ragged block, drawn ahead by a drawer
+        (50_000, 2),  # 3 full blocks and one of 848 pairs, split over two workers
+    ])
+    def test_each_substream_drawn_once_at_its_block_width(self, monkeypatch, n_paths, n_steps):
+        draws = []
+        original = mc_engine._draw
+
+        def draw(rng, seed, block, step, out):
+            draws.extend((block, step, row, normals.size) for row, normals in enumerate(out))
+            return original(rng, seed, block, step, out)
+
+        monkeypatch.setattr(mc_engine, "_draw", draw)
+        _on_cpus(monkeypatch, 2)
+        simulate_paths(table_model(0.0), McConfig(n_paths, n_steps, 0.1, 7, antithetic=True))
+        block = mc_engine._BLOCK
+        assert sorted(draws) == [(b, j, r, min(block, n_paths - b * block))
+                                 for b in range(-(-n_paths // block)) for j in range(n_steps) for r in (0, 1)]
 
     def test_failed_head_releases_the_next_worker(self):
         _in_child(60, self.failed_head_releases_the_next_worker)
@@ -465,19 +496,16 @@ class TestFusedStepOracle:
         model = table_model(0.0)
         config = McConfig(n_paths=mc_engine._BLOCK, n_steps=40, maturity=0.1, seed=1)
         _on_cpus(monkeypatch, 2)
-        original = mc_engine._generator
+        original = mc_engine._draw
+        draws = []
 
-        class FailingGenerator:
-            def __init__(self, rng):
-                self.rng, self.draws = rng, 0
+        def draw(*args):
+            draws.append(args[2:4])
+            if len(draws) == 3:
+                raise MemoryError("draw failed")
+            return original(*args)
 
-            def standard_normal(self, out):
-                self.draws += 1
-                if self.draws == 3:
-                    raise MemoryError("draw failed")
-                return self.rng.standard_normal(out=out)
-
-        monkeypatch.setattr(mc_engine, "_generator", lambda seed, index: FailingGenerator(original(seed, index)))
+        monkeypatch.setattr(mc_engine, "_draw", draw)
         raised = []
         original_advance = mc_engine._Stepper.advance
 
@@ -492,6 +520,8 @@ class TestFusedStepOracle:
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="draw failed"):
             simulate_paths(model, config)
+        # the drawer's steps 0, 1 and 2 of block 0, and no draw after the failure
+        assert draws == [(0, 0), (0, 1), (0, 2)]
         assert len(raised) == 1
         assert threading.active_count() == threads
 
@@ -501,10 +531,10 @@ class TestCostSplit:
 
     @staticmethod
     def share_costs(n_paths, n_steps, rows, cuts):
-        # each block-step priced on its own: its draws, then its rows at the
-        # block's width, in columns
+        # each block-step priced on its own: its draws and its rows, all at
+        # the block's width, in columns
         block = mc_engine._BLOCK
-        cost = [mc_engine._DRAW_COST * block + rows * min(block, n_paths - (p // n_steps) * block)
+        cost = [(mc_engine._DRAW_COST + rows) * min(block, n_paths - (p // n_steps) * block)
                 for p in range(cuts[-1])]
         return [sum(cost[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
@@ -519,11 +549,12 @@ class TestCostSplit:
     def test_cli_default_shares_cost_alike(self):
         # 50,000 pairs of 200 steps on 2 workers: 3 full blocks and one of
         # 848 pairs.  Cut by count, between blocks 1 and 2, the second share
-        # would cost about 16% less than the first
+        # would cost about 47% less than the first; cut by cost, it falls 105
+        # steps into block 1
         n_paths, n_steps, rows = 50_000, 200, 2
         cuts = mc_engine._cuts(n_paths, n_steps, rows, 2)
         first, second = self.share_costs(n_paths, n_steps, rows, cuts)
-        assert cuts[0] == 0 and cuts[-1] == 4 * n_steps
+        assert cuts == [0, n_steps + 105, 4 * n_steps]
         assert abs(first - second) <= (mc_engine._DRAW_COST + rows) * mc_engine._BLOCK
 
     @pytest.mark.parametrize("n_paths, n_steps, rows, steppers", [
@@ -550,15 +581,27 @@ class TestCostSplit:
 
 class TestWorkingSet:
     @staticmethod
-    def _peak_bytes(model, config, aux_const_vol=None):
+    def _peak_bytes(monkeypatch, model, config, aux_const_vol=None):
         # numpy imports its random package on first use; keep that out
         simulate_paths(model, McConfig(2, 1, 0.1, 0))
-        tracemalloc.start()
-        try:
-            simulate_paths(model, config, aux_const_vol=aux_const_vol)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # every stepping worker keeps its buffers until all have run their
+        # shares, so that the peak holds them all however the threads run:
+        # else a worker that ends before another starts is left out of it
+        barrier = threading.Barrier(min(mc_engine._worker_count(), -(-config.n_paths // mc_engine._BLOCK)))
+        run_share = mc_engine._run_share
+
+        def held(*args):
+            run_share(*args)
+            barrier.wait(timeout=60)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mc_engine, "_run_share", held)
+            tracemalloc.start()
+            try:
+                simulate_paths(model, config, aux_const_vol=aux_const_vol)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
     @pytest.mark.parametrize("cpus, n_paths, antithetic, aux_const_vol, arrays", [
         # 6 worker buffers (two draw rows, eta, one temporary, sqrt(V+),
@@ -569,16 +612,16 @@ class TestWorkingSet:
         # a drawer's ring of two draw buffers stands in for the worker's own
         # one: 2 arrays more
         (2, mc_engine._BLOCK, False, None, 11),
-        # a full block and a ragged one of 77 paths, a worker each: 6 buffers
-        # per worker, and 3 rows at each block's width
-        (2, mc_engine._BLOCK + 77, False, None, 12 + 3 + 3 * 77 / mc_engine._BLOCK),
+        # a full block and a ragged one of 77 paths, a worker each: each
+        # worker's 6 buffers and 3 rows at the width of its block
+        (2, mc_engine._BLOCK + 77, False, None, 9 + 9 * 77 / mc_engine._BLOCK),
     ])
     def test_peak_is_flat_in_steps(self, monkeypatch, cpus, n_paths, antithetic, aux_const_vol, arrays):
         _on_cpus(monkeypatch, cpus)
         model = table_model(-0.7, vol_of_vol=ORACLE_VOLS_OF_VOL["square-root"])
         block_bytes = mc_engine._BLOCK * 8
         outputs = (3 if aux_const_vol else 2) * (2 if antithetic else 1) * n_paths * 8
-        peaks = [self._peak_bytes(model, McConfig(n_paths, n_steps, 0.1, 3, antithetic), aux_const_vol)
+        peaks = [self._peak_bytes(monkeypatch, model, McConfig(n_paths, n_steps, 0.1, 3, antithetic), aux_const_vol)
                  for n_steps in (5, 200)]
         # nothing is allocated per step: the peak at 200 steps is that at 5,
         # up to small Python objects

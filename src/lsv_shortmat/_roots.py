@@ -2,9 +2,10 @@
 
 Every 1-D root in the package is a sign change of a smooth function with an
 analytic derivative on a known bracket: the stationary equation of the
-Hartman-Watson F and Black implied volatility.  One Newton iteration,
-safeguarded by the bracket (the ``rtsafe`` rule of Press et al.,
-*Numerical Recipes*), solves them both to machine precision.
+Hartman-Watson F, Black implied volatility, and the square-root profile's
+chart log x(u) = log x, whose root is the Legendre transform's maximiser.
+One Newton iteration, safeguarded by the bracket (the ``rtsafe`` rule of
+Press et al., *Numerical Recipes*), solves them all to machine precision.
 """
 
 from __future__ import annotations

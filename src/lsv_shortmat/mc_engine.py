@@ -58,13 +58,6 @@ __all__ = ["McConfig", "McSamples", "PriceEstimate", "SmilePoint", "simulate_pat
            "price", "vix_exact_meanrev", "proxy_error_bounds", "smile_from_mc", "default_strike_grid"]
 
 _BLOCK = 16384
-# the cost of one column's draws, its 2 Philox normals, in row-steps of
-# arithmetic of one column: on a 2-core Xeon the two rows of a 16384-wide
-# block-step took 490-550 us against 112-156 us per row-step on a
-# tanh-lognormal model and under square-root Euler.  A block-step then
-# costs (_DRAW_COST + rows) times its width, so the split of the work over
-# workers (_cuts) follows the widths, not this value, and moves no byte.
-_DRAW_COST = 4
 
 
 class McConfig(Record):
@@ -333,24 +326,23 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _cuts(n_paths: int, n_steps: int, rows: int, steppers: int) -> list[int]:
+def _cuts(n_paths: int, n_steps: int, steppers: int) -> list[int]:
     """The bounds of the stepping workers' shares of the block-major
     sequence of block-steps: worker w runs block-steps [cuts[w], cuts[w + 1]).
 
     While blocks outnumber the workers, the shares are of equal cost.  A
-    block-step costs its draws, _DRAW_COST row-steps, plus ``rows``
-    row-steps, all at the block's width, so a ragged last block costs less
-    per step than a full one, in proportion to its width.  Cut w falls at
-    the last block-step by which at most w / steppers of the total cost is
-    spent, so each share is within one block-step of its due; with full
-    blocks only, cut w is w n_blocks n_steps // steppers.  Otherwise each
-    block has a worker to itself."""
+    block-step's draws and arithmetic both run at the block's width, so it
+    costs its width, and a ragged last block costs less per step than a
+    full one.  Cut w falls at the last block-step by which at most
+    w / steppers of the total cost is spent, so each share is within one
+    block-step of its due; with full blocks only, cut w is
+    w n_blocks n_steps // steppers.  Otherwise each block has a worker to
+    itself."""
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
     if n_blocks <= steppers:
         return [w * n_steps for w in range(steppers + 1)]
     # costs in column-steps, so that the arithmetic is exact
-    full = (_DRAW_COST + rows) * _BLOCK
-    last = (_DRAW_COST + rows) * _width(n_paths, n_blocks - 1)
+    full, last = _BLOCK, _width(n_paths, n_blocks - 1)
     head = (n_blocks - 1) * n_steps  # the block-steps of the full blocks
     total = head * full + n_steps * last
     cuts = []
@@ -418,7 +410,7 @@ def simulate_paths(model: LsvModel, config: McConfig, aux_const_vol: float | Non
     steppers = min(cpus, n_blocks)
     # with a CPU spare, worker w steps block w alone and ring w feeds it
     rings = [_Ring(config, index) for index in range(min(cpus, 2 * n_blocks) - steppers)]
-    cuts = _cuts(config.n_paths, config.n_steps, shape[0], steppers)
+    cuts = _cuts(config.n_paths, config.n_steps, steppers)
     # queue w carries the block that worker w - 1 starts and worker w finishes
     handoff = [queue.SimpleQueue() for _ in range(steppers + 1)]
 

@@ -4,9 +4,10 @@ The VIX solve runs over the spot level, so nothing in the package inverts
 eta^2; the square-root transform works on the Moebius profile of the
 cumulant Lambda, so nothing evaluates Lambda or its domain edge; and the
 square-root objective reads the transform's maximiser as its own iterate, so
-no solve runs the transform (:func:`transform_path_rate` keeps that path).
-The tests still check the solver and the transform against these
-independent forms.
+no solve runs the transform (:func:`transform_path_rate` keeps that path);
+and the transform is a root of the profile chart, so nothing runs the
+Newton ascent on the profile (:func:`legendre_ascent` keeps it).  The tests
+still check the solver and the transform against these independent forms.
 
 The corner harness (:func:`corner_models`) draws the models where the
 closed-form ATM coefficients cancel, for the tests that hold each
@@ -182,6 +183,75 @@ def legendre_sup_mp(log_x: float, log_y: float, sigma: float, dps: int = 50) -> 
 
         theta = mp.findroot(lambda t: mp.diff(profile, t), 6 * (2 * mp.mpf(log_x) - mp.mpf(log_y)) / sigma**2)
         return float(profile(theta)), float(theta)
+
+
+def legendre_ascent(log_x: float, log_y: float, sigma: float, grad_stop: float = 1e-13) -> heston_rate.LegendrePoint:
+    """The square-root transform by the Newton ascent that
+    :func:`lsv_shortmat.heston_rate.legendre_point` ran before it became a
+    root of the profile chart: I_H(x, y) = sup_theta G(theta) at
+    x = e^{log_x}, y = e^{log_y}, with G, its slope, curvature, rounding
+    error and phi* from the profile terms in deviation form (the formulas of
+    :func:`lsv_shortmat.heston_rate._profile`, written out here).
+
+    Newton ascent on G from the series warm start takes one profile
+    evaluation per step, halved until it stays in the domain (sqrt(u) < pi)
+    and does not lower G by more than its rounding error, and stops when the
+    slope is below ``grad_stop`` max(1, x, y) or after the step that brings
+    the Newton decrement below the rounding error; ``converged`` means
+    |G'| <= 1e-9 max(1, x, y) with G'' < 0.  ``iterations`` counts Newton
+    steps."""
+    a = 0.5 * sigma * sigma
+    dx, dy, ds = math.expm1(log_x), math.expm1(log_y), math.expm1(0.5 * log_y)
+    x, y, sqrt_y = 1.0 + dx, 1.0 + dy, 1.0 + ds
+    wk, wm, lin, lin_size = 1.0 + y, 2.0 * sqrt_y, dx - (dy + ds) / 3.0, abs(dx) + (abs(dy) + abs(ds)) / 3.0
+
+    def evaluate(theta: float):
+        u = a * theta
+        terms = heston_rate._profile_terms(u)
+        if terms is None:
+            return None
+        k, _, k2, m, _, m2, kd, kd1, md, md1 = terms
+        value = theta * lin + (ds * ds + wk * kd - wm * md) / a
+        size = wk * abs(kd) + wm * abs(md)
+        if abs(u) > 1.0:
+            size += wk * (abs(k) + 1.0) + wm * (abs(m) + 1.0)
+        noise = 4.0 * EPS * (abs(theta) * lin_size + (ds * ds + size) / a)
+        return value, noise, lin + wk * kd1 - wm * md1, a * (wk * k2 - wm * m2), terms
+
+    scale = max(1.0, x, y)
+    # the expansion of the maximiser about (x, y) = (1, 1)
+    theta = (6.0 * (2.0 * log_x - log_y) - 4.8 * log_x**2 + 4.8 * log_x * log_y - 2.2 * log_y**2) / (sigma * sigma)
+    cur = evaluate(theta)
+    while cur is None:
+        theta *= 0.5
+        cur = evaluate(theta)
+    iters = 0
+    while iters < 60:
+        iters += 1
+        fp, noise, slope, curv, _ = cur
+        if abs(slope) <= grad_stop * scale:
+            break
+        step = -slope / curv if curv < 0.0 else slope
+        last = curv < 0.0 and slope * step <= noise
+        t = 1.0
+        for _ in range(60):
+            cand = evaluate(theta + t * step)
+            if cand is not None and cand[0] >= fp - noise:
+                break
+            t *= 0.5
+        else:
+            break
+        theta, cur = theta + t * step, cand
+        if last:
+            break
+    value, noise, slope, curv, (k, k1, _, m, m1, _, kd, _, md, _) = cur
+    converged = abs(slope) <= 1e-9 * scale and curv < 0.0
+    c = k1 - m1 / sqrt_y
+    hessian = (-1.0 / curv, -c / curv, c * (-c / curv) + m / (2.0 * a * y * sqrt_y)) if converged else None
+    u = a * theta
+    return heston_rate.LegendrePoint(x, y, sigma, max(value, 0.0),
+                                     theta, ((ds - u / 6.0 - md) / sqrt_y - u / 3.0 + kd) / a,
+                                     iters, converged, noise, hessian)
 
 
 def lognormal_vix_law(v0: float, sigma: float, mu: float, maturity: float) -> tuple[float, float]:

@@ -20,7 +20,8 @@ from lsv_shortmat.heston_rate import (
 )
 from lsv_shortmat.model import SquareRootVolOfVol, load_model, vix_spot
 from lsv_shortmat.rate_solver import european_rate, vix_rate
-from oracles import boundary_theta_c, cumulant, legendre_sup_mp, transform_path_iterate, transform_path_rate
+from oracles import (boundary_theta_c, cumulant, legendre_ascent, legendre_sup_mp, transform_path_iterate,
+                     transform_path_rate)
 
 MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 GRID_SIGMAS = (0.5, 1.0, 2.0)
@@ -155,10 +156,49 @@ class TestLegendreTransform:
 
     # legendre_point takes (log x, log y)
     @pytest.mark.parametrize("log_x,log_y,sigma", [(0.0, -math.inf, 1.0), (math.inf, 0.0, 1.0),
-                                                   (0.0, math.nan, 1.0), (710.0, 0.0, 1.0), (0.0, 0.0, 0.0)])
+                                                   (0.0, math.nan, 1.0), (710.0, 0.0, 1.0), (0.0, 0.0, 0.0),
+                                                   # sigma^2/2 rounds to 0 or overflows
+                                                   (0.0, 0.0, 1e-200), (0.0, 0.0, 1e200)])
     def test_non_finite_or_degenerate_inputs(self, log_x, log_y, sigma):
         with pytest.raises(ValueError):
             legendre_point(log_x, log_y, sigma)
+
+
+class TestExtremeArguments:
+    """Far outside the model's range the transform reports what it cannot
+    certify and never fails another way: y = e^{log y} below the rounding
+    of 1 + expm1(log y) (log y < -37.4), an x or y the chart cannot resolve,
+    and sigma from 0.1 to 8."""
+
+    LOGS = (-700.0, -100.0, -40.0, 0.0, 40.0, 100.0)
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 8.0])
+    def test_transform_raises_only_its_own_errors(self, sigma):
+        for log_x in self.LOGS:
+            for log_y in self.LOGS:
+                pt = legendre_point(log_x, log_y, sigma)
+                if pt.converged:
+                    # a certified value is good to its rounding: at x = e^-100, y = 1 the
+                    # chart's x(u) is within 1e-9 of x only because both are below its rounding
+                    assert pt.hessian is not None and 0.0 <= pt.noise <= 1e-12 * pt.value, (log_x, log_y)
+                try:
+                    h = h_heston(log_y, math.exp(log_x), 1.0, sigma)
+                except (ValueError, RuntimeError):
+                    continue
+                assert pt.converged and h >= 0.0, (log_x, log_y)
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 8.0])
+    def test_small_y_is_certified(self, sigma):
+        # y = e^-40 and e^-100 at x = 1: inside the chart, past 1 + expm1
+        for log_y in (-40.0, -100.0):
+            assert legendre_point(0.0, log_y, sigma).converged, log_y
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 8.0])
+    def test_profile_is_a_tuple_or_none(self, sigma):
+        for u in (-1e30, -60.0, 0.0, 9.0):
+            for log_y in self.LOGS:
+                pt = profile_rate(u, log_y, sigma)
+                assert pt is None or (isinstance(pt, tuple) and len(pt) == 5), (u, log_y)
 
 
 class TestSeriesValues:
@@ -540,16 +580,39 @@ class TestConvergenceCertificate:
         assert certified and all(certified)
 
     def test_forced_non_certification_reports_unconverged(self, monkeypatch):
-        # there is no fallback: an uncertified maximiser is returned as Newton
-        # left it, flagged, and every caller that needs a certificate refuses it
+        # there is no fallback: a root of the chart that misses x is returned
+        # as Newton left it, flagged, and every caller that needs a
+        # certificate refuses it.  The chart is made to jump across x at the
+        # maximiser, by 2e-6 (1 + y), far past the certificate's 1e-9 scale
         x, y = math.exp(0.7), math.exp(-0.4)
         newton = legendre_point(0.7, -0.4, 1.0)
-        monkeypatch.setattr(heston_rate, "_GRAD_TOL", 0.0)
+        u_star = 0.5 * newton.theta
+
+        def jumping(u):
+            k, k1, k2, m, m1, m2, kd, kd1, md, md1 = _profile_terms(u)
+            return k, k1, k2, m, m1, m2, kd, kd1 + (1e-6 if u <= u_star else -1e-6), md, md1
+
+        monkeypatch.setattr(heston_rate, "_profile_terms", jumping)
         pt = legendre_point(0.7, -0.4, 1.0)
-        assert newton.converged and not pt.converged
+        assert newton.converged and not pt.converged and pt.hessian is None
+        # G does not read k~', so the value at the jump is the maximum's
+        assert pt.theta == pytest.approx(newton.theta, rel=1e-12)
         assert pt.value == pytest.approx(newton.value, rel=1e-12)
         with pytest.raises(RuntimeError):
             rate_IH_numeric(x, y, 1.0)
+
+    def test_no_concave_profile_reports_unconverged(self, monkeypatch):
+        # with G'' = 0 no u has a profile, so there is no bracket: the point
+        # is flagged, not raised
+        def flat(u):
+            k, k1, _, m, m1, _, *rest = _profile_terms(u)
+            return (k, k1, 0.0, m, m1, 0.0, *rest)
+
+        monkeypatch.setattr(heston_rate, "_profile_terms", flat)
+        pt = legendre_point(0.7, -0.4, 1.0)
+        assert not pt.converged and pt.hessian is None and math.isnan(pt.value)
+        with pytest.raises(RuntimeError):
+            rate_IH_numeric(math.exp(0.7), math.exp(-0.4), 1.0)
 
 
 class TestDanskin:
@@ -623,18 +686,19 @@ class TestDanskin:
 
 class TestProfileRate:
     """profile_rate reads I_H and its derivatives off one profile evaluation
-    at the maximiser u = a theta; legendre_point, which solves for that
-    maximiser at a given x, is its oracle at the same (log x, log y)."""
+    at the maximiser u = a theta; the Newton ascent on G that legendre_point
+    ran before it became a root of this chart (tests/oracles.py), which
+    solves for that maximiser at a given x, is its oracle at the same
+    (log x, log y)."""
 
     U_RANGES = {"negative": (-60.0, -1.0), "series": (-1.0, 1.0), "positive": (1.0, math.pi**2 * (1.0 - 1e-6))}
 
     @pytest.mark.parametrize("region", sorted(U_RANGES))
-    def test_against_legendre_point(self, region, monkeypatch):
-        # legendre_point's early stop (slope <= 1e-13 max(1, x, y)) leaves
+    def test_against_legendre_point(self, region):
+        # the ascent's early stop (slope <= 1e-13 max(1, x, y)) leaves
         # theta good only to 1e-13 / |G''|, coarse where G'' is small (u << 0);
         # without it Newton stops after the step that brings its decrement
         # below the rounding error, which leaves theta good to rounding
-        monkeypatch.setattr(heston_rate, "_GRAD_STOP", 0.0)
         rng = np.random.default_rng(30)
         lo, hi = self.U_RANGES[region]
         compared = 0
@@ -643,7 +707,7 @@ class TestProfileRate:
             value, noise, grad, hess, (log_x, dlx_du, dlx_dly) = profile_rate(u, log_y, sigma)
             if abs(log_x) > 10.0:
                 continue
-            pt = legendre_point(log_x, log_y, sigma)
+            pt = legendre_ascent(log_x, log_y, sigma, grad_stop=0.0)
             assert pt.converged
             x, y = pt.x, pt.y
             i_xx, i_xy, i_yy = pt.hessian

@@ -112,7 +112,7 @@ class TestSimulatePaths:
         _on_cpus(monkeypatch, 2)
         runs = [simulate_paths(model, McConfig(n, 20, 0.1, 5, antithetic), aux_const_vol) for n in (small, large)]
         if antithetic:
-            cut = mc_engine._cuts(large, 20, 2, 2)[1]
+            cut = mc_engine._cuts(large, 20, 2)[1]
             assert cut // 20 == 1 and cut % 20, cut
         rows = 2 if antithetic else 1
         for name in ("terminal_s", "terminal_v") + (("terminal_s_aux",) if aux_const_vol else ()):
@@ -530,20 +530,19 @@ class TestCostSplit:
     """The stepping workers' shares of the block-steps (``_cuts``)."""
 
     @staticmethod
-    def share_costs(n_paths, n_steps, rows, cuts):
-        # each block-step priced on its own: its draws and its rows, all at
-        # the block's width, in columns
+    def share_costs(n_paths, n_steps, cuts):
+        # each block-step priced on its own: its draws and its rows all run
+        # at the block's width, so it costs that width, in columns
         block = mc_engine._BLOCK
-        cost = [(mc_engine._DRAW_COST + rows) * min(block, n_paths - (p // n_steps) * block)
-                for p in range(cuts[-1])]
+        cost = [min(block, n_paths - (p // n_steps) * block) for p in range(cuts[-1])]
         return [sum(cost[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
-    @pytest.mark.parametrize("blocks, n_steps, rows, steppers", [
-        (3, 3, 1, 2), (7, 2, 1, 2), (4, 200, 2, 2), (9, 2, 2, 4), (5, 3, 2, 3), (9, 1, 1, 8), (10, 7, 2, 3),
+    @pytest.mark.parametrize("blocks, n_steps, steppers", [
+        (3, 3, 2), (7, 2, 2), (4, 200, 2), (9, 2, 4), (5, 3, 3), (9, 1, 8), (10, 7, 3),
     ])
-    def test_full_blocks_cut_by_count(self, blocks, n_steps, rows, steppers):
+    def test_full_blocks_cut_by_count(self, blocks, n_steps, steppers):
         total = blocks * n_steps
-        cuts = mc_engine._cuts(blocks * mc_engine._BLOCK, n_steps, rows, steppers)
+        cuts = mc_engine._cuts(blocks * mc_engine._BLOCK, n_steps, steppers)
         assert cuts == [w * total // steppers for w in range(steppers + 1)]
 
     def test_cli_default_shares_cost_alike(self):
@@ -551,32 +550,31 @@ class TestCostSplit:
         # 848 pairs.  Cut by count, between blocks 1 and 2, the second share
         # would cost about 47% less than the first; cut by cost, it falls 105
         # steps into block 1
-        n_paths, n_steps, rows = 50_000, 200, 2
-        cuts = mc_engine._cuts(n_paths, n_steps, rows, 2)
-        first, second = self.share_costs(n_paths, n_steps, rows, cuts)
+        n_paths, n_steps = 50_000, 200
+        cuts = mc_engine._cuts(n_paths, n_steps, 2)
+        first, second = self.share_costs(n_paths, n_steps, cuts)
         assert cuts == [0, n_steps + 105, 4 * n_steps]
-        assert abs(first - second) <= (mc_engine._DRAW_COST + rows) * mc_engine._BLOCK
+        assert abs(first - second) <= mc_engine._BLOCK
 
-    @pytest.mark.parametrize("n_paths, n_steps, rows, steppers", [
-        (2 * 16384 + 77, 3, 2, 2), (4 * 16384 + 77, 3, 1, 2), (4 * 16384 + 77, 3, 2, 3), (40_001, 25, 2, 2),
-        (8 * 16384 + 1, 2, 2, 4), (8 * 16384 + 1, 2, 1, 8), (12 * 16384 + 5000, 50, 2, 5), (3 * 16384 + 1, 1, 1, 2),
+    @pytest.mark.parametrize("n_paths, n_steps, steppers", [
+        (2 * 16384 + 77, 3, 2), (4 * 16384 + 77, 3, 2), (4 * 16384 + 77, 3, 3), (40_001, 25, 2),
+        (8 * 16384 + 1, 2, 4), (8 * 16384 + 1, 2, 8), (12 * 16384 + 5000, 50, 5), (3 * 16384 + 1, 1, 2),
     ])
-    def test_shares_within_a_block_step_of_their_due(self, n_paths, n_steps, rows, steppers):
+    def test_shares_within_a_block_step_of_their_due(self, n_paths, n_steps, steppers):
         # while blocks outnumber the workers, a share costs its due, a
         # steppers-th of the whole, to within one full block-step, and holds
         # at least a block's worth of steps
-        cuts = mc_engine._cuts(n_paths, n_steps, rows, steppers)
-        costs = self.share_costs(n_paths, n_steps, rows, cuts)
-        step = (mc_engine._DRAW_COST + rows) * mc_engine._BLOCK
+        cuts = mc_engine._cuts(n_paths, n_steps, steppers)
+        costs = self.share_costs(n_paths, n_steps, cuts)
+        step = mc_engine._BLOCK
         assert all(hi - lo >= n_steps for lo, hi in zip(cuts, cuts[1:])), cuts
         assert all(abs(steppers * cost - sum(costs)) < steppers * step for cost in costs), (cuts, costs)
 
-    @pytest.mark.parametrize("n_paths, n_steps, rows", [(100, 7, 1), (16384, 6, 2), (2 * 16384 + 9, 4, 2),
-                                                        (5 * 16384 - 1, 3, 1)])
-    def test_no_block_is_cut_while_workers_suffice(self, n_paths, n_steps, rows):
+    @pytest.mark.parametrize("n_paths, n_steps", [(100, 7), (16384, 6), (2 * 16384 + 9, 4), (5 * 16384 - 1, 3)])
+    def test_no_block_is_cut_while_workers_suffice(self, n_paths, n_steps):
         # a worker per block, so that a drawer can feed block w's worker w
         blocks = (n_paths + mc_engine._BLOCK - 1) // mc_engine._BLOCK
-        assert mc_engine._cuts(n_paths, n_steps, rows, blocks) == [w * n_steps for w in range(blocks + 1)]
+        assert mc_engine._cuts(n_paths, n_steps, blocks) == [w * n_steps for w in range(blocks + 1)]
 
 
 class TestWorkingSet:

@@ -32,7 +32,9 @@ scipy, so no CLI run loads it.  The names of retired layers that the benchmark t
 rebinds resolve to None on their modules, and only while the tracer reads
 them.  No function of the model or the rate solver names the numeric
 Legendre transform: the square-root objective reads the transform's
-maximiser as its iterate, with no nested solve.
+maximiser as its iterate, with no nested solve.  The transform itself is one
+bracketed root of the profile chart: it iterates only inside the root
+solver, and the only loop of the square-root module sums its series.
 """
 
 import ast
@@ -179,6 +181,42 @@ def test_one_f_solve():
     calls = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "newton_bracketed"]
     assert len(calls) == 1, calls
+
+
+def _heston_functions():
+    tree = ast.parse(Path(heston_rate.__file__).read_text(encoding="utf-8"))
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_transform_is_one_bracketed_root():
+    # legendre_point inverts the profile chart with the package's root solver
+    calls = [node for node in ast.walk(_heston_functions()["legendre_point"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "newton_bracketed"]
+    assert len(calls) == 1
+
+
+def _loops(func) -> list[int]:
+    """Lines of the loops in ``func``: for, while and comprehensions."""
+    return [node.lineno for node in ast.walk(func)
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+                                 ast.GeneratorExp))]
+
+
+def test_square_root_transform_iterates_only_in_the_root_solver():
+    # the one loop of heston_rate is the Horner loop of _profile_terms; the
+    # transform's iteration is newton_bracketed's
+    loops = {name: _loops(func) for name, func in _heston_functions().items() if name != "_profile_terms"}
+    assert not {name: lines for name, lines in loops.items() if lines}, loops
+    assert _loops(_heston_functions()["_profile_terms"])
+
+
+@pytest.mark.parametrize("source", ["def f(n):\n    for i in range(n):\n        pass",
+                                    "def f(x):\n    while x:\n        x -= 1",
+                                    "def f(xs):\n    return [x for x in xs]",
+                                    "def f():\n    def g(n):\n        while n:\n            n -= 1"])
+def test_loop_guard_sees_every_form(source):
+    # the guard above flags each of these, so its passing run means heston_rate has none
+    assert _loops(ast.parse(source).body[0])
 
 
 def test_rate_I_reads_hw_F_through_the_module(monkeypatch):
